@@ -6,8 +6,8 @@ both, and quantifies how well and how fast the oscillatory trajectories
 track the averaged flow as the dither frequency grows.
 """
 
-from .dynamics import (FieldEvaluationError, InputAffineSystem, VectorField,
-                       assemble_rhs, finite_diff_jacobian)
+from .dynamics import (FieldEvaluationError, FieldStack, InputAffineSystem,
+                       VectorField, assemble_rhs, finite_diff_jacobian)
 from .liebracket import (NuCoefficient, PrecisionWarning, UnsupportedSignalError,
                          build_lie_bracket_system, lie_bracket, nu_closed_form,
                          nu_quadrature)

@@ -20,7 +20,8 @@ import numpy as np
 
 from .dynamics import assemble_rhs, finite_diff_jacobian
 from .liebracket import nu_closed_form, nu_quadrature
-from .scenarios import Scenario, ScenarioError, list_bundled, load_scenario
+from .scenarios import (Scenario, ScenarioError, check_omegas, list_bundled,
+                        load_scenario, step_policy)
 from .seekers import check_maximizer_stationarity, check_potential_compatibility
 from .signals import cosine, sine, validate_assumptions
 from .sim import (integrate, omega_sweep, stability_probe, sup_distance,
@@ -49,17 +50,14 @@ class RunConfig:
 def _resolved(scenario: Scenario, config: RunConfig) -> Scenario:
     updates = {}
     if config.omegas:
-        omegas = tuple(sorted(config.omegas))
-        if len(set(omegas)) != len(omegas) or any(w <= 0 for w in omegas):
-            raise ScenarioError("omega overrides must be positive and distinct")
-        updates["omegas"] = omegas
+        updates["omegas"] = check_omegas(sorted(config.omegas), "--omega")
     if config.horizon is not None:
         if config.horizon <= 0.0:
             raise ScenarioError("horizon must be positive")
         updates["horizon"] = config.horizon
     if config.samples_per_period is not None:
-        updates["policy"] = replace(scenario.policy,
-                                    samples_per_period=config.samples_per_period)
+        updates["policy"] = step_policy(scenario.policy, "--samples-per-period",
+                                        samples_per_period=config.samples_per_period)
     return replace(scenario, **updates) if updates else scenario
 
 
@@ -170,22 +168,17 @@ def _verify_checks(sc: Scenario, config: RunConfig) -> list[CheckResult]:
                                       st.passed,
                                       f"|grad F| = {st.gradient_norm:.3e}"))
 
-    # analytic Jacobians of drift and channels against central differences
-    fields = [("drift", sys_ref.drift)] + [
-        (f"channel {k + 1} ({sig.name})", fld)
-        for k, (fld, sig) in enumerate(sys_ref.channels)]
+    # analytic Jacobians of drift and channels against central differences,
+    # row by row of the field stack
+    stack = sys_ref.stack
     worst = 0.0
-    ok = True
+    ok = all(fld.has_jacobian for fld in sys_ref.fields)
     for _ in range(20):
         x = sc.x0 + rng.uniform(-1.0, 1.0, size=sc.dim)
         t = float(rng.uniform(0.0, 10.0))
-        for _, fld in fields:
-            if not fld.has_jacobian:
-                ok = False
-                continue
-            J = fld.jacobian(t, x)
-            J_fd = finite_diff_jacobian(fld, t, x)
-            defect = float(np.max(np.abs(J - J_fd)) / max(1.0, np.max(np.abs(J))))
+        J_fd = finite_diff_jacobian(stack, t, x)
+        for J, J_row_fd in zip(stack.jacobian(t, x), J_fd):
+            defect = float(np.max(np.abs(J - J_row_fd)) / max(1.0, np.max(np.abs(J))))
             worst = max(worst, defect)
             ok = ok and defect < 1e-5
     checks.append(CheckResult("analytic Jacobians vs finite differences",

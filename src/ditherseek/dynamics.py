@@ -10,13 +10,18 @@ with gamma = 1/2 by default. The gamma = 1 variant is exposed only to let the
 amplitude scaling be contrasted experimentally; the averaged construction in
 :mod:`ditherseek.liebracket` refuses it.
 
+Drift and channel fields are evaluated together as a :class:`FieldStack`,
+one callable returning b0, b1, ..., bm as the rows of a (1+m, n) array, so
+that work the fields share (agent maps, gradients) is done once per point.
+
 Fields and systems are immutable after construction; evaluation is
-reentrant and side-effect free.
+reentrant. The only mutable state is the one-entry point cache a stack
+shares among its row views, which changes by replacing one attribute.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -79,10 +84,12 @@ class VectorField:
         return VectorField(v.size, lambda t, x: v, jac=lambda t, x: zj)
 
 
-def finite_diff_jacobian(fld: VectorField, t: float, x: np.ndarray,
+def finite_diff_jacobian(fld, t: float, x: np.ndarray,
                          h: float | None = None) -> np.ndarray:
     """Central-difference Jacobian, column k = (F(x + h e_k) - F(x - h e_k)) / 2h.
 
+    ``fld`` is any callable (t, x) -> array; the derivative axis is
+    appended last, so a :class:`FieldStack` gives one Jacobian per row.
     Default step 1e-6 * max(1, |x|_inf), the usual double-precision
     compromise between truncation and roundoff.
     """
@@ -91,26 +98,145 @@ def finite_diff_jacobian(fld: VectorField, t: float, x: np.ndarray,
         h = 1e-6 * max(1.0, float(np.max(np.abs(x))) if x.size else 1.0)
     if h <= 0.0:
         raise ValueError("finite-difference step must be positive")
-    J = np.empty((fld.dim, x.size))
+    columns = []
     for k in range(x.size):
         xp = x.copy()
         xm = x.copy()
         xp[k] += h
         xm[k] -= h
-        J[:, k] = (fld(t, xp) - fld(t, xm)) / (2.0 * h)
+        columns.append((fld(t, xp) - fld(t, xm)) / (2.0 * h))
+    J = np.stack(columns, axis=-1)
     if not np.all(np.isfinite(J)):
         raise FieldEvaluationError("non-finite values in finite-difference Jacobian")
     return J
 
 
+class _RowView:
+    """Row ``index`` of a stack's value (or of its Jacobian), as a field callable."""
+
+    __slots__ = ("stack", "index", "of_jacobian")
+
+    def __init__(self, stack: "FieldStack", index: int, of_jacobian: bool):
+        self.stack = stack
+        self.index = index
+        self.of_jacobian = of_jacobian
+
+    def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
+        value = self.stack.jacobian(t, x) if self.of_jacobian else self.stack(t, x)
+        return value[self.index]
+
+
+class FieldStack:
+    """Drift and m channel fields on R^n evaluated together.
+
+    ``fn`` maps (t, x) -> array of shape (rows, n) whose row 0 is the drift
+    and row k the k-th channel field; ``jac`` optionally maps (t, x) ->
+    (rows, n, n), row k the state-Jacobian of field k. ``oscillation_rates``
+    gives each row's rate in t (see :class:`VectorField`).
+
+    An architecture whose fields share work (agent maps, gradients) writes
+    one ``fn`` that does that work once per point, and hands its systems the
+    row views in :attr:`fields`. Calling the stack, or a row view, goes
+    through a one-entry cache keyed on the point, so callers that evaluate
+    the fields one at a time still pay for one stack evaluation per point.
+    Cached values are read-only.
+    """
+
+    def __init__(self, dim: int, fn: Callable[[float, np.ndarray], np.ndarray],
+                 jac: Callable[[float, np.ndarray], np.ndarray] | None = None,
+                 oscillation_rates=(0.0,)):
+        rates = tuple(float(r) for r in oscillation_rates)
+        if dim < 1 or not rates:
+            raise ValueError("a stack needs a positive dimension and at least one row")
+        self.dim = dim
+        self.fn = fn
+        self.jac = jac
+        self.shape = (len(rates), dim)
+        self._value = (None, None)
+        self._jac_value = (None, None)
+        self.fields = tuple(
+            VectorField(dim, _RowView(self, k, False),
+                        jac=None if jac is None else _RowView(self, k, True),
+                        oscillation_rate=rate)
+            for k, rate in enumerate(rates))
+
+    @staticmethod
+    def from_fields(fields) -> "FieldStack":
+        """Stack of individually evaluated fields (analytic or difference Jacobians)."""
+        fields = tuple(fields)
+        fns = tuple(f.fn for f in fields)
+        jacs = tuple(f.jacobian if f.jac is None else f.jac for f in fields)
+
+        def fn(t, x):
+            return np.array([f(t, x) for f in fns], dtype=float)
+
+        def jac(t, x):
+            return np.array([j(t, x) for j in jacs], dtype=float)
+
+        return FieldStack(fields[0].dim, fn, jac,
+                          tuple(f.oscillation_rate for f in fields))
+
+    @staticmethod
+    def of(fields) -> "FieldStack":
+        """The stack whose row views ``fields`` are, in order; else a new one."""
+        fields = tuple(fields)
+        view = fields[0].fn
+        if isinstance(view, _RowView):
+            own = view.stack.fields
+            if len(own) == len(fields) and all(a is b for a, b in zip(own, fields)):
+                return view.stack
+        return FieldStack.from_fields(fields)
+
+    def check(self, value) -> None:
+        """Raise ValueError unless ``value`` has this stack's shape."""
+        if np.shape(value) != self.shape:
+            raise ValueError(f"stack returned shape {np.shape(value)}, "
+                             f"expected {self.shape}")
+
+    def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
+        """Stacked value (rows, n) through the point cache."""
+        x = np.asarray(x, dtype=float)
+        key = (t, x.tobytes())
+        cached_key, value = self._value
+        if cached_key != key:
+            value = np.array(self.fn(t, x), dtype=float)
+            self.check(value)
+            value.flags.writeable = False
+            self._value = (key, value)
+        return value
+
+    def jacobian(self, t: float, x: np.ndarray) -> np.ndarray:
+        """Stacked Jacobian (rows, n, n): ``jac`` when supplied, else central differences."""
+        x = np.asarray(x, dtype=float)
+        key = (t, x.tobytes())
+        cached_key, value = self._jac_value
+        if cached_key != key:
+            if self.jac is None:
+                value = finite_diff_jacobian(self, t, x)
+            else:
+                value = np.array(self.jac(t, x), dtype=float)
+                if value.shape != self.shape + (self.dim,):
+                    raise ValueError(f"stacked jacobian returned shape {value.shape}")
+            value.flags.writeable = False
+            self._jac_value = (key, value)
+        return value
+
+
 @dataclass(frozen=True)
 class InputAffineSystem:
-    """Drift plus m dithered channels and the oscillation parameter omega."""
+    """Drift plus m dithered channels and the oscillation parameter omega.
+
+    ``stack`` is derived, never passed: the builder's own stack when drift
+    and channel fields are its row views in order, otherwise a stack of the
+    individual fields, so a system rebuilt with other fields (for instance
+    by ``dataclasses.replace``) is never evaluated through a stale stack.
+    """
 
     drift: VectorField
     channels: tuple[tuple[VectorField, DitherSignal], ...]
     omega: float
     amplitude_exponent: float = 0.5
+    stack: FieldStack = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "channels", tuple(tuple(c) for c in self.channels))
@@ -123,6 +249,12 @@ class InputAffineSystem:
                 raise ValueError("all channel fields must share the drift dimension")
             if not isinstance(sig, DitherSignal):
                 raise TypeError("channel dither must be a DitherSignal")
+        object.__setattr__(self, "stack", FieldStack.of(self.fields))
+
+    @property
+    def fields(self) -> tuple[VectorField, ...]:
+        """Drift followed by the channel fields, in stack row order."""
+        return (self.drift,) + tuple(fld for fld, _ in self.channels)
 
     @property
     def dim(self) -> int:
@@ -145,28 +277,40 @@ class InputAffineSystem:
 def assemble_rhs(sys: InputAffineSystem) -> VectorField:
     """Combine drift and channels into the full oscillatory right-hand side.
 
-    The Jacobian of the result is the same combination of the channel
-    Jacobians and is supplied only when drift and every channel carry one.
+    Evaluates ``[1, gain*u_1(t, omega*t), ..., gain*u_m(t, omega*t)] @
+    stack(t, x)``. The stack's output shape is checked at the first
+    evaluation only; finiteness at every one. The Jacobian of the result is
+    the same combination of the stacked Jacobians and is supplied only when
+    drift and every channel carry one.
     """
-    drift = sys.drift
-    channels = sys.channels
+    stack = sys.stack
+    stack_fn = stack.fn
     gain = sys.omega ** sys.amplitude_exponent
     omega = sys.omega
+    dithers = tuple(sig.scalar_evaluator() for _, sig in sys.channels)
+
+    def coefficients(t):
+        theta = omega * t
+        return np.array([1.0] + [gain * u(t, theta) for u in dithers])
+
+    checked = False
 
     def fn(t, x):
-        out = drift(t, x).copy()
-        for fld, sig in channels:
-            out += gain * float(sig.eval(t, omega * t)) * fld(t, x)
-        if not np.all(np.isfinite(out)):
+        nonlocal checked
+        rows = stack_fn(t, x)
+        if not checked:
+            stack.check(rows)
+            checked = True
+        out = coefficients(t) @ rows
+        if not np.isfinite(out).all():
             raise FieldEvaluationError("non-finite right-hand side")
         return out
 
     jac = None
-    if drift.has_jacobian and all(fld.has_jacobian for fld, _ in channels):
-        def jac(t, x):
-            J = drift.jacobian(t, x).copy()
-            for fld, sig in channels:
-                J += gain * float(sig.eval(t, omega * t)) * fld.jacobian(t, x)
-            return J
+    if all(fld.has_jacobian for fld in sys.fields):
+        stack_jac = stack.jac or stack.jacobian
 
-    return VectorField(drift.dim, fn, jac=jac, oscillation_rate=sys.fast_rate)
+        def jac(t, x):
+            return np.tensordot(coefficients(t), stack_jac(t, x), axes=1)
+
+    return VectorField(sys.dim, fn, jac=jac, oscillation_rate=sys.fast_rate)

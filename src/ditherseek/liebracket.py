@@ -140,6 +140,10 @@ def build_lie_bracket_system(sys: InputAffineSystem, nu_method: str = "closed_fo
     per channel pair; pairs involving genuinely t-dependent custom dithers
     are re-integrated at every evaluation time. Self-pairs never contribute:
     for zero-mean dithers their averaged term vanishes identically.
+
+    Each evaluation computes the system's field stack and stacked Jacobian
+    once and contracts them with an antisymmetric coefficient matrix A,
+    A[j, i] = nu_ji = -A[i, j], as sum_a J_a (A B)_a with B the channel rows.
     """
     if sys.amplitude_exponent != 0.5:
         raise ValueError(
@@ -147,11 +151,11 @@ def build_lie_bracket_system(sys: InputAffineSystem, nu_method: str = "closed_fo
             f"(got {sys.amplitude_exponent})")
     method, nodes = _parse_nu_method(nu_method, nodes)
 
-    static_terms: list[tuple[VectorField, VectorField, float]] = []
-    dynamic_terms: list[tuple[VectorField, VectorField, DitherSignal, DitherSignal, tuple[int, int]]] = []
-    # only channel fields are differentiated; the drift enters undifferentiated
-    fallback = False
     m = sys.n_channels
+    static = np.zeros((m, m))
+    dynamic_terms: list[tuple[int, int, DitherSignal, DitherSignal, tuple[int, int]]] = []
+    terms = []
+    # only channel fields are differentiated; the drift enters undifferentiated
     for i in range(m):
         f_i, s_i = sys.channels[i]
         for j in range(i + 1, m):
@@ -160,36 +164,47 @@ def build_lie_bracket_system(sys: InputAffineSystem, nu_method: str = "closed_fo
                 if method == "closed_form":
                     raise UnsupportedSignalError(
                         "t-dependent dithers need nu_method='quadrature'")
-                dynamic_terms.append((f_i, f_j, s_j, s_i, (j + 1, i + 1)))
-                fallback = fallback or not (f_i.has_jacobian and f_j.has_jacobian)
+                dynamic_terms.append((i, j, s_j, s_i, (j + 1, i + 1)))
+                terms.append((f_i, f_j))
                 continue
             nu = _nu_for_pair(s_j, s_i, method, nodes, 0.0, (j + 1, i + 1))
             if abs(nu.value) <= _NU_ZERO_TOL:
                 continue
-            static_terms.append((f_i, f_j, nu.value))
-            fallback = fallback or not (f_i.has_jacobian and f_j.has_jacobian)
+            static[j, i] += nu.value
+            static[i, j] -= nu.value
+            terms.append((f_i, f_j))
 
-    if fallback:
+    if any(not (f_i.has_jacobian and f_j.has_jacobian) for f_i, f_j in terms):
         warnings.warn(
             "averaged system uses finite-difference Jacobians for at least "
             "one bracket", PrecisionWarning, stacklevel=2)
 
-    drift = sys.drift
-    rates = [drift.oscillation_rate]
-    for f_i, f_j, _ in static_terms:
-        rates.extend((f_i.oscillation_rate, f_j.oscillation_rate))
-    for f_i, f_j, *_ in dynamic_terms:
+    rates = [sys.drift.oscillation_rate]
+    for f_i, f_j in terms:
         rates.extend((f_i.oscillation_rate, f_j.oscillation_rate))
 
+    stack = sys.stack
+    stack_fn = stack.fn
+    stack_jac = stack.jac or stack.jacobian
+    checked = False
+
     def fn(t, z):
-        out = drift(t, z).copy()
-        for f_i, f_j, value in static_terms:
-            out += value * (f_j.jacobian(t, z) @ f_i(t, z) - f_i.jacobian(t, z) @ f_j(t, z))
-        for f_i, f_j, s_j, s_i, pair in dynamic_terms:
-            value = nu_quadrature(s_j, s_i, t=t, nodes=nodes, pair=pair).value
-            if abs(value) <= _NU_ZERO_TOL:
-                continue
-            out += value * (f_j.jacobian(t, z) @ f_i(t, z) - f_i.jacobian(t, z) @ f_j(t, z))
-        return out
+        nonlocal checked
+        rows = stack_fn(t, z)
+        if not checked:
+            stack.check(rows)
+            checked = True
+        if not terms:
+            return rows[0]
+        coeffs = static
+        if dynamic_terms:
+            coeffs = static.copy()
+            for i, j, s_j, s_i, pair in dynamic_terms:
+                value = nu_quadrature(s_j, s_i, t=t, nodes=nodes, pair=pair).value
+                if abs(value) > _NU_ZERO_TOL:
+                    coeffs[j, i] += value
+                    coeffs[i, j] -= value
+        mixed = coeffs @ rows[1:]
+        return rows[0] + np.einsum("akl,al->k", stack_jac(t, z)[1:], mixed)
 
     return VectorField(sys.dim, fn, oscillation_rate=max(rates))

@@ -15,7 +15,7 @@ A scenario is a YAML document. Keys (strict mode rejects anything else):
     alpha           dither amplitude (scalar only)
     dither          ["kind:n", "kind:n"] pair (scalar only, optional;
                     defaults to ["cosine:1", "sine:1"])
-    omega           strictly increasing list of positive frequencies
+    omega           strictly increasing list of finite positive frequencies
     initial_state   list of length 1 (scalar) or 3N (agent dynamics)
     horizon         positive number
     amplitude_exponent  0.5 (default) or 1.0; with 1.0 the dither amplitude
@@ -23,15 +23,17 @@ A scenario is a YAML document. Keys (strict mode rejects anything else):
                     configuration that only supports simulate mode (no
                     averaged counterpart exists for that scaling)
     nu_method       "closed_form" | "quadrature:<nodes>" (optional)
-    step            {samples_per_period?, max_step?, output_stride?} (optional)
+    step            {samples_per_period?, max_step?, output_stride?} (optional);
+                    samples_per_period an integer >= 4, output_stride >= 1
     probe           {delta: [...], epsilon, t_f, boundary_samples?, horizon?}
-                    (optional)
+                    (optional); boundary_samples an integer >= 1
 
 Numeric values may be written as decimals or as rational strings ("3/10").
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
@@ -101,6 +103,33 @@ def _ratio(value, path: str) -> Fraction:
             _fail(path, f"cannot parse {value!r} as a rational")
     _fail(path, f"frequency ratios must be integers or 'p/q' strings, got "
                 f"{type(value).__name__}")
+
+
+def _count(value, path: str, minimum: int) -> int:
+    """An integer of at least ``minimum``; floats are refused, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        _fail(path, f"expected an integer, got {value!r}")
+    if value < minimum:
+        _fail(path, f"must be at least {minimum}, got {value}")
+    return value
+
+
+def check_omegas(omegas, path: str) -> tuple[float, ...]:
+    """Frequencies from a scenario or an override: finite, positive, strictly increasing."""
+    omegas = tuple(float(w) for w in omegas)
+    if not all(math.isfinite(w) and w > 0.0 for w in omegas):
+        _fail(path, f"frequencies must be finite and positive, got {list(omegas)}")
+    if any(b <= a for a, b in zip(omegas, omegas[1:])):
+        _fail(path, "frequencies must be distinct and strictly increasing")
+    return omegas
+
+
+def step_policy(policy: StepPolicy, path: str, **changes) -> StepPolicy:
+    """``policy`` with ``changes`` applied; invalid values raise ScenarioError."""
+    try:
+        return replace(policy, **changes)
+    except ValueError as exc:
+        _fail(path, str(exc))
 
 
 def _vector(value, path: str) -> np.ndarray:
@@ -255,15 +284,12 @@ def _parse_step(block, path: str) -> StepPolicy:
     _require_keys(block, path, set(), {"samples_per_period", "max_step", "output_stride"})
     kwargs = {}
     if "samples_per_period" in block:
-        kwargs["samples_per_period"] = int(block["samples_per_period"])
+        kwargs["samples_per_period"] = block["samples_per_period"]
     if "max_step" in block:
         kwargs["max_step"] = _number(block["max_step"], f"{path}.max_step")
     if "output_stride" in block:
-        kwargs["output_stride"] = int(block["output_stride"])
-    try:
-        return StepPolicy(**kwargs)
-    except ValueError as exc:
-        _fail(path, str(exc))
+        kwargs["output_stride"] = block["output_stride"]
+    return step_policy(StepPolicy(), path, **kwargs)
 
 
 def _parse_probe(block, path: str) -> ProbeConfig:
@@ -278,9 +304,8 @@ def _parse_probe(block, path: str) -> ProbeConfig:
         _fail(path, "epsilon and t_f must be positive")
     horizon = (_number(block["horizon"], f"{path}.horizon")
                if "horizon" in block else None)
-    return ProbeConfig(deltas, eps, t_f,
-                       boundary_samples=int(block.get("boundary_samples", 8)),
-                       horizon=horizon)
+    samples = _count(block.get("boundary_samples", 8), f"{path}.boundary_samples", 1)
+    return ProbeConfig(deltas, eps, t_f, boundary_samples=samples, horizon=horizon)
 
 
 _TOP_REQUIRED = {"name", "dynamics", "map", "omega", "initial_state", "horizon"}
@@ -303,11 +328,7 @@ def parse_scenario(doc: dict, strict: bool = True) -> Scenario:
     if kind not in DYNAMICS_KINDS:
         _fail("scenario.dynamics", f"must be one of {DYNAMICS_KINDS}")
 
-    omegas = tuple(float(v) for v in _vector(doc["omega"], "scenario.omega"))
-    if any(w <= 0.0 for w in omegas):
-        _fail("scenario.omega", "frequencies must be positive")
-    if any(b <= a for a, b in zip(omegas, omegas[1:])):
-        _fail("scenario.omega", "frequencies must be strictly increasing")
+    omegas = check_omegas(_vector(doc["omega"], "scenario.omega"), "scenario.omega")
 
     horizon = _number(doc["horizon"], "scenario.horizon")
     if horizon <= 0.0:

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import InputAffineSystem, VectorField
+from .dynamics import FieldStack, InputAffineSystem, VectorField
 from .signals import cosine, sine
 
 
@@ -167,28 +167,81 @@ def _check_params(game: PotentialGame, params) -> list[AgentParams]:
     return params
 
 
-def _drift_field(game: PotentialGame, params: list[AgentParams]) -> VectorField:
-    n = game.n_agents
-    dim = 3 * n
-    maps = game.maps
-    hs = np.array([p.h for p in params])
+class _AgentLoops:
+    """Per-agent constants and stack layout shared by both agent architectures.
 
-    def fn(t, x):
-        xbar = x[:2 * n]
-        out = np.zeros(dim)
-        for i in range(n):
-            out[2 * n + i] = -hs[i] * x[2 * n + i] + maps[i](xbar)
-        return out
+    Stack rows: 0 is the drift, 1 + 2i and 2 + 2i are agent i's sine and
+    cosine channels. Agent i moves positions 2i, 2i + 1 and its washout
+    filter state 2N + i. Entries are written through flat positions into a
+    copy of a template that already holds every constant entry.
+    """
 
-    def jac(t, x):
-        xbar = x[:2 * n]
-        J = np.zeros((dim, dim))
-        for i in range(n):
-            J[2 * n + i, :2 * n] = maps[i].gradient(xbar)[:2 * n]
-            J[2 * n + i, 2 * n + i] -= hs[i]
-        return J
+    def __init__(self, game: PotentialGame, params: list[AgentParams], harmonics):
+        n = game.n_agents
+        self.n = n
+        self.harmonics = harmonics
+        self.dim = 3 * n
+        self.rows = 1 + 2 * n
+        self.maps = game.maps
+        s = np.sqrt(np.array(harmonics, dtype=float))
+        self.h = np.array([p.h for p in params])
+        self.sc = s * np.array([p.c for p in params])
+        self.sa = s * np.array([p.alpha for p in params])
+        agents = np.arange(n)
+        self.first, self.second = 2 * agents, 2 * agents + 1
+        self.filt = 2 * n + agents
+        self.sin_rows, self.cos_rows = 1 + 2 * agents, 2 + 2 * agents
+        # column block of the position gradients, one row per agent
+        self.positions = np.arange(2 * n)[None, :]
+        # drift row: dx_e/dt = -h*x_e + f(xbar)
+        self.value_template = np.zeros((self.rows, self.dim))
+        self.jac_template = np.zeros((self.rows, self.dim, self.dim))
+        self.jac_template[0, self.filt, self.filt] = -self.h
+        self.drift_at = self.at(0, self.filt)
+        self.drift_grad_at = self.at(0, self.filt[:, None], self.positions)
 
-    return VectorField(dim, fn, jac=jac)
+    def at(self, *index):
+        """Flat positions of stack entries [row, col] or Jacobian entries [row, col, k]."""
+        shape = (self.rows,) + (self.dim,) * (len(index) - 1)
+        return np.ravel_multi_index(index, shape)
+
+    def values(self, x, template):
+        """Copy of ``template`` with the drift row f - h*x_e filled, and s*c*(f - h*x_e).
+
+        Calls each agent map once.
+        """
+        xbar = x[:2 * self.n]
+        washout = np.array([m(xbar) for m in self.maps]) - self.h * x[2 * self.n:]
+        out = template.copy()
+        out.reshape(-1)[self.drift_at] = washout
+        return out, self.sc * washout
+
+    def gradients(self, x, template):
+        """Copy of ``template`` with the drift row's gradients, and s*c*grad f_i.
+
+        Calls each agent gradient once.
+        """
+        xbar = x[:2 * self.n]
+        grads = np.array([m.gradient(xbar)[:2 * self.n] for m in self.maps])
+        J = template.copy()
+        J.reshape(-1)[self.drift_grad_at] = grads
+        return J, self.sc[:, None] * grads
+
+    def system(self, fn, jac, agent_rates, omega: float) -> InputAffineSystem:
+        """System whose drift and channels are the row views of one stack.
+
+        Agent i's channels carry sine(n_i) and cosine(n_i) and vary in t at
+        ``agent_rates[i]``.
+        """
+        rates = [0.0]
+        for rate in agent_rates:
+            rates += [rate, rate]
+        stack = FieldStack(self.dim, fn, jac, oscillation_rates=rates)
+        channels = []
+        for i, n_i in enumerate(self.harmonics):
+            channels.append((stack.fields[1 + 2 * i], sine(n_i)))
+            channels.append((stack.fields[2 + 2 * i], cosine(n_i)))
+        return InputAffineSystem(stack.fields[0], tuple(channels), omega)
 
 
 def build_single_integrator(game: PotentialGame, params, omega: float) -> InputAffineSystem:
@@ -201,50 +254,41 @@ def build_single_integrator(game: PotentialGame, params, omega: float) -> InputA
 
     with w_i = a_i * omega, rewritten on the common base frequency so every
     channel carries a sine(n_i) or cosine(n_i) dither and a sqrt(n_i) field
-    scaling. All channel Jacobians are supplied analytically.
+    scaling. Drift and channels are one stack that calls each agent map (and
+    gradient) once per point; all Jacobians are analytic.
     """
     params = _check_params(game, params)
     q, harmonics = frequency_decomposition([p.a for p in params])
-    omega_tilde = omega / q
-    n = game.n_agents
-    dim = 3 * n
+    loops = _AgentLoops(game, params, harmonics)
+    sin_rows, cos_rows = loops.sin_rows, loops.cos_rows
+    first, second, filt = loops.first, loops.second, loops.filt
 
-    channels = []
-    for i, (p, n_i) in enumerate(zip(params, harmonics)):
-        s = math.sqrt(n_i)
-        m = game.maps[i]
-        c, alpha, h = p.c, p.alpha, p.h
-        row, col = 2 * i, 2 * i + 1
-        filt = 2 * n + i
+    value_template = loops.value_template.copy()
+    value_template[sin_rows, second] = loops.sa
+    value_template[cos_rows, first] = loops.sa
+    seek_at, neg_seek_at = loops.at(sin_rows, first), loops.at(cos_rows, second)
 
-        def b1_fn(t, x, m=m, c=c, alpha=alpha, h=h, s=s, row=row, col=col, filt=filt):
-            out = np.zeros(dim)
-            out[row] = s * c * (m(x[:2 * n]) - x[filt] * h)
-            out[col] = s * alpha
-            return out
+    jac_template = loops.jac_template.copy()
+    jac_template[sin_rows, first, filt] = -loops.sc * loops.h
+    jac_template[cos_rows, second, filt] = loops.sc * loops.h
+    grad_at = loops.at(sin_rows[:, None], first[:, None], loops.positions)
+    neg_grad_at = loops.at(cos_rows[:, None], second[:, None], loops.positions)
 
-        def b1_jac(t, x, m=m, c=c, h=h, s=s, row=row, filt=filt):
-            J = np.zeros((dim, dim))
-            J[row, :2 * n] = s * c * m.gradient(x[:2 * n])[:2 * n]
-            J[row, filt] = -s * c * h
-            return J
+    def fn(t, x):
+        out, g = loops.values(x, value_template)
+        flat = out.reshape(-1)
+        flat[seek_at] = g
+        flat[neg_seek_at] = -g
+        return out
 
-        def b2_fn(t, x, m=m, c=c, alpha=alpha, h=h, s=s, row=row, col=col, filt=filt):
-            out = np.zeros(dim)
-            out[row] = s * alpha
-            out[col] = -s * c * (m(x[:2 * n]) - x[filt] * h)
-            return out
+    def jac(t, x):
+        J, sc_grads = loops.gradients(x, jac_template)
+        flat = J.reshape(-1)
+        flat[grad_at] = sc_grads
+        flat[neg_grad_at] = -sc_grads
+        return J
 
-        def b2_jac(t, x, m=m, c=c, h=h, s=s, col=col, filt=filt):
-            J = np.zeros((dim, dim))
-            J[col, :2 * n] = -s * c * m.gradient(x[:2 * n])[:2 * n]
-            J[col, filt] = s * c * h
-            return J
-
-        channels.append((VectorField(dim, b1_fn, jac=b1_jac), sine(n_i)))
-        channels.append((VectorField(dim, b2_fn, jac=b2_jac), cosine(n_i)))
-
-    return InputAffineSystem(_drift_field(game, params), tuple(channels), omega_tilde)
+    return loops.system(fn, jac, [0.0] * loops.n, omega / q)
 
 
 def analytic_lie_single_integrator(game: PotentialGame, params) -> VectorField:
@@ -287,6 +331,8 @@ def build_unicycle(game: PotentialGame, params, Omega: float, omega: float) -> I
     Only the forward speed carries the seeking feedback; each heading is
     eliminated analytically as Omega_i * t (headings start at zero), which
     makes the channel fields time-varying with rate Omega_i = d_i * Omega.
+    Drift and channels are one stack that calls each agent map (and
+    gradient) once per point.
     """
     params = _check_params(game, params)
     if Omega == 0.0:
@@ -294,53 +340,40 @@ def build_unicycle(game: PotentialGame, params, Omega: float, omega: float) -> I
     if any(p.d is None for p in params):
         raise ValueError("unicycle agents need an angular-rate ratio d")
     q, harmonics = frequency_decomposition([p.a for p in params])
-    omega_tilde = omega / q
-    n = game.n_agents
-    dim = 3 * n
+    loops = _AgentLoops(game, params, harmonics)
+    sin_rows, cos_rows = loops.sin_rows, loops.cos_rows
+    first, second, filt = loops.first, loops.second, loops.filt
+    rates = np.array([float(p.d) * Omega for p in params])
+    sa = loops.sa
+    neg_sch = -loops.sc * loops.h
 
-    channels = []
-    for i, (p, n_i) in enumerate(zip(params, harmonics)):
-        s = math.sqrt(n_i)
-        m = game.maps[i]
-        c, alpha, h = p.c, p.alpha, p.h
-        W = float(p.d) * Omega
-        row, col = 2 * i, 2 * i + 1
-        filt = 2 * n + i
+    sin_first, sin_second = loops.at(sin_rows, first), loops.at(sin_rows, second)
+    cos_first, cos_second = loops.at(cos_rows, first), loops.at(cos_rows, second)
+    grad_first = loops.at(sin_rows[:, None], first[:, None], loops.positions)
+    grad_second = loops.at(sin_rows[:, None], second[:, None], loops.positions)
+    filt_first, filt_second = loops.at(sin_rows, first, filt), loops.at(sin_rows, second, filt)
 
-        def b1_fn(t, x, m=m, c=c, h=h, s=s, W=W, row=row, col=col, filt=filt):
-            out = np.zeros(dim)
-            g = s * c * (m(x[:2 * n]) - x[filt] * h)
-            out[row] = g * math.cos(W * t)
-            out[col] = g * math.sin(W * t)
-            return out
+    def fn(t, x):
+        out, g = loops.values(x, loops.value_template)
+        cw, sw = np.cos(rates * t), np.sin(rates * t)
+        flat = out.reshape(-1)
+        flat[sin_first] = g * cw
+        flat[sin_second] = g * sw
+        flat[cos_first] = sa * cw
+        flat[cos_second] = sa * sw
+        return out
 
-        def b1_jac(t, x, m=m, c=c, h=h, s=s, W=W, row=row, col=col, filt=filt):
-            J = np.zeros((dim, dim))
-            grad = s * c * m.gradient(x[:2 * n])[:2 * n]
-            cw, sw = math.cos(W * t), math.sin(W * t)
-            J[row, :2 * n] = cw * grad
-            J[row, filt] = -s * c * h * cw
-            J[col, :2 * n] = sw * grad
-            J[col, filt] = -s * c * h * sw
-            return J
+    def jac(t, x):
+        J, sc_grads = loops.gradients(x, loops.jac_template)
+        cw, sw = np.cos(rates * t), np.sin(rates * t)
+        flat = J.reshape(-1)
+        flat[grad_first] = cw[:, None] * sc_grads
+        flat[filt_first] = neg_sch * cw
+        flat[grad_second] = sw[:, None] * sc_grads
+        flat[filt_second] = neg_sch * sw
+        return J
 
-        def b2_fn(t, x, alpha=alpha, s=s, W=W, row=row, col=col):
-            out = np.zeros(dim)
-            out[row] = s * alpha * math.cos(W * t)
-            out[col] = s * alpha * math.sin(W * t)
-            return out
-
-        zero_jac = np.zeros((dim, dim))
-
-        def b2_jac(t, x, zero_jac=zero_jac):
-            return zero_jac
-
-        channels.append((VectorField(dim, b1_fn, jac=b1_jac, oscillation_rate=abs(W)),
-                         sine(n_i)))
-        channels.append((VectorField(dim, b2_fn, jac=b2_jac, oscillation_rate=abs(W)),
-                         cosine(n_i)))
-
-    return InputAffineSystem(_drift_field(game, params), tuple(channels), omega_tilde)
+    return loops.system(fn, jac, np.abs(rates), omega / q)
 
 
 def analytic_lie_unicycle(game: PotentialGame, params, Omega: float) -> VectorField:

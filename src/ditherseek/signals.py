@@ -118,6 +118,19 @@ class DitherSignal:
             return self.fn(t, theta)
         return _waveform(self.kind, self.harmonic, theta)
 
+    def scalar_evaluator(self) -> Callable[[float, float], float]:
+        """u(t, theta) for scalar arguments, as a float, without array dispatch."""
+        n = self.harmonic
+        if self.kind == "sine":
+            return lambda t, theta: math.sin(n * theta)
+        if self.kind == "cosine":
+            return lambda t, theta: math.cos(n * theta)
+        if self.kind == "custom":
+            fn = self.fn
+            return lambda t, theta: float(fn(t, theta))
+        kind = self.kind
+        return lambda t, theta: float(_waveform(kind, n, theta))
+
     def eval_for_quadrature(self, t, theta):
         """Like :meth:`eval` but samples jump nodes at their midpoint value."""
         if self.kind == "custom":

@@ -17,6 +17,7 @@ workers; the serial loops here are simply the baseline schedule.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass
@@ -44,8 +45,13 @@ class StepPolicy:
     output_stride: int = 1
 
     def __post_init__(self):
+        for name in ("samples_per_period", "output_stride"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.samples_per_period < 4:
-            raise ValueError("need at least 4 samples per period")
+            raise ValueError(
+                f"samples_per_period must be at least 4, got {self.samples_per_period}")
         if self.max_step <= 0.0:
             raise ValueError("max_step must be positive")
         if self.output_stride < 1:
@@ -351,6 +357,8 @@ def stability_probe(build_system, target, delta_list, epsilon: float, omegas,
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
+    if boundary_samples < 1:
+        raise ValueError("a probe needs at least one boundary sample per shell")
     target = np.asarray(target, dtype=float)
     horizon = 2.0 * t_f if horizon is None else horizon
     if horizon < t_f:

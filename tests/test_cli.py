@@ -121,3 +121,45 @@ def test_compare_trajectory_values_are_plausible(scalar_file, tmp_path):
     data = np.genfromtxt(out / "tiny_omega60.csv", delimiter=",", names=True)
     assert data["t"][0] == 0.0
     assert abs(data["x1"][-1] - 1.0) < 0.5  # moved toward the maximizer
+
+
+def _exit_and_error(argv, tmp_path, capsys):
+    status = main(argv + ["--mode", "simulate", "--out", str(tmp_path / "o")])
+    return status, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+def test_nonfinite_omega_override_rejected(scalar_file, tmp_path, capsys, value):
+    status, err = _exit_and_error(["--scenario", str(scalar_file), f"--omega={value}"],
+                                  tmp_path, capsys)
+    assert status == 2
+    assert err.startswith("error:") and "finite" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value", [".inf", ".nan"])
+def test_nonfinite_scenario_omega_rejected(tmp_path, capsys, value):
+    doc = tmp_path / "bad.yaml"
+    doc.write_text(FAST_SCALAR.replace("omega: [20.0, 60.0]", f"omega: [20.0, {value}]"),
+                   encoding="utf-8")
+    status, err = _exit_and_error(["--scenario", str(doc)], tmp_path, capsys)
+    assert status == 2
+    assert err.startswith("error:") and "finite" in err
+
+
+def test_samples_per_period_override_below_four_rejected(scalar_file, tmp_path, capsys):
+    status, err = _exit_and_error(["--scenario", str(scalar_file),
+                                   "--samples-per-period", "2"], tmp_path, capsys)
+    assert status == 2
+    assert err.startswith("error:") and "samples" in err
+
+
+@pytest.mark.parametrize("value", ["foo", "4.9", "2", "true"])
+def test_scenario_samples_per_period_must_be_an_integer_of_at_least_four(
+        tmp_path, capsys, value):
+    doc = tmp_path / "bad.yaml"
+    doc.write_text(FAST_SCALAR.replace("samples_per_period: 30",
+                                       f"samples_per_period: {value}"), encoding="utf-8")
+    status, err = _exit_and_error(["--scenario", str(doc)], tmp_path, capsys)
+    assert status == 2
+    assert err.startswith("error:") and "samples_per_period" in err

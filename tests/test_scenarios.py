@@ -119,6 +119,14 @@ def test_omega_list_must_increase():
         parse_scenario_text(bad)
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "2.5", "foo"])
+def test_probe_boundary_samples_must_be_a_positive_integer(value):
+    text = MINIMAL_AGENT + (
+        f"probe: {{delta: [0.1], epsilon: 0.5, t_f: 1.0, boundary_samples: {value}}}\n")
+    with pytest.raises(ScenarioError, match="boundary_samples"):
+        parse_scenario_text(text)
+
+
 def test_nonpositive_horizon_rejected():
     bad = MINIMAL_AGENT.replace("horizon: 5.0", "horizon: 0.0")
     with pytest.raises(ScenarioError, match="positive"):

@@ -213,6 +213,13 @@ def test_probe_consistent_near_target_at_moderate_omega():
     assert rep.all_attractive_consistent
 
 
+def test_probe_without_boundary_samples_rejected():
+    # zero samples would report every shell consistent on no evidence
+    with pytest.raises(ValueError, match="boundary sample"):
+        stability_probe(lambda w: _decay_field(), [0.0], delta_list=[0.1],
+                        epsilon=0.5, omegas=[10.0], t_f=1.0, boundary_samples=0)
+
+
 def test_probe_on_contracting_flow_is_consistent():
     # the averaged flow itself: plain asymptotic stability, any omega
     lie = analytic_lie_scalar(lambda z: -2.0 * z, 1.0)  # dz/dt = -z

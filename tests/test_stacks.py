@@ -1,0 +1,243 @@
+"""Stacked fields: the fused right-hand side and bracket against per-field formulas.
+
+The per-agent reference fields below restate the architectures' drift and
+channel formulas one field at a time, independently of the stacked
+implementation in ``seekers``.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ditherseek import (FieldEvaluationError, InputAffineSystem, StepPolicy,
+                        VectorField, assemble_rhs, build_lie_bracket_system,
+                        frequency_decomposition, integrate, load_scenario,
+                        nu_closed_form, sine)
+
+ARCHITECTURES = ("scalar_basic", "three_agent_single_integrator", "three_agent_unicycle")
+SCENARIOS = {name: load_scenario(name) for name in ARCHITECTURES}
+REL_TOL = 1e-12
+
+
+def _reference_agent_fields(sc):
+    """Drift and channel (value, Jacobian) callables, one per field."""
+    n = len(sc.params)
+    dim = 3 * n
+    maps = sc.game.maps
+    _, harmonics = frequency_decomposition([p.a for p in sc.params])
+
+    def drift(t, x):
+        out = np.zeros(dim)
+        for i, (m, p) in enumerate(zip(maps, sc.params)):
+            out[2 * n + i] = -p.h * x[2 * n + i] + m(x[:2 * n])
+        return out
+
+    def drift_jac(t, x):
+        J = np.zeros((dim, dim))
+        for i, (m, p) in enumerate(zip(maps, sc.params)):
+            J[2 * n + i, :2 * n] = m.gradient(x[:2 * n])[:2 * n]
+            J[2 * n + i, 2 * n + i] = -p.h
+        return J
+
+    fields = [(drift, drift_jac)]
+    for i, (m, p, n_i) in enumerate(zip(maps, sc.params, harmonics)):
+        s = math.sqrt(n_i)
+        W = 0.0 if sc.kind == "single_integrator" else float(p.d) * sc.Omega
+        row, col, filt = 2 * i, 2 * i + 1, 2 * n + i
+
+        def seek(x, m=m, p=p, s=s, filt=filt):
+            return s * p.c * (m(x[:2 * n]) - x[filt] * p.h)
+
+        def seek_grad(x, m=m, p=p, s=s, filt=filt):
+            g = np.zeros(dim)
+            g[:2 * n] = s * p.c * m.gradient(x[:2 * n])[:2 * n]
+            g[filt] = -s * p.c * p.h
+            return g
+
+        if sc.kind == "single_integrator":
+            def b1(t, x, seek=seek, s=s, p=p, row=row, col=col):
+                out = np.zeros(dim)
+                out[row], out[col] = seek(x), s * p.alpha
+                return out
+
+            def b1_jac(t, x, seek_grad=seek_grad, row=row):
+                J = np.zeros((dim, dim))
+                J[row] = seek_grad(x)
+                return J
+
+            def b2(t, x, seek=seek, s=s, p=p, row=row, col=col):
+                out = np.zeros(dim)
+                out[row], out[col] = s * p.alpha, -seek(x)
+                return out
+
+            def b2_jac(t, x, seek_grad=seek_grad, col=col):
+                J = np.zeros((dim, dim))
+                J[col] = -seek_grad(x)
+                return J
+        else:
+            def b1(t, x, seek=seek, W=W, row=row, col=col):
+                out = np.zeros(dim)
+                out[row], out[col] = seek(x) * math.cos(W * t), seek(x) * math.sin(W * t)
+                return out
+
+            def b1_jac(t, x, seek_grad=seek_grad, W=W, row=row, col=col):
+                J = np.zeros((dim, dim))
+                J[row] = math.cos(W * t) * seek_grad(x)
+                J[col] = math.sin(W * t) * seek_grad(x)
+                return J
+
+            def b2(t, x, s=s, p=p, W=W, row=row, col=col):
+                out = np.zeros(dim)
+                out[row] = s * p.alpha * math.cos(W * t)
+                out[col] = s * p.alpha * math.sin(W * t)
+                return out
+
+            def b2_jac(t, x):
+                return np.zeros((dim, dim))
+
+        fields += [(b1, b1_jac), (b2, b2_jac)]
+    return fields
+
+
+def _reference_fields(sc, sys):
+    if sc.kind == "scalar":
+        return [(fld, fld.jacobian) for fld in sys.fields]
+    return _reference_agent_fields(sc)
+
+
+def _close(got, terms):
+    """``got`` equals the sum of ``terms`` to REL_TOL of the largest term."""
+    terms = np.array(terms)
+    scale = max(1.0, float(np.max(np.abs(terms))))
+    return float(np.max(np.abs(got - terms.sum(axis=0)))) <= REL_TOL * scale
+
+
+def _point(sc, offsets):
+    return sc.x0 + np.array(offsets[:sc.dim])
+
+
+points = st.tuples(
+    st.sampled_from(ARCHITECTURES),
+    st.floats(min_value=0.0, max_value=20.0),
+    st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=9, max_size=9))
+
+
+@given(points)
+@settings(max_examples=60, deadline=None)
+def test_stacked_rhs_matches_per_field_sum(case):
+    name, t, offsets = case
+    sc = SCENARIOS[name]
+    sys = sc.build_system(sc.omegas[0])
+    x = _point(sc, offsets)
+    gain = math.sqrt(sys.omega)
+    reference = _reference_fields(sc, sys)
+    terms = [reference[0][0](t, x)] + [
+        gain * float(sig.eval(t, sys.omega * t)) * b(t, x)
+        for (b, _), (_, sig) in zip(reference[1:], sys.channels)]
+    assert _close(assemble_rhs(sys).fn(t, x), terms)
+
+
+@given(points)
+@settings(max_examples=60, deadline=None)
+def test_stacked_jacobians_match_per_field_jacobians(case):
+    name, t, offsets = case
+    sc = SCENARIOS[name]
+    sys = sc.build_system(sc.omegas[0])
+    x = _point(sc, offsets)
+    stacked = sys.stack.jacobian(t, x)
+    assert stacked.shape == (1 + sys.n_channels, sys.dim, sys.dim)
+    for J, (_, jac) in zip(stacked, _reference_fields(sc, sys)):
+        assert _close(J, [jac(t, x)])
+    gain = math.sqrt(sys.omega)
+    terms = [jac(t, x) * (1.0 if k == 0 else
+                          gain * float(sys.channels[k - 1][1].eval(t, sys.omega * t)))
+             for k, (_, jac) in enumerate(_reference_fields(sc, sys))]
+    assert _close(assemble_rhs(sys).jacobian(t, x), terms)
+
+
+@given(points)
+@settings(max_examples=40, deadline=None)
+def test_stacked_bracket_matches_per_pair_formula(case):
+    name, t, offsets = case
+    sc = SCENARIOS[name]
+    sys = sc.build_system(sc.omegas[0])
+    z = _point(sc, offsets)
+    reference = _reference_fields(sc, sys)
+    terms = [reference[0][0](t, z)]
+    for i in range(sys.n_channels):
+        for j in range(i + 1, sys.n_channels):
+            s_i, s_j = sys.channels[i][1], sys.channels[j][1]
+            nu = nu_closed_form(s_j.kind, s_j.harmonic, s_i.kind, s_i.harmonic).value
+            (b_i, J_i), (b_j, J_j) = reference[i + 1], reference[j + 1]
+            terms.append(nu * (J_j(t, z) @ b_i(t, z) - J_i(t, z) @ b_j(t, z)))
+    assert _close(build_lie_bracket_system(sys).fn(t, z), terms)
+
+
+def test_builders_share_one_stack_and_call_each_map_once():
+    sc = SCENARIOS["three_agent_single_integrator"]
+    calls = []
+    maps = tuple(dataclasses.replace(m, fn=lambda x, f=m.fn: calls.append(1) or f(x))
+                 for m in sc.game.maps)
+    sc = dataclasses.replace(sc, game=dataclasses.replace(sc.game, maps=maps))
+    sys = sc.build_system(100.0)
+    assert sys.stack.fields == sys.fields
+    assemble_rhs(sys).fn(0.3, sc.x0)
+    assert len(calls) == 3
+    # row views evaluated one at a time share one stack evaluation per point
+    for fld in sys.fields:
+        fld(0.7, sc.x0)
+    assert len(calls) == 6
+
+
+def test_replaced_channels_are_never_evaluated_through_the_old_stack():
+    sc = SCENARIOS["three_agent_single_integrator"]
+    sys = sc.build_system(100.0)
+    doubled = tuple((VectorField(f.dim, lambda t, x, f=f: 2.0 * f(t, x)), s)
+                    for f, s in sys.channels)
+    for new in (dataclasses.replace(sys, channels=doubled),
+                dataclasses.replace(sys, channels=sys.channels[::-1]),
+                dataclasses.replace(sys, channels=sys.channels[:4])):
+        assert new.stack is not sys.stack
+        t, x = 0.4, sc.x0 + 0.1
+        gain = math.sqrt(new.omega)
+        terms = [new.drift(t, x)] + [gain * float(s.eval(t, new.omega * t)) * f(t, x)
+                                     for f, s in new.channels]
+        assert _close(assemble_rhs(new).fn(t, x), terms)
+    assert dataclasses.replace(sys, omega=7.0).stack is sys.stack
+
+
+def test_wrongly_shaped_field_raises_from_integrate():
+    bad = VectorField(2, lambda t, x: np.zeros(3))
+    sys = InputAffineSystem(VectorField.zero(2), ((bad, sine(1)),), 10.0)
+    with pytest.raises(ValueError, match="shape"):
+        integrate(assemble_rhs(sys), np.zeros(2), 1.0)
+    with pytest.raises(ValueError, match="shape"):
+        integrate(build_lie_bracket_system(sys), np.zeros(2), 1.0)
+
+
+def test_nonfinite_rhs_marks_divergence_at_the_same_step():
+    # the channel field blows up past x = 2; the per-field right-hand side
+    # below is the reference for where the run must stop
+    def fn(t, x):
+        return np.array([math.inf if x[0] > 2.0 else 1.0 + x[0] ** 2])
+
+    fld = VectorField(1, fn)
+    sys = InputAffineSystem(VectorField.constant([1.0]), ((fld, sine(1)),), 4.0)
+
+    def reference(t, x):
+        out = sys.drift(t, x) + 2.0 * math.sin(4.0 * t) * fld(t, x)
+        if not np.all(np.isfinite(out)):
+            raise FieldEvaluationError("non-finite right-hand side")
+        return out
+
+    policy = StepPolicy(max_step=0.01)
+    got = integrate(assemble_rhs(sys), [0.0], 5.0, policy=policy)
+    want = integrate(VectorField(1, reference, oscillation_rate=4.0), [0.0], 5.0,
+                     policy=policy)
+    assert got.diverged and want.diverged
+    assert 0 < got.total_steps == want.total_steps
+    assert np.allclose(got.states, want.states, rtol=REL_TOL, atol=REL_TOL)
