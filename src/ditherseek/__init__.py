@@ -15,16 +15,15 @@ from .scenarios import (ProbeConfig, ScalarMap, Scenario, ScenarioError,
                         bundled_scenario, list_bundled, load_scenario,
                         parse_scenario, parse_scenario_text)
 from .seekers import (AgentMap, AgentParams, CompatibilityReport, PotentialGame,
-                      ScenarioState, StationarityReport, analytic_lie_scalar,
+                      StationarityReport, analytic_lie_scalar,
                       analytic_lie_single_integrator, analytic_lie_unicycle,
                       build_scalar_seeker, build_single_integrator, build_unicycle,
                       check_maximizer_stationarity, check_potential_compatibility,
                       equilibrium_state, filter_equilibrium,
                       frequency_decomposition, quadratic_game, three_agent_game,
                       unicycle_period)
-from .signals import (DitherSignal, SignalValidationReport, cosine, custom,
-                      eval_signal, from_name, partial_integral, sawtooth, sine,
-                      square, triangle, validate_assumptions)
+from .signals import (DitherSignal, SignalValidationReport, cosine, custom, from_name,
+                      sawtooth, sine, square, triangle, validate_assumptions)
 from .sim import (DecayRecord, DecayReport, OmegaRecord, ProbeCell,
                   StabilityProbeReport, StepPolicy, SweepReport, Trajectory,
                   averaging_decay_check, integrate, omega_sweep, stability_probe,

@@ -46,11 +46,13 @@ def cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
 
 
 def fit_loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
-    """Least-squares slope of log(y) against log(x). Requires positive data."""
+    """Least-squares slope of log(y) against log(x). Requires finite positive data."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size < 2:
         raise ValueError("slope fit needs at least two points")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("slope fit needs finite data")
     if np.any(x <= 0.0) or np.any(y <= 0.0):
         raise ValueError("slope fit needs strictly positive data")
     lx, ly = np.log(x), np.log(y)

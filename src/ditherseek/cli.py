@@ -65,12 +65,18 @@ def _omega_tag(w: float) -> str:
     return f"{w:g}".replace(".", "p")
 
 
+def _oscillatory_run(sc: Scenario, config: RunConfig, w: float):
+    """Integrate the oscillatory system at ``w``; write its CSV; return both."""
+    traj = integrate(assemble_rhs(sc.build_system(w)), sc.x0, sc.horizon,
+                     policy=sc.policy)
+    out = config.out / f"{sc.name}_omega{_omega_tag(w)}.csv"
+    write_trajectory_csv(traj, out)
+    return traj, out
+
+
 def _run_simulate(sc: Scenario, config: RunConfig) -> int:
     for w in sc.omegas:
-        traj = integrate(assemble_rhs(sc.build_system(w)), sc.x0, sc.horizon,
-                         policy=sc.policy)
-        out = config.out / f"{sc.name}_omega{_omega_tag(w)}.csv"
-        write_trajectory_csv(traj, out)
+        traj, out = _oscillatory_run(sc, config, w)
         print(f"wrote {out}" + (" (diverged)" if traj.diverged else ""))
     return 0
 
@@ -87,9 +93,7 @@ def _run_compare(sc: Scenario, config: RunConfig) -> int:
         lines.append(f"averaged flow final distance to target: {d:.6g}")
     sups = []
     for w in sc.omegas:
-        traj = integrate(assemble_rhs(sc.build_system(w)), sc.x0, sc.horizon,
-                         policy=sc.policy)
-        write_trajectory_csv(traj, config.out / f"{sc.name}_omega{_omega_tag(w)}.csv")
+        traj, _ = _oscillatory_run(sc, config, w)
         named[f"omega={w:g}"] = traj
         sup = sup_distance(traj, lie_traj)
         sups.append(sup)
@@ -100,7 +104,8 @@ def _run_compare(sc: Scenario, config: RunConfig) -> int:
             row += " DIVERGED"
         lines.append(row)
     if len(sups) >= 2:
-        ok = all(b <= a for a, b in zip(sups, sups[1:]))
+        ok = (all(np.isfinite(sups))
+              and all(b <= a for a, b in zip(sups, sups[1:])))
         lines.append(f"sup_error decreases with omega: {'yes' if ok else 'NO'}")
     write_long_csv(named, config.out / f"{sc.name}_compare_long.csv")
     summary = "\n".join(lines)
@@ -111,6 +116,8 @@ def _run_compare(sc: Scenario, config: RunConfig) -> int:
 
 
 def _run_sweep(sc: Scenario, config: RunConfig) -> int:
+    if len(sc.omegas) < 2:
+        raise ScenarioError("sweep mode needs at least two omega values")
     report = omega_sweep(sc.build_system, sc.lie_field(), sc.omegas, sc.x0,
                          sc.horizon, policy=sc.policy, target=sc.target)
     write_sweep_csv(report, config.out / f"{sc.name}_sweep.csv")

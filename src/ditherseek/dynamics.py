@@ -73,9 +73,7 @@ class VectorField:
 
     @staticmethod
     def zero(dim: int) -> "VectorField":
-        z = np.zeros(dim)
-        zj = np.zeros((dim, dim))
-        return VectorField(dim, lambda t, x: z, jac=lambda t, x: zj)
+        return VectorField.constant(np.zeros(dim))
 
     @staticmethod
     def constant(vec) -> "VectorField":

@@ -113,22 +113,26 @@ def nu_quadrature(outer: DitherSignal, inner: DitherSignal, t: float = 0.0,
     return NuCoefficient(value, pair=pair, method="quadrature")
 
 
-def _parse_nu_method(nu_method: str, nodes: int) -> tuple[str, int]:
+def _parse_nu_method(nu_method: str, nodes: int = 4096) -> tuple[str, int]:
+    """(method, nodes) of "closed_form", "quadrature" or "quadrature:<nodes>".
+
+    Raises ValueError for any other value and for fewer than 8 nodes.
+    """
     if nu_method == "closed_form":
         return "closed_form", nodes
-    if nu_method == "quadrature":
-        return "quadrature", nodes
-    if nu_method.startswith("quadrature:"):
-        return "quadrature", int(nu_method.split(":", 1)[1])
-    raise ValueError(f"unknown nu method {nu_method!r}")
-
-
-def _nu_for_pair(outer: DitherSignal, inner: DitherSignal, method: str,
-                 nodes: int, t: float, pair: tuple[int, int]) -> NuCoefficient:
-    if method == "closed_form":
-        return nu_closed_form(outer.kind, outer.harmonic, inner.kind, inner.harmonic,
-                              pair=pair)
-    return nu_quadrature(outer, inner, t=t, nodes=nodes, pair=pair)
+    kind, sep, count = str(nu_method).partition(":")
+    if kind != "quadrature":
+        raise ValueError(f"unknown nu method {nu_method!r}; "
+                         "expected closed_form or quadrature:<nodes>")
+    if sep:
+        try:
+            nodes = int(count)
+        except ValueError:
+            raise ValueError(f"nu method {nu_method!r}: node count must be an "
+                             "integer") from None
+    if nodes < 8:
+        raise ValueError(f"nu method {nu_method!r}: quadrature needs at least 8 nodes")
+    return "quadrature", nodes
 
 
 def build_lie_bracket_system(sys: InputAffineSystem, nu_method: str = "closed_form",
@@ -167,7 +171,10 @@ def build_lie_bracket_system(sys: InputAffineSystem, nu_method: str = "closed_fo
                 dynamic_terms.append((i, j, s_j, s_i, (j + 1, i + 1)))
                 terms.append((f_i, f_j))
                 continue
-            nu = _nu_for_pair(s_j, s_i, method, nodes, 0.0, (j + 1, i + 1))
+            if method == "closed_form":
+                nu = nu_closed_form(s_j.kind, s_j.harmonic, s_i.kind, s_i.harmonic)
+            else:
+                nu = nu_quadrature(s_j, s_i, nodes=nodes)
             if abs(nu.value) <= _NU_ZERO_TOL:
                 continue
             static[j, i] += nu.value

@@ -2,7 +2,8 @@
 
 A scenario is a YAML document. Keys (strict mode rejects anything else):
 
-    name            str, required
+    name            str, required; a plain file name stem (no path separator,
+                    not empty, not "..") since it names the output files
     description     str, optional
     dynamics        "scalar" | "single_integrator" | "unicycle"
     map             exactly one of
@@ -22,7 +23,8 @@ A scenario is a YAML document. Keys (strict mode rejects anything else):
                     grows like omega instead of sqrt(omega), a contrast
                     configuration that only supports simulate mode (no
                     averaged counterpart exists for that scaling)
-    nu_method       "closed_form" | "quadrature:<nodes>" (optional)
+    nu_method       "closed_form" | "quadrature" | "quadrature:<nodes>" with
+                    <nodes> an integer >= 8 (optional)
     step            {samples_per_period?, max_step?, output_stride?} (optional);
                     samples_per_period an integer >= 4, output_stride >= 1
     probe           {delta: [...], epsilon, t_f, boundary_samples?, horizon?}
@@ -33,7 +35,6 @@ Numeric values may be written as decimals or as rational strings ("3/10").
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
@@ -44,13 +45,13 @@ import numpy as np
 import yaml
 
 from .dynamics import InputAffineSystem, VectorField
-from .liebracket import build_lie_bracket_system
-from .seekers import (AgentParams, PotentialGame,
+from .liebracket import _parse_nu_method, build_lie_bracket_system
+from .seekers import (AgentParams, PotentialGame, _check_params,
                       analytic_lie_single_integrator, analytic_lie_unicycle,
                       build_scalar_seeker, build_single_integrator, build_unicycle,
                       equilibrium_state, quadratic_game, three_agent_game)
 from .signals import DitherSignal, from_name
-from .sim import StepPolicy
+from .sim import StepPolicy, checked_omegas
 
 BUILTIN_GAMES = {"three_agent": three_agent_game}
 DYNAMICS_KINDS = ("scalar", "single_integrator", "unicycle")
@@ -116,12 +117,10 @@ def _count(value, path: str, minimum: int) -> int:
 
 def check_omegas(omegas, path: str) -> tuple[float, ...]:
     """Frequencies from a scenario or an override: finite, positive, strictly increasing."""
-    omegas = tuple(float(w) for w in omegas)
-    if not all(math.isfinite(w) and w > 0.0 for w in omegas):
-        _fail(path, f"frequencies must be finite and positive, got {list(omegas)}")
-    if any(b <= a for a, b in zip(omegas, omegas[1:])):
-        _fail(path, "frequencies must be distinct and strictly increasing")
-    return omegas
+    try:
+        return checked_omegas(omegas)
+    except ValueError as exc:
+        _fail(path, str(exc))
 
 
 def step_policy(policy: StepPolicy, path: str, **changes) -> StepPolicy:
@@ -195,11 +194,9 @@ class Scenario:
                 "no averaged reference flow exists for amplitude exponent "
                 f"{self.amplitude_exponent}; only simulate mode applies")
         if self.kind == "scalar":
-            if all(s.is_sinusoid for s in self.dithers):
-                return build_lie_bracket_system(self.build_system(self.omegas[0]),
-                                                self.nu_method)
+            sinusoids = all(s.is_sinusoid for s in self.dithers)
             return build_lie_bracket_system(self.build_system(self.omegas[0]),
-                                            "quadrature")
+                                            self.nu_method if sinusoids else "quadrature")
         if self.kind == "single_integrator":
             return analytic_lie_single_integrator(self.game, self.params)
         return analytic_lie_unicycle(self.game, self.params, self.Omega)
@@ -339,16 +336,21 @@ def parse_scenario(doc: dict, strict: bool = True) -> Scenario:
     probe = _parse_probe(doc["probe"], "scenario.probe") if "probe" in doc else None
 
     nu_method = doc.get("nu_method", "closed_form")
-    if not (nu_method == "closed_form" or nu_method == "quadrature"
-            or (isinstance(nu_method, str) and nu_method.startswith("quadrature:"))):
-        _fail("scenario.nu_method", "must be closed_form or quadrature:<nodes>")
+    try:
+        _parse_nu_method(nu_method)
+    except ValueError as exc:
+        _fail("scenario.nu_method", str(exc))
 
     exponent = _number(doc.get("amplitude_exponent", 0.5),
                        "scenario.amplitude_exponent")
     if exponent not in (0.5, 1.0):
         _fail("scenario.amplitude_exponent", "must be 0.5 or 1.0")
 
-    common = dict(name=str(doc["name"]), kind=kind, omegas=omegas, x0=x0,
+    name = str(doc["name"])
+    if name in ("", "..") or any(c in name for c in "/\\\0"):
+        _fail("scenario.name", f"must be a plain file name stem, got {name!r}")
+
+    common = dict(name=name, kind=kind, omegas=omegas, x0=x0,
                   horizon=horizon, policy=policy, nu_method=nu_method,
                   amplitude_exponent=exponent, probe=probe,
                   description=str(doc.get("description", "")))
@@ -385,26 +387,21 @@ def parse_scenario(doc: dict, strict: bool = True) -> Scenario:
     if isinstance(game, ScalarMap):
         _fail("scenario.map", "agent dynamics need a builtin or quadratic map")
     params = _parse_agents(doc["agents"], "scenario.agents")
-    if len(params) != game.n_agents:
-        _fail("scenario.agents", f"map has {game.n_agents} agents, "
-                                 f"got {len(params)} blocks")
-    if len({p.a for p in params}) != len(params):
-        _fail("scenario.agents", "frequency ratios a must be distinct")
-    if x0.size != 3 * game.n_agents:
-        _fail("scenario.initial_state",
-              f"expected length {3 * game.n_agents} (2N positions + N filters)")
 
     Omega = None
     if kind == "unicycle":
         if "Omega" not in doc:
             _fail("scenario.Omega", "unicycle dynamics need a base angular rate")
         Omega = _number(doc["Omega"], "scenario.Omega")
-        if Omega == 0.0:
-            _fail("scenario.Omega", "must be nonzero")
-        if any(p.d is None for p in params):
-            _fail("scenario.agents", "unicycle agents need angular-rate ratios d")
     elif "Omega" in doc:
         _fail("scenario.Omega", "only unicycle dynamics take a base angular rate")
+    try:
+        _check_params(game, params, Omega)
+    except ValueError as exc:
+        _fail("scenario", str(exc))
+    if x0.size != 3 * game.n_agents:
+        _fail("scenario.initial_state",
+              f"expected length {3 * game.n_agents} (2N positions + N filters)")
 
     return Scenario(**common, game=game, params=params, Omega=Omega)
 

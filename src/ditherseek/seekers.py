@@ -13,29 +13,14 @@ canonical 2*pi period; the sqrt(n_i) factor moves into the channel field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
-from .dynamics import FieldStack, InputAffineSystem, VectorField
+from .dynamics import FieldStack, InputAffineSystem, VectorField, finite_diff_jacobian
 from .signals import cosine, sine
-
-
-def _fd_gradient(fn: Callable[[np.ndarray], float], x: np.ndarray,
-                 h: float | None = None) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if h is None:
-        h = 1e-6 * max(1.0, float(np.max(np.abs(x))) if x.size else 1.0)
-    g = np.empty(x.size)
-    for k in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[k] += h
-        xm[k] -= h
-        g[k] = (fn(xp) - fn(xm)) / (2.0 * h)
-    return g
 
 
 @dataclass(frozen=True)
@@ -52,7 +37,7 @@ class AgentMap:
     def gradient(self, xbar: np.ndarray) -> np.ndarray:
         if self.grad is not None:
             return np.asarray(self.grad(xbar), dtype=float)
-        return _fd_gradient(self.fn, xbar)
+        return finite_diff_jacobian(lambda t, y: self.fn(y), 0.0, xbar)
 
 
 @dataclass(frozen=True)
@@ -88,7 +73,7 @@ class PotentialGame:
     def potential_gradient(self, xbar: np.ndarray) -> np.ndarray:
         if self.potential_grad is not None:
             return np.asarray(self.potential_grad(xbar), dtype=float)
-        return _fd_gradient(self.potential, xbar)
+        return finite_diff_jacobian(lambda t, y: self.potential(y), 0.0, xbar)
 
 
 @dataclass(frozen=True)
@@ -121,28 +106,6 @@ class AgentParams:
             raise ValueError("angular-rate ratio d must be positive")
 
 
-@dataclass(frozen=True)
-class ScenarioState:
-    """Unpacked view of the stacked state [positions, filter states]."""
-
-    positions: np.ndarray
-    filters: np.ndarray
-
-    @staticmethod
-    def unpack(x: np.ndarray) -> "ScenarioState":
-        x = np.asarray(x, dtype=float)
-        if x.size % 3 != 0:
-            raise ValueError("agent state length must be 3N")
-        n = x.size // 3
-        return ScenarioState(x[:2 * n].copy(), x[2 * n:].copy())
-
-    def pack(self) -> np.ndarray:
-        return np.concatenate([self.positions, self.filters])
-
-    def agent_position(self, i: int) -> np.ndarray:
-        return self.positions[2 * i:2 * i + 2]
-
-
 def frequency_decomposition(ratios) -> tuple[int, list[int]]:
     """Rewrite rational ratios a_i = p_i/q_i as integer harmonics of omega/q.
 
@@ -157,13 +120,21 @@ def frequency_decomposition(ratios) -> tuple[int, list[int]]:
     return q, harmonics
 
 
-def _check_params(game: PotentialGame, params) -> list[AgentParams]:
+def _check_params(game: PotentialGame, params,
+                  Omega: float | None = None) -> list[AgentParams]:
+    """Agent parameters for ``game``; a base angular rate ``Omega`` marks a unicycle."""
     params = list(params)
     if len(params) != game.n_agents:
-        raise ValueError("need one parameter set per agent")
+        raise ValueError(f"need one parameter set per agent: the game has "
+                         f"{game.n_agents} agents, got {len(params)}")
     ratios = [p.a for p in params]
     if len(set(ratios)) != len(ratios):
         raise ValueError("dither frequency ratios must be distinct across agents")
+    if Omega is not None:
+        if Omega == 0.0:
+            raise ValueError("base angular rate Omega must be nonzero")
+        if any(p.d is None for p in params):
+            raise ValueError("unicycle agents need an angular-rate ratio d")
     return params
 
 
@@ -334,11 +305,7 @@ def build_unicycle(game: PotentialGame, params, Omega: float, omega: float) -> I
     Drift and channels are one stack that calls each agent map (and
     gradient) once per point.
     """
-    params = _check_params(game, params)
-    if Omega == 0.0:
-        raise ValueError("base angular rate Omega must be nonzero")
-    if any(p.d is None for p in params):
-        raise ValueError("unicycle agents need an angular-rate ratio d")
+    params = _check_params(game, params, Omega)
     q, harmonics = frequency_decomposition([p.a for p in params])
     loops = _AgentLoops(game, params, harmonics)
     sin_rows, cos_rows = loops.sin_rows, loops.cos_rows
@@ -389,11 +356,7 @@ def analytic_lie_unicycle(game: PotentialGame, params, Omega: float) -> VectorFi
     The field is time-varying and periodic with period
     (2*pi/|Omega|) * prod(denominator(d_i)).
     """
-    params = _check_params(game, params)
-    if Omega == 0.0:
-        raise ValueError("base angular rate Omega must be nonzero")
-    if any(p.d is None for p in params):
-        raise ValueError("unicycle agents need an angular-rate ratio d")
+    params = _check_params(game, params, Omega)
     for m in game.maps:
         if m.grad is None:
             raise ValueError("analytic averaged field needs analytic gradients")
@@ -489,7 +452,7 @@ def check_maximizer_stationarity(game: PotentialGame,
     """
     if game.maximizer is None:
         raise ValueError("game has no known maximizer to check")
-    grad = _fd_gradient(game.potential, game.maximizer)
+    grad = finite_diff_jacobian(lambda t, y: game.potential(y), 0.0, game.maximizer)
     return StationarityReport(float(np.linalg.norm(grad)), tol)
 
 
@@ -581,22 +544,13 @@ def three_agent_game() -> PotentialGame:
     def grad_f_c(x):
         return np.array([0.0, 0.0, 0.0, 0.0, -(x[4] + 1.0), -3.0 * (x[5] - 1.0)])
 
-    xstar = np.array([1.0, 1.0, -1.0, -1.0, -1.0, 1.0])
-    q_diag = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 3.0])
-
-    def potential(x):
-        dx = np.asarray(x, dtype=float) - xstar
-        return float(-0.5 * np.dot(dx, q_diag * dx))
-
-    def potential_grad(x):
-        return -q_diag * (np.asarray(x, dtype=float) - xstar)
-
     maps = (
         AgentMap(1, f_a, grad_f_a),
         AgentMap(2, f_b, grad_f_b),
         AgentMap(3, f_c, grad_f_c),
     )
-    return PotentialGame(maps, potential, potential_grad, maximizer=xstar)
+    game = quadratic_game([1.0, 1.0, 1.0, 1.0, 1.0, 3.0], [1.0, 1.0, -1.0, -1.0, -1.0, 1.0])
+    return replace(game, maps=maps)
 
 
 def quadratic_game(q_diag, xstar) -> PotentialGame:

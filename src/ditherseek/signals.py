@@ -1,4 +1,4 @@
-"""Periodic zero-mean dither signals u(t, theta) and their running integrals.
+"""Periodic zero-mean dither signals u(t, theta) and checks of their claimed properties.
 
 Built-in waveforms share the canonical period T = 2*pi; harmonic content is
 carried by an integer multiplier n, so e.g. ``sine(3)`` evaluates to
@@ -176,31 +176,12 @@ def from_name(name: str) -> DitherSignal:
     return DitherSignal(kind, n)
 
 
-def eval_signal(signal: DitherSignal, t: float, theta: float) -> float:
-    """Functional form of :meth:`DitherSignal.eval` for scalar arguments."""
-    return float(signal.eval(t, theta))
-
-
-def partial_integral(signal: DitherSignal, t: float, theta: float,
-                     nodes: int = 4096) -> float:
-    """Running integral of u(t, .) from 0 to theta.
-
-    Sinusoids use the closed forms (1 - cos(n*theta))/n and sin(n*theta)/n
-    and ignore ``nodes``; every other kind is integrated with composite
-    Simpson on ``nodes`` subintervals (rounded up to an even count).
-    """
-    if signal.kind == "sine":
-        n = signal.harmonic
-        return float((1.0 - math.cos(n * theta)) / n)
-    if signal.kind == "cosine":
-        n = signal.harmonic
-        return float(math.sin(n * theta) / n)
-    if theta == 0.0:
-        return 0.0
-    n_int = even_intervals(nodes)
-    grid = np.linspace(0.0, theta, n_int + 1)
-    h = theta / n_int
-    return simpson_uniform(signal.eval_for_quadrature(t, grid), h)
+def period_mean(signal: DitherSignal, t: float) -> float:
+    """Average of u(t, .) over one period: composite Simpson, 4096 intervals."""
+    n_int = even_intervals(4096)
+    grid = np.linspace(0.0, signal.period, n_int + 1)
+    values = np.broadcast_to(signal.eval_for_quadrature(t, grid), grid.shape)
+    return simpson_uniform(values, signal.period / n_int) / signal.period
 
 
 @dataclass(frozen=True)
@@ -270,13 +251,7 @@ def validate_assumptions(signal: DitherSignal, t_samples=None, theta_samples=Non
     period_defect = float(np.max(np.abs(shifted - values)))
     measured_sup = float(np.max(np.abs(values)))
 
-    n_int = even_intervals(4096)
-    grid = np.linspace(0.0, T, n_int + 1)
-    h = T / n_int
-    mean_defect = max(
-        abs(simpson_uniform(np.broadcast_to(signal.eval_for_quadrature(t, grid), grid.shape), h)) / T
-        for t in t_samples
-    )
+    mean_defect = max(abs(period_mean(signal, t)) for t in t_samples)
 
     lip_quot = 0.0
     if t_samples.size > 1:

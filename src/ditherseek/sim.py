@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import cumulative_simpson, even_intervals, fit_loglog_slope, simpson_uniform
+from ._quadrature import cumulative_simpson, fit_loglog_slope
 from .dynamics import FieldEvaluationError, InputAffineSystem, VectorField, assemble_rhs
 from .liebracket import nu_quadrature
-from .signals import DitherSignal
+from .signals import DitherSignal, period_mean
 
 TWO_PI = 2.0 * math.pi
 
@@ -61,6 +61,16 @@ class StepPolicy:
         if fast_rate > 0.0:
             return min(self.max_step, TWO_PI / (fast_rate * self.samples_per_period))
         return self.max_step
+
+
+def checked_omegas(omegas) -> tuple[float, ...]:
+    """Frequencies as floats; ValueError unless finite, positive and strictly increasing."""
+    omegas = tuple(float(w) for w in omegas)
+    if not all(math.isfinite(w) and w > 0.0 for w in omegas):
+        raise ValueError(f"frequencies must be finite and positive, got {list(omegas)}")
+    if any(b <= a for a, b in zip(omegas, omegas[1:])):
+        raise ValueError("frequencies must be distinct and strictly increasing")
+    return omegas
 
 
 @dataclass(frozen=True)
@@ -168,9 +178,12 @@ def sup_distance(a: Trajectory, b: Trajectory, interval=None) -> float:
 
     ``interval`` restricts to absolute times [lo, hi]; the effective window
     is its intersection with both trajectories' ranges and must be nonempty.
+    A diverged trajectory is infinitely far from any other.
     """
     if a.dim != b.dim:
         raise ValueError("trajectories must share a dimension")
+    if a.diverged or b.diverged:
+        return math.inf
     lo = max(a.t0, b.t0)
     hi = min(a.final_time, b.final_time)
     if interval is not None:
@@ -216,9 +229,7 @@ class SweepReport:
 
     def __post_init__(self):
         object.__setattr__(self, "records", tuple(self.records))
-        omegas = [r.omega for r in self.records]
-        if any(b <= a for a, b in zip(omegas, omegas[1:])):
-            raise ValueError("sweep records must have strictly increasing omega")
+        checked_omegas(r.omega for r in self.records)
 
     @property
     def omegas(self) -> tuple[float, ...]:
@@ -230,8 +241,10 @@ class SweepReport:
 
     @property
     def monotone_decreasing(self) -> bool:
+        """Non-increasing up to ``inversion_tol``; never with a non-finite error."""
         e = self.sup_errors
-        return all(b <= a + self.inversion_tol for a, b in zip(e, e[1:]))
+        return (all(math.isfinite(v) for v in e)
+                and all(b <= a + self.inversion_tol for a, b in zip(e, e[1:])))
 
     def decay_slope(self) -> float:
         return fit_loglog_slope(np.array(self.omegas), np.array(self.sup_errors))
@@ -260,11 +273,9 @@ def omega_sweep(build_system, lie_field: VectorField, omegas, x0, horizon: float
     VectorField); the averaged flow is integrated once since it does not
     depend on omega. Divergence at some omega is recorded, not fatal.
     """
-    omegas = [float(w) for w in omegas]
+    omegas = checked_omegas(omegas)
     if len(omegas) < 2:
         raise ValueError("a sweep needs at least two omega values")
-    if any(b <= a for a, b in zip(omegas, omegas[1:])):
-        raise ValueError("omega values must be strictly increasing")
     x0 = np.asarray(x0, dtype=float)
     lie_traj = integrate(lie_field, x0, horizon, t0=t0, policy=policy)
     target_arr = None if target is None else np.asarray(target, dtype=float)
@@ -430,12 +441,6 @@ class DecayReport:
         return "\n".join(lines)
 
 
-def _decay_samples(u: DitherSignal, t0: float, grid: np.ndarray, omega: float) -> np.ndarray:
-    if u.kind == "custom":
-        return np.asarray(u.fn(grid, omega * grid), dtype=float)
-    return np.asarray(u.eval_for_quadrature(0.0, omega * grid), dtype=float)
-
-
 def averaging_decay_check(u: DitherSignal, t0: float, t_end: float, omegas,
                           partner: DitherSignal | None = None,
                           samples_per_period: int = 64) -> DecayReport:
@@ -452,20 +457,15 @@ def averaging_decay_check(u: DitherSignal, t0: float, t_end: float, omegas,
         raise ValueError("decay check expects dithers without slow-time dependence")
     if t_end <= t0:
         raise ValueError("t_end must exceed t0")
-    omegas = [float(w) for w in omegas]
-    if len(omegas) < 2 or any(b <= a for a, b in zip(omegas, omegas[1:])):
-        raise ValueError("omega values must be strictly increasing, at least two")
+    omegas = checked_omegas(omegas)
+    if len(omegas) < 2:
+        raise ValueError("a decay check needs at least two omega values")
     partner = partner or u
     K = 8 * max(1, math.ceil(samples_per_period / 8))
 
     nu = nu_quadrature(u, partner, t=t0, nodes=8192).value
 
-    # period average of u(t0, .); zero for any zero-mean dither
-    n_mean = even_intervals(4096)
-    theta = np.linspace(0.0, u.period, n_mean + 1)
-    mean0 = simpson_uniform(
-        np.broadcast_to(u.eval_for_quadrature(t0, theta), theta.shape).astype(float),
-        u.period / n_mean) / u.period
+    mean0 = period_mean(u, t0)  # zero for any zero-mean dither
 
     records = []
     for w in omegas:
@@ -476,13 +476,13 @@ def averaging_decay_check(u: DitherSignal, t0: float, t_end: float, omegas,
             n_int += 1
         grid = t0 + step * np.arange(n_int + 1)
 
-        y = _decay_samples(u, t0, grid, w)
+        y = np.asarray(u.eval_for_quadrature(grid, w * grid), dtype=float)
         running = cumulative_simpson(y - mean0, step)
         defects = np.abs(running)
         endpoint_idx = int(round((t_end - t0) / step))
         endpoint_idx = min(endpoint_idx, defects.size - 1)
 
-        y_in = _decay_samples(partner, t0, grid, w)
+        y_in = np.asarray(partner.eval_for_quadrature(grid, w * grid), dtype=float)
         inner_running = cumulative_simpson(y_in, step)
         paired_vals = w * y * inner_running - nu
         paired_running = cumulative_simpson(paired_vals, step)

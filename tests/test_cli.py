@@ -1,5 +1,7 @@
 """Command-line front end: modes, exit codes, determinism, strictness."""
 
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -163,3 +165,53 @@ def test_scenario_samples_per_period_must_be_an_integer_of_at_least_four(
     status, err = _exit_and_error(["--scenario", str(doc)], tmp_path, capsys)
     assert status == 2
     assert err.startswith("error:") and "samples_per_period" in err
+
+
+@pytest.mark.parametrize("mode,verdict", [("sweep", "non-increasing in omega: NO"),
+                                          ("compare", "decreases with omega: NO")])
+def test_diverged_cells_report_inf_and_a_no_verdict(tmp_path, capsys, mode, verdict):
+    # gain c = 40 on every agent blows the bundled game up within a few steps
+    text = resources.files("ditherseek").joinpath(
+        "data", "three_agent_single_integrator.yaml").read_text("utf-8")
+    doc = tmp_path / "c40.yaml"
+    doc.write_text(text.replace('c: "3/10"', "c: 40"), encoding="utf-8")
+    out = tmp_path / "o"
+    status = main(["--scenario", str(doc), "--mode", mode, "--horizon", "3",
+                   "--out", str(out)])
+    assert status == 0
+    report = capsys.readouterr().out
+    assert report.count("sup_error=inf") == 2
+    assert report.count("DIVERGED") == 2
+    assert verdict in report
+    if mode == "sweep":
+        rows = (out / "three_agent_single_integrator_sweep.csv").read_text().splitlines()
+        assert [row.split(",")[1] for row in rows[1:]] == ["inf", "inf"]
+
+
+def test_sweep_with_one_omega_fails_cleanly(scalar_file, tmp_path, capsys):
+    status = main(["--scenario", str(scalar_file), "--mode", "sweep", "--omega", "100",
+                   "--out", str(tmp_path / "o")])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "two omega" in err
+
+
+@pytest.mark.parametrize("value", ["quadrature:abc", "quadrature:4"])
+def test_bad_nu_method_fails_cleanly(tmp_path, capsys, value):
+    doc = tmp_path / "bad.yaml"
+    doc.write_text(FAST_SCALAR + f"nu_method: {value}\n", encoding="utf-8")
+    status = main(["--scenario", str(doc), "--mode", "compare",
+                   "--out", str(tmp_path / "o")])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nu_method" in err
+
+
+def test_scenario_name_cannot_escape_the_output_directory(tmp_path, capsys):
+    doc = tmp_path / "escape.yaml"
+    doc.write_text(FAST_SCALAR.replace("name: tiny", "name: ../escaped"), encoding="utf-8")
+    out = tmp_path / "runs" / "o"
+    status = main(["--scenario", str(doc), "--mode", "sweep", "--out", str(out)])
+    assert status == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not list(tmp_path.rglob("escaped*"))

@@ -3,12 +3,16 @@
 import math
 import textwrap
 from fractions import Fraction
+from importlib import resources
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ditherseek import (ScenarioError, bundled_scenario, list_bundled,
-                        load_scenario, parse_scenario_text)
+                        load_scenario, parse_scenario, parse_scenario_text)
 
 MINIMAL_AGENT = """
 name: mini
@@ -187,6 +191,43 @@ def test_nu_method_quadrature_roundtrip():
     assert sc.nu_method == "quadrature:8192"
     z = np.zeros(3)
     assert np.all(np.isfinite(sc.generic_lie_field()(0.0, z)))
+
+
+@pytest.mark.parametrize("value", ["quadrature:abc", "quadrature:4", "quadrature:",
+                                   "simpson", "closed_form:8"])
+def test_nu_method_rejected_at_load_time(value):
+    with pytest.raises(ScenarioError, match="nu_method"):
+        parse_scenario_text(MINIMAL_AGENT + f'nu_method: "{value}"\n')
+
+
+@pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", "..", ""])
+def test_name_must_be_a_plain_file_stem(name):
+    doc = {**yaml.safe_load(MINIMAL_AGENT), "name": name}
+    with pytest.raises(ScenarioError, match="scenario.name"):
+        parse_scenario(doc)
+
+
+SCALAR_DOC = yaml.safe_load(
+    resources.files("ditherseek").joinpath("data", "scalar_basic.yaml").read_text("utf-8"))
+
+
+@given(key=st.sampled_from(["nu_method", "name"]),
+       value=st.one_of(st.text(), st.sampled_from(["closed_form", "quadrature", ".."]),
+                       st.integers(-20, 4096).map("quadrature:{}".format)),
+       raw=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_any_nu_method_or_name_loads_or_raises_scenario_error(key, value, raw):
+    # raw: the string is pasted into the YAML text, so YAML may read it as
+    # another type, a syntax error or extra keys; else it stays a string
+    if raw:
+        text = yaml.safe_dump({k: v for k, v in SCALAR_DOC.items() if k != key})
+        text += f"{key}: {value}\n"
+    else:
+        text = yaml.safe_dump({**SCALAR_DOC, key: value})
+    try:
+        parse_scenario_text(text).lie_field()
+    except ScenarioError:
+        pass
 
 
 def test_load_scenario_from_file(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ditherseek import (AgentMap, AgentParams, PotentialGame, ScenarioState,
+from ditherseek import (AgentMap, AgentParams, PotentialGame,
                         analytic_lie_single_integrator, analytic_lie_unicycle,
                         build_lie_bracket_system, build_single_integrator,
                         build_unicycle, check_maximizer_stationarity,
@@ -96,16 +96,6 @@ def test_unicycle_requires_d_and_nonzero_Omega():
         build_unicycle(game, _params(), 1.0, 10.0)
     with pytest.raises(ValueError, match="Omega"):
         build_unicycle(game, _params(d=(1, 2, 3)), 0.0, 10.0)
-
-
-def test_scenario_state_pack_unpack():
-    s = ScenarioState.unpack(X0)
-    assert np.allclose(s.positions, X0[:6])
-    assert np.allclose(s.filters, X0[6:])
-    assert np.allclose(s.pack(), X0)
-    assert np.allclose(s.agent_position(1), [-2.0, 2.0])
-    with pytest.raises(ValueError):
-        ScenarioState.unpack(np.zeros(7))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Dither signals: waveform conventions, running integrals, claim validation."""
+"""Dither signals: waveform conventions, zero averages, claim validation."""
 
 import math
 
@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import simpson
 
-from ditherseek import (DitherSignal, cosine, custom, eval_signal, from_name,
-                        partial_integral, sawtooth, sine, square, triangle,
-                        validate_assumptions)
+from ditherseek import (DitherSignal, cosine, custom, from_name, sawtooth, sine,
+                        square, triangle, validate_assumptions)
 
 TWO_PI = 2.0 * math.pi
 ALL_KINDS = [sine, cosine, square, triangle, sawtooth]
@@ -20,31 +18,31 @@ ALL_KINDS = [sine, cosine, square, triangle, sawtooth]
 # evaluation
 
 def test_eval_sine_at_quarter_period():
-    assert eval_signal(sine(1), t=0.0, theta=math.pi / 2) == pytest.approx(1.0)
+    assert float(sine(1)(0.0, math.pi / 2)) == pytest.approx(1.0)
 
 
 def test_eval_cosine_harmonic_ignores_t():
-    assert eval_signal(cosine(2), t=5.0, theta=0.0) == pytest.approx(1.0)
+    assert float(cosine(2)(5.0, 0.0)) == pytest.approx(1.0)
 
 
 def test_eval_square_sign_convention():
-    assert eval_signal(square(1), t=0.0, theta=math.pi / 4) == 1.0
-    assert eval_signal(square(1), t=0.0, theta=0.0) == 0.0
-    assert eval_signal(square(1), t=0.0, theta=1.5 * math.pi) == -1.0
+    assert float(square(1)(0.0, math.pi / 4)) == 1.0
+    assert float(square(1)(0.0, 0.0)) == 0.0
+    assert float(square(1)(0.0, 1.5 * math.pi)) == -1.0
 
 
 def test_triangle_peak_location_and_oddness():
     sig = triangle(2)
-    assert eval_signal(sig, 0.0, math.pi / 4) == pytest.approx(1.0)
+    assert float(sig(0.0, math.pi / 4)) == pytest.approx(1.0)
     theta = np.linspace(0.05, 3.0, 40)
     assert np.allclose(sig.eval(0.0, -theta), -sig.eval(0.0, theta), atol=1e-12)
 
 
 def test_sawtooth_rises_with_top_at_jump():
     sig = sawtooth(1)
-    assert eval_signal(sig, 0.0, 0.0) == 1.0  # range (-1, 1]
-    assert eval_signal(sig, 0.0, math.pi) == pytest.approx(0.0)
-    assert eval_signal(sig, 0.0, 0.1) == pytest.approx(0.1 / math.pi - 1.0)
+    assert float(sig(0.0, 0.0)) == 1.0  # range (-1, 1]
+    assert float(sig(0.0, math.pi)) == pytest.approx(0.0)
+    assert float(sig(0.0, 0.1)) == pytest.approx(0.1 / math.pi - 1.0)
 
 
 def test_from_name_round_trip():
@@ -65,50 +63,15 @@ def test_malformed_signals_rejected():
 
 
 # ---------------------------------------------------------------------------
-# running integrals
-
-def test_partial_integral_sine_half_period():
-    assert partial_integral(sine(1), 0.0, math.pi) == pytest.approx(2.0, abs=1e-12)
-
-
-def test_partial_integral_cosine_full_periods():
-    assert partial_integral(cosine(3), 0.0, TWO_PI) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_partial_integral_square_half_period_oracle():
-    # sign(sin) is +1 on (0, pi): the exact integral over [0, pi] is pi.
-    sig = square(1)
-    value = partial_integral(sig, 0.0, math.pi, nodes=100000)
-    assert value == pytest.approx(math.pi, abs=1e-4)
-    # and the quadrature agrees with an independent Simpson oracle on the
-    # same samples to roundoff
-    grid = np.linspace(0.0, math.pi, 100001)
-    oracle = simpson(sig.eval_for_quadrature(0.0, grid), x=grid)
-    assert value == pytest.approx(oracle, abs=1e-12)
-
+# zero averages
 
 @pytest.mark.parametrize("ctor", ALL_KINDS)
 @pytest.mark.parametrize("n", [1, 2, 5, 10])
 def test_zero_mean_over_one_period(ctor, n):
     sig = ctor(n)
     tol = 1e-10 if sig.is_sinusoid else 1e-6
-    assert abs(partial_integral(sig, 0.0, TWO_PI)) < tol
-
-
-@pytest.mark.parametrize("ctor", ALL_KINDS)
-def test_partial_integral_periodic_in_theta(ctor):
-    # zero mean makes the running integral itself 2*pi-periodic
-    sig = ctor(2)
-    if sig.is_sinusoid:
-        tol, nodes = 1e-12, 4096
-    elif sig.kind == "triangle":
-        tol, nodes = 1e-7, 65536
-    else:
-        tol, nodes = 1e-3, 65536  # jump panels limit plain Simpson accuracy
-    for theta in (0.3, 1.3, 2.9, 4.7):
-        a = partial_integral(sig, 0.0, theta + TWO_PI, nodes=nodes)
-        b = partial_integral(sig, 0.0, theta, nodes=nodes)
-        assert abs(a - b) < tol
+    # the period integral of u, as validate_assumptions measures it
+    assert validate_assumptions(sig).max_mean_defect * TWO_PI < tol
 
 
 @given(st.integers(min_value=1, max_value=10),

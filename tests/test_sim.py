@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from ditherseek import (AgentParams, StepPolicy, Trajectory, VectorField,
+from ditherseek import (AgentParams, OmegaRecord, StepPolicy, SweepReport, Trajectory,
+                        VectorField,
                         analytic_lie_scalar, analytic_lie_single_integrator,
                         assemble_rhs, averaging_decay_check, build_scalar_seeker,
                         build_single_integrator, cosine, equilibrium_state,
@@ -149,8 +150,14 @@ def test_sweep_validates_omega_list():
     lie = analytic_lie_scalar(lambda z: -z, 1.0)
     with pytest.raises(ValueError):
         omega_sweep(lambda w: lie, lie, [10.0], [0.0], horizon=1.0)
-    with pytest.raises(ValueError):
-        omega_sweep(lambda w: lie, lie, [10.0, 5.0], [0.0], horizon=1.0)
+    # sweeps, sweep reports and decay checks refuse the same lists
+    for omegas in ([10.0, 5.0], [10.0, math.nan], [0.0, 10.0], [10.0, math.inf]):
+        with pytest.raises(ValueError):
+            omega_sweep(lambda w: lie, lie, omegas, [0.0], horizon=1.0)
+        with pytest.raises(ValueError):
+            SweepReport([OmegaRecord(w, 1.0, 1.0, 1, 0.0) for w in omegas], 1.0)
+        with pytest.raises(ValueError):
+            averaging_decay_check(sine(1), 0.0, 1.0, omegas)
 
 
 def test_sweep_records_divergence_not_fatal():
@@ -159,6 +166,15 @@ def test_sweep_records_divergence_not_fatal():
     rep = omega_sweep(lambda w: blow, lie, [1.0, 2.0], [1.0], horizon=2.0,
                       policy=StepPolicy(max_step=0.01))
     assert all(r.diverged for r in rep.records)
+    # a diverged cell is infinitely far from the reference, never consistent
+    assert rep.sup_errors == (math.inf, math.inf)
+    assert not rep.monotone_decreasing
+    assert "non-increasing in omega: NO" in rep.summary()
+    with pytest.raises(ValueError, match="finite"):
+        rep.decay_slope()
+    blown = integrate(blow, [1.0], horizon=2.0, policy=StepPolicy(max_step=0.01))
+    calm = integrate(lie, [1.0], horizon=2.0, policy=StepPolicy(max_step=0.01))
+    assert sup_distance(blown, calm) == sup_distance(calm, blown) == math.inf
 
 
 # ---------------------------------------------------------------------------
