@@ -24,8 +24,8 @@ from .scenarios import (Scenario, ScenarioError, check_omegas, list_bundled,
                         load_scenario, step_policy)
 from .seekers import check_maximizer_stationarity, check_potential_compatibility
 from .signals import cosine, sine, validate_assumptions
-from .sim import (integrate, omega_sweep, stability_probe, sup_distance,
-                  write_long_csv, write_sweep_csv, write_trajectory_csv)
+from .sim import (final_distance, integrate, omega_sweep, stability_probe,
+                  sup_distance, write_long_csv, write_sweep_csv, write_trajectory_csv)
 
 MODES = ("simulate", "compare", "sweep", "probe", "verify")
 
@@ -89,8 +89,8 @@ def _run_compare(sc: Scenario, config: RunConfig) -> int:
     target = sc.target
     lines = [f"compared against the averaged flow over horizon {sc.horizon:g}"]
     if target is not None:
-        d = float(np.linalg.norm(lie_traj.final_state - target))
-        lines.append(f"averaged flow final distance to target: {d:.6g}")
+        lines.append("averaged flow final distance to target: "
+                     f"{final_distance(lie_traj, target):.6g}")
     sups = []
     for w in sc.omegas:
         traj, _ = _oscillatory_run(sc, config, w)
@@ -99,7 +99,7 @@ def _run_compare(sc: Scenario, config: RunConfig) -> int:
         sups.append(sup)
         row = f"omega={w:g}: sup_error={sup:.6g}"
         if target is not None:
-            row += f" final_distance={float(np.linalg.norm(traj.final_state - target)):.6g}"
+            row += f" final_distance={final_distance(traj, target):.6g}"
         if traj.diverged:
             row += " DIVERGED"
         lines.append(row)
@@ -264,6 +264,9 @@ def main(argv=None) -> int:
         return run(config)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # reading a scenario raises ScenarioError instead
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
 
 

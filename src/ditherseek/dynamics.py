@@ -16,7 +16,8 @@ that work the fields share (agent maps, gradients) is done once per point.
 
 Fields and systems are immutable after construction; evaluation is
 reentrant. The only mutable state is the one-entry point cache a stack
-shares among its row views, which changes by replacing one attribute.
+shares among its row views, which changes by replacing one attribute, and
+the bounded memos of t-only factors such as dither coefficients (:func:`time_memo`).
 """
 
 from __future__ import annotations
@@ -80,6 +81,29 @@ class VectorField:
         v = np.asarray(vec, dtype=float)
         zj = np.zeros((v.size, v.size))
         return VectorField(v.size, lambda t, x: v, jac=lambda t, x: zj)
+
+
+# times a memo holds before it is cleared: all 2*S + 1 stage times of a run of
+# S <= 511 steps, which the other runs of a probe cell then reuse
+_TIME_MEMO_SIZE = 1024
+
+
+def time_memo(fn: Callable[[float], np.ndarray]) -> Callable[[float], np.ndarray]:
+    """``fn(t)`` as a read-only array, cached by the exact float t in a dict
+    cleared when full: RK4 runs on one time grid share their stage times."""
+    cache: dict[float, np.ndarray] = {}
+
+    def memo(t):
+        value = cache.get(t)
+        if value is None:
+            if len(cache) >= _TIME_MEMO_SIZE:
+                cache.clear()
+            value = np.asarray(fn(t), dtype=float)
+            value.flags.writeable = False
+            cache[t] = value
+        return value
+
+    return memo
 
 
 def finite_diff_jacobian(fld, t: float, x: np.ndarray,
@@ -276,8 +300,9 @@ def assemble_rhs(sys: InputAffineSystem) -> VectorField:
     """Combine drift and channels into the full oscillatory right-hand side.
 
     Evaluates ``[1, gain*u_1(t, omega*t), ..., gain*u_m(t, omega*t)] @
-    stack(t, x)``. The stack's output shape is checked at the first
-    evaluation only; finiteness at every one. The Jacobian of the result is
+    stack(t, x)``; the coefficients are memoized per t, so dithers must be
+    pure functions of (t, theta). The stack's output shape is checked at the
+    first evaluation only; finiteness at every one. The Jacobian of the result is
     the same combination of the stacked Jacobians and is supplied only when
     drift and every channel carry one.
     """
@@ -287,9 +312,10 @@ def assemble_rhs(sys: InputAffineSystem) -> VectorField:
     omega = sys.omega
     dithers = tuple(sig.scalar_evaluator() for _, sig in sys.channels)
 
+    @time_memo
     def coefficients(t):
         theta = omega * t
-        return np.array([1.0] + [gain * u(t, theta) for u in dithers])
+        return [1.0] + [gain * u(t, theta) for u in dithers]
 
     checked = False
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quadrature import cumulative_simpson, even_intervals, simpson_uniform
-from .dynamics import InputAffineSystem, VectorField
+from .dynamics import InputAffineSystem, VectorField, time_memo
 from .signals import DitherSignal
 
 # quadrature values below this are treated as structural zeros when the
@@ -142,7 +142,7 @@ def build_lie_bracket_system(sys: InputAffineSystem, nu_method: str = "closed_fo
     Only the sqrt(omega) amplitude scaling averages to this system, so any
     other ``amplitude_exponent`` is refused. Coefficients are computed once
     per channel pair; pairs involving genuinely t-dependent custom dithers
-    are re-integrated at every evaluation time. Self-pairs never contribute:
+    are re-integrated once per evaluation time. Self-pairs never contribute:
     for zero-mean dithers their averaged term vanishes identically.
 
     Each evaluation computes the system's field stack and stacked Jacobian
@@ -195,6 +195,16 @@ def build_lie_bracket_system(sys: InputAffineSystem, nu_method: str = "closed_fo
     stack_jac = stack.jac or stack.jacobian
     checked = False
 
+    @time_memo
+    def dynamic_coeffs(t):
+        coeffs = static.copy()
+        for i, j, s_j, s_i, pair in dynamic_terms:
+            value = nu_quadrature(s_j, s_i, t=t, nodes=nodes, pair=pair).value
+            if abs(value) > _NU_ZERO_TOL:
+                coeffs[j, i] += value
+                coeffs[i, j] -= value
+        return coeffs
+
     def fn(t, z):
         nonlocal checked
         rows = stack_fn(t, z)
@@ -203,14 +213,7 @@ def build_lie_bracket_system(sys: InputAffineSystem, nu_method: str = "closed_fo
             checked = True
         if not terms:
             return rows[0]
-        coeffs = static
-        if dynamic_terms:
-            coeffs = static.copy()
-            for i, j, s_j, s_i, pair in dynamic_terms:
-                value = nu_quadrature(s_j, s_i, t=t, nodes=nodes, pair=pair).value
-                if abs(value) > _NU_ZERO_TOL:
-                    coeffs[j, i] += value
-                    coeffs[i, j] -= value
+        coeffs = dynamic_coeffs(t) if dynamic_terms else static
         mixed = coeffs @ rows[1:]
         return rows[0] + np.einsum("akl,al->k", stack_jac(t, z)[1:], mixed)
 

@@ -194,9 +194,11 @@ class Scenario:
                 "no averaged reference flow exists for amplitude exponent "
                 f"{self.amplitude_exponent}; only simulate mode applies")
         if self.kind == "scalar":
-            sinusoids = all(s.is_sinusoid for s in self.dithers)
-            return build_lie_bracket_system(self.build_system(self.omegas[0]),
-                                            self.nu_method if sinusoids else "quadrature")
+            # closed forms exist for sinusoids only; a node count is kept
+            method = self.nu_method
+            if method == "closed_form" and not all(s.is_sinusoid for s in self.dithers):
+                method = "quadrature"
+            return build_lie_bracket_system(self.build_system(self.omegas[0]), method)
         if self.kind == "single_integrator":
             return analytic_lie_single_integrator(self.game, self.params)
         return analytic_lie_unicycle(self.game, self.params, self.Omega)

@@ -19,7 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import FieldStack, InputAffineSystem, VectorField, finite_diff_jacobian
+from .dynamics import (FieldStack, InputAffineSystem, VectorField, finite_diff_jacobian,
+                       time_memo)
 from .signals import cosine, sine
 
 
@@ -303,7 +304,7 @@ def build_unicycle(game: PotentialGame, params, Omega: float, omega: float) -> I
     eliminated analytically as Omega_i * t (headings start at zero), which
     makes the channel fields time-varying with rate Omega_i = d_i * Omega.
     Drift and channels are one stack that calls each agent map (and
-    gradient) once per point.
+    gradient) once per point, and the heading rotation once per time.
     """
     params = _check_params(game, params, Omega)
     q, harmonics = frequency_decomposition([p.a for p in params])
@@ -320,19 +321,24 @@ def build_unicycle(game: PotentialGame, params, Omega: float, omega: float) -> I
     grad_second = loops.at(sin_rows[:, None], second[:, None], loops.positions)
     filt_first, filt_second = loops.at(sin_rows, first, filt), loops.at(sin_rows, second, filt)
 
+    @time_memo
+    def heading(t):
+        cw, sw = np.cos(rates * t), np.sin(rates * t)
+        return cw, sw, sa * cw, sa * sw
+
     def fn(t, x):
         out, g = loops.values(x, loops.value_template)
-        cw, sw = np.cos(rates * t), np.sin(rates * t)
+        cw, sw, sa_cw, sa_sw = heading(t)
         flat = out.reshape(-1)
         flat[sin_first] = g * cw
         flat[sin_second] = g * sw
-        flat[cos_first] = sa * cw
-        flat[cos_second] = sa * sw
+        flat[cos_first] = sa_cw
+        flat[cos_second] = sa_sw
         return out
 
     def jac(t, x):
         J, sc_grads = loops.gradients(x, loops.jac_template)
-        cw, sw = np.cos(rates * t), np.sin(rates * t)
+        cw, sw = heading(t)[:2]
         flat = J.reshape(-1)
         flat[grad_first] = cw[:, None] * sc_grads
         flat[filt_first] = neg_sch * cw
@@ -481,22 +487,21 @@ def build_scalar_seeker(f: Callable[[float], float], grad_f: Callable[[float], f
 
     dx/dt = alpha*sqrt(omega)*u_a(omega t) + f(x)*sqrt(omega)*u_b(omega t)
     with the default dither pair u_a = cosine(1), u_b = sine(1). Its averaged
-    system is (alpha/2) * grad f.
+    system is (alpha/2) * grad f. Drift and channels are one stack with rows
+    [0], [alpha] and [f(x)].
     """
     if dithers is None:
         dithers = (cosine(1), sine(1))
     u_a, u_b = dithers
 
-    const = VectorField.constant([alpha])
+    def fn(t, x):
+        return np.array([[0.0], [alpha], [f(float(x[0]))]])
 
-    def f_fn(t, x):
-        return np.array([f(float(x[0]))])
+    def jac(t, x):
+        return np.array([[[0.0]], [[0.0]], [[grad_f(float(x[0]))]]])
 
-    def f_jac(t, x):
-        return np.array([[grad_f(float(x[0]))]])
-
-    f_field = VectorField(1, f_fn, jac=f_jac)
-    return InputAffineSystem(VectorField.zero(1), ((const, u_a), (f_field, u_b)), omega)
+    drift, alpha_field, f_field = FieldStack(1, fn, jac, oscillation_rates=(0.0,) * 3).fields
+    return InputAffineSystem(drift, ((alpha_field, u_a), (f_field, u_b)), omega)
 
 
 def analytic_lie_scalar(grad_f: Callable[[float], float], alpha: float) -> VectorField:

@@ -130,7 +130,8 @@ def integrate(fld: VectorField, x0, horizon: float, t0: float = 0.0,
     """Classical fixed-step RK4 over [t0, t0 + horizon].
 
     A non-finite state truncates the trajectory and sets the divergence flag
-    instead of raising.
+    instead of raising. Stage times are the floats t0 + k*dt and
+    t0 + k*dt + dt/2, so steps k and k+1 share the time of their common stage.
     """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
@@ -145,32 +146,37 @@ def integrate(fld: VectorField, x0, horizon: float, t0: float = 0.0,
     dt = horizon / steps
 
     fn = fld.fn
-    states = [x0.copy()]
+    states = np.empty((steps // stride + 1, x0.size))
+    states[0] = x0
     x = x0
+    t = t0
     diverged = False
     taken = 0
     half = 0.5 * dt
     sixth = dt / 6.0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
-            t = t0 + k * dt
+            t_mid = t + half
+            t_next = t0 + (k + 1) * dt
             try:
                 k1 = np.asarray(fn(t, x))
-                k2 = np.asarray(fn(t + half, x + half * k1))
-                k3 = np.asarray(fn(t + half, x + half * k2))
-                k4 = np.asarray(fn(t + dt, x + dt * k3))
+                k2 = np.asarray(fn(t_mid, x + half * k1))
+                k3 = np.asarray(fn(t_mid, x + half * k2))
+                k4 = np.asarray(fn(t_next, x + dt * k3))
                 x_new = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
             except FieldEvaluationError:
                 diverged = True
                 break
-            if not np.all(np.isfinite(x_new)):
+            if not np.isfinite(x_new).all():
                 diverged = True
                 break
             x = x_new
+            t = t_next
             taken = k + 1
-            if (k + 1) % stride == 0:
-                states.append(x.copy())
-    return Trajectory(t0, dt * stride, np.array(states), diverged, total_steps=taken)
+            if taken % stride == 0:
+                states[taken // stride] = x
+    return Trajectory(t0, dt * stride, states[:taken // stride + 1], diverged,
+                      total_steps=taken)
 
 
 def sup_distance(a: Trajectory, b: Trajectory, interval=None) -> float:
@@ -197,6 +203,16 @@ def sup_distance(a: Trajectory, b: Trajectory, interval=None) -> float:
     # near-divergent states can overflow the squared norm; report inf quietly
     with np.errstate(over="ignore"):
         return float(np.max(np.linalg.norm(diffs, axis=1)))
+
+
+def final_distance(traj: Trajectory, target) -> float:
+    """Distance of the final state to ``target``: nan without a target, inf
+    for a diverged trajectory, whose last finite state is no result."""
+    if target is None:
+        return math.nan
+    if traj.diverged:
+        return math.inf
+    return float(np.linalg.norm(traj.final_state - np.asarray(target, dtype=float)))
 
 
 def _rhs_of(system) -> VectorField:
@@ -278,9 +294,6 @@ def omega_sweep(build_system, lie_field: VectorField, omegas, x0, horizon: float
         raise ValueError("a sweep needs at least two omega values")
     x0 = np.asarray(x0, dtype=float)
     lie_traj = integrate(lie_field, x0, horizon, t0=t0, policy=policy)
-    target_arr = None if target is None else np.asarray(target, dtype=float)
-    lie_final = (math.nan if target_arr is None
-                 else float(np.linalg.norm(lie_traj.final_state - target_arr)))
 
     records = []
     for w in omegas:
@@ -288,12 +301,11 @@ def omega_sweep(build_system, lie_field: VectorField, omegas, x0, horizon: float
         start = time.perf_counter()
         traj = integrate(rhs, x0, horizon, t0=t0, policy=policy)
         wall = time.perf_counter() - start
-        sup_err = sup_distance(traj, lie_traj)
-        final_dist = (math.nan if target_arr is None
-                      else float(np.linalg.norm(traj.final_state - target_arr)))
-        records.append(OmegaRecord(w, sup_err, final_dist, traj.total_steps, wall,
+        records.append(OmegaRecord(w, sup_distance(traj, lie_traj),
+                                   final_distance(traj, target), traj.total_steps, wall,
                                    traj.diverged))
-    return SweepReport(tuple(records), horizon, lie_final_distance=lie_final)
+    return SweepReport(tuple(records), horizon,
+                       lie_final_distance=final_distance(lie_traj, target))
 
 
 def _sphere_directions(count: int, dim: int, seed: int) -> np.ndarray:

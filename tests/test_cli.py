@@ -181,11 +181,13 @@ def test_diverged_cells_report_inf_and_a_no_verdict(tmp_path, capsys, mode, verd
     assert status == 0
     report = capsys.readouterr().out
     assert report.count("sup_error=inf") == 2
+    # the last finite state of a diverged run is no distance to the target
+    assert report.count("final_distance=inf") == 2
     assert report.count("DIVERGED") == 2
     assert verdict in report
     if mode == "sweep":
         rows = (out / "three_agent_single_integrator_sweep.csv").read_text().splitlines()
-        assert [row.split(",")[1] for row in rows[1:]] == ["inf", "inf"]
+        assert [row.split(",")[1:3] for row in rows[1:]] == [["inf", "inf"]] * 2
 
 
 def test_sweep_with_one_omega_fails_cleanly(scalar_file, tmp_path, capsys):
@@ -215,3 +217,18 @@ def test_scenario_name_cannot_escape_the_output_directory(tmp_path, capsys):
     assert status == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not list(tmp_path.rglob("escaped*"))
+
+
+@pytest.mark.parametrize("taken,as_directory", [("o", False), ("o/tiny_omega20.csv", True)])
+def test_output_path_taken_fails_cleanly(scalar_file, tmp_path, capsys, taken, as_directory):
+    # a file where --out must create a directory, or a directory where a CSV goes
+    path = tmp_path / taken
+    if as_directory:
+        path.mkdir(parents=True)
+    else:
+        path.write_text("taken", encoding="utf-8")
+    status = main(["--scenario", str(scalar_file), "--mode", "simulate",
+                   "--out", str(tmp_path / "o")])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output:") and str(path) in err

@@ -11,8 +11,8 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ditherseek import (ScenarioError, bundled_scenario, list_bundled,
-                        load_scenario, parse_scenario, parse_scenario_text)
+from ditherseek import (ScenarioError, build_lie_bracket_system, bundled_scenario,
+                        list_bundled, load_scenario, parse_scenario, parse_scenario_text)
 
 MINIMAL_AGENT = """
 name: mini
@@ -209,6 +209,21 @@ def test_name_must_be_a_plain_file_stem(name):
 
 SCALAR_DOC = yaml.safe_load(
     resources.files("ditherseek").joinpath("data", "scalar_basic.yaml").read_text("utf-8"))
+
+
+@pytest.mark.parametrize("nu_method,nodes", [("closed_form", 4096), ("quadrature", 4096),
+                                             ("quadrature:8", 8), ("quadrature:30", 30)])
+def test_scalar_averaged_field_keeps_the_nu_node_count(nu_method, nodes):
+    # a square dither has no closed form: closed_form falls back to the
+    # default quadrature, and an explicit node count is kept
+    doc = {**SCALAR_DOC, "dither": ["cosine:1", "square:1"], "nu_method": nu_method}
+    sc = parse_scenario_text(yaml.safe_dump(doc))
+    sys = sc.build_system(sc.omegas[0])
+    z = np.array([0.3])
+    got = sc.lie_field()(0.0, z)
+    assert np.array_equal(got, build_lie_bracket_system(sys, f"quadrature:{nodes}")(0.0, z))
+    fine = build_lie_bracket_system(sys, "quadrature")(0.0, z)
+    assert np.array_equal(got, fine) == (nodes == 4096)
 
 
 @given(key=st.sampled_from(["nu_method", "name"]),
