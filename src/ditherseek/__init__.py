@@ -8,7 +8,7 @@ track the averaged flow as the dither frequency grows.
 
 from .dynamics import (FieldEvaluationError, FieldStack, InputAffineSystem,
                        VectorField, assemble_rhs, finite_diff_jacobian)
-from .liebracket import (NuCoefficient, PrecisionWarning, UnsupportedSignalError,
+from .liebracket import (PrecisionWarning, UnsupportedSignalError,
                          build_lie_bracket_system, lie_bracket, nu_closed_form,
                          nu_quadrature)
 from .scenarios import (ProbeConfig, ScalarMap, Scenario, ScenarioError,

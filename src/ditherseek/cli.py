@@ -12,6 +12,7 @@ Modes:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -24,8 +25,9 @@ from .scenarios import (Scenario, ScenarioError, check_omegas, list_bundled,
                         load_scenario, step_policy)
 from .seekers import check_maximizer_stationarity, check_potential_compatibility
 from .signals import cosine, sine, validate_assumptions
-from .sim import (final_distance, integrate, omega_sweep, stability_probe,
-                  sup_distance, write_long_csv, write_sweep_csv, write_trajectory_csv)
+from .sim import (final_distance, integrate, non_increasing, omega_sweep,
+                  stability_probe, sup_distance, write_long_csv, write_sweep_csv,
+                  write_trajectory_csv)
 
 MODES = ("simulate", "compare", "sweep", "probe", "verify")
 
@@ -52,8 +54,8 @@ def _resolved(scenario: Scenario, config: RunConfig) -> Scenario:
     if config.omegas:
         updates["omegas"] = check_omegas(sorted(config.omegas), "--omega")
     if config.horizon is not None:
-        if config.horizon <= 0.0:
-            raise ScenarioError("horizon must be positive")
+        if not (math.isfinite(config.horizon) and config.horizon > 0.0):
+            raise ScenarioError(f"--horizon must be finite and positive, got {config.horizon}")
         updates["horizon"] = config.horizon
     if config.samples_per_period is not None:
         updates["policy"] = step_policy(scenario.policy, "--samples-per-period",
@@ -104,9 +106,8 @@ def _run_compare(sc: Scenario, config: RunConfig) -> int:
             row += " DIVERGED"
         lines.append(row)
     if len(sups) >= 2:
-        ok = (all(np.isfinite(sups))
-              and all(b <= a for a, b in zip(sups, sups[1:])))
-        lines.append(f"sup_error decreases with omega: {'yes' if ok else 'NO'}")
+        lines.append("sup_error decreases with omega: "
+                     f"{'yes' if non_increasing(sups) else 'NO'}")
     write_long_csv(named, config.out / f"{sc.name}_compare_long.csv")
     summary = "\n".join(lines)
     (config.out / f"{sc.name}_compare_summary.txt").write_text(summary + "\n",
@@ -196,9 +197,8 @@ def _verify_checks(sc: Scenario, config: RunConfig) -> list[CheckResult]:
         worst = 0.0
         for n in harmonics:
             for outer, inner in ((sine(n), cosine(n)), (cosine(n), sine(n))):
-                quad = nu_quadrature(outer, inner, nodes=4096).value
-                closed = nu_closed_form(outer.kind, n, inner.kind, n).value
-                worst = max(worst, abs(quad - closed))
+                worst = max(worst, abs(nu_quadrature(outer, inner)
+                                       - nu_closed_form(outer, inner)))
         checks.append(CheckResult("nu quadrature vs closed form",
                                   worst < 1e-8, f"worst defect {worst:.3e}"))
     return checks

@@ -20,7 +20,7 @@ must average to +(alpha/2) * grad f.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -39,19 +39,6 @@ class PrecisionWarning(UserWarning):
 
 class UnsupportedSignalError(ValueError):
     """Closed-form coefficients exist only for sinusoidal dithers."""
-
-
-@dataclass(frozen=True)
-class NuCoefficient:
-    """One averaged cross-correlation coefficient nu_ji.
-
-    ``pair`` holds the (outer, inner) channel indices, 1-based with
-    outer > inner when produced by the system builder.
-    """
-
-    value: float
-    pair: tuple[int, int] = (2, 1)
-    method: str = "closed_form"
 
 
 def lie_bracket(f: VectorField, g: VectorField) -> VectorField:
@@ -75,24 +62,19 @@ def lie_bracket(f: VectorField, g: VectorField) -> VectorField:
     return VectorField(f.dim, fn, oscillation_rate=rate)
 
 
-def nu_closed_form(outer_kind: str, outer_n: int, inner_kind: str, inner_n: int,
-                   pair: tuple[int, int] = (2, 1)) -> NuCoefficient:
+def nu_closed_form(outer: DitherSignal, inner: DitherSignal) -> float:
     """Closed-form nu for a sinusoid pair; raises for any other kind."""
-    for kind in (outer_kind, inner_kind):
-        if kind not in ("sine", "cosine"):
+    for sig in (outer, inner):
+        if sig.kind not in ("sine", "cosine"):
             raise UnsupportedSignalError(
-                f"no closed form for {kind!r} dithers, use nu_quadrature")
-    if outer_n != inner_n or outer_kind == inner_kind:
-        value = 0.0
-    elif outer_kind == "sine":
-        value = +0.5 / outer_n
-    else:
-        value = -0.5 / outer_n
-    return NuCoefficient(value, pair=pair, method="closed_form")
+                f"no closed form for {sig.kind!r} dithers, use nu_quadrature")
+    if outer.harmonic != inner.harmonic or outer.kind == inner.kind:
+        return 0.0
+    return (0.5 if outer.kind == "sine" else -0.5) / outer.harmonic
 
 
 def nu_quadrature(outer: DitherSignal, inner: DitherSignal, t: float = 0.0,
-                  nodes: int = 4096, pair: tuple[int, int] = (2, 1)) -> NuCoefficient:
+                  nodes: int = 4096) -> float:
     """Composite-Simpson evaluation of nu over one shared period.
 
     The inner running integral is accumulated with cumulative Simpson on the
@@ -109,21 +91,22 @@ def nu_quadrature(outer: DitherSignal, inner: DitherSignal, t: float = 0.0,
     inner_running = cumulative_simpson(
         np.broadcast_to(inner.eval_for_quadrature(t, grid), grid.shape).astype(float), h)
     outer_vals = np.broadcast_to(outer.eval_for_quadrature(t, grid), grid.shape)
-    value = simpson_uniform(outer_vals * inner_running, h) / T
-    return NuCoefficient(value, pair=pair, method="quadrature")
+    return simpson_uniform(outer_vals * inner_running, h) / T
 
 
-def _parse_nu_method(nu_method: str, nodes: int = 4096) -> tuple[str, int]:
-    """(method, nodes) of "closed_form", "quadrature" or "quadrature:<nodes>".
+def _parse_nu_method(nu_method: str):
+    """The evaluator (outer, inner[, t]) -> nu named by "closed_form",
+    "quadrature" (4096 nodes) or "quadrature:<nodes>".
 
     Raises ValueError for any other value and for fewer than 8 nodes.
     """
     if nu_method == "closed_form":
-        return "closed_form", nodes
+        return lambda outer, inner, t=0.0: nu_closed_form(outer, inner)
     kind, sep, count = str(nu_method).partition(":")
     if kind != "quadrature":
         raise ValueError(f"unknown nu method {nu_method!r}; "
                          "expected closed_form or quadrature:<nodes>")
+    nodes = 4096
     if sep:
         try:
             nodes = int(count)
@@ -132,11 +115,12 @@ def _parse_nu_method(nu_method: str, nodes: int = 4096) -> tuple[str, int]:
                              "integer") from None
     if nodes < 8:
         raise ValueError(f"nu method {nu_method!r}: quadrature needs at least 8 nodes")
-    return "quadrature", nodes
+    # nu_quadrature is looked up per call, so a rebound name is honoured
+    return lambda outer, inner, t=0.0: nu_quadrature(outer, inner, t, nodes)
 
 
-def build_lie_bracket_system(sys: InputAffineSystem, nu_method: str = "closed_form",
-                             nodes: int = 4096) -> VectorField:
+def build_lie_bracket_system(sys: InputAffineSystem,
+                             nu_method: str = "closed_form") -> VectorField:
     """Assemble the averaged field b0 + sum_{i<j} nu_ji [b_i, b_j].
 
     Only the sqrt(omega) amplitude scaling averages to this system, so any
@@ -153,57 +137,52 @@ def build_lie_bracket_system(sys: InputAffineSystem, nu_method: str = "closed_fo
         raise ValueError(
             "the averaged system exists only for amplitude exponent 0.5 "
             f"(got {sys.amplitude_exponent})")
-    method, nodes = _parse_nu_method(nu_method, nodes)
+    nu = _parse_nu_method(nu_method)
 
     m = sys.n_channels
-    static = np.zeros((m, m))
-    dynamic_terms: list[tuple[int, int, DitherSignal, DitherSignal, tuple[int, int]]] = []
-    terms = []
-    # only channel fields are differentiated; the drift enters undifferentiated
+    # (i, j, t -> nu_ji(t)) for every pair that can contribute
+    pairs = []
     for i in range(m):
-        f_i, s_i = sys.channels[i]
+        s_i = sys.channels[i][1]
         for j in range(i + 1, m):
-            f_j, s_j = sys.channels[j]
+            s_j = sys.channels[j][1]
             if s_i.t_dependent or s_j.t_dependent:
-                if method == "closed_form":
+                if nu_method == "closed_form":
                     raise UnsupportedSignalError(
                         "t-dependent dithers need nu_method='quadrature'")
-                dynamic_terms.append((i, j, s_j, s_i, (j + 1, i + 1)))
-                terms.append((f_i, f_j))
-                continue
-            if method == "closed_form":
-                nu = nu_closed_form(s_j.kind, s_j.harmonic, s_i.kind, s_i.harmonic)
-            else:
-                nu = nu_quadrature(s_j, s_i, nodes=nodes)
-            if abs(nu.value) <= _NU_ZERO_TOL:
-                continue
-            static[j, i] += nu.value
-            static[i, j] -= nu.value
-            terms.append((f_i, f_j))
+                pairs.append((i, j, partial(nu, s_j, s_i)))
+            elif abs(value := nu(s_j, s_i)) > _NU_ZERO_TOL:
+                pairs.append((i, j, lambda t, v=value: v))
 
-    if any(not (f_i.has_jacobian and f_j.has_jacobian) for f_i, f_j in terms):
+    # only channel fields are differentiated; the drift enters undifferentiated
+    fields = [sys.channels[k][0] for i, j, _ in pairs for k in (i, j)]
+    if not all(f.has_jacobian for f in fields):
         warnings.warn(
             "averaged system uses finite-difference Jacobians for at least "
             "one bracket", PrecisionWarning, stacklevel=2)
+    rate = max([sys.drift.oscillation_rate] + [f.oscillation_rate for f in fields])
 
-    rates = [sys.drift.oscillation_rate]
-    for f_i, f_j in terms:
-        rates.extend((f_i.oscillation_rate, f_j.oscillation_rate))
+    def fill(t):
+        coeffs = np.zeros((m, m))
+        for i, j, nu_ji in pairs:
+            value = nu_ji(t)
+            if abs(value) > _NU_ZERO_TOL:
+                coeffs[j, i] = value
+                coeffs[i, j] = -value
+        return coeffs
+
+    if any(s.t_dependent for _, s in sys.channels):
+        coefficients = time_memo(fill)
+    else:
+        static = fill(0.0)
+
+        def coefficients(t):
+            return static
 
     stack = sys.stack
     stack_fn = stack.fn
     stack_jac = stack.jac or stack.jacobian
     checked = False
-
-    @time_memo
-    def dynamic_coeffs(t):
-        coeffs = static.copy()
-        for i, j, s_j, s_i, pair in dynamic_terms:
-            value = nu_quadrature(s_j, s_i, t=t, nodes=nodes, pair=pair).value
-            if abs(value) > _NU_ZERO_TOL:
-                coeffs[j, i] += value
-                coeffs[i, j] -= value
-        return coeffs
 
     def fn(t, z):
         nonlocal checked
@@ -211,10 +190,9 @@ def build_lie_bracket_system(sys: InputAffineSystem, nu_method: str = "closed_fo
         if not checked:
             stack.check(rows)
             checked = True
-        if not terms:
+        if not pairs:
             return rows[0]
-        coeffs = dynamic_coeffs(t) if dynamic_terms else static
-        mixed = coeffs @ rows[1:]
+        mixed = coefficients(t) @ rows[1:]
         return rows[0] + np.einsum("akl,al->k", stack_jac(t, z)[1:], mixed)
 
-    return VectorField(sys.dim, fn, oscillation_rate=max(rates))
+    return VectorField(sys.dim, fn, oscillation_rate=rate)

@@ -35,6 +35,7 @@ Numeric values may be written as decimals or as rational strings ("3/10").
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
@@ -78,17 +79,16 @@ def _require_keys(block: dict, path: str, required: set[str], optional: set[str]
 
 
 def _number(value, path: str) -> float:
-    """Decimal or rational-string scalar."""
-    if isinstance(value, bool):
-        _fail(path, "expected a number")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        try:
-            return float(Fraction(value))
-        except (ValueError, ZeroDivisionError):
-            _fail(path, f"cannot parse {value!r} as a number")
-    _fail(path, f"expected a number, got {type(value).__name__}")
+    """Finite decimal or rational-string scalar."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        _fail(path, f"expected a number, got {type(value).__name__}")
+    try:
+        number = float(Fraction(value) if isinstance(value, str) else value)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        _fail(path, f"cannot parse {value!r} as a number")
+    if not math.isfinite(number):
+        _fail(path, f"must be finite, got {value!r}")
+    return number
 
 
 def _ratio(value, path: str) -> Fraction:
@@ -249,8 +249,12 @@ def _parse_map(block, kind: str, path: str):
         return BUILTIN_GAMES[payload]()
     if selector == "quadratic":
         _require_keys(payload, f"{path}.quadratic", {"q_diag", "xstar"}, set())
-        return quadratic_game(_vector(payload["q_diag"], f"{path}.quadratic.q_diag"),
-                              _vector(payload["xstar"], f"{path}.quadratic.xstar"))
+        q_diag = _vector(payload["q_diag"], f"{path}.quadratic.q_diag")
+        xstar = _vector(payload["xstar"], f"{path}.quadratic.xstar")
+        try:
+            return quadratic_game(q_diag, xstar)
+        except ValueError as exc:
+            _fail(f"{path}.quadratic", str(exc))
     if selector == "quadratic1d":
         if kind != "scalar":
             _fail(path, "quadratic1d maps apply to scalar dynamics only")
@@ -303,6 +307,8 @@ def _parse_probe(block, path: str) -> ProbeConfig:
         _fail(path, "epsilon and t_f must be positive")
     horizon = (_number(block["horizon"], f"{path}.horizon")
                if "horizon" in block else None)
+    if horizon is not None and horizon < t_f:
+        _fail(f"{path}.horizon", f"must reach past t_f = {t_f:g}, got {horizon:g}")
     samples = _count(block.get("boundary_samples", 8), f"{path}.boundary_samples", 1)
     return ProbeConfig(deltas, eps, t_f, boundary_samples=samples, horizon=horizon)
 

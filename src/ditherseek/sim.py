@@ -160,6 +160,9 @@ def integrate(fld: VectorField, x0, horizon: float, t0: float = 0.0,
             t_next = t0 + (k + 1) * dt
             try:
                 k1 = np.asarray(fn(t, x))
+                if k == 0 and k1.shape != x.shape:
+                    raise ValueError(f"field value must have shape ({fld.dim},), "
+                                     f"got {k1.shape}")
                 k2 = np.asarray(fn(t_mid, x + half * k1))
                 k3 = np.asarray(fn(t_mid, x + half * k2))
                 k4 = np.asarray(fn(t_next, x + dt * k3))
@@ -223,6 +226,12 @@ def _rhs_of(system) -> VectorField:
     raise TypeError("expected an InputAffineSystem or VectorField")
 
 
+def non_increasing(errors) -> bool:
+    """The sweep verdict: every error finite and none larger than the one before."""
+    return (all(math.isfinite(e) for e in errors)
+            and all(b <= a for a, b in zip(errors, errors[1:])))
+
+
 @dataclass(frozen=True)
 class OmegaRecord:
     omega: float
@@ -240,8 +249,6 @@ class SweepReport:
     records: tuple[OmegaRecord, ...]
     horizon: float
     lie_final_distance: float = math.nan
-    # inversions smaller than this are tolerated by the monotonicity verdict
-    inversion_tol: float = 1e-3
 
     def __post_init__(self):
         object.__setattr__(self, "records", tuple(self.records))
@@ -257,10 +264,7 @@ class SweepReport:
 
     @property
     def monotone_decreasing(self) -> bool:
-        """Non-increasing up to ``inversion_tol``; never with a non-finite error."""
-        e = self.sup_errors
-        return (all(math.isfinite(v) for v in e)
-                and all(b <= a + self.inversion_tol for a, b in zip(e, e[1:])))
+        return non_increasing(self.sup_errors)
 
     def decay_slope(self) -> float:
         return fit_loglog_slope(np.array(self.omegas), np.array(self.sup_errors))
@@ -309,7 +313,8 @@ def omega_sweep(build_system, lie_field: VectorField, omegas, x0, horizon: float
 
 
 def _sphere_directions(count: int, dim: int, seed: int) -> np.ndarray:
-    """Deterministic low-discrepancy directions on the unit sphere."""
+    """Deterministic low-discrepancy directions on the unit sphere, at most
+    ``count`` of them: repeats are dropped, first occurrences keep their order."""
     from scipy.special import ndtri
     from scipy.stats import qmc
 
@@ -320,7 +325,9 @@ def _sphere_directions(count: int, dim: int, seed: int) -> np.ndarray:
     z = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
     norms = np.linalg.norm(z, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
-    return z / norms
+    dirs = z / norms
+    _, first = np.unique(dirs, axis=0, return_index=True)
+    return dirs[np.sort(first)]
 
 
 @dataclass(frozen=True)
@@ -413,7 +420,7 @@ def stability_probe(build_system, target, delta_list, epsilon: float, omegas,
                 stable_consistent=containment <= epsilon,
                 attractive_consistent=attraction <= epsilon,
                 any_diverged=any_div))
-    return StabilityProbeReport(epsilon, t_f, boundary_samples, tuple(cells))
+    return StabilityProbeReport(epsilon, t_f, len(dirs), tuple(cells))
 
 
 @dataclass(frozen=True)
@@ -475,7 +482,7 @@ def averaging_decay_check(u: DitherSignal, t0: float, t_end: float, omegas,
     partner = partner or u
     K = 8 * max(1, math.ceil(samples_per_period / 8))
 
-    nu = nu_quadrature(u, partner, t=t0, nodes=8192).value
+    nu = nu_quadrature(u, partner, t=t0, nodes=8192)
 
     mean0 = period_mean(u, t0)  # zero for any zero-mean dither
 

@@ -50,16 +50,15 @@ def test_criterion_1_nu_closed_form_vs_quadrature():
         for n_inner in range(1, 6):
             for outer, inner in ((sine(n_outer), cosine(n_inner)),
                                  (cosine(n_outer), sine(n_inner))):
-                quad = nu_quadrature(outer, inner, nodes=4096).value
-                closed = nu_closed_form(outer.kind, n_outer,
-                                        inner.kind, n_inner).value
+                quad = nu_quadrature(outer, inner, nodes=4096)
+                closed = nu_closed_form(outer, inner)
                 worst = max(worst, abs(quad - closed))
                 count += 1
     assert count == 50
     assert worst < 1e-8
     for n in range(1, 6):
-        assert nu_closed_form("sine", n, "cosine", n).value == 0.5 / n
-        assert nu_closed_form("cosine", n, "sine", n).value == -0.5 / n
+        assert nu_closed_form(sine(n), cosine(n)) == 0.5 / n
+        assert nu_closed_form(cosine(n), sine(n)) == -0.5 / n
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     print(f"\n[PASS] criterion 1: 50 sinusoid pairs, worst |quad - closed| "

@@ -149,6 +149,52 @@ def test_nonfinite_scenario_omega_rejected(tmp_path, capsys, value):
     assert err.startswith("error:") and "finite" in err
 
 
+def _bundled_text(name):
+    return resources.files("ditherseek").joinpath("data", f"{name}.yaml").read_text("utf-8")
+
+
+@pytest.mark.parametrize("doc,old,new", [
+    ("tiny", "horizon: 2.0", "horizon: .inf"),
+    ("tiny", "max_step: 0.01", "max_step: .nan"),
+    ("tiny", "alpha: 1.0", "alpha: .inf"),
+    ("tiny", "initial_state: [0.0]", "initial_state: [.nan]"),
+    ("tiny", "scale: 1.0", "scale: .nan"),
+    ("tiny", "epsilon: 0.6", "epsilon: .nan"),
+    ("three_agent_unicycle", "Omega: 1.0", "Omega: .inf"),
+    ("three_agent_unicycle", 'c: "3/10"', "c: .nan"),
+    ("three_agent_unicycle", "h: 1.0", "h: .nan"),
+])
+def test_nonfinite_scenario_number_rejected(tmp_path, capsys, doc, old, new):
+    text = FAST_SCALAR if doc == "tiny" else _bundled_text(doc)
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text.replace(old, new, 1), encoding="utf-8")
+    status, err = _exit_and_error(["--scenario", str(bad)], tmp_path, capsys)
+    assert status == 2
+    assert err.startswith("error:") and "finite" in err and old.split(":")[0] in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_nonfinite_horizon_override_rejected(scalar_file, tmp_path, capsys, value):
+    status, err = _exit_and_error(["--scenario", str(scalar_file), "--horizon", value],
+                                  tmp_path, capsys)
+    assert status == 2
+    assert err.startswith("error:") and "horizon" in err and "finite" in err
+
+
+def test_probe_horizon_short_of_t_f_rejected(tmp_path, capsys):
+    bad = tmp_path / "short.yaml"
+    bad.write_text(_bundled_text("scalar_basic").replace(
+        "probe: {delta: [0.25, 0.5], epsilon: 0.75, t_f: 8.0, boundary_samples: 4, "
+        "horizon: 16.0}",
+        "probe: {delta: [0.25, 0.5], epsilon: 0.75, t_f: 8.0, horizon: 2.0}"),
+        encoding="utf-8")
+    status = main(["--scenario", str(bad), "--mode", "probe", "--out", str(tmp_path / "o")])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "probe.horizon" in err and "t_f" in err
+
+
 def test_samples_per_period_override_below_four_rejected(scalar_file, tmp_path, capsys):
     status, err = _exit_and_error(["--scenario", str(scalar_file),
                                    "--samples-per-period", "2"], tmp_path, capsys)
@@ -171,8 +217,7 @@ def test_scenario_samples_per_period_must_be_an_integer_of_at_least_four(
                                           ("compare", "decreases with omega: NO")])
 def test_diverged_cells_report_inf_and_a_no_verdict(tmp_path, capsys, mode, verdict):
     # gain c = 40 on every agent blows the bundled game up within a few steps
-    text = resources.files("ditherseek").joinpath(
-        "data", "three_agent_single_integrator.yaml").read_text("utf-8")
+    text = _bundled_text("three_agent_single_integrator")
     doc = tmp_path / "c40.yaml"
     doc.write_text(text.replace('c: "3/10"', "c: 40"), encoding="utf-8")
     out = tmp_path / "o"

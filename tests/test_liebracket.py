@@ -117,22 +117,22 @@ def test_bracket_bilinearity():
 # nu coefficients
 
 def test_nu_closed_form_matched_sinusoids():
-    assert nu_closed_form("sine", 1, "cosine", 1).value == pytest.approx(0.5)
-    assert nu_closed_form("cosine", 4, "sine", 4).value == pytest.approx(-0.125)
-    assert nu_closed_form("sine", 2, "sine", 3).value == 0.0
-    assert nu_closed_form("sine", 2, "sine", 2).value == 0.0
-    assert nu_closed_form("cosine", 5, "cosine", 5).value == 0.0
+    assert nu_closed_form(sine(1), cosine(1)) == pytest.approx(0.5)
+    assert nu_closed_form(cosine(4), sine(4)) == pytest.approx(-0.125)
+    assert nu_closed_form(sine(2), sine(3)) == 0.0
+    assert nu_closed_form(sine(2), sine(2)) == 0.0
+    assert nu_closed_form(cosine(5), cosine(5)) == 0.0
 
 
 def test_nu_closed_form_rejects_non_sinusoids():
     with pytest.raises(UnsupportedSignalError):
-        nu_closed_form("square", 1, "sine", 1)
+        nu_closed_form(square(1), sine(1))
 
 
 def test_nu_quadrature_reference_values():
-    assert nu_quadrature(cosine(1), sine(1)).value == pytest.approx(-0.5, abs=1e-10)
-    assert nu_quadrature(sine(2), sine(2)).value == pytest.approx(0.0, abs=1e-12)
-    assert nu_quadrature(cosine(3), sine(2)).value == pytest.approx(0.0, abs=1e-12)
+    assert nu_quadrature(cosine(1), sine(1)) == pytest.approx(-0.5, abs=1e-10)
+    assert nu_quadrature(sine(2), sine(2)) == pytest.approx(0.0, abs=1e-12)
+    assert nu_quadrature(cosine(3), sine(2)) == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("outer_kind", ["sine", "cosine"])
@@ -142,8 +142,8 @@ def test_nu_quadrature_reference_values():
 def test_nu_quadrature_matches_closed_form(outer_kind, inner_kind, n_outer, n_inner):
     outer = sine(n_outer) if outer_kind == "sine" else cosine(n_outer)
     inner = sine(n_inner) if inner_kind == "sine" else cosine(n_inner)
-    quad = nu_quadrature(outer, inner, nodes=10000).value
-    closed = nu_closed_form(outer_kind, n_outer, inner_kind, n_inner).value
+    quad = nu_quadrature(outer, inner, nodes=10000)
+    closed = nu_closed_form(outer, inner)
     assert quad == pytest.approx(closed, abs=1e-8)
 
 
@@ -162,16 +162,9 @@ def test_nu_antisymmetric_for_any_zero_mean_pair():
     from ditherseek import sawtooth, triangle
     sigs = [sine(2), cosine(3), square(1), triangle(2), sawtooth(1)]
     for a, b in itertools.combinations(sigs, 2):
-        s = (nu_quadrature(a, b, nodes=65536).value
-             + nu_quadrature(b, a, nodes=65536).value)
+        s = (nu_quadrature(a, b, nodes=65536)
+             + nu_quadrature(b, a, nodes=65536))
         assert abs(s) < 1e-12, (a.name, b.name)
-
-
-def test_nu_metadata():
-    nu = nu_quadrature(cosine(1), sine(1), pair=(4, 3))
-    assert nu.pair == (4, 3)
-    assert nu.method == "quadrature"
-    assert nu_closed_form("sine", 1, "cosine", 1).method == "closed_form"
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +256,7 @@ def test_averaged_system_square_dithers_need_quadrature():
     # the bracket [const, x] is identically 1, so the field equals nu itself;
     # running integral of square(1) is the tent theta on [0,pi], 2pi-theta on
     # [pi,2pi], and integrating it against cos gives -4, so nu = -2/pi
-    nu = nu_quadrature(cosine(1), square(1), nodes=65536).value
+    nu = nu_quadrature(cosine(1), square(1), nodes=65536)
     assert nu == pytest.approx(-2.0 / math.pi, abs=1e-6)
     for z in np.linspace(-2, 2, 5):
         assert lie(0.0, np.array([z]))[0] == pytest.approx(nu, abs=1e-6)

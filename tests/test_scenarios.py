@@ -1,5 +1,6 @@
 """Scenario schema: strict validation, rational values, bundled setups."""
 
+import copy
 import math
 import textwrap
 from fractions import Fraction
@@ -243,6 +244,58 @@ def test_any_nu_method_or_name_loads_or_raises_scenario_error(key, value, raw):
         parse_scenario_text(text).lie_field()
     except ScenarioError:
         pass
+
+
+UNICYCLE_DOC = yaml.safe_load(
+    resources.files("ditherseek").joinpath("data", "three_agent_unicycle.yaml")
+    .read_text("utf-8"))
+AGENT_DOC = yaml.safe_load(MINIMAL_AGENT)
+
+# (document, path of a numeric value) for every numeric key of the schema
+NUMERIC_KEYS = [(SCALAR_DOC, path) for path in (
+    ("horizon",), ("alpha",), ("amplitude_exponent",), ("omega", 0), ("omega", 2),
+    ("initial_state", 0), ("map", "quadratic1d", "xstar"), ("map", "quadratic1d", "scale"),
+    ("step", "max_step"), ("probe", "delta", 1), ("probe", "epsilon"), ("probe", "t_f"),
+    ("probe", "horizon"))] + [(UNICYCLE_DOC, path) for path in (
+    ("Omega",), ("initial_state", 4), ("agents", 1, "c"), ("agents", 1, "alpha"),
+    ("agents", 1, "h"))] + [(AGENT_DOC, path) for path in (
+    ("map", "quadratic", "q_diag", 1), ("map", "quadratic", "xstar", 0))]
+
+
+def _with_value(doc, path, value):
+    doc = copy.deepcopy(doc)
+    *parents, last = path
+    block = doc
+    for key in parents:
+        block = block[key]
+    block[last] = value
+    return doc
+
+
+def _resolved_numbers(sc):
+    numbers = [sc.horizon, *sc.omegas, *sc.x0, sc.policy.max_step, sc.amplitude_exponent]
+    numbers += [v for v in (sc.alpha, sc.Omega) if v is not None]
+    if sc.scalar_map is not None:
+        numbers.append(sc.scalar_map.xstar)
+    for p in sc.params:
+        numbers += [p.c, p.alpha, p.h]
+    if sc.probe is not None:
+        numbers += [*sc.probe.deltas, sc.probe.epsilon, sc.probe.t_f,
+                    sc.probe.horizon or 0.0]
+    if sc.game is not None and sc.game.maximizer is not None:
+        numbers += list(sc.game.maximizer)
+    return numbers
+
+
+@given(key=st.sampled_from(NUMERIC_KEYS), value=st.floats())
+@settings(max_examples=300, deadline=None)
+def test_any_number_loads_finite_or_raises_scenario_error(key, value):
+    doc, path = key
+    try:
+        sc = parse_scenario_text(yaml.safe_dump(_with_value(doc, path, value)))
+    except ScenarioError:
+        return
+    assert all(math.isfinite(v) for v in _resolved_numbers(sc))
 
 
 def test_load_scenario_from_file(tmp_path):

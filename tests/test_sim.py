@@ -13,6 +13,7 @@ from ditherseek import (AgentParams, OmegaRecord, StepPolicy, SweepReport, Traje
                         integrate, omega_sweep, sine, square, stability_probe,
                         sup_distance, three_agent_game, write_long_csv,
                         write_sweep_csv, write_trajectory_csv)
+from ditherseek import sim
 
 RNG = np.random.default_rng(99)
 X0 = np.array([2.0, -2.0, -2.0, 2.0, -1.0, 2.5, 0.0, 0.0, 0.0])
@@ -49,6 +50,20 @@ def test_rk4_global_order():
         errs.append(abs(traj.final_state[0] - math.exp(-1.0)))
     ratio = errs[0] / errs[1]
     assert 128.0 < ratio < 512.0
+
+
+@pytest.mark.parametrize("value", [np.array([1.0]), 1.0])
+def test_integrate_refuses_a_field_value_of_the_wrong_shape(value):
+    # a (1,) or scalar value would broadcast onto the (2,) state unnoticed
+    with pytest.raises(ValueError, match="shape"):
+        integrate(VectorField(2, lambda t, x: value), [0.0, 0.0], 1.0)
+
+
+def test_integrate_shape_check_adds_no_field_evaluation():
+    calls = []
+    fld = VectorField(2, lambda t, x: calls.append(t) or -x)
+    traj = integrate(fld, [1.0, 2.0], 1.0, policy=StepPolicy(max_step=0.1))
+    assert len(calls) == 4 * traj.total_steps
 
 
 def test_integrate_resolves_oscillation_rate():
@@ -144,6 +159,17 @@ def test_scalar_scheme_sweep_decays_with_omega():
     assert rep.records[1].sup_error < rep.records[0].sup_error
     assert rep.monotone_decreasing
     assert not math.isnan(rep.lie_final_distance)
+
+
+def test_sweep_verdict_is_strict():
+    # one rule for sweep reports and CLI compare: any increase says NO
+    rep = SweepReport([OmegaRecord(10.0, 1.0, 1.0, 1, 0.0),
+                       OmegaRecord(20.0, 1.0005, 1.0, 1, 0.0)], 1.0)
+    assert not rep.monotone_decreasing
+    assert "non-increasing in omega: NO" in rep.summary()
+    tie = SweepReport([OmegaRecord(10.0, 1.0, 1.0, 1, 0.0),
+                       OmegaRecord(20.0, 1.0, 1.0, 1, 0.0)], 1.0)
+    assert tie.monotone_decreasing
 
 
 def test_sweep_validates_omega_list():
@@ -264,6 +290,35 @@ def test_probe_reproducible_with_fixed_seed():
 
     a, b = probe(), probe()
     assert a.cells[0].containment_radius == b.cells[0].containment_radius
+
+
+def test_probe_integrates_each_distinct_start_once(monkeypatch):
+    # a one-state target has two shell directions only, +1 and -1; asking
+    # for 4 samples must not integrate them twice
+    starts = []
+    plain = sim.integrate
+
+    def counting(fld, x0, *args, **kwargs):
+        starts.append(float(x0[0]))
+        return plain(fld, x0, *args, **kwargs)
+
+    monkeypatch.setattr(sim, "integrate", counting)
+    lie = analytic_lie_scalar(lambda z: -2.0 * z, 1.0)
+    rep = stability_probe(lambda w: lie, np.zeros(1), delta_list=[0.5, 1.0],
+                          epsilon=1.2, omegas=[10.0, 100.0], t_f=1.0,
+                          boundary_samples=4, horizon=2.0,
+                          policy=StepPolicy(max_step=0.01), seed=2023)
+    assert len(starts) == 2 * len(rep.cells)
+    assert [abs(s) for s in starts] == [0.5, 0.5, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0]
+    assert rep.samples == 2
+    assert "samples/shell=2" in rep.summary()
+
+
+def test_probe_keeps_distinct_directions_in_their_order():
+    dirs = sim._sphere_directions(8, 9, 2023)
+    assert dirs.shape == (8, 9)
+    assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0)
+    assert sim._sphere_directions(4, 1, 2023).tolist() == [[-1.0], [1.0]]
 
 
 def test_probe_validates_epsilon():

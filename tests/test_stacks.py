@@ -171,7 +171,7 @@ def test_stacked_bracket_matches_per_pair_formula(case):
     for i in range(sys.n_channels):
         for j in range(i + 1, sys.n_channels):
             s_i, s_j = sys.channels[i][1], sys.channels[j][1]
-            nu = nu_closed_form(s_j.kind, s_j.harmonic, s_i.kind, s_i.harmonic).value
+            nu = nu_closed_form(s_j, s_i)
             (b_i, J_i), (b_j, J_j) = reference[i + 1], reference[j + 1]
             terms.append(nu * (J_j(t, z) @ b_i(t, z) - J_i(t, z) @ b_j(t, z)))
     assert _close(build_lie_bracket_system(sys).fn(t, z), terms)
