@@ -26,8 +26,8 @@ from .scenarios import (Scenario, ScenarioError, check_omegas, list_bundled,
 from .seekers import check_maximizer_stationarity, check_potential_compatibility
 from .signals import cosine, sine, validate_assumptions
 from .sim import (final_distance, integrate, non_increasing, omega_sweep,
-                  stability_probe, sup_distance, write_long_csv, write_sweep_csv,
-                  write_trajectory_csv)
+                  stability_probe, step_count, sup_distance, write_long_csv,
+                  write_sweep_csv, write_trajectory_csv)
 
 MODES = ("simulate", "compare", "sweep", "probe", "verify")
 
@@ -50,6 +50,8 @@ class RunConfig:
 
 
 def _resolved(scenario: Scenario, config: RunConfig) -> Scenario:
+    if config.seed < 0:
+        raise ScenarioError(f"--seed must be non-negative, got {config.seed}")
     updates = {}
     if config.omegas:
         updates["omegas"] = check_omegas(sorted(config.omegas), "--omega")
@@ -60,7 +62,15 @@ def _resolved(scenario: Scenario, config: RunConfig) -> Scenario:
     if config.samples_per_period is not None:
         updates["policy"] = step_policy(scenario.policy, "--samples-per-period",
                                         samples_per_period=config.samples_per_period)
-    return replace(scenario, **updates) if updates else scenario
+    sc = replace(scenario, **updates) if updates else scenario
+    # runs stay within sim.MAX_STEPS (averaged flows step no finer than these)
+    horizon = sc.probe.horizon if config.mode == "probe" and sc.probe else sc.horizon
+    for w in sc.omegas if config.mode != "verify" else ():
+        try:
+            step_count(horizon, sc.build_system(w).fast_rate, sc.policy)
+        except ValueError as exc:
+            raise ScenarioError(f"omega={w:g}: {exc}") from None
+    return sc
 
 
 def _omega_tag(w: float) -> str:

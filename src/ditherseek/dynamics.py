@@ -11,13 +11,14 @@ amplitude scaling be contrasted experimentally; the averaged construction in
 :mod:`ditherseek.liebracket` refuses it.
 
 Drift and channel fields are evaluated together as a :class:`FieldStack`,
-one callable returning b0, b1, ..., bm as the rows of a (1+m, n) array, so
-that work the fields share (agent maps, gradients) is done once per point.
+b0, b1, ..., bm as the rows of a (1+m, n) array held as a time-only layout
+times state features, so that work the fields share (agent maps, gradients)
+is done once per point and work that depends on t alone once per time.
 
 Fields and systems are immutable after construction; evaluation is
-reentrant. The only mutable state is the one-entry point cache a stack
-shares among its row views, which changes by replacing one attribute, and
-the bounded memos of t-only factors such as dither coefficients (:func:`time_memo`).
+reentrant. The only mutable state is a stack's one-entry caches (the point
+its row views share, the time of its layout), each changed by replacing one
+tuple, and the bounded memos of t-only factors (:func:`time_memo`).
 """
 
 from __future__ import annotations
@@ -83,14 +84,17 @@ class VectorField:
         return VectorField(v.size, lambda t, x: v, jac=lambda t, x: zj)
 
 
-# times a memo holds before it is cleared: all 2*S + 1 stage times of a run of
-# S <= 511 steps, which the other runs of a probe cell then reuse
+# times a memo holds before it is cleared. Runs on one time grid (a probe
+# cell's directions) share entries only if the memo holds a run's 2*S + 1
+# stage times, S <= 511 steps: true of the probe in bench/, not of the bundled
+# probes (about 69,000 steps per unicycle direction), whose runs share nothing
 _TIME_MEMO_SIZE = 1024
 
 
 def time_memo(fn: Callable[[float], np.ndarray]) -> Callable[[float], np.ndarray]:
     """``fn(t)`` as a read-only array, cached by the exact float t in a dict
-    cleared when full: RK4 runs on one time grid share their stage times."""
+    (the ``cache`` attribute of the memo) cleared when full: RK4 runs on one
+    time grid share their stage times."""
     cache: dict[float, np.ndarray] = {}
 
     def memo(t):
@@ -103,6 +107,7 @@ def time_memo(fn: Callable[[float], np.ndarray]) -> Callable[[float], np.ndarray
             cache[t] = value
         return value
 
+    memo.cache = cache
     return memo
 
 
@@ -149,38 +154,84 @@ class _RowView:
 
 
 class FieldStack:
-    """Drift and m channel fields on R^n evaluated together.
+    """Drift and m channel fields on R^n evaluated together, as a layout times features.
 
-    ``fn`` maps (t, x) -> array of shape (rows, n) whose row 0 is the drift
-    and row k the k-th channel field; ``jac`` optionally maps (t, x) ->
-    (rows, n, n), row k the state-Jacobian of field k. ``oscillation_rates``
-    gives each row's rate in t (see :class:`VectorField`).
+    The value at (t, x) is a (rows, n) array, row 0 the drift and row k the
+    k-th channel field: L(t) @ features(t, x), L(t) = sum_j phi_j(t) * layout[j].
+    ``layout`` has shape (p, rows, n, 1 + k), ``basis`` maps t to phi(t)
+    (None: the constant basis [1]), ``features`` (t, x) to [1, w] and
+    ``feature_jac`` (t, x) to the (k, n) Jacobian of w. ``fn`` and ``jac`` give
+    the value and the stacked Jacobian (rows, n, n); ``oscillation_rates``
+    each row's rate in t (see :class:`VectorField`).
 
-    An architecture whose fields share work (agent maps, gradients) writes
-    one ``fn`` that does that work once per point, and hands its systems the
-    row views in :attr:`fields`. Calling the stack, or a row view, goes
-    through a one-entry cache keyed on the point, so callers that evaluate
-    the fields one at a time still pay for one stack evaluation per point.
-    Cached values are read-only.
+    ``FieldStack(dim, fn, jac)`` takes the value as written: identity layout,
+    rows as features. :meth:`factored` derives ``fn`` and ``jac`` from few
+    features (agent maps, gradients) and passes ``factors`` = the four above.
+    The row views in :attr:`fields` share a one-entry cache keyed on the
+    point, so callers that evaluate the fields one at a time still pay for
+    one stack evaluation per point. Cached values are read-only.
     """
 
     def __init__(self, dim: int, fn: Callable[[float, np.ndarray], np.ndarray],
                  jac: Callable[[float, np.ndarray], np.ndarray] | None = None,
-                 oscillation_rates=(0.0,)):
+                 oscillation_rates=(0.0,), factors=None):
         rates = tuple(float(r) for r in oscillation_rates)
         if dim < 1 or not rates:
             raise ValueError("a stack needs a positive dimension and at least one row")
-        self.dim = dim
-        self.fn = fn
-        self.jac = jac
+        self.dim, self.fn, self.jac = dim, fn, jac
         self.shape = (len(rates), dim)
-        self._value = (None, None)
-        self._jac_value = (None, None)
+        self._value = self._jac_value = (None, None)
         self.fields = tuple(
             VectorField(dim, _RowView(self, k, False),
                         jac=None if jac is None else _RowView(self, k, True),
                         oscillation_rate=rate)
             for k, rate in enumerate(rates))
+        if factors is None:  # identity layout, the rows as features
+            size = len(rates) * dim
+            layout = np.zeros((1,) + self.shape + (1 + size,))
+            layout[0, ..., 1:] = np.eye(size).reshape(self.shape + (size,))
+
+            def features(t, x):
+                value = np.asarray(fn(t, x), dtype=float)
+                self.check(value)
+                return np.concatenate(([1.0], value.reshape(size)))
+
+            def feature_jac(t, x):
+                return np.asarray(jac(t, x), dtype=float).reshape(size, dim)
+
+            factors = (layout, None, features, None if jac is None else feature_jac)
+        self.layout, self.basis, self.features, self.feature_jac = factors
+        self.layout.flags.writeable = False
+
+    @classmethod
+    def factored(cls, dim: int, layout, features, feature_jac=None, basis=None,
+                 oscillation_rates=(0.0,)) -> "FieldStack":
+        """L(t) @ features(t, x), with ``jac`` L(t)[..., 1:] @ feature_jac(t, x)."""
+        layout = np.array(layout, dtype=float)
+        p, rows, n, width = layout.shape
+        if basis is None and p != 1:
+            raise ValueError("a layout over more than one basis function needs a basis")
+        flat = layout.reshape(p, rows * n * width)
+        L = flat[0].reshape(rows * n, width)  # L(t) of a constant basis, (rows * n, 1 + k)
+        last = (None, (L, L[:, 1:]))  # one-entry cache: t, (L(t), its w columns)
+
+        def at(t):
+            nonlocal last
+            cached_t, value = last
+            if cached_t != t and basis is not None:
+                L = (basis(t) @ flat).reshape(rows * n, width)
+                value = (L, L[:, 1:])
+                last = (t, value)
+            return value
+
+        def fn(t, x):
+            return (at(t)[0] @ features(t, x)).reshape(rows, n)
+
+        def jac(t, x):
+            return (at(t)[1] @ feature_jac(t, x)).reshape(rows, n, n)
+
+        return cls(dim, fn, None if feature_jac is None else jac, oscillation_rates,
+                   (layout, basis, features, feature_jac))
 
     @staticmethod
     def from_fields(fields) -> "FieldStack":
@@ -188,14 +239,9 @@ class FieldStack:
         fields = tuple(fields)
         fns = tuple(f.fn for f in fields)
         jacs = tuple(f.jacobian if f.jac is None else f.jac for f in fields)
-
-        def fn(t, x):
-            return np.array([f(t, x) for f in fns], dtype=float)
-
-        def jac(t, x):
-            return np.array([j(t, x) for j in jacs], dtype=float)
-
-        return FieldStack(fields[0].dim, fn, jac,
+        return FieldStack(fields[0].dim,
+                          lambda t, x: np.array([f(t, x) for f in fns], dtype=float),
+                          lambda t, x: np.array([j(t, x) for j in jacs], dtype=float),
                           tuple(f.oscillation_rate for f in fields))
 
     @staticmethod
@@ -299,42 +345,40 @@ class InputAffineSystem:
 def assemble_rhs(sys: InputAffineSystem) -> VectorField:
     """Combine drift and channels into the full oscillatory right-hand side.
 
-    Evaluates ``[1, gain*u_1(t, omega*t), ..., gain*u_m(t, omega*t)] @
-    stack(t, x)``; the coefficients are memoized per t, so dithers must be
-    pure functions of (t, theta). The stack's output shape is checked at the
-    first evaluation only; finiteness at every one. The Jacobian of the result is
-    the same combination of the stacked Jacobians and is supplied only when
-    drift and every channel carry one.
+    With c(t) = [1, gain*u_1(t, omega*t), ..., gain*u_m(t, omega*t)], it is
+    c(t) @ stack(t, x) = M(t) @ features(t, x). The (n, 1 + k) matrix
+    M(t) = (c(t) outer phi(t)) @ layout is memoized per t, so dithers must be
+    pure functions of (t, theta); each evaluation is one matrix-vector
+    product, checked for finiteness. The Jacobian M(t)[:, 1:] @ feature_jac
+    is supplied only when drift and every channel carry one.
     """
-    stack = sys.stack
-    stack_fn = stack.fn
-    gain = sys.omega ** sys.amplitude_exponent
-    omega = sys.omega
+    stack, omega = sys.stack, sys.omega
+    gain = omega ** sys.amplitude_exponent
     dithers = tuple(sig.scalar_evaluator() for _, sig in sys.channels)
+    p, rows, n, width = stack.layout.shape
+    # row r * p + j holds layout[j, r], matching the flattened outer product
+    layout = stack.layout.transpose(1, 0, 2, 3).reshape(rows * p, n * width)
+    basis, features = stack.basis, stack.features
 
     @time_memo
-    def coefficients(t):
+    def contracted(t):
         theta = omega * t
-        return [1.0] + [gain * u(t, theta) for u in dithers]
-
-    checked = False
+        c = np.array([1.0] + [gain * u(t, theta) for u in dithers])
+        if basis is not None:
+            c = np.outer(c, basis(t)).reshape(rows * p)
+        return (c @ layout).reshape(n, width)
 
     def fn(t, x):
-        nonlocal checked
-        rows = stack_fn(t, x)
-        if not checked:
-            stack.check(rows)
-            checked = True
-        out = coefficients(t) @ rows
+        out = contracted(t) @ features(t, x)
         if not np.isfinite(out).all():
             raise FieldEvaluationError("non-finite right-hand side")
         return out
 
     jac = None
     if all(fld.has_jacobian for fld in sys.fields):
-        stack_jac = stack.jac or stack.jacobian
+        feature_jac = stack.feature_jac
 
         def jac(t, x):
-            return np.tensordot(coefficients(t), stack_jac(t, x), axes=1)
+            return contracted(t)[:, 1:] @ feature_jac(t, x)
 
     return VectorField(sys.dim, fn, jac=jac, oscillation_rate=sys.fast_rate)

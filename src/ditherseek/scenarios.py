@@ -28,7 +28,7 @@ A scenario is a YAML document. Keys (strict mode rejects anything else):
     step            {samples_per_period?, max_step?, output_stride?} (optional);
                     samples_per_period an integer >= 4, output_stride >= 1
     probe           {delta: [...], epsilon, t_f, boundary_samples?, horizon?}
-                    (optional); boundary_samples an integer >= 1
+                    (optional); boundary_samples an integer >= 1, horizon 2*t_f if absent
 
 Numeric values may be written as decimals or as rational strings ("3/10").
 """
@@ -95,13 +95,13 @@ def _ratio(value, path: str) -> Fraction:
     """Exact rational: integer or 'p/q' string (floats would break periodicity)."""
     if isinstance(value, bool):
         _fail(path, "expected a rational")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)):
         try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            _fail(path, f"cannot parse {value!r} as a rational")
+            ratio = Fraction(value)
+            float(ratio)  # OverflowError past the float range
+        except (ValueError, ZeroDivisionError, OverflowError):
+            _fail(path, f"cannot parse {value!r} as a rational within float range")
+        return ratio
     _fail(path, f"frequency ratios must be integers or 'p/q' strings, got "
                 f"{type(value).__name__}")
 
@@ -243,7 +243,7 @@ def _parse_map(block, kind: str, path: str):
         _fail(path, "map must select exactly one of builtin | quadratic | quadratic1d")
     (selector, payload), = block.items()
     if selector == "builtin":
-        if payload not in BUILTIN_GAMES:
+        if not isinstance(payload, str) or payload not in BUILTIN_GAMES:
             _fail(f"{path}.builtin", f"unknown builtin {payload!r}; "
                                      f"available: {sorted(BUILTIN_GAMES)}")
         return BUILTIN_GAMES[payload]()
@@ -306,8 +306,8 @@ def _parse_probe(block, path: str) -> ProbeConfig:
     if eps <= 0.0 or t_f <= 0.0:
         _fail(path, "epsilon and t_f must be positive")
     horizon = (_number(block["horizon"], f"{path}.horizon")
-               if "horizon" in block else None)
-    if horizon is not None and horizon < t_f:
+               if "horizon" in block else 2.0 * t_f)
+    if horizon < t_f:
         _fail(f"{path}.horizon", f"must reach past t_f = {t_f:g}, got {horizon:g}")
     samples = _count(block.get("boundary_samples", 8), f"{path}.boundary_samples", 1)
     return ProbeConfig(deltas, eps, t_f, boundary_samples=samples, horizon=horizon)

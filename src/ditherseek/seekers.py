@@ -19,8 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import (FieldStack, InputAffineSystem, VectorField, finite_diff_jacobian,
-                       time_memo)
+from .dynamics import FieldStack, InputAffineSystem, VectorField, finite_diff_jacobian
 from .signals import cosine, sine
 
 
@@ -118,6 +117,8 @@ def frequency_decomposition(ratios) -> tuple[int, list[int]]:
         raise ValueError("frequency ratios must be positive")
     q = math.prod(r.denominator for r in fracs)
     harmonics = [int(r.numerator * (q // r.denominator)) for r in fracs]
+    if max(harmonics + [q]).bit_length() > 1000:
+        raise ValueError("frequency ratios share no base frequency within float range")
     return q, harmonics
 
 
@@ -131,6 +132,7 @@ def _check_params(game: PotentialGame, params,
     ratios = [p.a for p in params]
     if len(set(ratios)) != len(ratios):
         raise ValueError("dither frequency ratios must be distinct across agents")
+    frequency_decomposition(ratios)
     if Omega is not None:
         if Omega == 0.0:
             raise ValueError("base angular rate Omega must be nonzero")
@@ -140,80 +142,54 @@ def _check_params(game: PotentialGame, params,
 
 
 class _AgentLoops:
-    """Per-agent constants and stack layout shared by both agent architectures.
+    """Washout features and stack layout shared by both agent architectures.
 
     Stack rows: 0 is the drift, 1 + 2i and 2 + 2i are agent i's sine and
     cosine channels. Agent i moves positions 2i, 2i + 1 and its washout
-    filter state 2N + i. Entries are written through flat positions into a
-    copy of a template that already holds every constant entry.
+    filter state 2N + i. The features are the washouts
+    w_i = f_i(xbar) - h_i*x_e,i, layout column 1 + i; column 0 holds the
+    constant entries. The builders fill ``layout`` over their basis.
     """
 
-    def __init__(self, game: PotentialGame, params: list[AgentParams], harmonics):
-        n = game.n_agents
-        self.n = n
-        self.harmonics = harmonics
-        self.dim = 3 * n
-        self.rows = 1 + 2 * n
+    def __init__(self, game: PotentialGame, params: list[AgentParams], basis_size: int):
+        self.n = n = game.n_agents
         self.maps = game.maps
-        s = np.sqrt(np.array(harmonics, dtype=float))
+        self.q, self.harmonics = frequency_decomposition([p.a for p in params])
+        s = np.sqrt(np.array(self.harmonics, dtype=float))
         self.h = np.array([p.h for p in params])
         self.sc = s * np.array([p.c for p in params])
         self.sa = s * np.array([p.alpha for p in params])
         agents = np.arange(n)
-        self.first, self.second = 2 * agents, 2 * agents + 1
-        self.filt = 2 * n + agents
+        self.first, self.second, self.washout = 2 * agents, 2 * agents + 1, 1 + agents
         self.sin_rows, self.cos_rows = 1 + 2 * agents, 2 + 2 * agents
-        # column block of the position gradients, one row per agent
-        self.positions = np.arange(2 * n)[None, :]
-        # drift row: dx_e/dt = -h*x_e + f(xbar)
-        self.value_template = np.zeros((self.rows, self.dim))
-        self.jac_template = np.zeros((self.rows, self.dim, self.dim))
-        self.jac_template[0, self.filt, self.filt] = -self.h
-        self.drift_at = self.at(0, self.filt)
-        self.drift_grad_at = self.at(0, self.filt[:, None], self.positions)
+        self.filter_jac = -np.diag(self.h)
+        # drift row dx_e/dt = w, under the constant basis function 0
+        self.layout = np.zeros((basis_size, 1 + 2 * n, 3 * n, 1 + n))
+        self.layout[0, 0, 2 * n + agents, self.washout] = 1.0
 
-    def at(self, *index):
-        """Flat positions of stack entries [row, col] or Jacobian entries [row, col, k]."""
-        shape = (self.rows,) + (self.dim,) * (len(index) - 1)
-        return np.ravel_multi_index(index, shape)
-
-    def values(self, x, template):
-        """Copy of ``template`` with the drift row f - h*x_e filled, and s*c*(f - h*x_e).
-
-        Calls each agent map once.
-        """
+    def features(self, t, x):
+        """[1, w_1, ..., w_N]; calls each agent map once."""
         xbar = x[:2 * self.n]
-        washout = np.array([m(xbar) for m in self.maps]) - self.h * x[2 * self.n:]
-        out = template.copy()
-        out.reshape(-1)[self.drift_at] = washout
-        return out, self.sc * washout
+        out = np.array([1.0] + [m(xbar) for m in self.maps])
+        out[1:] -= self.h * x[2 * self.n:]
+        return out
 
-    def gradients(self, x, template):
-        """Copy of ``template`` with the drift row's gradients, and s*c*grad f_i.
-
-        Calls each agent gradient once.
-        """
+    def feature_jac(self, t, x):
+        """Washout Jacobian (N, 3N); calls each agent gradient once."""
         xbar = x[:2 * self.n]
         grads = np.array([m.gradient(xbar)[:2 * self.n] for m in self.maps])
-        J = template.copy()
-        J.reshape(-1)[self.drift_grad_at] = grads
-        return J, self.sc[:, None] * grads
+        return np.concatenate((grads, self.filter_jac), axis=1)
 
-    def system(self, fn, jac, agent_rates, omega: float) -> InputAffineSystem:
-        """System whose drift and channels are the row views of one stack.
-
-        Agent i's channels carry sine(n_i) and cosine(n_i) and vary in t at
-        ``agent_rates[i]``.
-        """
-        rates = [0.0]
-        for rate in agent_rates:
-            rates += [rate, rate]
-        stack = FieldStack(self.dim, fn, jac, oscillation_rates=rates)
-        channels = []
-        for i, n_i in enumerate(self.harmonics):
-            channels.append((stack.fields[1 + 2 * i], sine(n_i)))
-            channels.append((stack.fields[2 + 2 * i], cosine(n_i)))
-        return InputAffineSystem(stack.fields[0], tuple(channels), omega)
+    def system(self, basis, agent_rates, omega: float) -> InputAffineSystem:
+        """System of the stack's row views; agent i's channels carry sine(n_i)
+        and cosine(n_i) and vary in t at ``agent_rates[i]``."""
+        rates = [0.0] + [r for rate in agent_rates for r in (rate, rate)]
+        stack = FieldStack.factored(3 * self.n, self.layout, self.features,
+                                    self.feature_jac, basis, rates)
+        channels = [(stack.fields[2 * i + k], dither(n_i))
+                    for i, n_i in enumerate(self.harmonics)
+                    for k, dither in ((1, sine), (2, cosine))]
+        return InputAffineSystem(stack.fields[0], tuple(channels), omega / self.q)
 
 
 def build_single_integrator(game: PotentialGame, params, omega: float) -> InputAffineSystem:
@@ -226,41 +202,17 @@ def build_single_integrator(game: PotentialGame, params, omega: float) -> InputA
 
     with w_i = a_i * omega, rewritten on the common base frequency so every
     channel carries a sine(n_i) or cosine(n_i) dither and a sqrt(n_i) field
-    scaling. Drift and channels are one stack that calls each agent map (and
-    gradient) once per point; all Jacobians are analytic.
+    scaling. Each stack entry is a constant or a constant times a washout,
+    so the layout needs only the constant basis. Each agent map (and
+    gradient) is called once per point; all Jacobians are analytic.
     """
-    params = _check_params(game, params)
-    q, harmonics = frequency_decomposition([p.a for p in params])
-    loops = _AgentLoops(game, params, harmonics)
-    sin_rows, cos_rows = loops.sin_rows, loops.cos_rows
-    first, second, filt = loops.first, loops.second, loops.filt
-
-    value_template = loops.value_template.copy()
-    value_template[sin_rows, second] = loops.sa
-    value_template[cos_rows, first] = loops.sa
-    seek_at, neg_seek_at = loops.at(sin_rows, first), loops.at(cos_rows, second)
-
-    jac_template = loops.jac_template.copy()
-    jac_template[sin_rows, first, filt] = -loops.sc * loops.h
-    jac_template[cos_rows, second, filt] = loops.sc * loops.h
-    grad_at = loops.at(sin_rows[:, None], first[:, None], loops.positions)
-    neg_grad_at = loops.at(cos_rows[:, None], second[:, None], loops.positions)
-
-    def fn(t, x):
-        out, g = loops.values(x, value_template)
-        flat = out.reshape(-1)
-        flat[seek_at] = g
-        flat[neg_seek_at] = -g
-        return out
-
-    def jac(t, x):
-        J, sc_grads = loops.gradients(x, jac_template)
-        flat = J.reshape(-1)
-        flat[grad_at] = sc_grads
-        flat[neg_grad_at] = -sc_grads
-        return J
-
-    return loops.system(fn, jac, [0.0] * loops.n, omega / q)
+    lp = _AgentLoops(game, _check_params(game, params), 1)
+    layout = lp.layout[0]
+    layout[lp.sin_rows, lp.first, lp.washout] = lp.sc
+    layout[lp.sin_rows, lp.second, 0] = lp.sa
+    layout[lp.cos_rows, lp.first, 0] = lp.sa
+    layout[lp.cos_rows, lp.second, lp.washout] = -lp.sc
+    return lp.system(None, [0.0] * lp.n, omega)
 
 
 def analytic_lie_single_integrator(game: PotentialGame, params) -> VectorField:
@@ -303,50 +255,24 @@ def build_unicycle(game: PotentialGame, params, Omega: float, omega: float) -> I
     Only the forward speed carries the seeking feedback; each heading is
     eliminated analytically as Omega_i * t (headings start at zero), which
     makes the channel fields time-varying with rate Omega_i = d_i * Omega.
-    Drift and channels are one stack that calls each agent map (and
-    gradient) once per point, and the heading rotation once per time.
+    Drift and channels are one stack over the basis
+    [1, cos(Omega_i t), sin(Omega_i t)], which calls each agent map (and
+    gradient) once per point.
     """
     params = _check_params(game, params, Omega)
-    q, harmonics = frequency_decomposition([p.a for p in params])
-    loops = _AgentLoops(game, params, harmonics)
-    sin_rows, cos_rows = loops.sin_rows, loops.cos_rows
-    first, second, filt = loops.first, loops.second, loops.filt
+    lp = _AgentLoops(game, params, 1 + 2 * len(params))
     rates = np.array([float(p.d) * Omega for p in params])
-    sa = loops.sa
-    neg_sch = -loops.sc * loops.h
 
-    sin_first, sin_second = loops.at(sin_rows, first), loops.at(sin_rows, second)
-    cos_first, cos_second = loops.at(cos_rows, first), loops.at(cos_rows, second)
-    grad_first = loops.at(sin_rows[:, None], first[:, None], loops.positions)
-    grad_second = loops.at(sin_rows[:, None], second[:, None], loops.positions)
-    filt_first, filt_second = loops.at(sin_rows, first, filt), loops.at(sin_rows, second, filt)
+    def basis(t):
+        return np.concatenate(([1.0], np.cos(rates * t), np.sin(rates * t)))
 
-    @time_memo
-    def heading(t):
-        cw, sw = np.cos(rates * t), np.sin(rates * t)
-        return cw, sw, sa * cw, sa * sw
-
-    def fn(t, x):
-        out, g = loops.values(x, loops.value_template)
-        cw, sw, sa_cw, sa_sw = heading(t)
-        flat = out.reshape(-1)
-        flat[sin_first] = g * cw
-        flat[sin_second] = g * sw
-        flat[cos_first] = sa_cw
-        flat[cos_second] = sa_sw
-        return out
-
-    def jac(t, x):
-        J, sc_grads = loops.gradients(x, loops.jac_template)
-        cw, sw = heading(t)[:2]
-        flat = J.reshape(-1)
-        flat[grad_first] = cw[:, None] * sc_grads
-        flat[filt_first] = neg_sch * cw
-        flat[grad_second] = sw[:, None] * sc_grads
-        flat[filt_second] = neg_sch * sw
-        return J
-
-    return loops.system(fn, jac, np.abs(rates), omega / q)
+    # basis function 1 + i is cos(Omega_i t), 1 + N + i is sin(Omega_i t)
+    cos_i, sin_i = lp.washout, lp.washout + lp.n
+    lp.layout[cos_i, lp.sin_rows, lp.first, lp.washout] = lp.sc
+    lp.layout[sin_i, lp.sin_rows, lp.second, lp.washout] = lp.sc
+    lp.layout[cos_i, lp.cos_rows, lp.first, 0] = lp.sa
+    lp.layout[sin_i, lp.cos_rows, lp.second, 0] = lp.sa
+    return lp.system(basis, np.abs(rates), omega)
 
 
 def analytic_lie_unicycle(game: PotentialGame, params, Omega: float) -> VectorField:
@@ -488,19 +414,23 @@ def build_scalar_seeker(f: Callable[[float], float], grad_f: Callable[[float], f
     dx/dt = alpha*sqrt(omega)*u_a(omega t) + f(x)*sqrt(omega)*u_b(omega t)
     with the default dither pair u_a = cosine(1), u_b = sine(1). Its averaged
     system is (alpha/2) * grad f. Drift and channels are one stack with rows
-    [0], [alpha] and [f(x)].
+    [0], [alpha] and [f(x)]: a constant layout over the one feature f(x).
     """
     if dithers is None:
         dithers = (cosine(1), sine(1))
     u_a, u_b = dithers
+    layout = np.zeros((1, 3, 1, 2))
+    layout[0, 1, 0, 0] = alpha
+    layout[0, 2, 0, 1] = 1.0
 
-    def fn(t, x):
-        return np.array([[0.0], [alpha], [f(float(x[0]))]])
+    def features(t, x):
+        return np.array([1.0, f(float(x[0]))])
 
-    def jac(t, x):
-        return np.array([[[0.0]], [[0.0]], [[grad_f(float(x[0]))]]])
+    def feature_jac(t, x):
+        return np.array([[grad_f(float(x[0]))]])
 
-    drift, alpha_field, f_field = FieldStack(1, fn, jac, oscillation_rates=(0.0,) * 3).fields
+    drift, alpha_field, f_field = FieldStack.factored(
+        1, layout, features, feature_jac, oscillation_rates=(0.0,) * 3).fields
     return InputAffineSystem(drift, ((alpha_field, u_a), (f_field, u_b)), omega)
 
 

@@ -31,6 +31,10 @@ from .signals import DitherSignal, period_mean
 
 TWO_PI = 2.0 * math.pi
 
+# most RK4 steps one integration may take: about 100 times the longest bundled
+# run (scalar_basic at omega=1600, 101,860 steps); 80 MB of states per component
+MAX_STEPS = 10_000_000
+
 
 @dataclass(frozen=True)
 class StepPolicy:
@@ -61,6 +65,18 @@ class StepPolicy:
         if fast_rate > 0.0:
             return min(self.max_step, TWO_PI / (fast_rate * self.samples_per_period))
         return self.max_step
+
+
+def step_count(horizon: float, fast_rate: float, policy: StepPolicy) -> int:
+    """RK4 steps :func:`integrate` takes over ``horizon`` at ``fast_rate``, a
+    multiple of the output stride; ValueError past :data:`MAX_STEPS`."""
+    ratio = horizon / policy.resolve(fast_rate)
+    stride = policy.output_stride
+    if ratio <= MAX_STEPS:  # false for nan and inf too
+        steps = stride * math.ceil(max(1, math.ceil(ratio)) / stride)
+        if steps <= MAX_STEPS:
+            return steps
+    raise ValueError(f"horizon {horizon:g} needs more than MAX_STEPS = {MAX_STEPS:,} steps")
 
 
 def checked_omegas(omegas) -> tuple[float, ...]:
@@ -130,8 +146,9 @@ def integrate(fld: VectorField, x0, horizon: float, t0: float = 0.0,
     """Classical fixed-step RK4 over [t0, t0 + horizon].
 
     A non-finite state truncates the trajectory and sets the divergence flag
-    instead of raising. Stage times are the floats t0 + k*dt and
-    t0 + k*dt + dt/2, so steps k and k+1 share the time of their common stage.
+    instead of raising; more than :data:`MAX_STEPS` steps raise ValueError.
+    Stage times are the floats t0 + k*dt and t0 + k*dt + dt/2, so steps k and
+    k+1 share the time of their common stage.
     """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
@@ -141,8 +158,7 @@ def integrate(fld: VectorField, x0, horizon: float, t0: float = 0.0,
         raise ValueError(f"initial state must have shape ({fld.dim},)")
 
     stride = policy.output_stride
-    steps = max(1, math.ceil(horizon / policy.resolve(fld.oscillation_rate)))
-    steps = stride * math.ceil(steps / stride)
+    steps = step_count(horizon, fld.oscillation_rate, policy)
     dt = horizon / steps
 
     fn = fld.fn

@@ -18,10 +18,10 @@ from ditherseek import (AgentParams, StepPolicy, analytic_lie_scalar,
                         assemble_rhs, averaging_decay_check,
                         build_lie_bracket_system, build_scalar_seeker,
                         build_single_integrator, build_unicycle,
-                        check_potential_compatibility, cosine, equilibrium_state,
-                        integrate, nu_closed_form, nu_quadrature, omega_sweep,
-                        sawtooth, sine, square, stability_probe, sup_distance,
-                        three_agent_game, triangle, unicycle_period)
+                        check_potential_compatibility, cosine, integrate,
+                        nu_closed_form, nu_quadrature, omega_sweep, sawtooth, sine,
+                        square, sup_distance, three_agent_game, triangle,
+                        unicycle_period)
 
 X0 = np.array([2.0, -2.0, -2.0, 2.0, -1.0, 2.5, 0.0, 0.0, 0.0])
 XSTAR = np.array([1.0, 1.0, -1.0, -1.0, -1.0, 1.0])
@@ -225,9 +225,8 @@ def test_criterion_9_averaging_decay():
           f"exact-multiple endpoint {endpoint:.1e} < 1e-8")
 
 
-def test_criterion_10_negative_control_no_feedback(game):
+def test_criterion_10_negative_control_no_feedback(game, zero_gain_probe):
     params0 = [AgentParams(0.0, 1.0, 1.0, a) for a in (1, 2, 3)]
-    target = equilibrium_state(game, params0)
 
     # the averaged position field vanishes identically when c = 0
     lie = analytic_lie_single_integrator(game, params0)
@@ -236,11 +235,8 @@ def test_criterion_10_negative_control_no_feedback(game):
         z = rng.uniform(-3.0, 3.0, 9)
         assert np.max(np.abs(lie(0.0, z)[:6])) == 0.0
 
-    report = stability_probe(
-        lambda w: build_single_integrator(game, params0, w), target,
-        delta_list=[1.0], epsilon=0.5, omegas=[50.0], t_f=10.0,
-        boundary_samples=4, horizon=15.0,
-        policy=StepPolicy(max_step=0.01, output_stride=10))
+    # the c = 0 probe at delta=1, epsilon=0.5, omega=50 (see conftest.py)
+    report = zero_gain_probe
     assert not report.all_attractive_consistent
     worst = max(c.attraction_radius for c in report.cells)
     print(f"[PASS] criterion 10: with zero gain the probe reports attraction "

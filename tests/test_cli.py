@@ -182,6 +182,41 @@ def test_nonfinite_horizon_override_rejected(scalar_file, tmp_path, capsys, valu
     assert err.startswith("error:") and "horizon" in err and "finite" in err
 
 
+@pytest.mark.parametrize("mode", ["verify", "probe"])
+def test_negative_seed_rejected(scalar_file, tmp_path, capsys, mode):
+    status = main(["--scenario", str(scalar_file), "--mode", mode, "--seed", "-1",
+                   "--out", str(tmp_path / "o")])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--seed" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("mode", ["simulate", "compare", "sweep"])
+def test_huge_horizon_override_rejected(scalar_file, tmp_path, capsys, mode):
+    status = main(["--scenario", str(scalar_file), "--mode", mode, "--horizon", "1e300",
+                   "--out", str(tmp_path / "o")])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "MAX_STEPS" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("mode,old,new", [
+    ("simulate", "horizon: 2.0", "horizon: 1e300"),
+    ("probe", "boundary_samples: 2, horizon: 4.0", "boundary_samples: 2, horizon: 1e300"),
+    ("probe", "t_f: 2.0, boundary_samples: 2, horizon: 4.0", "t_f: 1e300"),
+])
+def test_huge_scenario_horizon_rejected(tmp_path, capsys, mode, old, new):
+    doc = tmp_path / "long.yaml"
+    doc.write_text(FAST_SCALAR.replace(old, new, 1), encoding="utf-8")
+    status = main(["--scenario", str(doc), "--mode", mode, "--out", str(tmp_path / "o")])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "MAX_STEPS" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_probe_horizon_short_of_t_f_rejected(tmp_path, capsys):
     bad = tmp_path / "short.yaml"
     bad.write_text(_bundled_text("scalar_basic").replace(

@@ -12,8 +12,10 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ditherseek import (ScenarioError, build_lie_bracket_system, bundled_scenario,
-                        list_bundled, load_scenario, parse_scenario, parse_scenario_text)
+from ditherseek import (FieldEvaluationError, ScenarioError, assemble_rhs,
+                        build_lie_bracket_system, bundled_scenario, list_bundled,
+                        load_scenario, parse_scenario, parse_scenario_text)
+from ditherseek.cli import RunConfig, _resolved
 
 MINIMAL_AGENT = """
 name: mini
@@ -340,6 +342,81 @@ def test_amplitude_exponent_contrast_option():
     bad = MINIMAL_AGENT + "amplitude_exponent: 0.7\n"
     with pytest.raises(ScenarioError, match="0.5 or 1.0"):
         parse_scenario_text(bad)
+
+
+# YAML scalars, including the rational strings and dither names the schema reads
+SCALARS = (st.none() | st.booleans() | st.integers(-3, 12) | st.floats()
+           | st.text(max_size=6)
+           | st.sampled_from(["1/2", "3/10", "1/0", "-2", "1e400", "1/1e300", "cosine:1",
+                              "sine:2", "square:1", "sawtooth:3", "triangle:0", "bogus:1"]))
+ANY_VALUE = st.recursive(
+    SCALARS, lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6) | st.sampled_from(["c", "a", "d", "xstar"]),
+                      inner, max_size=4), max_leaves=10)
+
+# a valid value of each list or mapping key of the schema
+TEMPLATES = {"agents": UNICYCLE_DOC["agents"], "probe": SCALAR_DOC["probe"],
+             "step": SCALAR_DOC["step"], "dither": SCALAR_DOC["dither"],
+             "map": AGENT_DOC["map"]}
+
+
+def _mutated(data, value):
+    """``value`` with one entry, at any depth, replaced, deleted or added."""
+    if not isinstance(value, (list, dict)) or not value or data.draw(st.booleans()):
+        return data.draw(ANY_VALUE)
+    value = copy.copy(value)
+    keys = range(len(value)) if isinstance(value, list) else sorted(value)
+    key = data.draw(st.sampled_from(list(keys)))
+    action = data.draw(st.sampled_from(["mutate", "delete", "add"]))
+    if action == "delete":
+        del value[key]
+    elif action == "add" and isinstance(value, list):
+        value.append(data.draw(st.sampled_from(value)))
+    elif action == "add":
+        value[data.draw(st.sampled_from(["c", "d", "extra", "horizon", "scale"]))] = (
+            data.draw(SCALARS))
+    else:
+        value[key] = _mutated(data, value[key])
+    return value
+
+
+@given(doc=st.sampled_from([SCALAR_DOC, UNICYCLE_DOC, AGENT_DOC]),
+       key=st.sampled_from(sorted(TEMPLATES)), data=st.data())
+@settings(max_examples=500, deadline=None)
+def test_any_list_or_mapping_value_runs_or_raises_scenario_error(doc, key, data):
+    value = _mutated(data, doc.get(key, TEMPLATES[key]))
+    try:
+        sc = parse_scenario_text(yaml.safe_dump({**doc, key: value}))
+        for mode in ("simulate", "probe"):
+            _resolved(sc, RunConfig(mode, sc.name, "unused"))
+    except ScenarioError:
+        return
+    # a scenario that loads builds its systems and fields and evaluates them
+    for w in sc.omegas:
+        try:
+            assemble_rhs(sc.build_system(w))(0.0, sc.x0)
+        except FieldEvaluationError:
+            pass
+    assert sc.lie_field()(0.0, sc.x0).shape == (sc.dim,)
+
+
+def _agents_with(key, values):
+    agents = copy.deepcopy(UNICYCLE_DOC["agents"])
+    for agent, value in zip(agents, values):
+        agent[key] = value
+    return agents
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("agents", _agents_with("a", ["1e400"]), "float range"),
+    ("agents", _agents_with("d", ["1e400"]), "float range"),
+    ("agents", _agents_with("a", [10 ** 400]), "float range"),
+    ("agents", _agents_with("a", ["1e-300", "2e-300", "3e-300"]), "base frequency"),
+    ("map", {"builtin": []}, "builtin"),
+])
+def test_values_the_fuzzing_found_are_scenario_errors(key, value, message):
+    with pytest.raises(ScenarioError, match=message):
+        parse_scenario_text(yaml.safe_dump({**UNICYCLE_DOC, key: value}))
 
 
 def test_probe_block_parsed():

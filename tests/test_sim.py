@@ -91,6 +91,26 @@ def test_integrate_rejects_bad_arguments():
         integrate(VectorField.zero(2), [0.0], horizon=1.0)
 
 
+def test_step_count_is_bounded_by_max_steps():
+    policy = StepPolicy(max_step=0.5)
+    assert sim.step_count(0.5 * sim.MAX_STEPS, 0.0, policy) == sim.MAX_STEPS
+    for horizon in (0.5 * (sim.MAX_STEPS + 1), 1e300, math.inf, math.nan):
+        with pytest.raises(ValueError, match="MAX_STEPS"):
+            sim.step_count(horizon, 0.0, policy)
+    # rounding up to a multiple of the output stride may not pass the bound either
+    strided = StepPolicy(max_step=0.5, output_stride=7)
+    with pytest.raises(ValueError, match="MAX_STEPS"):
+        sim.step_count(0.5 * (sim.MAX_STEPS - 1), 0.0, strided)
+
+
+def test_integrate_refuses_a_huge_horizon_before_any_step():
+    calls = []
+    fld = VectorField(1, lambda t, x: calls.append(t) or -x)
+    with pytest.raises(ValueError, match="MAX_STEPS"):
+        integrate(fld, [1.0], horizon=1e300)
+    assert calls == []
+
+
 def test_output_stride_decimates_storage():
     traj = integrate(_decay_field(), [1.0], horizon=1.0,
                      policy=StepPolicy(max_step=0.01, output_stride=10))
@@ -228,15 +248,9 @@ def test_filter_states_track_equilibrium_once_settled():
 # ---------------------------------------------------------------------------
 # stability probe
 
-def test_probe_negative_control_no_feedback():
-    game = three_agent_game()
-    params0 = [AgentParams(0.0, 1.0, 1.0, a) for a in (1, 2, 3)]
-    target = equilibrium_state(game, params0)
-    rep = stability_probe(
-        lambda w: build_single_integrator(game, params0, w), target,
-        delta_list=[1.0], epsilon=0.5, omegas=[50.0], t_f=10.0,
-        boundary_samples=4, horizon=15.0,
-        policy=StepPolicy(max_step=0.01, output_stride=10))
+def test_probe_negative_control_no_feedback(zero_gain_probe):
+    # the c = 0 probe at delta=1, epsilon=0.5, omega=50 (see conftest.py)
+    rep = zero_gain_probe
     assert not rep.all_attractive_consistent
     assert all(c.attraction_radius > 0.5 for c in rep.cells)
 

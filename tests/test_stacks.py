@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ditherseek import (FieldEvaluationError, InputAffineSystem, StepPolicy,
-                        VectorField, assemble_rhs, build_lie_bracket_system,
-                        frequency_decomposition, integrate, load_scenario,
-                        nu_closed_form, sine)
+from ditherseek import (FieldEvaluationError, FieldStack, InputAffineSystem, StepPolicy,
+                        VectorField, assemble_rhs, build_lie_bracket_system, cosine,
+                        finite_diff_jacobian, frequency_decomposition, integrate,
+                        load_scenario, nu_closed_form, sine)
+from ditherseek import dynamics
 
 ARCHITECTURES = ("scalar_basic", "three_agent_single_integrator", "three_agent_unicycle")
 SCENARIOS = {name: load_scenario(name) for name in ARCHITECTURES}
@@ -175,6 +176,75 @@ def test_stacked_bracket_matches_per_pair_formula(case):
             (b_i, J_i), (b_j, J_j) = reference[i + 1], reference[j + 1]
             terms.append(nu * (J_j(t, z) @ b_i(t, z) - J_i(t, z) @ b_j(t, z)))
     assert _close(build_lie_bracket_system(sys).fn(t, z), terms)
+
+
+def _hand_written_system():
+    """A t-dependent 2-D stack given as written: the identity-layout case."""
+    def objective(x):
+        return -(x[0] - 1.0) ** 2 - (x[1] + 1.0) ** 2
+
+    def fn(t, x):
+        f = objective(x)
+        return np.array([[0.1 * x[1], -0.2 * x[0]], [f, 0.5 * math.cos(t)],
+                         [0.5, -f * x[0]]])
+
+    def jac(t, x):
+        f = objective(x)
+        g = np.array([-2.0 * (x[0] - 1.0), -2.0 * (x[1] + 1.0)])
+        return np.array([[[0.0, 0.1], [-0.2, 0.0]],
+                         [g, [0.0, 0.0]],
+                         [[0.0, 0.0], -(x[0] * g + [f, 0.0])]])
+
+    drift, b1, b2 = FieldStack(2, fn, jac, oscillation_rates=(0.0, 1.0, 0.0)).fields
+    return InputAffineSystem(drift, ((b1, sine(1)), (b2, cosine(2))), omega=50.0)
+
+
+SYSTEMS = {name: sc.build_system(sc.omegas[0]) for name, sc in SCENARIOS.items()}
+SYSTEMS["hand_written"] = _hand_written_system()
+
+
+def _start(name):
+    return SCENARIOS[name].x0 if name in SCENARIOS else np.zeros(2)
+
+
+@given(name=st.sampled_from(sorted(SYSTEMS)), t=st.floats(min_value=0.0, max_value=20.0),
+       offsets=st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=9, max_size=9))
+@settings(max_examples=80, deadline=None)
+def test_factored_rhs_is_the_weighted_stack(name, t, offsets):
+    sys = SYSTEMS[name]
+    x = _start(name) + np.array(offsets[:sys.dim])
+    rhs = assemble_rhs(sys)
+    weights = [1.0] + [math.sqrt(sys.omega) * float(sig.eval(t, sys.omega * t))
+                       for _, sig in sys.channels]
+    assert _close(rhs(t, x), [np.array(weights) @ sys.stack.fn(t, x)])
+    J = rhs.jacobian(t, x)
+    J_fd = finite_diff_jacobian(rhs, t, x)
+    assert np.max(np.abs(J - J_fd)) <= 1e-6 * max(1.0, float(np.max(np.abs(J))))
+
+
+def test_rhs_memo_holds_only_the_contracted_matrices(monkeypatch):
+    memos = []
+    time_memo = dynamics.time_memo
+
+    def recording(fn):
+        memos.append(time_memo(fn))
+        return memos[-1]
+
+    monkeypatch.setattr(dynamics, "time_memo", recording)
+    for name, sys in SYSTEMS.items():
+        memos.clear()
+        traj = integrate(assemble_rhs(sys), _start(name), 0.05,
+                         policy=StepPolicy(max_step=0.01))
+        # one memo per right-hand side, one (n, 1 + k) matrix per stage time
+        assert len(memos) == 1
+        cache = memos[0].cache
+        assert len(cache) == 2 * traj.total_steps + 1
+        width = sys.stack.layout.shape[-1]
+        assert all(M.shape == (sys.dim, width) for M in cache.values())
+    # agent stacks: the constant and one washout per agent; the hand-written
+    # stack has the identity layout, its 3 x 2 entries as features
+    assert [SYSTEMS[name].stack.layout.shape[-1] for name in sorted(SYSTEMS)] == [
+        7, 2, 4, 4]
 
 
 def test_builders_share_one_stack_and_call_each_map_once():

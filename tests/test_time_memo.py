@@ -1,10 +1,13 @@
 """Time-only work is done once per RK4 stage time.
 
 Fixed-step RK4 evaluates a field at t0 + k*dt and t0 + k*dt + dt/2 only,
-and runs on one time grid (the directions of a probe cell) share those
-times, so factors that depend on t alone (dither coefficients, unicycle
-headings, t-dependent nu matrices) are memoized per time. Memoized and
-freshly built fields must give bit-identical values.
+so factors that depend on t alone (the right-hand side's contracted dither
+and layout matrix, t-dependent nu matrices) are memoized per time. Within a
+run a step shares its last stage time with the next step's first. Runs on
+one time grid (the directions of a probe cell) also share entries, but only
+while the memo holds all 2*S + 1 stage times of a run: S <= 511 steps, as in
+the short probes here and in the benchmark, not in the bundled probes.
+Memoized and freshly built fields must give bit-identical values.
 """
 
 import math
