@@ -10,14 +10,16 @@ with gamma = 1/2 by default. The gamma = 1 variant is exposed only to let the
 amplitude scaling be contrasted experimentally; the averaged construction in
 :mod:`ditherseek.liebracket` refuses it.
 
-Drift and channel fields are evaluated together as a :class:`FieldStack`,
-b0, b1, ..., bm as the rows of a (1+m, n) array held as a time-only layout
-times state features, so that work the fields share (agent maps, gradients)
-is done once per point and work that depends on t alone once per time.
+Drift and channel fields are evaluated together as a :class:`FieldStack`:
+b0, b1, ..., bm are the rows of the (1+m, n) array L(t) @ features(t, x), a
+time-only layout times state features, so that work the fields share (agent
+maps, gradients) is done once per point and work that depends on t alone
+once per time. Fields made one at a time are stacked by
+:meth:`FieldStack.of` over the identity layout, their values as features.
 
 Fields and systems are immutable after construction; evaluation is
 reentrant. The only mutable state is a stack's one-entry caches (the point
-its row views share, the time of its layout), each changed by replacing one
+its row views share, the time of its L(t)), each changed by replacing one
 tuple, and the bounded memos of t-only factors (:func:`time_memo`).
 """
 
@@ -160,106 +162,88 @@ class FieldStack:
     k-th channel field: L(t) @ features(t, x), L(t) = sum_j phi_j(t) * layout[j].
     ``layout`` has shape (p, rows, n, 1 + k), ``basis`` maps t to phi(t)
     (None: the constant basis [1]), ``features`` (t, x) to [1, w] and
-    ``feature_jac`` (t, x) to the (k, n) Jacobian of w. ``fn`` and ``jac`` give
-    the value and the stacked Jacobian (rows, n, n); ``oscillation_rates``
-    each row's rate in t (see :class:`VectorField`).
+    ``feature_jac`` (t, x) to the (k, n) Jacobian of w. :meth:`at` gives
+    L(t), ``fn`` the value and ``jac`` the stacked Jacobian (rows, n, n),
+    L(t)[..., 1:] @ feature_jac (None without a ``feature_jac``);
+    ``oscillation_rates`` gives each row's rate in t (default 0, see
+    :class:`VectorField`).
 
-    ``FieldStack(dim, fn, jac)`` takes the value as written: identity layout,
-    rows as features. :meth:`factored` derives ``fn`` and ``jac`` from few
-    features (agent maps, gradients) and passes ``factors`` = the four above.
     The row views in :attr:`fields` share a one-entry cache keyed on the
     point, so callers that evaluate the fields one at a time still pay for
     one stack evaluation per point. Cached values are read-only.
     """
 
-    def __init__(self, dim: int, fn: Callable[[float, np.ndarray], np.ndarray],
-                 jac: Callable[[float, np.ndarray], np.ndarray] | None = None,
-                 oscillation_rates=(0.0,), factors=None):
-        rates = tuple(float(r) for r in oscillation_rates)
-        if dim < 1 or not rates:
-            raise ValueError("a stack needs a positive dimension and at least one row")
-        self.dim, self.fn, self.jac = dim, fn, jac
-        self.shape = (len(rates), dim)
-        self._value = self._jac_value = (None, None)
-        self.fields = tuple(
-            VectorField(dim, _RowView(self, k, False),
-                        jac=None if jac is None else _RowView(self, k, True),
-                        oscillation_rate=rate)
-            for k, rate in enumerate(rates))
-        if factors is None:  # identity layout, the rows as features
-            size = len(rates) * dim
-            layout = np.zeros((1,) + self.shape + (1 + size,))
-            layout[0, ..., 1:] = np.eye(size).reshape(self.shape + (size,))
-
-            def features(t, x):
-                value = np.asarray(fn(t, x), dtype=float)
-                self.check(value)
-                return np.concatenate(([1.0], value.reshape(size)))
-
-            def feature_jac(t, x):
-                return np.asarray(jac(t, x), dtype=float).reshape(size, dim)
-
-            factors = (layout, None, features, None if jac is None else feature_jac)
-        self.layout, self.basis, self.features, self.feature_jac = factors
-        self.layout.flags.writeable = False
-
-    @classmethod
-    def factored(cls, dim: int, layout, features, feature_jac=None, basis=None,
-                 oscillation_rates=(0.0,)) -> "FieldStack":
-        """L(t) @ features(t, x), with ``jac`` L(t)[..., 1:] @ feature_jac(t, x)."""
+    def __init__(self, layout, features, feature_jac=None, basis=None, oscillation_rates=None):
         layout = np.array(layout, dtype=float)
         p, rows, n, width = layout.shape
         if basis is None and p != 1:
             raise ValueError("a layout over more than one basis function needs a basis")
-        flat = layout.reshape(p, rows * n * width)
-        L = flat[0].reshape(rows * n, width)  # L(t) of a constant basis, (rows * n, 1 + k)
-        last = (None, (L, L[:, 1:]))  # one-entry cache: t, (L(t), its w columns)
+        rates = (0.0,) * rows if oscillation_rates is None else tuple(oscillation_rates)
+        if len(rates) != rows:
+            raise ValueError(f"{len(rates)} oscillation rates for {rows} rows")
+        layout.flags.writeable = False
+        self.layout, self.basis = layout, basis
+        self.features, self.feature_jac = features, feature_jac
+        self.dim, self.shape = n, (rows, n)
+        self.jac = None if feature_jac is None else self._jac
+        self._flat = layout.reshape(p, -1)
+        # one-entry cache: t, L(t) by rows (see at) and by entries, (rows * n, 1 + k)
+        self._L = (None, layout[0].reshape(rows, -1), layout[0].reshape(rows * n, width))
+        self._value = self._jac_value = (None, None)
+        self.fields = tuple(
+            VectorField(n, _RowView(self, k, False),
+                        jac=None if feature_jac is None else _RowView(self, k, True),
+                        oscillation_rate=float(rate))
+            for k, rate in enumerate(rates))
 
-        def at(t):
-            nonlocal last
-            cached_t, value = last
-            if cached_t != t and basis is not None:
-                L = (basis(t) @ flat).reshape(rows * n, width)
-                value = (L, L[:, 1:])
-                last = (t, value)
-            return value
+    def _cached(self, t):
+        cached = self._L
+        if cached[0] != t and self.basis is not None:
+            L = (self.basis(t) @ self._flat).reshape(self.shape[0], -1)
+            L.flags.writeable = False
+            cached = self._L = (t, L, L.reshape(-1, self.layout.shape[-1]))
+        return cached
 
-        def fn(t, x):
-            return (at(t)[0] @ features(t, x)).reshape(rows, n)
+    def at(self, t: float) -> np.ndarray:
+        """L(t) as a read-only (rows, n * (1 + k)) matrix, row r the (n, 1 + k)
+        block of row r flattened, so that c @ L(t) contracts the rows."""
+        return self._cached(t)[1]
 
-        def jac(t, x):
-            return (at(t)[1] @ feature_jac(t, x)).reshape(rows, n, n)
+    def fn(self, t: float, x: np.ndarray) -> np.ndarray:
+        """Stacked value (rows, n), uncached."""
+        return (self._cached(t)[2] @ self.features(t, x)).reshape(self.shape)
 
-        return cls(dim, fn, None if feature_jac is None else jac, oscillation_rates,
-                   (layout, basis, features, feature_jac))
-
-    @staticmethod
-    def from_fields(fields) -> "FieldStack":
-        """Stack of individually evaluated fields (analytic or difference Jacobians)."""
-        fields = tuple(fields)
-        fns = tuple(f.fn for f in fields)
-        jacs = tuple(f.jacobian if f.jac is None else f.jac for f in fields)
-        return FieldStack(fields[0].dim,
-                          lambda t, x: np.array([f(t, x) for f in fns], dtype=float),
-                          lambda t, x: np.array([j(t, x) for j in jacs], dtype=float),
-                          tuple(f.oscillation_rate for f in fields))
+    def _jac(self, t: float, x: np.ndarray) -> np.ndarray:
+        L = self._cached(t)[2]
+        return (L[:, 1:] @ self.feature_jac(t, x)).reshape(self.shape + (self.dim,))
 
     @staticmethod
     def of(fields) -> "FieldStack":
-        """The stack whose row views ``fields`` are, in order; else a new one."""
+        """The stack whose row views ``fields`` are, in order; else the identity
+        layout over the fields' values, rows as features."""
         fields = tuple(fields)
         view = fields[0].fn
         if isinstance(view, _RowView):
             own = view.stack.fields
             if len(own) == len(fields) and all(a is b for a, b in zip(own, fields)):
                 return view.stack
-        return FieldStack.from_fields(fields)
+        shape = (len(fields), fields[0].dim)
+        size = shape[0] * shape[1]
+        layout = np.eye(size, 1 + size, 1).reshape((1,) + shape + (1 + size,))
+        fns = tuple(f.fn for f in fields)
+        jacs = tuple(f.jacobian for f in fields)  # analytic when given, shape-checked
 
-    def check(self, value) -> None:
-        """Raise ValueError unless ``value`` has this stack's shape."""
-        if np.shape(value) != self.shape:
-            raise ValueError(f"stack returned shape {np.shape(value)}, "
-                             f"expected {self.shape}")
+        def features(t, x):
+            value = np.array([f(t, x) for f in fns], dtype=float)
+            if value.shape != shape:
+                raise ValueError(f"stack returned shape {value.shape}, expected {shape}")
+            return np.concatenate(([1.0], value.reshape(size)))
+
+        def feature_jac(t, x):
+            return np.array([j(t, x) for j in jacs], dtype=float).reshape(size, shape[1])
+
+        return FieldStack(layout, features, feature_jac,
+                          oscillation_rates=[f.oscillation_rate for f in fields])
 
     def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
         """Stacked value (rows, n) through the point cache."""
@@ -267,8 +251,7 @@ class FieldStack:
         key = (t, x.tobytes())
         cached_key, value = self._value
         if cached_key != key:
-            value = np.array(self.fn(t, x), dtype=float)
-            self.check(value)
+            value = self.fn(t, x)
             value.flags.writeable = False
             self._value = (key, value)
         return value
@@ -279,12 +262,7 @@ class FieldStack:
         key = (t, x.tobytes())
         cached_key, value = self._jac_value
         if cached_key != key:
-            if self.jac is None:
-                value = finite_diff_jacobian(self, t, x)
-            else:
-                value = np.array(self.jac(t, x), dtype=float)
-                if value.shape != self.shape + (self.dim,):
-                    raise ValueError(f"stacked jacobian returned shape {value.shape}")
+            value = finite_diff_jacobian(self, t, x) if self.jac is None else self.jac(t, x)
             value.flags.writeable = False
             self._jac_value = (key, value)
         return value
@@ -347,26 +325,22 @@ def assemble_rhs(sys: InputAffineSystem) -> VectorField:
 
     With c(t) = [1, gain*u_1(t, omega*t), ..., gain*u_m(t, omega*t)], it is
     c(t) @ stack(t, x) = M(t) @ features(t, x). The (n, 1 + k) matrix
-    M(t) = (c(t) outer phi(t)) @ layout is memoized per t, so dithers must be
-    pure functions of (t, theta); each evaluation is one matrix-vector
-    product, checked for finiteness. The Jacobian M(t)[:, 1:] @ feature_jac
-    is supplied only when drift and every channel carry one.
+    M(t) = c(t) @ L(t) is memoized per t, so dithers must be pure functions
+    of (t, theta); each evaluation is one matrix-vector product, checked for
+    finiteness. The Jacobian M(t)[:, 1:] @ feature_jac is supplied only when
+    drift and every channel carry one.
     """
     stack, omega = sys.stack, sys.omega
     gain = omega ** sys.amplitude_exponent
     dithers = tuple(sig.scalar_evaluator() for _, sig in sys.channels)
-    p, rows, n, width = stack.layout.shape
-    # row r * p + j holds layout[j, r], matching the flattened outer product
-    layout = stack.layout.transpose(1, 0, 2, 3).reshape(rows * p, n * width)
-    basis, features = stack.basis, stack.features
+    n = sys.dim
+    at, features = stack.at, stack.features
 
     @time_memo
     def contracted(t):
         theta = omega * t
         c = np.array([1.0] + [gain * u(t, theta) for u in dithers])
-        if basis is not None:
-            c = np.outer(c, basis(t)).reshape(rows * p)
-        return (c @ layout).reshape(n, width)
+        return (c @ at(t)).reshape(n, -1)
 
     def fn(t, x):
         out = contracted(t) @ features(t, x)

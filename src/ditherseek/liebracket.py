@@ -182,14 +182,9 @@ def build_lie_bracket_system(sys: InputAffineSystem,
     stack = sys.stack
     stack_fn = stack.fn
     stack_jac = stack.jac or stack.jacobian
-    checked = False
 
     def fn(t, z):
-        nonlocal checked
         rows = stack_fn(t, z)
-        if not checked:
-            stack.check(rows)
-            checked = True
         if not pairs:
             return rows[0]
         mixed = coefficients(t) @ rows[1:]

@@ -28,7 +28,8 @@ A scenario is a YAML document. Keys (strict mode rejects anything else):
     step            {samples_per_period?, max_step?, output_stride?} (optional);
                     samples_per_period an integer >= 4, output_stride >= 1
     probe           {delta: [...], epsilon, t_f, boundary_samples?, horizon?}
-                    (optional); boundary_samples an integer >= 1, horizon 2*t_f if absent
+                    (optional); boundary_samples an integer from 1 to 4,096,
+                    horizon 2*t_f if absent
 
 Numeric values may be written as decimals or as rational strings ("3/10").
 """
@@ -52,7 +53,7 @@ from .seekers import (AgentParams, PotentialGame, _check_params,
                       build_scalar_seeker, build_single_integrator, build_unicycle,
                       equilibrium_state, quadratic_game, three_agent_game)
 from .signals import DitherSignal, from_name
-from .sim import StepPolicy, checked_omegas
+from .sim import MAX_BOUNDARY_SAMPLES, StepPolicy, checked_omegas
 
 BUILTIN_GAMES = {"three_agent": three_agent_game}
 DYNAMICS_KINDS = ("scalar", "single_integrator", "unicycle")
@@ -106,12 +107,12 @@ def _ratio(value, path: str) -> Fraction:
                 f"{type(value).__name__}")
 
 
-def _count(value, path: str, minimum: int) -> int:
-    """An integer of at least ``minimum``; floats are refused, never truncated."""
+def _count(value, path: str, minimum: int, maximum: int) -> int:
+    """An integer from ``minimum`` to ``maximum``; floats are refused, never truncated."""
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(path, f"expected an integer, got {value!r}")
-    if value < minimum:
-        _fail(path, f"must be at least {minimum}, got {value}")
+    if not minimum <= value <= maximum:
+        _fail(path, f"must be from {minimum} to {maximum:,}, got {value}")
     return value
 
 
@@ -309,7 +310,8 @@ def _parse_probe(block, path: str) -> ProbeConfig:
                if "horizon" in block else 2.0 * t_f)
     if horizon < t_f:
         _fail(f"{path}.horizon", f"must reach past t_f = {t_f:g}, got {horizon:g}")
-    samples = _count(block.get("boundary_samples", 8), f"{path}.boundary_samples", 1)
+    samples = _count(block.get("boundary_samples", 8), f"{path}.boundary_samples", 1,
+                     MAX_BOUNDARY_SAMPLES)
     return ProbeConfig(deltas, eps, t_f, boundary_samples=samples, horizon=horizon)
 
 

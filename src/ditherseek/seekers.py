@@ -184,8 +184,7 @@ class _AgentLoops:
         """System of the stack's row views; agent i's channels carry sine(n_i)
         and cosine(n_i) and vary in t at ``agent_rates[i]``."""
         rates = [0.0] + [r for rate in agent_rates for r in (rate, rate)]
-        stack = FieldStack.factored(3 * self.n, self.layout, self.features,
-                                    self.feature_jac, basis, rates)
+        stack = FieldStack(self.layout, self.features, self.feature_jac, basis, rates)
         channels = [(stack.fields[2 * i + k], dither(n_i))
                     for i, n_i in enumerate(self.harmonics)
                     for k, dither in ((1, sine), (2, cosine))]
@@ -429,8 +428,7 @@ def build_scalar_seeker(f: Callable[[float], float], grad_f: Callable[[float], f
     def feature_jac(t, x):
         return np.array([[grad_f(float(x[0]))]])
 
-    drift, alpha_field, f_field = FieldStack.factored(
-        1, layout, features, feature_jac, oscillation_rates=(0.0,) * 3).fields
+    drift, alpha_field, f_field = FieldStack(layout, features, feature_jac).fields
     return InputAffineSystem(drift, ((alpha_field, u_a), (f_field, u_b)), omega)
 
 

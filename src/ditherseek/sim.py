@@ -35,6 +35,10 @@ TWO_PI = 2.0 * math.pi
 # run (scalar_basic at omega=1600, 101,860 steps); 80 MB of states per component
 MAX_STEPS = 10_000_000
 
+# most boundary samples a probe draws per shell: 512 times the bundled 8; the
+# Sobol draw behind them is then at most 4,096 rows
+MAX_BOUNDARY_SAMPLES = 4096
+
 
 @dataclass(frozen=True)
 class StepPolicy:
@@ -69,8 +73,12 @@ class StepPolicy:
 
 def step_count(horizon: float, fast_rate: float, policy: StepPolicy) -> int:
     """RK4 steps :func:`integrate` takes over ``horizon`` at ``fast_rate``, a
-    multiple of the output stride; ValueError past :data:`MAX_STEPS`."""
-    ratio = horizon / policy.resolve(fast_rate)
+    multiple of the output stride; ValueError past :data:`MAX_STEPS` or for
+    a step that is not positive (a fast rate so large that the step rounds to 0)."""
+    dt = policy.resolve(fast_rate)
+    if not dt > 0.0:
+        raise ValueError(f"fast rate {fast_rate:g} gives the step {dt:g}, not positive")
+    ratio = horizon / dt
     stride = policy.output_stride
     if ratio <= MAX_STEPS:  # false for nan and inf too
         steps = stride * math.ceil(max(1, math.ceil(ratio)) / stride)
@@ -403,8 +411,9 @@ def stability_probe(build_system, target, delta_list, epsilon: float, omegas,
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    if boundary_samples < 1:
-        raise ValueError("a probe needs at least one boundary sample per shell")
+    if not 1 <= boundary_samples <= MAX_BOUNDARY_SAMPLES:
+        raise ValueError(f"a probe needs 1 to {MAX_BOUNDARY_SAMPLES:,} boundary samples "
+                         f"per shell, got {boundary_samples}")
     target = np.asarray(target, dtype=float)
     horizon = 2.0 * t_f if horizon is None else horizon
     if horizon < t_f:

@@ -217,6 +217,31 @@ def test_huge_scenario_horizon_rejected(tmp_path, capsys, mode, old, new):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("mode", ["simulate", "compare", "sweep", "probe"])
+def test_huge_omega_override_rejected(scalar_file, tmp_path, capsys, mode):
+    # the fast rate's step rounds to 0.0
+    status = main(["--scenario", str(scalar_file), "--mode", mode, "--omega", "1e308",
+                   "--out", str(tmp_path / "o")])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not positive" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("mode", ["simulate", "compare", "sweep", "probe"])
+@pytest.mark.parametrize("old,new", [("omega: [8.0, 80.0]", "omega: [8.0, 1e307]"),
+                                     ("Omega: 1.0", "Omega: 1e308")])
+def test_huge_scenario_rates_rejected(tmp_path, capsys, mode, old, new):
+    doc = tmp_path / "fast.yaml"
+    doc.write_text(_bundled_text("three_agent_unicycle").replace(old, new, 1),
+                   encoding="utf-8")
+    status = main(["--scenario", str(doc), "--mode", mode, "--out", str(tmp_path / "o")])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not positive" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_probe_horizon_short_of_t_f_rejected(tmp_path, capsys):
     bad = tmp_path / "short.yaml"
     bad.write_text(_bundled_text("scalar_basic").replace(

@@ -16,6 +16,7 @@ from ditherseek import (FieldEvaluationError, ScenarioError, assemble_rhs,
                         build_lie_bracket_system, bundled_scenario, list_bundled,
                         load_scenario, parse_scenario, parse_scenario_text)
 from ditherseek.cli import RunConfig, _resolved
+from ditherseek.sim import MAX_BOUNDARY_SAMPLES
 
 MINIMAL_AGENT = """
 name: mini
@@ -132,6 +133,18 @@ def test_probe_boundary_samples_must_be_a_positive_integer(value):
         f"probe: {{delta: [0.1], epsilon: 0.5, t_f: 1.0, boundary_samples: {value}}}\n")
     with pytest.raises(ScenarioError, match="boundary_samples"):
         parse_scenario_text(text)
+
+
+@pytest.mark.parametrize("value", [MAX_BOUNDARY_SAMPLES + 1, 10**9])
+def test_probe_boundary_samples_are_bounded_from_above(value):
+    def text(samples):
+        return MINIMAL_AGENT + (
+            f"probe: {{delta: [0.1], epsilon: 0.5, t_f: 1.0, boundary_samples: {samples}}}\n")
+
+    largest = parse_scenario_text(text(MAX_BOUNDARY_SAMPLES))
+    assert largest.probe.boundary_samples == MAX_BOUNDARY_SAMPLES
+    with pytest.raises(ScenarioError, match="boundary_samples.*4,096"):
+        parse_scenario_text(text(value))
 
 
 def test_nonpositive_horizon_rejected():

@@ -103,6 +103,13 @@ def test_step_count_is_bounded_by_max_steps():
         sim.step_count(0.5 * (sim.MAX_STEPS - 1), 0.0, strided)
 
 
+def test_step_count_refuses_a_step_that_is_not_positive():
+    # a fast rate past the float range resolves to a step of 0.0
+    assert StepPolicy().resolve(math.inf) == 0.0
+    with pytest.raises(ValueError, match="not positive"):
+        sim.step_count(1.0, math.inf, StepPolicy())
+
+
 def test_integrate_refuses_a_huge_horizon_before_any_step():
     calls = []
     fld = VectorField(1, lambda t, x: calls.append(t) or -x)
@@ -274,6 +281,16 @@ def test_probe_without_boundary_samples_rejected():
     with pytest.raises(ValueError, match="boundary sample"):
         stability_probe(lambda w: _decay_field(), [0.0], delta_list=[0.1],
                         epsilon=0.5, omegas=[10.0], t_f=1.0, boundary_samples=0)
+
+
+@pytest.mark.parametrize("samples", [sim.MAX_BOUNDARY_SAMPLES + 1, 10**9])
+def test_probe_refuses_too_many_boundary_samples_before_drawing(monkeypatch, samples):
+    drawn = []
+    monkeypatch.setattr(sim, "_sphere_directions", lambda *args: drawn.append(args))
+    with pytest.raises(ValueError, match="boundary samples"):
+        stability_probe(lambda w: _decay_field(), [0.0], delta_list=[0.1],
+                        epsilon=0.5, omegas=[10.0], t_f=1.0, boundary_samples=samples)
+    assert drawn == []
 
 
 def test_probe_on_contracting_flow_is_consistent():

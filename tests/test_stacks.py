@@ -195,12 +195,33 @@ def _hand_written_system():
                          [g, [0.0, 0.0]],
                          [[0.0, 0.0], -(x[0] * g + [f, 0.0])]])
 
-    drift, b1, b2 = FieldStack(2, fn, jac, oscillation_rates=(0.0, 1.0, 0.0)).fields
+    drift, b1, b2 = FieldStack.of(
+        VectorField(2, lambda t, x, k=k: fn(t, x)[k], lambda t, x, k=k: jac(t, x)[k], rate)
+        for k, rate in enumerate((0.0, 1.0, 0.0))).fields
+    return InputAffineSystem(drift, ((b1, sine(1)), (b2, cosine(2))), omega=50.0)
+
+
+def _hand_factored_system():
+    """A 2-D stack over the t-dependent basis [1, cos 2t, sin 2t] and the
+    features [1, f(x), x0 * x1]: a user-supplied basis."""
+    layout = np.random.default_rng(7).uniform(-1.0, 1.0, (3, 3, 2, 3))
+
+    def basis(t):
+        return np.array([1.0, math.cos(2.0 * t), math.sin(2.0 * t)])
+
+    def features(t, x):
+        return np.array([1.0, -(x[0] - 1.0) ** 2 - (x[1] + 1.0) ** 2, x[0] * x[1]])
+
+    def feature_jac(t, x):
+        return np.array([[-2.0 * (x[0] - 1.0), -2.0 * (x[1] + 1.0)], [x[1], x[0]]])
+
+    drift, b1, b2 = FieldStack(layout, features, feature_jac, basis, (2.0,) * 3).fields
     return InputAffineSystem(drift, ((b1, sine(1)), (b2, cosine(2))), omega=50.0)
 
 
 SYSTEMS = {name: sc.build_system(sc.omegas[0]) for name, sc in SCENARIOS.items()}
 SYSTEMS["hand_written"] = _hand_written_system()
+SYSTEMS["hand_factored"] = _hand_factored_system()
 
 
 def _start(name):
@@ -220,6 +241,43 @@ def test_factored_rhs_is_the_weighted_stack(name, t, offsets):
     J = rhs.jacobian(t, x)
     J_fd = finite_diff_jacobian(rhs, t, x)
     assert np.max(np.abs(J - J_fd)) <= 1e-6 * max(1.0, float(np.max(np.abs(J))))
+
+
+@given(name=st.sampled_from(sorted(SYSTEMS)), t=st.floats(min_value=0.0, max_value=20.0),
+       offsets=st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=9, max_size=9))
+@settings(max_examples=80, deadline=None)
+def test_stack_value_is_the_layout_contraction(name, t, offsets):
+    stack = SYSTEMS[name].stack
+    x = _start(name) + np.array(offsets[:stack.dim])
+    phi = [1.0] if stack.basis is None else stack.basis(t)
+    L = np.einsum("j,jrnw->rnw", phi, stack.layout)
+    assert _close(stack.at(t), [L.reshape(stack.shape[0], -1)])
+    assert _close(stack.fn(t, x), [L @ stack.features(t, x)])
+    assert _close(stack.jacobian(t, x), [L[..., 1:] @ stack.feature_jac(t, x)])
+
+
+@given(name=st.sampled_from(sorted(SYSTEMS)), t=st.floats(min_value=0.0, max_value=20.0),
+       offsets=st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=9, max_size=9))
+@settings(max_examples=40, deadline=None)
+def test_bracket_is_the_per_pair_formula_on_the_row_views(name, t, offsets):
+    sys = SYSTEMS[name]
+    z = _start(name) + np.array(offsets[:sys.dim])
+    terms = [sys.drift(t, z)]
+    for i, (b_i, s_i) in enumerate(sys.channels):
+        for b_j, s_j in sys.channels[i + 1:]:
+            J_i, J_j = finite_diff_jacobian(b_i, t, z), finite_diff_jacobian(b_j, t, z)
+            terms.append(nu_closed_form(s_j, s_i) * (J_j @ b_i(t, z) - J_i @ b_j(t, z)))
+    got = build_lie_bracket_system(sys).fn(t, z)
+    want = np.sum(terms, axis=0)
+    assert np.max(np.abs(got - want)) <= 1e-6 * max(1.0, float(np.max(np.abs(terms))))
+
+
+def test_constructor_refuses_an_inconsistent_layout():
+    layout = np.zeros((3, 2, 1, 2))
+    with pytest.raises(ValueError, match="basis"):
+        FieldStack(layout, lambda t, x: np.array([1.0, x[0]]))
+    with pytest.raises(ValueError, match="oscillation rates"):
+        FieldStack(layout[:1], lambda t, x: np.array([1.0, x[0]]), oscillation_rates=(0.0,))
 
 
 def test_rhs_memo_holds_only_the_contracted_matrices(monkeypatch):
@@ -242,9 +300,10 @@ def test_rhs_memo_holds_only_the_contracted_matrices(monkeypatch):
         width = sys.stack.layout.shape[-1]
         assert all(M.shape == (sys.dim, width) for M in cache.values())
     # agent stacks: the constant and one washout per agent; the hand-written
-    # stack has the identity layout, its 3 x 2 entries as features
+    # stack has the identity layout, its 3 x 2 entries as features; the
+    # hand-factored one the constant and its two features
     assert [SYSTEMS[name].stack.layout.shape[-1] for name in sorted(SYSTEMS)] == [
-        7, 2, 4, 4]
+        3, 7, 2, 4, 4]
 
 
 def test_builders_share_one_stack_and_call_each_map_once():
