@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import assemble_rhs, finite_diff_jacobian
+from .dynamics import FieldEvaluationError, assemble_rhs, finite_diff_jacobian
 from .liebracket import nu_closed_form, nu_quadrature
 from .scenarios import (Scenario, ScenarioError, check_omegas, list_bundled,
                         load_scenario, step_policy)
@@ -187,20 +187,36 @@ def _verify_checks(sc: Scenario, config: RunConfig) -> list[CheckResult]:
                                       f"|grad F| = {st.gradient_norm:.3e}"))
 
     # analytic Jacobians of drift and channels against central differences,
-    # row by row of the field stack
+    # row by row of the field stack; a sample point where either is not
+    # finite (a heading rate so large that Omega*t overflows) fails the check
     stack = sys_ref.stack
     worst = 0.0
     ok = all(fld.has_jacobian for fld in sys_ref.fields)
-    for _ in range(20):
+    points, nonfinite = 20, []
+    for _ in range(points):
         x = sc.x0 + rng.uniform(-1.0, 1.0, size=sc.dim)
         t = float(rng.uniform(0.0, 10.0))
-        J_fd = finite_diff_jacobian(stack, t, x)
-        for J, J_row_fd in zip(stack.jacobian(t, x), J_fd):
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                J_fd = finite_diff_jacobian(stack, t, x)
+                J_stack = stack.jacobian(t, x)
+            except FieldEvaluationError:
+                J_stack = None
+        if J_stack is None or not np.isfinite(J_stack).all():
+            nonfinite.append(t)
+            continue
+        for J, J_row_fd in zip(J_stack, J_fd):
             defect = float(np.max(np.abs(J - J_row_fd)) / max(1.0, np.max(np.abs(J))))
             worst = max(worst, defect)
             ok = ok and defect < 1e-5
-    checks.append(CheckResult("analytic Jacobians vs finite differences",
-                              ok, f"worst relative defect {worst:.3e}"))
+    detail = f"worst relative defect {worst:.3e}"
+    if nonfinite:
+        ok = False
+        finite = points - len(nonfinite)
+        detail = (f"non-finite (nan or inf) Jacobian values at {len(nonfinite)} of "
+                  f"{points} sample points, the first at t={nonfinite[0]:.6g}"
+                  + (f"; {detail} at the other {finite}" if finite else ""))
+    checks.append(CheckResult("analytic Jacobians vs finite differences", ok, detail))
 
     harmonics = sorted({s.harmonic for s in dithers.values() if s.is_sinusoid})
     if harmonics:

@@ -342,9 +342,15 @@ def assemble_rhs(sys: InputAffineSystem) -> VectorField:
         c = np.array([1.0] + [gain * u(t, theta) for u in dithers])
         return (c @ at(t)).reshape(n, -1)
 
+    cache = contracted.cache
+    isfinite = np.isfinite
+
     def fn(t, x):
-        out = contracted(t) @ features(t, x)
-        if not np.isfinite(out).all():
+        M = cache.get(t)
+        if M is None:
+            M = contracted(t)
+        out = M @ features(t, x)
+        if not isfinite(out).all():
             raise FieldEvaluationError("non-finite right-hand side")
         return out
 

@@ -170,6 +170,7 @@ def integrate(fld: VectorField, x0, horizon: float, t0: float = 0.0,
     dt = horizon / steps
 
     fn = fld.fn
+    asarray, isfinite = np.asarray, np.isfinite
     states = np.empty((steps // stride + 1, x0.size))
     states[0] = x0
     x = x0
@@ -183,18 +184,18 @@ def integrate(fld: VectorField, x0, horizon: float, t0: float = 0.0,
             t_mid = t + half
             t_next = t0 + (k + 1) * dt
             try:
-                k1 = np.asarray(fn(t, x))
+                k1 = asarray(fn(t, x))
                 if k == 0 and k1.shape != x.shape:
                     raise ValueError(f"field value must have shape ({fld.dim},), "
                                      f"got {k1.shape}")
-                k2 = np.asarray(fn(t_mid, x + half * k1))
-                k3 = np.asarray(fn(t_mid, x + half * k2))
-                k4 = np.asarray(fn(t_next, x + dt * k3))
+                k2 = asarray(fn(t_mid, x + half * k1))
+                k3 = asarray(fn(t_mid, x + half * k2))
+                k4 = asarray(fn(t_next, x + dt * k3))
                 x_new = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
             except FieldEvaluationError:
                 diverged = True
                 break
-            if not np.isfinite(x_new).all():
+            if not isfinite(x_new).all():
                 diverged = True
                 break
             x = x_new

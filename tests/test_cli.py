@@ -242,6 +242,23 @@ def test_huge_scenario_rates_rejected(tmp_path, capsys, mode, old, new):
     assert not (tmp_path / "o").exists()
 
 
+
+@pytest.mark.parametrize("rate", ["1e308", "1e307"])
+def test_verify_reports_nonfinite_jacobians_of_a_huge_heading_rate(tmp_path, capsys, rate):
+    # cos(Omega_i * t) overflows to nan at some sampled times: the Jacobian
+    # check fails and says so, with no traceback
+    doc = tmp_path / "fast.yaml"
+    doc.write_text(_bundled_text("three_agent_unicycle").replace("Omega: 1.0", f"Omega: {rate}",
+                                                                  1), encoding="utf-8")
+    status = main(["--scenario", str(doc), "--mode", "verify", "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert status == 1 and captured.err == ""
+    failed = [line for line in captured.out.splitlines() if "[FAIL]" in line]
+    assert len(failed) == 1
+    assert "analytic Jacobians vs finite differences" in failed[0]
+    assert "non-finite (nan or inf) Jacobian values at" in failed[0]
+    assert captured.out.endswith("9/10 checks passed\n")
+
 def test_probe_horizon_short_of_t_f_rejected(tmp_path, capsys):
     bad = tmp_path / "short.yaml"
     bad.write_text(_bundled_text("scalar_basic").replace(

@@ -1,6 +1,7 @@
 """Architecture builders, their analytic averaged fields, and the game checks."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -275,9 +276,8 @@ def test_single_agent_identity_compatibility():
     assert rep.passed
 
 
-def test_cross_term_in_other_agents_blocks_does_not_matter():
-    # dropping the x1_b^2 coupling from the first map leaves every own-block
-    # gradient unchanged, so compatibility still holds
+def _stripped_game():
+    # the bundled game without the x1_b^2 coupling in the first map
     base = three_agent_game()
 
     def f_a_stripped(x):
@@ -290,21 +290,69 @@ def test_cross_term_in_other_agents_blocks_does_not_matter():
                          -2.0 * x[4] * e, -2.0 * x[5] * e])
 
     maps = (AgentMap(1, f_a_stripped, grad_f_a_stripped),) + base.maps[1:]
-    stripped = PotentialGame(maps, base.potential, base.potential_grad,
-                             maximizer=base.maximizer)
-    rep = check_potential_compatibility(stripped, samples=300, tol=1e-6)
-    assert rep.passed
+    return PotentialGame(maps, base.potential, base.potential_grad, maximizer=base.maximizer)
 
 
-def test_incompatible_game_is_detected():
+def _incompatible_game():
     # agent 1 seeks a different maximizer than the potential prescribes
     good = quadratic_game(np.ones(2), np.zeros(2))
     bad_map = AgentMap(1, lambda x: -float((x[0] - 1.0) ** 2 + x[1] ** 2),
                        lambda x: np.array([-2.0 * (x[0] - 1.0), -2.0 * x[1]]))
-    bad = PotentialGame((bad_map,), good.potential, good.potential_grad)
-    rep = check_potential_compatibility(bad, samples=100, tol=1e-6)
+    return PotentialGame((bad_map,), good.potential, good.potential_grad)
+
+
+def test_cross_term_in_other_agents_blocks_does_not_matter():
+    # dropping the coupling leaves every own-block gradient unchanged, so
+    # compatibility still holds
+    rep = check_potential_compatibility(_stripped_game(), samples=300, tol=1e-6)
+    assert rep.passed
+
+
+def test_incompatible_game_is_detected():
+    rep = check_potential_compatibility(_incompatible_game(), samples=100, tol=1e-6)
     assert not rep.passed
 
+
+def _finite_difference_game():
+    # the bundled game with every agent gradient by central differences
+    base = three_agent_game()
+    return replace(base, maps=tuple(AgentMap(m.index, m.fn) for m in base.maps))
+
+
+@pytest.mark.parametrize("make_game", [
+    three_agent_game, lambda: quadratic_game(np.array([1.0, 2.0]), np.array([0.5, -0.5])),
+    _stripped_game, _incompatible_game, _finite_difference_game],
+    ids=["bundled", "single_agent", "stripped", "incompatible", "finite_difference"])
+def test_compatibility_reduction_equals_the_per_sample_loop(make_game):
+    game = make_game()
+    samples, seed = 200, 5
+    rng = np.random.default_rng(seed)
+    per_agent = np.zeros(game.n_agents)
+    for x in rng.uniform(-3.0, 3.0, size=(samples, game.dim)):
+        pot_grad = game.potential_gradient(x)
+        for i, m in enumerate(game.maps):
+            block = slice(2 * i, 2 * i + 2)
+            defect = np.max(np.abs(m.gradient(x)[block] - pot_grad[block]))
+            per_agent[i] = max(per_agent[i], defect)
+    worst = float(np.max(per_agent))
+    for tol in (1e-6, 1e-12):
+        rep = check_potential_compatibility(game, samples=samples, tol=tol, seed=seed)
+        assert rep.per_agent == tuple(per_agent.tolist())
+        assert rep.max_defect == worst
+        assert rep.passed == (worst < tol)
+    if make_game is _incompatible_game:
+        assert not rep.passed
+
+
+
+def test_a_nan_gradient_fails_the_compatibility_check():
+    # the defects are reduced at once, so a nan one is not dropped by max()
+    good = quadratic_game(np.ones(2), np.zeros(2))
+    nan_map = AgentMap(1, good.potential,
+                       lambda x: np.full(2, math.nan) if x[0] > 0.0 else good.potential_grad(x))
+    rep = check_potential_compatibility(
+        PotentialGame((nan_map,), good.potential, good.potential_grad), samples=50)
+    assert math.isnan(rep.max_defect) and not rep.passed
 
 def test_filter_equilibrium_unit_poles():
     game = three_agent_game()

@@ -280,7 +280,8 @@ def test_constructor_refuses_an_inconsistent_layout():
         FieldStack(layout[:1], lambda t, x: np.array([1.0, x[0]]), oscillation_rates=(0.0,))
 
 
-def test_rhs_memo_holds_only_the_contracted_matrices(monkeypatch):
+def _recording_memos(monkeypatch):
+    """The time memos built from now on, in order."""
     memos = []
     time_memo = dynamics.time_memo
 
@@ -289,6 +290,11 @@ def test_rhs_memo_holds_only_the_contracted_matrices(monkeypatch):
         return memos[-1]
 
     monkeypatch.setattr(dynamics, "time_memo", recording)
+    return memos
+
+
+def test_rhs_memo_holds_only_the_contracted_matrices(monkeypatch):
+    memos = _recording_memos(monkeypatch)
     for name, sys in SYSTEMS.items():
         memos.clear()
         traj = integrate(assemble_rhs(sys), _start(name), 0.05,
@@ -307,19 +313,34 @@ def test_rhs_memo_holds_only_the_contracted_matrices(monkeypatch):
 
 
 def test_builders_share_one_stack_and_call_each_map_once():
-    sc = SCENARIOS["three_agent_single_integrator"]
-    calls = []
-    maps = tuple(dataclasses.replace(m, fn=lambda x, f=m.fn: calls.append(1) or f(x))
-                 for m in sc.game.maps)
-    sc = dataclasses.replace(sc, game=dataclasses.replace(sc.game, maps=maps))
-    sys = sc.build_system(100.0)
-    assert sys.stack.fields == sys.fields
-    assemble_rhs(sys).fn(0.3, sc.x0)
-    assert len(calls) == 3
-    # row views evaluated one at a time share one stack evaluation per point
-    for fld in sys.fields:
-        fld(0.7, sc.x0)
-    assert len(calls) == 6
+    for name in ("three_agent_single_integrator", "three_agent_unicycle"):
+        sc = SCENARIOS[name]
+        calls = {"map": 0, "gradient": 0}
+
+        def counted(kind, f):
+            def fn(x):
+                calls[kind] += 1
+                return f(x)
+            return fn
+
+        maps = tuple(dataclasses.replace(m, fn=counted("map", m.fn),
+                                         grad=counted("gradient", m.grad))
+                     for m in sc.game.maps)
+        sc = dataclasses.replace(sc, game=dataclasses.replace(sc.game, maps=maps))
+        sys = sc.build_system(sc.omegas[-1])
+        assert sys.stack.fields == sys.fields
+        rhs = assemble_rhs(sys)
+        rhs.fn(0.3, sc.x0)
+        assert calls == {"map": 3, "gradient": 0}
+        rhs.jacobian(0.3, sc.x0)
+        assert calls == {"map": 3, "gradient": 3}
+        # row views evaluated one at a time share one stack evaluation per point
+        for fld in sys.fields:
+            fld(0.7, sc.x0)
+        assert calls == {"map": 6, "gradient": 3}
+        for fld in sys.fields:
+            fld.jacobian(0.7, sc.x0)
+        assert calls == {"map": 6, "gradient": 6}
 
 
 def test_replaced_channels_are_never_evaluated_through_the_old_stack():
@@ -370,3 +391,43 @@ def test_nonfinite_rhs_marks_divergence_at_the_same_step():
     assert got.diverged and want.diverged
     assert 0 < got.total_steps == want.total_steps
     assert np.allclose(got.states, want.states, rtol=REL_TOL, atol=REL_TOL)
+
+
+@pytest.mark.parametrize("entry", range(3))
+@pytest.mark.parametrize("bad", ["overflow", "nan"])
+def test_a_nonfinite_rhs_entry_raises_on_a_memo_hit_and_a_miss(monkeypatch, entry, bad):
+    # entry ``entry`` of the drift is 2 * w: w = 1e308 overflows it to inf
+    # and leaves the other entries 0; a nan w makes every entry nan
+    memos = _recording_memos(monkeypatch)
+    layout = np.zeros((1, 2, 3, 2))
+    layout[0, 0, entry, 1] = 2.0
+    stack = FieldStack(layout, lambda t, x: np.array([1.0, x[0]]))
+    rhs = assemble_rhs(InputAffineSystem(stack.fields[0], ((stack.fields[1], sine(1)),), 10.0))
+    cache = memos[0].cache
+    x_bad = np.array([1e308 if bad == "overflow" else math.nan, 0.0, 0.0])
+    t = 0.3
+    with np.errstate(over="ignore"):
+        if bad == "overflow":
+            assert np.flatnonzero(~np.isfinite(stack.fn(t, x_bad)[0])).tolist() == [entry]
+        with pytest.raises(FieldEvaluationError):
+            rhs.fn(t, x_bad)  # a miss: M(t) is computed, then the value refused
+        assert t in cache
+        with pytest.raises(FieldEvaluationError):
+            rhs.fn(t, x_bad)  # a hit
+    assert np.array_equal(rhs.fn(t, np.ones(3)), 2.0 * np.eye(3)[entry])
+
+
+def test_rhs_memo_holds_at_most_its_bound_of_times(monkeypatch):
+    memos = _recording_memos(monkeypatch)
+    sc = SCENARIOS["three_agent_unicycle"]
+    rhs = assemble_rhs(sc.build_system(80.0))
+    cache = memos[0].cache
+    sizes = []
+    for k in range(3 * dynamics._TIME_MEMO_SIZE):
+        rhs.fn(1e-3 * k, sc.x0)
+        sizes.append(len(cache))
+    # filled to the bound, cleared, filled again; a hit adds nothing
+    assert max(sizes) == dynamics._TIME_MEMO_SIZE
+    assert sizes[dynamics._TIME_MEMO_SIZE] == 1
+    rhs.fn(1e-3 * (len(sizes) - 1), sc.x0)
+    assert len(cache) == sizes[-1]
