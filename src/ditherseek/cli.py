@@ -63,6 +63,12 @@ def _resolved(scenario: Scenario, config: RunConfig) -> Scenario:
         updates["policy"] = step_policy(scenario.policy, "--samples-per-period",
                                         samples_per_period=config.samples_per_period)
     sc = replace(scenario, **updates) if updates else scenario
+    # omegas name output files and report rows by their tag; they increase,
+    # so equal tags are neighbours
+    for a, b in zip(sc.omegas, sc.omegas[1:]):
+        if f"{a:g}" == f"{b:g}":
+            raise ScenarioError(f"omegas {a!r} and {b!r} share the tag {a:g} that "
+                                "names their output files and report rows")
     # runs stay within sim.MAX_STEPS (averaged flows step no finer than these)
     horizon = sc.probe.horizon if config.mode == "probe" and sc.probe else sc.horizon
     for w in sc.omegas if config.mode != "verify" else ():

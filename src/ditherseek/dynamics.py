@@ -62,14 +62,14 @@ class VectorField:
             raise ValueError(f"field returned shape {out.shape}, expected ({self.dim},)")
         return out
 
-    def jacobian(self, t: float, x: np.ndarray, h: float | None = None) -> np.ndarray:
+    def jacobian(self, t: float, x: np.ndarray) -> np.ndarray:
         """Analytic Jacobian when supplied, else central finite differences."""
         if self.jac is not None:
             J = np.asarray(self.jac(t, np.asarray(x, dtype=float)), dtype=float)
             if J.shape != (self.dim, self.dim):
                 raise ValueError(f"jacobian returned shape {J.shape}")
             return J
-        return finite_diff_jacobian(self, t, x, h)
+        return finite_diff_jacobian(self, t, x)
 
     @property
     def has_jacobian(self) -> bool:
@@ -187,8 +187,8 @@ class FieldStack:
         self.dim, self.shape = n, (rows, n)
         self.jac = None if feature_jac is None else self._jac
         self._flat = layout.reshape(p, -1)
-        # one-entry cache: t, L(t) by rows (see at) and by entries, (rows * n, 1 + k)
-        self._L = (None, layout[0].reshape(rows, -1), layout[0].reshape(rows * n, width))
+        # one-entry cache: t and L(t) as the (rows * n, 1 + k) matrix
+        self._last = (None, layout[0].reshape(rows * n, width))
         self._value = self._jac_value = (None, None)
         self.fields = tuple(
             VectorField(n, _RowView(self, k, False),
@@ -196,26 +196,26 @@ class FieldStack:
                         oscillation_rate=float(rate))
             for k, rate in enumerate(rates))
 
-    def _cached(self, t):
-        cached = self._L
-        if cached[0] != t and self.basis is not None:
-            L = (self.basis(t) @ self._flat).reshape(self.shape[0], -1)
+    def _matrix(self, t):
+        last_t, L = self._last
+        if last_t != t and self.basis is not None:
+            L = (self.basis(t) @ self._flat).reshape(-1, self.layout.shape[-1])
             L.flags.writeable = False
-            cached = self._L = (t, L, L.reshape(-1, self.layout.shape[-1]))
-        return cached
+            self._last = (t, L)
+        return L
 
     def at(self, t: float) -> np.ndarray:
-        """L(t) as a read-only (rows, n * (1 + k)) matrix, row r the (n, 1 + k)
+        """L(t) as a read-only (rows, n * (1 + k)) view, row r the (n, 1 + k)
         block of row r flattened, so that c @ L(t) contracts the rows."""
-        return self._cached(t)[1]
+        return self._matrix(t).reshape(self.shape[0], -1)
 
     def fn(self, t: float, x: np.ndarray) -> np.ndarray:
         """Stacked value (rows, n), uncached."""
-        return (self._cached(t)[2] @ self.features(t, x)).reshape(self.shape)
+        return (self._matrix(t) @ self.features(t, x)).reshape(self.shape)
 
     def _jac(self, t: float, x: np.ndarray) -> np.ndarray:
-        L = self._cached(t)[2]
-        return (L[:, 1:] @ self.feature_jac(t, x)).reshape(self.shape + (self.dim,))
+        J = self._matrix(t)[:, 1:] @ self.feature_jac(t, x)
+        return J.reshape(self.shape + (self.dim,))
 
     @staticmethod
     def of(fields) -> "FieldStack":
@@ -342,14 +342,10 @@ def assemble_rhs(sys: InputAffineSystem) -> VectorField:
         c = np.array([1.0] + [gain * u(t, theta) for u in dithers])
         return (c @ at(t)).reshape(n, -1)
 
-    cache = contracted.cache
     isfinite = np.isfinite
 
     def fn(t, x):
-        M = cache.get(t)
-        if M is None:
-            M = contracted(t)
-        out = M @ features(t, x)
+        out = contracted(t) @ features(t, x)
         if not isfinite(out).all():
             raise FieldEvaluationError("non-finite right-hand side")
         return out

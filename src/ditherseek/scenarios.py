@@ -204,10 +204,9 @@ class Scenario:
             return analytic_lie_single_integrator(self.game, self.params)
         return analytic_lie_unicycle(self.game, self.params, self.Omega)
 
-    def generic_lie_field(self, omega: float | None = None) -> VectorField:
+    def generic_lie_field(self) -> VectorField:
         """Averaged flow via the generic bracket construction (cross-check path)."""
-        return build_lie_bracket_system(self.build_system(omega or self.omegas[0]),
-                                        self.nu_method)
+        return build_lie_bracket_system(self.build_system(self.omegas[0]), self.nu_method)
 
     @property
     def target(self) -> np.ndarray | None:

@@ -32,7 +32,6 @@ class AgentMap:
     fields built on the map refuse the non-finite value.
     """
 
-    index: int
     fn: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray] | None = None
 
@@ -349,16 +348,15 @@ class CompatibilityReport:
 
 
 def check_potential_compatibility(game: PotentialGame, samples: int = 1000,
-                                  tol: float = 1e-6, seed: int = 0,
-                                  halfwidth: float = 3.0) -> CompatibilityReport:
-    """Measure max over random points of the own-block gradient discrepancy.
+                                  tol: float = 1e-6, seed: int = 0) -> CompatibilityReport:
+    """Measure max over random points in [-3, 3]^(2N) of the own-block gradient defect.
 
     The gradients are collected per sample; the own-block defects of all
     samples are then reduced at once, so a nan defect reads nan (a FAIL).
     """
     rng = np.random.default_rng(seed)
     n = game.n_agents
-    pts = rng.uniform(-halfwidth, halfwidth, size=(samples, game.dim))
+    pts = rng.uniform(-3.0, 3.0, size=(samples, game.dim))
     # per sample, the agents' gradients and then the potential's
     grads = np.empty((samples, n + 1, game.dim))
     for s, x in enumerate(pts):
@@ -507,9 +505,9 @@ def three_agent_game() -> PotentialGame:
         return np.array([0.0, 0.0, 0.0, 0.0, -(x4 + 1.0), -3.0 * (x5 - 1.0)])
 
     maps = (
-        AgentMap(1, f_a, grad_f_a),
-        AgentMap(2, f_b, grad_f_b),
-        AgentMap(3, f_c, grad_f_c),
+        AgentMap(f_a, grad_f_a),
+        AgentMap(f_b, grad_f_b),
+        AgentMap(f_c, grad_f_c),
     )
     game = quadratic_game([1.0, 1.0, 1.0, 1.0, 1.0, 3.0], [1.0, 1.0, -1.0, -1.0, -1.0, 1.0])
     return replace(game, maps=maps)
@@ -532,5 +530,5 @@ def quadratic_game(q_diag, xstar) -> PotentialGame:
         return -q_diag * (np.asarray(x, dtype=float) - xstar)
 
     n = q_diag.size // 2
-    maps = tuple(AgentMap(i + 1, potential, potential_grad) for i in range(n))
+    maps = (AgentMap(potential, potential_grad),) * n
     return PotentialGame(maps, potential, potential_grad, maximizer=xstar)

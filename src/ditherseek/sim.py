@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import cumulative_simpson, fit_loglog_slope
+from ._quadrature import cumulative_simpson, even_intervals, fit_loglog_slope
 from .dynamics import FieldEvaluationError, InputAffineSystem, VectorField, assemble_rhs
 from .liebracket import nu_quadrature
 from .signals import DitherSignal, period_mean
@@ -408,7 +408,10 @@ def stability_probe(build_system, target, delta_list, epsilon: float, omegas,
 
     For each (delta, omega) cell, initial conditions are sampled on the
     delta-shell of the target; containment is the worst-case distance over
-    the whole run, attraction the worst case after t0 + t_f.
+    the whole run, attraction the worst case over the stored samples at or
+    after t0 + t_f. A sample short of t0 + t_f by rounding only, less than a
+    millionth of the storage spacing, counts as at t0 + t_f: with a horizon
+    equal to t_f, that is the final sample.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
@@ -437,9 +440,9 @@ def stability_probe(build_system, target, delta_list, epsilon: float, omegas,
                     attraction = math.inf
                     continue
                 containment = max(containment, float(np.max(dist)))
-                tail = traj.times >= t0 + t_f
-                if np.any(tail):
-                    attraction = max(attraction, float(np.max(dist[tail])))
+                # no stored sample at or after t_f is no evidence of attraction
+                tail = dist[math.ceil(t_f / traj.dt - 1e-6):]
+                attraction = max(attraction, float(np.max(tail)) if tail.size else math.inf)
             cells.append(ProbeCell(
                 delta=float(delta), omega=float(w),
                 containment_radius=containment, attraction_radius=attraction,
@@ -516,9 +519,7 @@ def averaging_decay_check(u: DitherSignal, t0: float, t_end: float, omegas,
     for w in omegas:
         period_t = u.period / (w * u.harmonic)
         step = period_t / K
-        n_int = math.ceil((t_end - t0) / step)
-        if n_int % 2:
-            n_int += 1
+        n_int = even_intervals(math.ceil((t_end - t0) / step))
         grid = t0 + step * np.arange(n_int + 1)
 
         y = np.asarray(u.eval_for_quadrature(grid, w * grid), dtype=float)

@@ -61,3 +61,18 @@ def test_tracer_instruments_a_run_and_restores_every_binding():
     assert counter.integrations[0][0] == traj.total_steps > 0
     changed = [key for key in before if after.get(key) is not before[key]]
     assert changed == []
+
+
+def test_a_traced_unicycle_rhs_calls_each_agent_map_once():
+    # traced systems evaluate their wrapped drift and channel fields one at a
+    # time; the stack's point cache keeps that at one call per agent map
+    tracer = _load_tracer()
+    with tracer.Patches() as patches:
+        spans = tracer.Tracer()
+        tracer.instrument(patches, tracer.StepCounter(), spans)
+        sc = scenarios.load_scenario("three_agent_unicycle")
+        rhs = dynamics.assemble_rhs(sc.build_system(sc.omegas[-1]))
+        before = spans.call_counts().get("seekers.agent_map", 0)
+        rhs.fn(0.3, sc.x0)
+        after = spans.call_counts()["seekers.agent_map"]
+    assert after - before == 3

@@ -5,6 +5,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from ditherseek import assemble_rhs, integrate, load_scenario
 from ditherseek.cli import RunConfig, main, run
 
 FAST_SCALAR = """
@@ -258,6 +259,36 @@ def test_verify_reports_nonfinite_jacobians_of_a_huge_heading_rate(tmp_path, cap
     assert "analytic Jacobians vs finite differences" in failed[0]
     assert "non-finite (nan or inf) Jacobian values at" in failed[0]
     assert captured.out.endswith("9/10 checks passed\n")
+
+
+@pytest.mark.parametrize("mode", ["simulate", "compare"])
+def test_omegas_with_one_file_tag_rejected(tmp_path, capsys, mode):
+    # both print as omega=20: one would overwrite the other's CSV and series
+    doc = tmp_path / "twin.yaml"
+    doc.write_text(FAST_SCALAR.replace("omega: [20.0, 60.0]", "omega: [20.0, 20.000001]"),
+                   encoding="utf-8")
+    status = main(["--scenario", str(doc), "--mode", mode, "--out", str(tmp_path / "o")])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "20.0 " in err and "20.000001" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_probe_attraction_at_a_horizon_equal_to_t_f_reads_the_final_sample(tmp_path, capsys):
+    # the last stored time rounds just below t_f; attraction must not read 0
+    doc = tmp_path / "edge.yaml"
+    doc.write_text(FAST_SCALAR.replace("omega: [20.0, 60.0]", "omega: [20.0]").replace(
+        "t_f: 2.0, boundary_samples: 2, horizon: 4.0",
+        "t_f: 1.39, boundary_samples: 2, horizon: 1.39"), encoding="utf-8")
+    assert main(["--scenario", str(doc), "--mode", "probe", "--out", str(tmp_path / "o")]) == 0
+    out = capsys.readouterr().out
+    sc = load_scenario(str(doc))
+    rhs = assemble_rhs(sc.build_system(20.0))
+    final = max(abs(integrate(rhs, sc.target + d, 1.39, policy=sc.policy).final_state[0]
+                    - sc.target[0]) for d in (-0.3, 0.3))
+    assert final > 0.0
+    assert f"attraction={final:.6g} " in out
+
 
 def test_probe_horizon_short_of_t_f_rejected(tmp_path, capsys):
     bad = tmp_path / "short.yaml"

@@ -180,7 +180,7 @@ def test_quadratic_single_agent_closed_form():
 
 
 def test_analytic_lie_requires_analytic_gradients():
-    fd_map = AgentMap(1, lambda x: -float(x[0] ** 2 + x[1] ** 2))
+    fd_map = AgentMap(lambda x: -float(x[0] ** 2 + x[1] ** 2))
     game = PotentialGame((fd_map,), lambda x: -float(x[0] ** 2 + x[1] ** 2))
     with pytest.raises(ValueError, match="gradient"):
         analytic_lie_single_integrator(game, [AgentParams(0.3, 1.0, 1.0, 1)])
@@ -289,14 +289,14 @@ def _stripped_game():
         return np.array([-(x[0] - 1.0), -(x[1] - 1.0), 0.0, 2.0 * x[3],
                          -2.0 * x[4] * e, -2.0 * x[5] * e])
 
-    maps = (AgentMap(1, f_a_stripped, grad_f_a_stripped),) + base.maps[1:]
+    maps = (AgentMap(f_a_stripped, grad_f_a_stripped),) + base.maps[1:]
     return PotentialGame(maps, base.potential, base.potential_grad, maximizer=base.maximizer)
 
 
 def _incompatible_game():
     # agent 1 seeks a different maximizer than the potential prescribes
     good = quadratic_game(np.ones(2), np.zeros(2))
-    bad_map = AgentMap(1, lambda x: -float((x[0] - 1.0) ** 2 + x[1] ** 2),
+    bad_map = AgentMap(lambda x: -float((x[0] - 1.0) ** 2 + x[1] ** 2),
                        lambda x: np.array([-2.0 * (x[0] - 1.0), -2.0 * x[1]]))
     return PotentialGame((bad_map,), good.potential, good.potential_grad)
 
@@ -316,7 +316,7 @@ def test_incompatible_game_is_detected():
 def _finite_difference_game():
     # the bundled game with every agent gradient by central differences
     base = three_agent_game()
-    return replace(base, maps=tuple(AgentMap(m.index, m.fn) for m in base.maps))
+    return replace(base, maps=tuple(AgentMap(m.fn) for m in base.maps))
 
 
 @pytest.mark.parametrize("make_game", [
@@ -348,7 +348,7 @@ def test_compatibility_reduction_equals_the_per_sample_loop(make_game):
 def test_a_nan_gradient_fails_the_compatibility_check():
     # the defects are reduced at once, so a nan one is not dropped by max()
     good = quadratic_game(np.ones(2), np.zeros(2))
-    nan_map = AgentMap(1, good.potential,
+    nan_map = AgentMap(good.potential,
                        lambda x: np.full(2, math.nan) if x[0] > 0.0 else good.potential_grad(x))
     rep = check_potential_compatibility(
         PotentialGame((nan_map,), good.potential, good.potential_grad), samples=50)
@@ -377,7 +377,7 @@ def test_bundled_map_gradients_match_finite_differences():
     for _ in range(20):
         x = RNG.uniform(-2.5, 2.5, 6)
         for m in game.maps:
-            fd = AgentMap(m.index, m.fn).gradient(x)  # forced finite differences
+            fd = AgentMap(m.fn).gradient(x)  # forced finite differences
             scale = max(1.0, float(np.max(np.abs(fd))))
             assert np.max(np.abs(m.gradient(x) - fd)) / scale < 1e-5
 

@@ -345,6 +345,20 @@ def test_probe_integrates_each_distinct_start_once(monkeypatch):
     assert "samples/shell=2" in rep.summary()
 
 
+def test_probe_tail_at_a_horizon_equal_to_t_f_is_the_final_sample():
+    # t0 + dt * steps rounds below t_f here, so the last stored sample lies
+    # just short of t_f; it is still the sample at t_f, not an empty tail
+    policy = StepPolicy(max_step=0.0137, output_stride=20)
+    t_f = 0.01998330550918197
+    unstable = VectorField(1, lambda t, x: x)
+    final = integrate(unstable, [0.3], t_f, policy=policy)
+    assert final.final_time < t_f
+    rep = stability_probe(lambda w: unstable, np.zeros(1), delta_list=[0.3], epsilon=0.6,
+                          omegas=[20.0], t_f=t_f, boundary_samples=2, horizon=t_f,
+                          policy=policy)
+    assert rep.cells[0].attraction_radius == abs(final.final_state[0]) > 0.3
+
+
 def test_probe_keeps_distinct_directions_in_their_order():
     dirs = sim._sphere_directions(8, 9, 2023)
     assert dirs.shape == (8, 9)

@@ -272,6 +272,24 @@ def test_bracket_is_the_per_pair_formula_on_the_row_views(name, t, offsets):
     assert np.max(np.abs(got - want)) <= 1e-6 * max(1.0, float(np.max(np.abs(terms))))
 
 
+@pytest.mark.parametrize("build", [assemble_rhs, build_lie_bracket_system])
+def test_the_basis_is_evaluated_once_per_stage_time(build):
+    # RK4 meets 2S + 1 distinct stage times in S steps; the RHS reaches L(t)
+    # through its memo, the bracket through the stack's one-entry cache
+    sys = _hand_factored_system()
+    calls = []
+    basis = sys.stack.basis
+
+    def counting(t):
+        calls.append(t)
+        return basis(t)
+
+    sys.stack.basis = counting
+    traj = integrate(build(sys), np.zeros(2), 0.5, policy=StepPolicy(max_step=0.01))
+    assert traj.total_steps > 1
+    assert len(calls) == 2 * traj.total_steps + 1
+
+
 def test_constructor_refuses_an_inconsistent_layout():
     layout = np.zeros((3, 2, 1, 2))
     with pytest.raises(ValueError, match="basis"):
