@@ -21,13 +21,12 @@ import numpy as np
 
 from .dynamics import FieldEvaluationError, assemble_rhs, finite_diff_jacobian
 from .liebracket import nu_closed_form, nu_quadrature
-from .scenarios import (Scenario, ScenarioError, check_omegas, list_bundled,
-                        load_scenario, step_policy)
+from .scenarios import Scenario, ScenarioError, checked, list_bundled, load_scenario
 from .seekers import check_maximizer_stationarity, check_potential_compatibility
 from .signals import cosine, sine, validate_assumptions
-from .sim import (final_distance, integrate, non_increasing, omega_sweep,
-                  stability_probe, step_count, sup_distance, write_long_csv,
-                  write_sweep_csv, write_trajectory_csv)
+from .sim import (checked_omegas, final_distance, integrate, non_increasing,
+                  omega_sweep, stability_probe, step_count, sup_distance,
+                  write_long_csv, write_sweep_csv, write_trajectory_csv)
 
 MODES = ("simulate", "compare", "sweep", "probe", "verify")
 
@@ -54,14 +53,14 @@ def _resolved(scenario: Scenario, config: RunConfig) -> Scenario:
         raise ScenarioError(f"--seed must be non-negative, got {config.seed}")
     updates = {}
     if config.omegas:
-        updates["omegas"] = check_omegas(sorted(config.omegas), "--omega")
+        updates["omegas"] = checked("--omega", checked_omegas, sorted(config.omegas))
     if config.horizon is not None:
         if not (math.isfinite(config.horizon) and config.horizon > 0.0):
             raise ScenarioError(f"--horizon must be finite and positive, got {config.horizon}")
         updates["horizon"] = config.horizon
     if config.samples_per_period is not None:
-        updates["policy"] = step_policy(scenario.policy, "--samples-per-period",
-                                        samples_per_period=config.samples_per_period)
+        updates["policy"] = checked("--samples-per-period", replace, scenario.policy,
+                                    samples_per_period=config.samples_per_period)
     sc = replace(scenario, **updates) if updates else scenario
     # omegas name output files and report rows by their tag; they increase,
     # so equal tags are neighbours
@@ -72,10 +71,8 @@ def _resolved(scenario: Scenario, config: RunConfig) -> Scenario:
     # runs stay within sim.MAX_STEPS (averaged flows step no finer than these)
     horizon = sc.probe.horizon if config.mode == "probe" and sc.probe else sc.horizon
     for w in sc.omegas if config.mode != "verify" else ():
-        try:
-            step_count(horizon, sc.build_system(w).fast_rate, sc.policy)
-        except ValueError as exc:
-            raise ScenarioError(f"omega={w:g}: {exc}") from None
+        checked(f"omega={w:g}", step_count, horizon, sc.build_system(w).fast_rate,
+                sc.policy)
     return sc
 
 
@@ -125,10 +122,7 @@ def _run_compare(sc: Scenario, config: RunConfig) -> int:
         lines.append("sup_error decreases with omega: "
                      f"{'yes' if non_increasing(sups) else 'NO'}")
     write_long_csv(named, config.out / f"{sc.name}_compare_long.csv")
-    summary = "\n".join(lines)
-    (config.out / f"{sc.name}_compare_summary.txt").write_text(summary + "\n",
-                                                               encoding="utf-8")
-    print(summary)
+    _report(sc, config, "compare_summary", "\n".join(lines))
     return 0
 
 
@@ -138,9 +132,7 @@ def _run_sweep(sc: Scenario, config: RunConfig) -> int:
     report = omega_sweep(sc.build_system, sc.lie_field(), sc.omegas, sc.x0,
                          sc.horizon, policy=sc.policy, target=sc.target)
     write_sweep_csv(report, config.out / f"{sc.name}_sweep.csv")
-    (config.out / f"{sc.name}_sweep.txt").write_text(report.summary() + "\n",
-                                                     encoding="utf-8")
-    print(report.summary())
+    _report(sc, config, "sweep", report.summary())
     return 0
 
 
@@ -155,9 +147,7 @@ def _run_probe(sc: Scenario, config: RunConfig) -> int:
                              boundary_samples=probe.boundary_samples,
                              horizon=probe.horizon, policy=sc.policy,
                              seed=config.seed)
-    (config.out / f"{sc.name}_probe.txt").write_text(report.summary() + "\n",
-                                                     encoding="utf-8")
-    print(report.summary())
+    _report(sc, config, "probe", report.summary())
     return 0
 
 
@@ -244,10 +234,14 @@ def _run_verify(sc: Scenario, config: RunConfig) -> int:
         lines.append(f"  [{'PASS' if c.passed else 'FAIL'}] {c.name:<{width}}  {c.detail}")
     failures = sum(not c.passed for c in checks)
     lines.append(f"{len(checks) - failures}/{len(checks)} checks passed")
-    text = "\n".join(lines)
-    (config.out / f"{sc.name}_verify.txt").write_text(text + "\n", encoding="utf-8")
-    print(text)
+    _report(sc, config, "verify", "\n".join(lines))
     return failures
+
+
+def _report(sc: Scenario, config: RunConfig, kind: str, text: str):
+    """Write ``text`` to ``<name>_<kind>.txt`` in the output directory and print it."""
+    (config.out / f"{sc.name}_{kind}.txt").write_text(text + "\n", encoding="utf-8")
+    print(text)
 
 
 def run(config: RunConfig) -> int:

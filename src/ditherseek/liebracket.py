@@ -31,6 +31,8 @@ from .signals import DitherSignal
 # quadrature values below this are treated as structural zeros when the
 # averaged field is assembled
 _NU_ZERO_TOL = 1e-12
+# nu quadrature grids stay within megabytes: 256 times the default of 4,096
+MAX_NU_NODES = 1 << 20
 
 
 class PrecisionWarning(UserWarning):
@@ -78,10 +80,11 @@ def nu_quadrature(outer: DitherSignal, inner: DitherSignal, t: float = 0.0,
     """Composite-Simpson evaluation of nu over one shared period.
 
     The inner running integral is accumulated with cumulative Simpson on the
-    same grid. ``nodes`` counts subintervals (rounded up to even, >= 8).
+    same grid. ``nodes`` counts subintervals (rounded up to even, from 8 to
+    MAX_NU_NODES).
     """
-    if nodes < 8:
-        raise ValueError("nu quadrature needs at least 8 nodes")
+    if not 8 <= nodes <= MAX_NU_NODES:
+        raise ValueError(f"nu quadrature needs from 8 to {MAX_NU_NODES:,} nodes, got {nodes}")
     if abs(outer.period - inner.period) > 1e-12 * max(outer.period, inner.period):
         raise ValueError("nu is defined for signals sharing one period")
     T = outer.period
@@ -98,7 +101,8 @@ def _parse_nu_method(nu_method: str):
     """The evaluator (outer, inner[, t]) -> nu named by "closed_form",
     "quadrature" (4096 nodes) or "quadrature:<nodes>".
 
-    Raises ValueError for any other value and for fewer than 8 nodes.
+    Raises ValueError for any other value and for node counts outside 8 to
+    MAX_NU_NODES.
     """
     if nu_method == "closed_form":
         return lambda outer, inner, t=0.0: nu_closed_form(outer, inner)
@@ -113,8 +117,9 @@ def _parse_nu_method(nu_method: str):
         except ValueError:
             raise ValueError(f"nu method {nu_method!r}: node count must be an "
                              "integer") from None
-    if nodes < 8:
-        raise ValueError(f"nu method {nu_method!r}: quadrature needs at least 8 nodes")
+    if not 8 <= nodes <= MAX_NU_NODES:
+        raise ValueError(f"nu method {nu_method!r}: quadrature needs from 8 to "
+                         f"{MAX_NU_NODES:,} nodes")
     # nu_quadrature is looked up per call, so a rebound name is honoured
     return lambda outer, inner, t=0.0: nu_quadrature(outer, inner, t, nodes)
 

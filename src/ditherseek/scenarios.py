@@ -24,7 +24,7 @@ A scenario is a YAML document. Keys (strict mode rejects anything else):
                     configuration that only supports simulate mode (no
                     averaged counterpart exists for that scaling)
     nu_method       "closed_form" | "quadrature" | "quadrature:<nodes>" with
-                    <nodes> an integer >= 8 (optional)
+                    <nodes> an integer from 8 to 1,048,576 (optional)
     step            {samples_per_period?, max_step?, output_stride?} (optional);
                     samples_per_period an integer >= 4, output_stride >= 1
     probe           {delta: [...], epsilon, t_f, boundary_samples?, horizon?}
@@ -65,6 +65,14 @@ class ScenarioError(ValueError):
 
 def _fail(path: str, message: str):
     raise ScenarioError(f"{path}: {message}")
+
+
+def checked(path: str, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``; a ValueError it raises becomes a ScenarioError at ``path``."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        _fail(path, str(exc))
 
 
 def _require_keys(block: dict, path: str, required: set[str], optional: set[str]):
@@ -114,22 +122,6 @@ def _count(value, path: str, minimum: int, maximum: int) -> int:
     if not minimum <= value <= maximum:
         _fail(path, f"must be from {minimum} to {maximum:,}, got {value}")
     return value
-
-
-def check_omegas(omegas, path: str) -> tuple[float, ...]:
-    """Frequencies from a scenario or an override: finite, positive, strictly increasing."""
-    try:
-        return checked_omegas(omegas)
-    except ValueError as exc:
-        _fail(path, str(exc))
-
-
-def step_policy(policy: StepPolicy, path: str, **changes) -> StepPolicy:
-    """``policy`` with ``changes`` applied; invalid values raise ScenarioError."""
-    try:
-        return replace(policy, **changes)
-    except ValueError as exc:
-        _fail(path, str(exc))
 
 
 def _vector(value, path: str) -> np.ndarray:
@@ -251,10 +243,7 @@ def _parse_map(block, kind: str, path: str):
         _require_keys(payload, f"{path}.quadratic", {"q_diag", "xstar"}, set())
         q_diag = _vector(payload["q_diag"], f"{path}.quadratic.q_diag")
         xstar = _vector(payload["xstar"], f"{path}.quadratic.xstar")
-        try:
-            return quadratic_game(q_diag, xstar)
-        except ValueError as exc:
-            _fail(f"{path}.quadratic", str(exc))
+        return checked(f"{path}.quadratic", quadratic_game, q_diag, xstar)
     if selector == "quadratic1d":
         if kind != "scalar":
             _fail(path, "quadratic1d maps apply to scalar dynamics only")
@@ -269,17 +258,13 @@ def _parse_agents(block, path: str) -> tuple[AgentParams, ...]:
     for k, entry in enumerate(block):
         p = f"{path}[{k}]"
         _require_keys(entry, p, {"c", "alpha", "h", "a"}, {"d"})
-        try:
-            out.append(AgentParams(
-                c=_number(entry["c"], f"{p}.c"),
-                alpha=_number(entry["alpha"], f"{p}.alpha"),
-                h=_number(entry["h"], f"{p}.h"),
-                a=_ratio(entry["a"], f"{p}.a"),
-                d=_ratio(entry["d"], f"{p}.d") if "d" in entry else None))
-        except ValueError as exc:
-            if isinstance(exc, ScenarioError):
-                raise
-            _fail(p, str(exc))
+        out.append(checked(
+            p, AgentParams,
+            c=_number(entry["c"], f"{p}.c"),
+            alpha=_number(entry["alpha"], f"{p}.alpha"),
+            h=_number(entry["h"], f"{p}.h"),
+            a=_ratio(entry["a"], f"{p}.a"),
+            d=_ratio(entry["d"], f"{p}.d") if "d" in entry else None))
     return tuple(out)
 
 
@@ -292,7 +277,7 @@ def _parse_step(block, path: str) -> StepPolicy:
         kwargs["max_step"] = _number(block["max_step"], f"{path}.max_step")
     if "output_stride" in block:
         kwargs["output_stride"] = block["output_stride"]
-    return step_policy(StepPolicy(), path, **kwargs)
+    return checked(path, StepPolicy, **kwargs)
 
 
 def _parse_probe(block, path: str) -> ProbeConfig:
@@ -334,7 +319,8 @@ def parse_scenario(doc: dict, strict: bool = True) -> Scenario:
     if kind not in DYNAMICS_KINDS:
         _fail("scenario.dynamics", f"must be one of {DYNAMICS_KINDS}")
 
-    omegas = check_omegas(_vector(doc["omega"], "scenario.omega"), "scenario.omega")
+    omegas = checked("scenario.omega", checked_omegas,
+                     _vector(doc["omega"], "scenario.omega"))
 
     horizon = _number(doc["horizon"], "scenario.horizon")
     if horizon <= 0.0:
@@ -345,10 +331,7 @@ def parse_scenario(doc: dict, strict: bool = True) -> Scenario:
     probe = _parse_probe(doc["probe"], "scenario.probe") if "probe" in doc else None
 
     nu_method = doc.get("nu_method", "closed_form")
-    try:
-        _parse_nu_method(nu_method)
-    except ValueError as exc:
-        _fail("scenario.nu_method", str(exc))
+    checked("scenario.nu_method", _parse_nu_method, nu_method)
 
     exponent = _number(doc.get("amplitude_exponent", 0.5),
                        "scenario.amplitude_exponent")
@@ -379,10 +362,7 @@ def parse_scenario(doc: dict, strict: bool = True) -> Scenario:
         names = doc.get("dither", ["cosine:1", "sine:1"])
         if not isinstance(names, list) or len(names) != 2:
             _fail("scenario.dither", "expected a pair of 'kind:n' strings")
-        try:
-            dithers = (from_name(str(names[0])), from_name(str(names[1])))
-        except ValueError as exc:
-            _fail("scenario.dither", str(exc))
+        dithers = tuple(checked("scenario.dither", from_name, str(n)) for n in names)
         if x0.size != 1:
             _fail("scenario.initial_state", "scalar dynamics have one state")
         return Scenario(**common, alpha=alpha, scalar_map=smap, dithers=dithers)
@@ -404,10 +384,7 @@ def parse_scenario(doc: dict, strict: bool = True) -> Scenario:
         Omega = _number(doc["Omega"], "scenario.Omega")
     elif "Omega" in doc:
         _fail("scenario.Omega", "only unicycle dynamics take a base angular rate")
-    try:
-        _check_params(game, params, Omega)
-    except ValueError as exc:
-        _fail("scenario", str(exc))
+    checked("scenario", _check_params, game, params, Omega)
     if x0.size != 3 * game.n_agents:
         _fail("scenario.initial_state",
               f"expected length {3 * game.n_agents} (2N positions + N filters)")
@@ -422,7 +399,7 @@ def load_scenario(source, strict: bool = True) -> Scenario:
         return bundled_scenario(str(source), strict=strict)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario file {source}: {exc}") from exc
     return parse_scenario_text(text, strict=strict)
 
@@ -434,8 +411,10 @@ def parse_scenario_text(text: str, strict: bool = True) -> Scenario:
         mark = exc.problem_mark
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         raise ScenarioError(f"scenario syntax error{where}: {exc.problem}") from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: a bad !!int or date
         raise ScenarioError(f"scenario syntax error: {exc}") from exc
+    except RecursionError:
+        raise ScenarioError("scenario syntax error: nested too deep") from None
     return parse_scenario(doc, strict=strict)
 
 

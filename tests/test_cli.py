@@ -351,15 +351,37 @@ def test_sweep_with_one_omega_fails_cleanly(scalar_file, tmp_path, capsys):
     assert err.startswith("error:") and "two omega" in err
 
 
-@pytest.mark.parametrize("value", ["quadrature:abc", "quadrature:4"])
-def test_bad_nu_method_fails_cleanly(tmp_path, capsys, value):
+def _no_quadrature(*args, **kwargs):
+    raise AssertionError("nu quadrature reached")
+
+
+@pytest.mark.parametrize("value", ["quadrature:abc", "quadrature:4",
+                                   "quadrature:100000000000"])
+def test_bad_nu_method_fails_cleanly(tmp_path, capsys, monkeypatch, value):
+    # a grid of 10^11 nodes would need 745 GiB: the refusal comes before any quadrature
+    monkeypatch.setattr("ditherseek.liebracket.nu_quadrature", _no_quadrature)
     doc = tmp_path / "bad.yaml"
     doc.write_text(FAST_SCALAR + f"nu_method: {value}\n", encoding="utf-8")
-    status = main(["--scenario", str(doc), "--mode", "compare",
+    out = tmp_path / "o"
+    status = main(["--scenario", str(doc), "--mode", "compare", "--out", str(out)])
+    assert status == 2
+    assert capsys.readouterr().err.startswith("error: scenario.nu_method:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("data,message", [
+    (b"\xff\xfe\x00bad", "cannot read scenario file"),
+    (FAST_SCALAR.replace("omega: [20.0, 60.0]", "omega: " + "[" * 500 + "20.0" + "]" * 500)
+     .encode(), "scenario syntax error"),
+    ((FAST_SCALAR + "description: 2001-13-01\n").encode(), "scenario syntax error"),
+], ids=["not_utf8", "nested_500_deep", "bad_date"])
+def test_unreadable_scenario_file_fails_cleanly(tmp_path, capsys, data, message):
+    doc = tmp_path / "bad.yaml"
+    doc.write_bytes(data)
+    status = main(["--scenario", str(doc), "--mode", "simulate",
                    "--out", str(tmp_path / "o")])
     assert status == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "nu_method" in err
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_scenario_name_cannot_escape_the_output_directory(tmp_path, capsys):
@@ -385,3 +407,38 @@ def test_output_path_taken_fails_cleanly(scalar_file, tmp_path, capsys, taken, a
     assert status == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write output:") and str(path) in err
+
+
+@pytest.mark.parametrize("doc,old,new,flags,line", [
+    ("scalar_basic", "omega: [100.0, 400.0, 1600.0]", "omega: [100.0, 50.0]", [],
+     "scenario.omega: frequencies must be distinct and strictly increasing"),
+    ("scalar_basic", '["cosine:1", "sine:1"]', '["cosine:0", "sine:1"]', [],
+     "scenario.dither: harmonic must be a positive integer"),
+    ("scalar_basic", "nu_method: closed_form", "nu_method: foo", [],
+     "scenario.nu_method: unknown nu method 'foo'; expected closed_form or "
+     "quadrature:<nodes>"),
+    ("scalar_basic", "samples_per_period: 40", "samples_per_period: 2", [],
+     "scenario.step: samples_per_period must be at least 4, got 2"),
+    ("three_agent_unicycle", 'c: "3/10"', "c: -1", [],
+     "scenario.agents[0]: feedback gain c must be nonnegative"),
+    ("three_agent_unicycle", 'c: "3/10"', 'c: "x"', [],
+     "scenario.agents[0].c: cannot parse 'x' as a number"),
+    ("three_agent_unicycle", 'a: "1"', 'a: "2"', [],
+     "scenario: dither frequency ratios must be distinct across agents"),
+    ("three_agent_unicycle", "map: {builtin: three_agent}",
+     "map: {quadratic: {q_diag: [1, 1, 1, 1, 1, -3], xstar: [0, 0, 0, 0, 0, 0]}}", [],
+     "scenario.map.quadratic: quadratic weights must be positive"),
+    ("three_agent_unicycle", "omega: [8.0, 80.0]", "omega: [8.0, 1e307]", [],
+     "omega=1e+307: fast rate 3e+307 gives the step 0, not positive"),
+    ("scalar_basic", "", "", ["--omega", "nan"],
+     "--omega: frequencies must be finite and positive, got [nan]"),
+    ("scalar_basic", "", "", ["--samples-per-period", "2"],
+     "--samples-per-period: samples_per_period must be at least 4, got 2"),
+])
+def test_refusal_lines_are_pinned(tmp_path, capsys, doc, old, new, flags, line):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(_bundled_text(doc).replace(old, new, 1), encoding="utf-8")
+    status = main(["--scenario", str(bad), *flags, "--mode", "compare",
+                   "--horizon", "0.05", "--out", str(tmp_path / "o")])
+    assert status == 2
+    assert capsys.readouterr().err == f"error: {line}\n"

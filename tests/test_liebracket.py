@@ -9,6 +9,7 @@ import pytest
 from ditherseek import (InputAffineSystem, PrecisionWarning, UnsupportedSignalError,
                         VectorField, build_lie_bracket_system, cosine, custom,
                         lie_bracket, nu_closed_form, nu_quadrature, sine, square)
+from ditherseek.liebracket import MAX_NU_NODES
 
 RNG = np.random.default_rng(42)
 
@@ -150,6 +151,8 @@ def test_nu_quadrature_matches_closed_form(outer_kind, inner_kind, n_outer, n_in
 def test_nu_quadrature_validates_inputs():
     with pytest.raises(ValueError):
         nu_quadrature(sine(1), cosine(1), nodes=4)
+    with pytest.raises(ValueError):
+        nu_quadrature(sine(1), cosine(1), nodes=MAX_NU_NODES + 1)
     with pytest.raises(ValueError):
         nu_quadrature(sine(1), custom(lambda t, th: np.sin(th), period=1.0))
 

@@ -210,10 +210,16 @@ def test_nu_method_quadrature_roundtrip():
 
 
 @pytest.mark.parametrize("value", ["quadrature:abc", "quadrature:4", "quadrature:",
-                                   "simpson", "closed_form:8"])
+                                   "simpson", "closed_form:8", "quadrature:1048577",
+                                   "quadrature:100000000000"])
 def test_nu_method_rejected_at_load_time(value):
     with pytest.raises(ScenarioError, match="nu_method"):
         parse_scenario_text(MINIMAL_AGENT + f'nu_method: "{value}"\n')
+
+
+def test_nu_method_at_the_node_bound_loads():
+    sc = parse_scenario_text(MINIMAL_AGENT + 'nu_method: "quadrature:1048576"\n')
+    assert sc.nu_method == "quadrature:1048576"
 
 
 @pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", "..", ""])
@@ -318,6 +324,26 @@ def test_load_scenario_from_file(tmp_path):
     p.write_text(MINIMAL_AGENT, encoding="utf-8")
     sc = load_scenario(p)
     assert sc.name == "mini"
+
+
+def _nested_omega(depth):
+    # block style ("- - - 100.0"): the scanner's cost grows with the square
+    # of the depth of flow-style ("[[[") nesting, not of block-style nesting
+    text = yaml.safe_dump({k: v for k, v in SCALAR_DOC.items() if k != "omega"})
+    return (text + "omega:\n" + "- " * depth + "100.0\n").encode()
+
+
+@given(data=st.one_of(st.binary(), st.integers(1, 2000).map(_nested_omega)))
+@settings(max_examples=200, deadline=None)
+def test_any_scenario_file_loads_or_raises_scenario_error(tmp_path_factory, data):
+    # arbitrary bytes (often not UTF-8) and omega lists nested past what the
+    # YAML parser can recurse through
+    path = tmp_path_factory.mktemp("fuzz") / "doc.yaml"
+    path.write_bytes(data)
+    try:
+        load_scenario(path)
+    except ScenarioError:
+        pass
 
 
 def test_load_scenario_unknown_bundled_name():
