@@ -24,8 +24,7 @@ from .liebracket import nu_closed_form, nu_quadrature
 from .scenarios import Scenario, ScenarioError, checked, list_bundled, load_scenario
 from .seekers import check_maximizer_stationarity, check_potential_compatibility
 from .signals import cosine, sine, validate_assumptions
-from .sim import (checked_omegas, final_distance, integrate, non_increasing,
-                  omega_sweep, stability_probe, step_count, sup_distance,
+from .sim import (checked_omegas, integrate, omega_sweep, stability_probe, step_count,
                   write_long_csv, write_sweep_csv, write_trajectory_csv)
 
 MODES = ("simulate", "compare", "sweep", "probe", "verify")
@@ -76,51 +75,42 @@ def _resolved(scenario: Scenario, config: RunConfig) -> Scenario:
     return sc
 
 
-def _omega_tag(w: float) -> str:
-    return f"{w:g}".replace(".", "p")
-
-
-def _oscillatory_run(sc: Scenario, config: RunConfig, w: float):
-    """Integrate the oscillatory system at ``w``; write its CSV; return both."""
-    traj = integrate(assemble_rhs(sc.build_system(w)), sc.x0, sc.horizon,
-                     policy=sc.policy)
-    out = config.out / f"{sc.name}_omega{_omega_tag(w)}.csv"
-    write_trajectory_csv(traj, out)
-    return traj, out
+def _omega_csv(sc: Scenario, config: RunConfig, w: float) -> Path:
+    tag = f"{w:g}".replace(".", "p")
+    return config.out / f"{sc.name}_omega{tag}.csv"
 
 
 def _run_simulate(sc: Scenario, config: RunConfig) -> int:
     for w in sc.omegas:
-        traj, out = _oscillatory_run(sc, config, w)
+        traj = integrate(assemble_rhs(sc.build_system(w)), sc.x0, sc.horizon,
+                         policy=sc.policy)
+        out = _omega_csv(sc, config, w)
+        write_trajectory_csv(traj, out)
         print(f"wrote {out}" + (" (diverged)" if traj.diverged else ""))
     return 0
 
 
+def _omega_sweep(sc: Scenario):
+    return omega_sweep(sc.build_system, sc.lie_field(), sc.omegas, sc.x0, sc.horizon,
+                       policy=sc.policy, target=sc.target)
+
+
 def _run_compare(sc: Scenario, config: RunConfig) -> int:
-    lie_traj = integrate(sc.lie_field(), sc.x0, sc.horizon, policy=sc.policy)
-    lie_path = config.out / f"{sc.name}_averaged.csv"
-    write_trajectory_csv(lie_traj, lie_path)
-    named = {"averaged": lie_traj}
-    target = sc.target
+    report = _omega_sweep(sc)
+    write_trajectory_csv(report.lie_trajectory, config.out / f"{sc.name}_averaged.csv")
+    named = {"averaged": report.lie_trajectory}
     lines = [f"compared against the averaged flow over horizon {sc.horizon:g}"]
-    if target is not None:
-        lines.append("averaged flow final distance to target: "
-                     f"{final_distance(lie_traj, target):.6g}")
-    sups = []
-    for w in sc.omegas:
-        traj, _ = _oscillatory_run(sc, config, w)
-        named[f"omega={w:g}"] = traj
-        sup = sup_distance(traj, lie_traj)
-        sups.append(sup)
-        row = f"omega={w:g}: sup_error={sup:.6g}"
-        if target is not None:
-            row += f" final_distance={final_distance(traj, target):.6g}"
-        if traj.diverged:
-            row += " DIVERGED"
-        lines.append(row)
-    if len(sups) >= 2:
-        lines.append("sup_error decreases with omega: "
-                     f"{'yes' if non_increasing(sups) else 'NO'}")
+    if sc.target is not None:
+        lines.append(f"averaged flow final distance to target: {report.lie_final_distance:.6g}")
+    for r in report.records:
+        write_trajectory_csv(r.trajectory, _omega_csv(sc, config, r.omega))
+        named[f"omega={r.omega:g}"] = r.trajectory
+        row = f"omega={r.omega:g}: sup_error={r.sup_error:.6g}"
+        if sc.target is not None:
+            row += f" final_distance={r.final_distance_to_target:.6g}"
+        lines.append(row + (" DIVERGED" if r.diverged else ""))
+    if report.verdict:
+        lines.append(f"sup_error decreases with omega: {report.verdict}")
     write_long_csv(named, config.out / f"{sc.name}_compare_long.csv")
     _report(sc, config, "compare_summary", "\n".join(lines))
     return 0
@@ -129,8 +119,7 @@ def _run_compare(sc: Scenario, config: RunConfig) -> int:
 def _run_sweep(sc: Scenario, config: RunConfig) -> int:
     if len(sc.omegas) < 2:
         raise ScenarioError("sweep mode needs at least two omega values")
-    report = omega_sweep(sc.build_system, sc.lie_field(), sc.omegas, sc.x0,
-                         sc.horizon, policy=sc.policy, target=sc.target)
+    report = _omega_sweep(sc)
     write_sweep_csv(report, config.out / f"{sc.name}_sweep.csv")
     _report(sc, config, "sweep", report.summary())
     return 0

@@ -37,6 +37,7 @@ Numeric values may be written as decimals or as rational strings ("3/10").
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
@@ -57,6 +58,14 @@ from .sim import MAX_BOUNDARY_SAMPLES, StepPolicy, checked_omegas
 
 BUILTIN_GAMES = {"three_agent": three_agent_game}
 DYNAMICS_KINDS = ("scalar", "single_integrator", "unicycle")
+
+# flow collections ("[[[" or "{{{") nested deeper than this are refused before
+# PyYAML, whose scanner takes time quadratic in their depth (2,000 levels take
+# over a second); the bundled scenarios nest 2 deep
+MAX_FLOW_DEPTH = 100
+# a quoted scalar (a quote that starts a token), a comment, or a flow bracket
+_FLOW_TOKEN = re.compile(r"""(?<![^\s\[{,:])(?:"(?:[^"\\]|\\.)*"|'(?:[^']|'')*')"""
+                         r"|(?<!\S)#.*|[\[\]{}]")
 
 
 class ScenarioError(ValueError):
@@ -404,7 +413,21 @@ def load_scenario(source, strict: bool = True) -> Scenario:
     return parse_scenario_text(text, strict=strict)
 
 
+def _check_flow_depth(text: str) -> None:
+    depth = 0
+    for token in _FLOW_TOKEN.finditer(text):
+        bracket = token.group()
+        if bracket in ("[", "{"):
+            depth += 1
+            if depth > MAX_FLOW_DEPTH:
+                raise ScenarioError("scenario syntax error: flow collections nested "
+                                    f"more than {MAX_FLOW_DEPTH} deep")
+        elif bracket in ("]", "}"):
+            depth = max(0, depth - 1)
+
+
 def parse_scenario_text(text: str, strict: bool = True) -> Scenario:
+    _check_flow_depth(text)
     try:
         doc = yaml.safe_load(text)
     except yaml.MarkedYAMLError as exc:

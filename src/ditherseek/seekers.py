@@ -489,11 +489,14 @@ def three_agent_game() -> PotentialGame:
 
     def f_b(x):
         x0, x1, x2, x3, _, _ = x.tolist()
-        return -0.5 * (x2 + 1.0) ** 2 - 0.5 * (x3 + 1.0) ** 2 + math.sin(x0 + x1) - 10.0
+        s = x0 + x1  # math.sin raises ValueError on inf, where numpy gives nan
+        return (-0.5 * (x2 + 1.0) ** 2 - 0.5 * (x3 + 1.0) ** 2
+                + (math.sin(s) if math.isfinite(s) else math.nan) - 10.0)
 
     def grad_f_b(x):
         x0, x1, x2, x3, _, _ = x.tolist()
-        cc = math.cos(x0 + x1)
+        s = x0 + x1
+        cc = math.cos(s) if math.isfinite(s) else math.nan
         return np.array([cc, cc, -(x2 + 1.0), -(x3 + 1.0), 0.0, 0.0])
 
     def f_c(x):

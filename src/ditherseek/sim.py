@@ -9,6 +9,9 @@ Stability verdicts produced here are reported as "consistent with / not
 falsified at the tested omega": the definitions quantify over all
 sufficiently large omega, which no finite sweep can prove.
 
+:func:`omega_sweep` alone integrates the averaged flow and each omega's
+oscillatory system against it; a one-omega report gives no verdict.
+
 Every (omega, initial-condition) cell of a sweep or probe is an independent
 integration over immutable inputs, so cells can be farmed out to concurrent
 workers; the serial loops here are simply the baseline schedule.
@@ -20,7 +23,7 @@ import math
 import numbers
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -251,12 +254,6 @@ def _rhs_of(system) -> VectorField:
     raise TypeError("expected an InputAffineSystem or VectorField")
 
 
-def non_increasing(errors) -> bool:
-    """The sweep verdict: every error finite and none larger than the one before."""
-    return (all(math.isfinite(e) for e in errors)
-            and all(b <= a for a, b in zip(errors, errors[1:])))
-
-
 @dataclass(frozen=True)
 class OmegaRecord:
     omega: float
@@ -265,15 +262,18 @@ class OmegaRecord:
     steps: int
     wall_time: float
     diverged: bool = False
+    trajectory: Trajectory | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class SweepReport:
-    """Per-omega approximation errors against the averaged reference flow."""
+    """Per-omega approximation errors against the averaged reference flow,
+    with the measured trajectories when :func:`omega_sweep` built it."""
 
     records: tuple[OmegaRecord, ...]
     horizon: float
     lie_final_distance: float = math.nan
+    lie_trajectory: Trajectory | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "records", tuple(self.records))
@@ -289,7 +289,15 @@ class SweepReport:
 
     @property
     def monotone_decreasing(self) -> bool:
-        return non_increasing(self.sup_errors)
+        # one record is no evidence of a trend: False, not yes
+        errors = self.sup_errors
+        return (len(errors) > 1 and all(math.isfinite(e) for e in errors)
+                and all(b <= a for a, b in zip(errors, errors[1:])))
+
+    @property
+    def verdict(self) -> str | None:
+        """:attr:`monotone_decreasing` as "yes" or "NO"; None (no verdict) for one record."""
+        return None if len(self.records) < 2 else "yes" if self.monotone_decreasing else "NO"
 
     def decay_slope(self) -> float:
         return fit_loglog_slope(np.array(self.omegas), np.array(self.sup_errors))
@@ -304,8 +312,8 @@ class SweepReport:
                 f"steps={r.steps} wall={r.wall_time:.2f}s{flag}")
         if not math.isnan(self.lie_final_distance):
             lines.append(f"  averaged flow final distance: {self.lie_final_distance:.6g}")
-        lines.append(f"  sup_error non-increasing in omega: "
-                     f"{'yes' if self.monotone_decreasing else 'NO'}")
+        if self.verdict:
+            lines.append(f"  sup_error non-increasing in omega: {self.verdict}")
         return "\n".join(lines)
 
 
@@ -315,12 +323,12 @@ def omega_sweep(build_system, lie_field: VectorField, omegas, x0, horizon: float
     """Integrate the oscillatory system at each omega against the averaged flow.
 
     ``build_system`` maps omega to an InputAffineSystem (or directly to a
-    VectorField); the averaged flow is integrated once since it does not
-    depend on omega. Divergence at some omega is recorded, not fatal.
+    VectorField); the averaged flow is integrated once, first, since it does
+    not depend on omega. Divergence at some omega is recorded, not fatal.
     """
     omegas = checked_omegas(omegas)
-    if len(omegas) < 2:
-        raise ValueError("a sweep needs at least two omega values")
+    if not omegas:
+        raise ValueError("a sweep needs at least one omega value")
     x0 = np.asarray(x0, dtype=float)
     lie_traj = integrate(lie_field, x0, horizon, t0=t0, policy=policy)
 
@@ -332,9 +340,8 @@ def omega_sweep(build_system, lie_field: VectorField, omegas, x0, horizon: float
         wall = time.perf_counter() - start
         records.append(OmegaRecord(w, sup_distance(traj, lie_traj),
                                    final_distance(traj, target), traj.total_steps, wall,
-                                   traj.diverged))
-    return SweepReport(tuple(records), horizon,
-                       lie_final_distance=final_distance(lie_traj, target))
+                                   traj.diverged, traj))
+    return SweepReport(tuple(records), horizon, final_distance(lie_traj, target), lie_traj)
 
 
 def _sphere_directions(count: int, dim: int, seed: int) -> np.ndarray:

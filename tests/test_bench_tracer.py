@@ -76,3 +76,37 @@ def test_a_traced_unicycle_rhs_calls_each_agent_map_once():
         rhs.fn(0.3, sc.x0)
         after = spans.call_counts()["seekers.agent_map"]
     assert after - before == 3
+
+
+def test_traced_compare_integrates_the_averaged_flow_first_then_each_omega(tmp_path):
+    # the gate compares per-integration step lists in call order, and the
+    # per-layer counts of compare's integrations, distances and CSV writes
+    tracer = _load_tracer()
+    from ditherseek import cli
+
+    horizon = 0.05
+    with tracer.Patches() as patches:
+        counter = tracer.StepCounter()
+        spans = tracer.Tracer()
+        tracer.instrument(patches, counter, spans)
+        status = cli.main(["--scenario", "scalar_basic", "--mode", "compare",
+                           "--horizon", str(horizon), "--out", str(tmp_path)])
+    assert status == 0
+    sc = scenarios.load_scenario("scalar_basic")
+    rates = [sc.lie_field().oscillation_rate] + [sc.build_system(w).fast_rate
+                                                 for w in sc.omegas]
+    assert [steps for steps, _, _ in counter.integrations] == [
+        sim.step_count(horizon, rate, sc.policy) for rate in rates]
+    # the averaged flow and omega=100 both step at max_step: the fields
+    # evaluated within each integration's span tell them apart
+    assert spans.n_spans < spans.span_cap
+    kept = list(zip(spans.span_name, spans.span_start, spans.span_end))
+    runs = sorted((start, end) for name, start, end in kept
+                  if spans.names[name] == "sim.integrate")
+    fields = [{spans.names[name] for name, start, end in kept if lo < start and end < hi}
+              & {"liebracket.generic", "dynamics.rhs"} for lo, hi in runs]
+    assert fields == [{"liebracket.generic"}] + [{"dynamics.rhs"}] * len(sc.omegas)
+    calls = spans.call_counts()
+    assert calls["sim.integrate"] == 1 + len(sc.omegas)
+    assert calls["sim.sup_distance"] == len(sc.omegas)
+    assert calls["sim.csv"] == len(sc.omegas) + 2

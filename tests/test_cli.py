@@ -261,6 +261,30 @@ def test_verify_reports_nonfinite_jacobians_of_a_huge_heading_rate(tmp_path, cap
     assert captured.out.endswith("9/10 checks passed\n")
 
 
+@pytest.mark.parametrize("mode,report", [("simulate", "(diverged)"), ("compare", "DIVERGED"),
+                                         ("sweep", "DIVERGED"), ("verify", "[FAIL]")])
+@pytest.mark.parametrize("doc", ["three_agent_single_integrator", "three_agent_unicycle"])
+def test_a_huge_initial_state_is_reported_not_a_traceback(tmp_path, capsys, doc, mode, report):
+    # x0 + x1 overflows to inf, where the bundled maps take sin and cos
+    text = _bundled_text(doc)
+    start = text.index("initial_state:")
+    end = text.index("\n", start)
+    bad = tmp_path / "huge.yaml"
+    bad.write_text(text[:start] + "initial_state: [1.0e308, 1.0e308, 0, 0, 0, 0, 0, 0, 0]"
+                   + text[end:], encoding="utf-8")
+    status = main(["--scenario", str(bad), "--mode", mode, "--horizon", "1",
+                   "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = [line for line in captured.out.splitlines() if report in line]
+    if mode == "verify":
+        assert status == 1
+        assert len(lines) == 1 and "analytic Jacobians vs finite differences" in lines[0]
+    else:
+        assert status == 0
+        assert len(lines) == 2  # both omegas
+
+
 @pytest.mark.parametrize("mode", ["simulate", "compare"])
 def test_omegas_with_one_file_tag_rejected(tmp_path, capsys, mode):
     # both print as omega=20: one would overwrite the other's CSV and series

@@ -16,6 +16,7 @@ from ditherseek import (FieldEvaluationError, ScenarioError, assemble_rhs,
                         build_lie_bracket_system, bundled_scenario, list_bundled,
                         load_scenario, parse_scenario, parse_scenario_text)
 from ditherseek.cli import RunConfig, _resolved
+from ditherseek.scenarios import MAX_FLOW_DEPTH
 from ditherseek.sim import MAX_BOUNDARY_SAMPLES
 
 MINIMAL_AGENT = """
@@ -326,24 +327,50 @@ def test_load_scenario_from_file(tmp_path):
     assert sc.name == "mini"
 
 
-def _nested_omega(depth):
-    # block style ("- - - 100.0"): the scanner's cost grows with the square
-    # of the depth of flow-style ("[[[") nesting, not of block-style nesting
+def _nested_omega(depth, flow=False):
+    # block style ("- - - 100.0") nests past what the parser can recurse
+    # through; flow style ("[[[100.0]]]") costs the scanner time quadratic in
+    # its depth, so past MAX_FLOW_DEPTH it is refused before the parser runs
     text = yaml.safe_dump({k: v for k, v in SCALAR_DOC.items() if k != "omega"})
+    if flow:
+        return (text + "omega: " + "[" * depth + "100.0" + "]" * depth + "\n").encode()
     return (text + "omega:\n" + "- " * depth + "100.0\n").encode()
 
 
-@given(data=st.one_of(st.binary(), st.integers(1, 2000).map(_nested_omega)))
+@given(data=st.one_of(st.binary(), st.integers(1, 2000).map(_nested_omega),
+                      st.integers(1, 2 * MAX_FLOW_DEPTH).map(
+                          lambda depth: _nested_omega(depth, flow=True))))
 @settings(max_examples=200, deadline=None)
 def test_any_scenario_file_loads_or_raises_scenario_error(tmp_path_factory, data):
     # arbitrary bytes (often not UTF-8) and omega lists nested past what the
-    # YAML parser can recurse through
+    # YAML parser can recurse through, or past the flow-depth bound
     path = tmp_path_factory.mktemp("fuzz") / "doc.yaml"
     path.write_bytes(data)
     try:
         load_scenario(path)
     except ScenarioError:
         pass
+
+
+def test_flow_nesting_past_the_bound_is_refused_before_the_parser():
+    # at the bound the parser runs and the schema refuses the nested list
+    with pytest.raises(ScenarioError, match=r"^scenario\.omega\[0\]: expected a number"):
+        parse_scenario_text(_nested_omega(MAX_FLOW_DEPTH, flow=True).decode())
+    with pytest.raises(ScenarioError, match="^scenario syntax error: flow collections "
+                                            f"nested more than {MAX_FLOW_DEPTH} deep$"):
+        parse_scenario_text(_nested_omega(MAX_FLOW_DEPTH + 1, flow=True).decode())
+
+
+@pytest.mark.parametrize("entry", [
+    "description: '" + "[{" * 500 + "'",
+    "description: 'it''s " + "[" * 500 + "'",
+    'description: "a \\"quoted\\" ' + "[" * 500 + '"',
+    "description: plain  # " + "[" * 500,
+], ids=["single_quoted", "single_quoted_escape", "double_quoted_escape", "comment"])
+def test_brackets_in_quoted_scalars_and_comments_are_not_nesting(entry):
+    text = yaml.safe_dump({k: v for k, v in SCALAR_DOC.items() if k != "description"})
+    sc = parse_scenario_text(text + entry + "\n")
+    assert sc.description == yaml.safe_load(entry)["description"]
 
 
 def test_load_scenario_unknown_bundled_name():

@@ -201,8 +201,12 @@ def test_sweep_verdict_is_strict():
 
 def test_sweep_validates_omega_list():
     lie = analytic_lie_scalar(lambda z: -z, 1.0)
-    with pytest.raises(ValueError):
-        omega_sweep(lambda w: lie, lie, [10.0], [0.0], horizon=1.0)
+    # one omega is a sweep with no verdict: no evidence of a trend is not a yes
+    for rep in (omega_sweep(lambda w: lie, lie, [10.0], [0.0], horizon=1.0),
+                SweepReport([OmegaRecord(10.0, 1.0, 1.0, 1, 0.0)], 1.0)):
+        assert rep.omegas == (10.0,)
+        assert not rep.monotone_decreasing and rep.verdict is None
+        assert "non-increasing" not in rep.summary()
     # sweeps, sweep reports and decay checks refuse the same lists
     for omegas in ([10.0, 5.0], [10.0, math.nan], [0.0, 10.0], [10.0, math.inf]):
         with pytest.raises(ValueError):
