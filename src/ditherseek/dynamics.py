@@ -18,9 +18,10 @@ once per time. Fields made one at a time are stacked by
 :meth:`FieldStack.of` over the identity layout, their values as features.
 
 Fields and systems are immutable after construction; evaluation is
-reentrant. The only mutable state is a stack's one-entry caches (the point
-its row views share, the time of its L(t)), each changed by replacing one
-tuple, and the bounded memos of t-only factors (:func:`time_memo`).
+reentrant. The only mutable state is a stack's one-entry cache of L(t), the
+point cache its row views share (one value slot, one Jacobian slot), each
+changed by replacing one tuple, and the bounded memos of t-only factors
+(:func:`time_memo`).
 """
 
 from __future__ import annotations
@@ -141,36 +142,44 @@ def finite_diff_jacobian(fld, t: float, x: np.ndarray,
 
 
 class _RowView:
-    """Row ``index`` of a stack's value (or of its Jacobian), as a field callable."""
+    """Row ``index`` of a stack's value (``slot`` 0) or Jacobian (``slot`` 1),
+    as a field callable.
 
-    __slots__ = ("stack", "index", "of_jacobian")
+    The views of one stack share ``slots``: one value slot and one Jacobian
+    slot, each a (point, read-only array) pair replaced as one tuple, so
+    callers that evaluate the fields one at a time still pay for one stack
+    evaluation per point.
+    """
 
-    def __init__(self, stack: "FieldStack", index: int, of_jacobian: bool):
-        self.stack = stack
-        self.index = index
-        self.of_jacobian = of_jacobian
+    __slots__ = ("stack", "index", "slot", "slots")
+
+    def __init__(self, stack: "FieldStack", index: int, slot: int, slots: list):
+        self.stack, self.index, self.slot, self.slots = stack, index, slot, slots
 
     def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
-        value = self.stack.jacobian(t, x) if self.of_jacobian else self.stack(t, x)
+        x = np.asarray(x, dtype=float)
+        key = (t, x.tobytes())
+        cached_key, value = self.slots[self.slot]
+        if cached_key != key:
+            value = self.stack.jacobian(t, x) if self.slot else self.stack(t, x)
+            value.flags.writeable = False
+            self.slots[self.slot] = (key, value)
         return value[self.index]
 
 
 class FieldStack:
     """Drift and m channel fields on R^n evaluated together, as a layout times features.
 
-    The value at (t, x) is a (rows, n) array, row 0 the drift and row k the
-    k-th channel field: L(t) @ features(t, x), L(t) = sum_j phi_j(t) * layout[j].
-    ``layout`` has shape (p, rows, n, 1 + k), ``basis`` maps t to phi(t)
-    (None: the constant basis [1]), ``features`` (t, x) to [1, w] and
-    ``feature_jac`` (t, x) to the (k, n) Jacobian of w. :meth:`at` gives
-    L(t), ``fn`` the value and ``jac`` the stacked Jacobian (rows, n, n),
-    L(t)[..., 1:] @ feature_jac (None without a ``feature_jac``);
-    ``oscillation_rates`` gives each row's rate in t (default 0, see
-    :class:`VectorField`).
-
-    The row views in :attr:`fields` share a one-entry cache keyed on the
-    point, so callers that evaluate the fields one at a time still pay for
-    one stack evaluation per point. Cached values are read-only.
+    Calling the stack at (t, x) gives a (rows, n) array, row 0 the drift and
+    row k the k-th channel field: L(t) @ features(t, x), with
+    L(t) = sum_j phi_j(t) * layout[j]. ``layout`` has shape (p, rows, n, 1 + k),
+    ``basis`` maps t to phi(t) (None: the constant basis [1]), ``features``
+    (t, x) to [1, w] and ``feature_jac`` (t, x) to the (k, n) Jacobian of w.
+    :meth:`at` gives L(t) and :meth:`jacobian` the stacked Jacobian
+    (rows, n, n); ``oscillation_rates`` gives each row's rate in t (default
+    0, see :class:`VectorField`). Neither value nor Jacobian is cached; only
+    L(t) is, for the last t. The row views in :attr:`fields` share a point
+    cache (see :class:`_RowView`).
     """
 
     def __init__(self, layout, features, feature_jac=None, basis=None, oscillation_rates=None):
@@ -185,14 +194,13 @@ class FieldStack:
         self.layout, self.basis = layout, basis
         self.features, self.feature_jac = features, feature_jac
         self.dim, self.shape = n, (rows, n)
-        self.jac = None if feature_jac is None else self._jac
         self._flat = layout.reshape(p, -1)
         # one-entry cache: t and L(t) as the (rows * n, 1 + k) matrix
         self._last = (None, layout[0].reshape(rows * n, width))
-        self._value = self._jac_value = (None, None)
+        slots = [(None, None), (None, None)]
         self.fields = tuple(
-            VectorField(n, _RowView(self, k, False),
-                        jac=None if feature_jac is None else _RowView(self, k, True),
+            VectorField(n, _RowView(self, k, 0, slots),
+                        jac=None if feature_jac is None else _RowView(self, k, 1, slots),
                         oscillation_rate=float(rate))
             for k, rate in enumerate(rates))
 
@@ -209,12 +217,17 @@ class FieldStack:
         block of row r flattened, so that c @ L(t) contracts the rows."""
         return self._matrix(t).reshape(self.shape[0], -1)
 
-    def fn(self, t: float, x: np.ndarray) -> np.ndarray:
-        """Stacked value (rows, n), uncached."""
+    def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
+        """Stacked value (rows, n)."""
+        x = np.asarray(x, dtype=float)
         return (self._matrix(t) @ self.features(t, x)).reshape(self.shape)
 
-    def _jac(self, t: float, x: np.ndarray) -> np.ndarray:
-        J = self._matrix(t)[:, 1:] @ self.feature_jac(t, x)
+    def jacobian(self, t: float, x: np.ndarray) -> np.ndarray:
+        """Stacked Jacobian (rows, n, n): L(t)[..., 1:] @ feature_jac when
+        supplied, else central differences."""
+        if self.feature_jac is None:
+            return finite_diff_jacobian(self, t, x)
+        J = self._matrix(t)[:, 1:] @ self.feature_jac(t, np.asarray(x, dtype=float))
         return J.reshape(self.shape + (self.dim,))
 
     @staticmethod
@@ -245,28 +258,6 @@ class FieldStack:
         return FieldStack(layout, features, feature_jac,
                           oscillation_rates=[f.oscillation_rate for f in fields])
 
-    def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
-        """Stacked value (rows, n) through the point cache."""
-        x = np.asarray(x, dtype=float)
-        key = (t, x.tobytes())
-        cached_key, value = self._value
-        if cached_key != key:
-            value = self.fn(t, x)
-            value.flags.writeable = False
-            self._value = (key, value)
-        return value
-
-    def jacobian(self, t: float, x: np.ndarray) -> np.ndarray:
-        """Stacked Jacobian (rows, n, n): ``jac`` when supplied, else central differences."""
-        x = np.asarray(x, dtype=float)
-        key = (t, x.tobytes())
-        cached_key, value = self._jac_value
-        if cached_key != key:
-            value = finite_diff_jacobian(self, t, x) if self.jac is None else self.jac(t, x)
-            value.flags.writeable = False
-            self._jac_value = (key, value)
-        return value
-
 
 @dataclass(frozen=True)
 class InputAffineSystem:
@@ -286,7 +277,7 @@ class InputAffineSystem:
 
     def __post_init__(self):
         object.__setattr__(self, "channels", tuple(tuple(c) for c in self.channels))
-        if self.omega <= 0.0:
+        if not self.omega > 0.0:
             raise ValueError("omega must be positive")
         if self.amplitude_exponent not in (0.5, 1.0):
             raise ValueError("amplitude exponent must be 0.5 or 1.0")

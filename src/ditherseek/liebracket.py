@@ -184,9 +184,7 @@ def build_lie_bracket_system(sys: InputAffineSystem,
         def coefficients(t):
             return static
 
-    stack = sys.stack
-    stack_fn = stack.fn
-    stack_jac = stack.jac or stack.jacobian
+    stack_fn, stack_jac = sys.stack.__call__, sys.stack.jacobian
 
     def fn(t, z):
         rows = stack_fn(t, z)

@@ -106,9 +106,9 @@ class AgentParams:
         object.__setattr__(self, "a", Fraction(self.a))
         if self.d is not None:
             object.__setattr__(self, "d", Fraction(self.d))
-        if self.c < 0.0:
+        if not self.c >= 0.0:
             raise ValueError("feedback gain c must be nonnegative")
-        if self.alpha <= 0.0 or self.h <= 0.0:
+        if not (self.alpha > 0.0 and self.h > 0.0):
             raise ValueError("alpha and h must be positive")
         if self.a <= 0:
             raise ValueError("frequency ratio a must be positive")
@@ -132,9 +132,17 @@ def frequency_decomposition(ratios) -> tuple[int, list[int]]:
     return q, harmonics
 
 
+# most agents a system is built for: the dense stack layout holds
+# (basis, 1 + 2N, 3N, 1 + N) floats, for the unicycle 8*(1 + 2N)**2*3N*(1 + N)
+# bytes (34.6 MB at N = 24, 9.8 GB at N = 100), and the stack copies it once
+MAX_AGENTS = 24
+
+
 def _check_params(game: PotentialGame, params,
                   Omega: float | None = None) -> list[AgentParams]:
     """Agent parameters for ``game``; a base angular rate ``Omega`` marks a unicycle."""
+    if game.n_agents > MAX_AGENTS:
+        raise ValueError(f"{game.n_agents} agents: at most {MAX_AGENTS} are supported")
     params = list(params)
     if len(params) != game.n_agents:
         raise ValueError(f"need one parameter set per agent: the game has "
@@ -437,21 +445,32 @@ def build_scalar_seeker(f: Callable[[float], float], grad_f: Callable[[float], f
     layout[0, 1, 0, 0] = alpha
     layout[0, 2, 0, 1] = 1.0
 
+    # a map or gradient whose float arithmetic overflows reads nan, as an AgentMap's does
     def features(t, x):
-        return np.array([1.0, f(float(x[0]))])
+        try:
+            return np.array([1.0, f(float(x[0]))])
+        except OverflowError:
+            return np.array([1.0, math.nan])
 
     def feature_jac(t, x):
-        return np.array([[grad_f(float(x[0]))]])
+        try:
+            return np.array([[grad_f(float(x[0]))]])
+        except OverflowError:
+            return np.array([[math.nan]])
 
     drift, alpha_field, f_field = FieldStack(layout, features, feature_jac).fields
     return InputAffineSystem(drift, ((alpha_field, u_a), (f_field, u_b)), omega)
 
 
 def analytic_lie_scalar(grad_f: Callable[[float], float], alpha: float) -> VectorField:
-    """Averaged field (alpha/2) * grad f of the basic scalar loop."""
+    """Averaged field (alpha/2) * grad f of the basic scalar loop; a gradient
+    whose float arithmetic overflows reads nan."""
 
     def fn(t, z):
-        return np.array([0.5 * alpha * grad_f(float(z[0]))])
+        try:
+            return np.array([0.5 * alpha * grad_f(float(z[0]))])
+        except OverflowError:
+            return np.array([math.nan])
 
     return VectorField(1, fn)
 

@@ -84,11 +84,11 @@ class DitherSignal:
     t_dependent: bool = False
 
     def __post_init__(self):
-        if self.period <= 0.0:
+        if not self.period > 0.0:
             raise ValueError("dither period must be positive")
         if self.harmonic < 1 or self.harmonic != int(self.harmonic):
             raise ValueError("harmonic must be a positive integer")
-        if self.sup_bound < 0.0 or self.lipschitz_t < 0.0:
+        if not (self.sup_bound >= 0.0 and self.lipschitz_t >= 0.0):
             raise ValueError("claimed bounds must be nonnegative")
         if self.kind == "custom":
             if self.fn is None:

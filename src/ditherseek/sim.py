@@ -63,7 +63,7 @@ class StepPolicy:
         if self.samples_per_period < 4:
             raise ValueError(
                 f"samples_per_period must be at least 4, got {self.samples_per_period}")
-        if self.max_step <= 0.0:
+        if not self.max_step > 0.0:
             raise ValueError("max_step must be positive")
         if self.output_stride < 1:
             raise ValueError("output_stride must be >= 1")
@@ -119,7 +119,7 @@ class Trajectory:
         if states.ndim != 2 or states.shape[0] < 1:
             raise ValueError("states must be a (k, n) array")
         object.__setattr__(self, "states", states)
-        if self.dt <= 0.0:
+        if not self.dt > 0.0:
             raise ValueError("dt must be positive")
         if not self.diverged and not np.all(np.isfinite(states)):
             raise ValueError("non-finite states in a non-diverged trajectory")
@@ -161,7 +161,7 @@ def integrate(fld: VectorField, x0, horizon: float, t0: float = 0.0,
     Stage times are the floats t0 + k*dt and t0 + k*dt + dt/2, so steps k and
     k+1 share the time of their common stage.
     """
-    if horizon <= 0.0:
+    if not horizon > 0.0:
         raise ValueError("horizon must be positive")
     policy = policy or StepPolicy()
     x0 = np.asarray(x0, dtype=float).copy()
@@ -420,8 +420,11 @@ def stability_probe(build_system, target, delta_list, epsilon: float, omegas,
     millionth of the storage spacing, counts as at t0 + t_f: with a horizon
     equal to t_f, that is the final sample.
     """
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
+    delta_list, omegas = list(delta_list), list(omegas)
+    if not delta_list or not omegas:
+        raise ValueError("a probe needs at least one delta and one omega value")
     if not 1 <= boundary_samples <= MAX_BOUNDARY_SAMPLES:
         raise ValueError(f"a probe needs 1 to {MAX_BOUNDARY_SAMPLES:,} boundary samples "
                          f"per shell, got {boundary_samples}")

@@ -78,6 +78,23 @@ def test_a_traced_unicycle_rhs_calls_each_agent_map_once():
     assert after - before == 3
 
 
+def test_a_traced_generic_bracket_calls_each_agent_map_and_gradient_once():
+    # the bracket evaluates the traced stack's value and Jacobian once each;
+    # the row views' shared point cache turns the wrapped fields' one-at-a-time
+    # calls into one map and one gradient call per agent (the tracer names both
+    # seekers.agent_map)
+    tracer = _load_tracer()
+    with tracer.Patches() as patches:
+        spans = tracer.Tracer()
+        tracer.instrument(patches, tracer.StepCounter(), spans)
+        sc = scenarios.load_scenario("three_agent_unicycle")
+        bracket = sc.generic_lie_field()
+        before = spans.call_counts().get("seekers.agent_map", 0)
+        bracket.fn(0.3, sc.x0)
+        after = spans.call_counts()["seekers.agent_map"]
+    assert after - before == 6
+
+
 def test_traced_compare_integrates_the_averaged_flow_first_then_each_omega(tmp_path):
     # the gate compares per-integration step lists in call order, and the
     # per-layer counts of compare's integrations, distances and CSV writes

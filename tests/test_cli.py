@@ -5,8 +5,10 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from ditherseek import assemble_rhs, integrate, load_scenario
-from ditherseek.cli import RunConfig, main, run
+from ditherseek import (AgentParams, analytic_lie_single_integrator, analytic_lie_unicycle,
+                        assemble_rhs, build_single_integrator, build_unicycle, integrate,
+                        load_scenario, quadratic_game, seekers)
+from ditherseek.cli import MODES, RunConfig, main, run
 
 FAST_SCALAR = """
 name: tiny
@@ -261,19 +263,28 @@ def test_verify_reports_nonfinite_jacobians_of_a_huge_heading_rate(tmp_path, cap
     assert captured.out.endswith("9/10 checks passed\n")
 
 
-@pytest.mark.parametrize("mode,report", [("simulate", "(diverged)"), ("compare", "DIVERGED"),
-                                         ("sweep", "DIVERGED"), ("verify", "[FAIL]")])
-@pytest.mark.parametrize("doc", ["three_agent_single_integrator", "three_agent_unicycle"])
-def test_a_huge_initial_state_is_reported_not_a_traceback(tmp_path, capsys, doc, mode, report):
-    # x0 + x1 overflows to inf, where the bundled maps take sin and cos
+def _run_with_line(tmp_path, doc, key, line, mode):
+    """Run ``mode`` on bundled ``doc`` with its ``key`` line replaced by ``line``;
+    the exit status and the scenario as loaded."""
     text = _bundled_text(doc)
-    start = text.index("initial_state:")
+    start = text.index(key)
     end = text.index("\n", start)
     bad = tmp_path / "huge.yaml"
-    bad.write_text(text[:start] + "initial_state: [1.0e308, 1.0e308, 0, 0, 0, 0, 0, 0, 0]"
-                   + text[end:], encoding="utf-8")
+    bad.write_text(text[:start] + line + text[end:], encoding="utf-8")
     status = main(["--scenario", str(bad), "--mode", mode, "--horizon", "1",
                    "--out", str(tmp_path / "o")])
+    return status, load_scenario(str(bad))
+
+
+@pytest.mark.parametrize("mode,report", [("simulate", "(diverged)"), ("compare", "DIVERGED"),
+                                         ("sweep", "DIVERGED"), ("verify", "[FAIL]")])
+@pytest.mark.parametrize("doc", ["three_agent_single_integrator", "three_agent_unicycle",
+                                 "scalar_basic"])
+def test_a_huge_initial_state_is_reported_not_a_traceback(tmp_path, capsys, doc, mode, report):
+    # x0 + x1 overflows to inf, where the bundled maps take sin and cos; the
+    # scalar map's (x - xstar) ** 2 overflows on Python floats
+    state = "[1.0e200]" if doc == "scalar_basic" else "[1.0e308, 1.0e308, 0, 0, 0, 0, 0, 0, 0]"
+    status, sc = _run_with_line(tmp_path, doc, "initial_state:", f"initial_state: {state}", mode)
     captured = capsys.readouterr()
     assert captured.err == ""
     lines = [line for line in captured.out.splitlines() if report in line]
@@ -282,7 +293,68 @@ def test_a_huge_initial_state_is_reported_not_a_traceback(tmp_path, capsys, doc,
         assert len(lines) == 1 and "analytic Jacobians vs finite differences" in lines[0]
     else:
         assert status == 0
-        assert len(lines) == 2  # both omegas
+        assert len(lines) == len(sc.omegas)
+
+
+@pytest.mark.parametrize("mode,report", [("simulate", "(diverged)"), ("compare", "DIVERGED"),
+                                         ("sweep", "DIVERGED"), ("probe", "DIVERGED")])
+def test_a_huge_scalar_amplitude_is_reported_not_a_traceback(tmp_path, capsys, mode, report):
+    # the first step takes the state past 1e154, where (x - xstar) ** 2 overflows
+    status, sc = _run_with_line(tmp_path, "scalar_basic", "alpha:", "alpha: 1.0e160", mode)
+    captured = capsys.readouterr()
+    assert status == 0 and captured.err == ""
+    lines = [line for line in captured.out.splitlines() if report in line]
+    cells = len(sc.probe.deltas) if mode == "probe" else 1
+    assert len(lines) == cells * len(sc.omegas)
+
+
+def _many_agents_text(dynamics, n):
+    """A ``dynamics`` scenario of ``n`` agents on a quadratic map."""
+    agents = "".join(f'  - {{c: 0.3, alpha: 1.0, h: 1.0, a: "{k + 1}", d: "1"}}\n'
+                     for k in range(n))
+    return (f"name: many\ndynamics: {dynamics}\n"
+            + ("Omega: 1.0\n" if dynamics == "unicycle" else "")
+            + f"map:\n  quadratic: {{q_diag: {[1.0] * 2 * n}, xstar: {[0.0] * 2 * n}}}\n"
+            + f"agents:\n{agents}omega: [10.0, 20.0]\ninitial_state: {[0.0] * 3 * n}\n"
+            + "horizon: 0.1\nprobe: {delta: [0.1], epsilon: 0.5, t_f: 0.1}\n")
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("dynamics", ["single_integrator", "unicycle"])
+def test_more_agents_than_the_bound_are_refused_before_any_layout(tmp_path, capsys, monkeypatch,
+                                                                   dynamics, mode):
+    def refuse(*args):
+        raise AssertionError("agent layout allocated")
+
+    monkeypatch.setattr(seekers, "_AgentLoops", refuse)
+    n = seekers.MAX_AGENTS + 1
+    doc = tmp_path / "many.yaml"
+    doc.write_text(_many_agents_text(dynamics, n), encoding="utf-8")
+    status = main(["--scenario", str(doc), "--mode", mode, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert status == 2
+    assert err.startswith("error:") and f"at most {seekers.MAX_AGENTS}" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_builders_refuse_more_agents_than_the_bound_before_any_layout(monkeypatch):
+    monkeypatch.setattr(seekers, "_AgentLoops", None)  # calling it would fail
+    n = seekers.MAX_AGENTS + 1
+    game = quadratic_game([1.0] * 2 * n, [0.0] * 2 * n)
+    params = [AgentParams(0.3, 1.0, 1.0, k + 1, 1) for k in range(n)]
+    for build in (lambda: build_single_integrator(game, params, 10.0),
+                  lambda: build_unicycle(game, params, 1.0, 10.0),
+                  lambda: analytic_lie_single_integrator(game, params),
+                  lambda: analytic_lie_unicycle(game, params, 1.0)):
+        with pytest.raises(ValueError, match=f"at most {seekers.MAX_AGENTS}"):
+            build()
+
+
+@pytest.mark.parametrize("dynamics", ["single_integrator", "unicycle"])
+def test_the_agent_bound_itself_loads(tmp_path, dynamics):
+    doc = tmp_path / "many.yaml"
+    doc.write_text(_many_agents_text(dynamics, seekers.MAX_AGENTS), encoding="utf-8")
+    assert load_scenario(str(doc)).game.n_agents == seekers.MAX_AGENTS
 
 
 @pytest.mark.parametrize("mode", ["simulate", "compare"])

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from ditherseek import (AgentParams, OmegaRecord, StepPolicy, SweepReport, Trajectory,
-                        VectorField,
+from ditherseek import (AgentParams, DitherSignal, InputAffineSystem, OmegaRecord,
+                        StepPolicy, SweepReport, Trajectory, VectorField,
                         analytic_lie_scalar, analytic_lie_single_integrator,
                         assemble_rhs, averaging_decay_check, build_scalar_seeker,
                         build_single_integrator, cosine, equilibrium_state,
@@ -295,6 +295,37 @@ def test_probe_refuses_too_many_boundary_samples_before_drawing(monkeypatch, sam
         stability_probe(lambda w: _decay_field(), [0.0], delta_list=[0.1],
                         epsilon=0.5, omegas=[10.0], t_f=1.0, boundary_samples=samples)
     assert drawn == []
+
+
+NAN = math.nan
+
+
+def _probe(**kwargs):
+    args = dict(delta_list=[0.1], epsilon=0.5, omegas=[10.0], t_f=1.0, boundary_samples=2)
+    return stability_probe(lambda w: _decay_field(), [0.0], **{**args, **kwargs})
+
+
+@pytest.mark.parametrize("make,match", [
+    (lambda: InputAffineSystem(VectorField.zero(1), ((VectorField.zero(1), sine(1)),), NAN),
+     "omega"),
+    (lambda: StepPolicy(max_step=NAN), "max_step"),
+    (lambda: Trajectory(0.0, NAN, np.zeros((1, 1))), "dt"),
+    (lambda: AgentParams(NAN, 1.0, 1.0, 1), "gain c"),
+    (lambda: AgentParams(0.3, NAN, 1.0, 1), "alpha and h"),
+    (lambda: AgentParams(0.3, 1.0, NAN, 1), "alpha and h"),
+    (lambda: DitherSignal("sine", period=NAN), "period"),
+    (lambda: DitherSignal("sine", sup_bound=NAN), "bounds"),
+    (lambda: DitherSignal("sine", lipschitz_t=NAN), "bounds"),
+    (lambda: integrate(_decay_field(), [1.0], NAN), "horizon must be positive"),
+    (lambda: _probe(epsilon=NAN), "epsilon"),
+    # no cells: every verdict would read consistent on zero evidence
+    (lambda: _probe(delta_list=[]), "at least one delta"),
+    (lambda: _probe(omegas=[]), "at least one delta"),
+], ids=["omega", "max_step", "dt", "c", "alpha", "h", "period", "sup_bound", "lipschitz_t",
+        "horizon", "epsilon", "no_deltas", "no_omegas"])
+def test_library_checks_refuse_nan_and_empty_evidence(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
 
 
 def test_probe_on_contracting_flow_is_consistent():

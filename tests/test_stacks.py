@@ -237,7 +237,7 @@ def test_factored_rhs_is_the_weighted_stack(name, t, offsets):
     rhs = assemble_rhs(sys)
     weights = [1.0] + [math.sqrt(sys.omega) * float(sig.eval(t, sys.omega * t))
                        for _, sig in sys.channels]
-    assert _close(rhs(t, x), [np.array(weights) @ sys.stack.fn(t, x)])
+    assert _close(rhs(t, x), [np.array(weights) @ sys.stack(t, x)])
     J = rhs.jacobian(t, x)
     J_fd = finite_diff_jacobian(rhs, t, x)
     assert np.max(np.abs(J - J_fd)) <= 1e-6 * max(1.0, float(np.max(np.abs(J))))
@@ -252,8 +252,11 @@ def test_stack_value_is_the_layout_contraction(name, t, offsets):
     phi = [1.0] if stack.basis is None else stack.basis(t)
     L = np.einsum("j,jrnw->rnw", phi, stack.layout)
     assert _close(stack.at(t), [L.reshape(stack.shape[0], -1)])
-    assert _close(stack.fn(t, x), [L @ stack.features(t, x)])
+    assert _close(stack(t, x), [L @ stack.features(t, x)])
     assert _close(stack.jacobian(t, x), [L[..., 1:] @ stack.feature_jac(t, x)])
+    # any array-like point, as a field takes it
+    assert np.array_equal(stack(t, x.tolist()), stack(t, x))
+    assert np.array_equal(stack.jacobian(t, x.tolist()), stack.jacobian(t, x))
 
 
 @given(name=st.sampled_from(sorted(SYSTEMS)), t=st.floats(min_value=0.0, max_value=20.0),
@@ -426,7 +429,7 @@ def test_a_nonfinite_rhs_entry_raises_on_a_memo_hit_and_a_miss(monkeypatch, entr
     t = 0.3
     with np.errstate(over="ignore"):
         if bad == "overflow":
-            assert np.flatnonzero(~np.isfinite(stack.fn(t, x_bad)[0])).tolist() == [entry]
+            assert np.flatnonzero(~np.isfinite(stack(t, x_bad)[0])).tolist() == [entry]
         with pytest.raises(FieldEvaluationError):
             rhs.fn(t, x_bad)  # a miss: M(t) is computed, then the value refused
         assert t in cache
