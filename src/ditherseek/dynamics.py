@@ -18,15 +18,16 @@ once per time. Fields made one at a time are stacked by
 :meth:`FieldStack.of` over the identity layout, their values as features.
 
 Fields and systems are immutable after construction; evaluation is
-reentrant. The only mutable state is a stack's one-entry cache of L(t), the
-point cache its row views share (one value slot, one Jacobian slot), each
-changed by replacing one tuple, and the bounded memos of t-only factors
-(:func:`time_memo`).
+reentrant. The only mutable state is in one-entry caches, each replaced as
+a whole: a stack's L(t), the point cache its row views share (one value
+slot, one Jacobian slot), a right-hand side's last stage table and the
+averaged field's t-dependent coefficient matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -45,13 +46,16 @@ class VectorField:
     ``fn`` maps (t, x) -> array of shape (n,); ``jac`` maps (t, x) -> (n, n)
     with row i holding the gradient of component i. ``oscillation_rate`` is
     the fastest angular rate the field varies with in t (0 for autonomous
-    fields); integrators use it to resolve the fast scale.
+    fields); integrators use it to resolve the fast scale. ``stage_table``, if
+    given, maps T times to a read-only (T, ...) array of t-only rows, and then
+    ``fn(t, x, row)`` takes the row of t (:func:`~ditherseek.sim.integrate`).
     """
 
     dim: int
-    fn: Callable[[float, np.ndarray], np.ndarray]
+    fn: Callable[..., np.ndarray]
     jac: Callable[[float, np.ndarray], np.ndarray] | None = None
     oscillation_rate: float = 0.0
+    stage_table: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -87,33 +91,6 @@ class VectorField:
         return VectorField(v.size, lambda t, x: v, jac=lambda t, x: zj)
 
 
-# times a memo holds before it is cleared. Runs on one time grid (a probe
-# cell's directions) share entries only if the memo holds a run's 2*S + 1
-# stage times, S <= 511 steps: true of the probe in bench/, not of the bundled
-# probes (about 69,000 steps per unicycle direction), whose runs share nothing
-_TIME_MEMO_SIZE = 1024
-
-
-def time_memo(fn: Callable[[float], np.ndarray]) -> Callable[[float], np.ndarray]:
-    """``fn(t)`` as a read-only array, cached by the exact float t in a dict
-    (the ``cache`` attribute of the memo) cleared when full: RK4 runs on one
-    time grid share their stage times."""
-    cache: dict[float, np.ndarray] = {}
-
-    def memo(t):
-        value = cache.get(t)
-        if value is None:
-            if len(cache) >= _TIME_MEMO_SIZE:
-                cache.clear()
-            value = np.asarray(fn(t), dtype=float)
-            value.flags.writeable = False
-            cache[t] = value
-        return value
-
-    memo.cache = cache
-    return memo
-
-
 def finite_diff_jacobian(fld, t: float, x: np.ndarray,
                          h: float | None = None) -> np.ndarray:
     """Central-difference Jacobian, column k = (F(x + h e_k) - F(x - h e_k)) / 2h.
@@ -126,7 +103,7 @@ def finite_diff_jacobian(fld, t: float, x: np.ndarray,
     x = np.asarray(x, dtype=float)
     if h is None:
         h = 1e-6 * max(1.0, float(np.max(np.abs(x))) if x.size else 1.0)
-    if h <= 0.0:
+    if not h > 0.0:
         raise ValueError("finite-difference step must be positive")
     columns = []
     for k in range(x.size):
@@ -173,11 +150,11 @@ class FieldStack:
     Calling the stack at (t, x) gives a (rows, n) array, row 0 the drift and
     row k the k-th channel field: L(t) @ features(t, x), with
     L(t) = sum_j phi_j(t) * layout[j]. ``layout`` has shape (p, rows, n, 1 + k),
-    ``basis`` maps t to phi(t) (None: the constant basis [1]), ``features``
-    (t, x) to [1, w] and ``feature_jac`` (t, x) to the (k, n) Jacobian of w.
-    :meth:`at` gives L(t) and :meth:`jacobian` the stacked Jacobian
-    (rows, n, n); ``oscillation_rates`` gives each row's rate in t (default
-    0, see :class:`VectorField`). Neither value nor Jacobian is cached; only
+    ``basis`` maps t to phi(t) and T times to (T, p) (None: the constant basis
+    [1]), ``features`` (t, x) to [1, w] and ``feature_jac`` (t, x) to the (k, n)
+    Jacobian of w. :meth:`weighted` gives c(t) @ L(t) at T times, :meth:`jacobian`
+    the stacked Jacobian (rows, n, n); ``oscillation_rates`` each row's rate in
+    t (default 0, see :class:`VectorField`). Neither value nor Jacobian is cached; only
     L(t) is, for the last t. The row views in :attr:`fields` share a point
     cache (see :class:`_RowView`).
     """
@@ -194,7 +171,7 @@ class FieldStack:
         self.layout, self.basis = layout, basis
         self.features, self.feature_jac = features, feature_jac
         self.dim, self.shape = n, (rows, n)
-        self._flat = layout.reshape(p, -1)
+        self._flat, self._by_row = layout.reshape(p, -1), layout.reshape(p * rows, -1)
         # one-entry cache: t and L(t) as the (rows * n, 1 + k) matrix
         self._last = (None, layout[0].reshape(rows * n, width))
         slots = [(None, None), (None, None)]
@@ -212,10 +189,15 @@ class FieldStack:
             self._last = (t, L)
         return L
 
-    def at(self, t: float) -> np.ndarray:
-        """L(t) as a read-only (rows, n * (1 + k)) view, row r the (n, 1 + k)
-        block of row r flattened, so that c @ L(t) contracts the rows."""
-        return self._matrix(t).reshape(self.shape[0], -1)
+    def weighted(self, times, weights) -> np.ndarray:
+        """c(t) @ L(t) at T times as (T, n * (1 + k)), ``weights`` the (T, rows) c(t):
+        the outer products phi(t) ⊗ c(t) times the layout, with no L(t) formed."""
+        times = np.asarray(times, dtype=float)
+        phi = np.ones((times.size, 1)) if self.basis is None else np.asarray(self.basis(times))
+        if phi.shape != (times.size, self.layout.shape[0]):
+            raise ValueError(f"basis returned shape {phi.shape} for {times.size} times")
+        outer = phi[:, :, None] * np.asarray(weights, dtype=float)[:, None, :]
+        return outer.reshape(times.size, -1) @ self._by_row
 
     def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
         """Stacked value (rows, n)."""
@@ -315,28 +297,34 @@ def assemble_rhs(sys: InputAffineSystem) -> VectorField:
     """Combine drift and channels into the full oscillatory right-hand side.
 
     With c(t) = [1, gain*u_1(t, omega*t), ..., gain*u_m(t, omega*t)], it is
-    c(t) @ stack(t, x) = M(t) @ features(t, x). The (n, 1 + k) matrix
-    M(t) = c(t) @ L(t) is memoized per t, so dithers must be pure functions
-    of (t, theta); each evaluation is one matrix-vector product, checked for
-    finiteness. The Jacobian M(t)[:, 1:] @ feature_jac is supplied only when
-    drift and every channel carry one.
+    c(t) @ stack(t, x) = M(t) @ features(t, x). The stage table holds the
+    (n, 1 + k) matrices M(t) = c(t) @ L(t) of an array of times, built in one
+    pass and kept for the last array, so dithers must be pure in (t, theta).
+    ``fn(t, x, row)`` is one matrix-vector product, checked for finiteness;
+    ``fn(t, x)`` tabulates t itself. M(t)[:, 1:] @ feature_jac is the
+    Jacobian, supplied only when drift and every channel carry one.
     """
     stack, omega = sys.stack, sys.omega
     gain = omega ** sys.amplitude_exponent
-    dithers = tuple(sig.scalar_evaluator() for _, sig in sys.channels)
-    n = sys.dim
-    at, features = stack.at, stack.features
+    dithers = tuple(sig.table_evaluator() for _, sig in sys.channels)
+    shape = (sys.dim, stack.layout.shape[-1])
+    features = stack.features
 
-    @time_memo
-    def contracted(t):
-        theta = omega * t
-        c = np.array([1.0] + [gain * u(t, theta) for u in dithers])
-        return (c @ at(t)).reshape(n, -1)
+    def matrices(times):
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        c = np.array([np.ones(times.size)] + [gain * u(times, omega * times) for u in dithers])
+        table = stack.weighted(times, c.T).reshape((times.size,) + shape)
+        table.flags.writeable = False
+        return table
 
+    tabulated = lru_cache(maxsize=1)(lambda key: matrices(np.frombuffer(key)))
     isfinite = np.isfinite
 
-    def fn(t, x):
-        out = contracted(t) @ features(t, x)
+    def stage_table(times):  # one entry, keyed by the exact times
+        return tabulated(np.asarray(times, dtype=float).tobytes())
+
+    def fn(t, x, row=None):
+        out = (matrices(t)[0] if row is None else row) @ features(t, x)
         if not isfinite(out).all():
             raise FieldEvaluationError("non-finite right-hand side")
         return out
@@ -346,6 +334,7 @@ def assemble_rhs(sys: InputAffineSystem) -> VectorField:
         feature_jac = stack.feature_jac
 
         def jac(t, x):
-            return contracted(t)[:, 1:] @ feature_jac(t, x)
+            return matrices(t)[0, :, 1:] @ feature_jac(t, x)
 
-    return VectorField(sys.dim, fn, jac=jac, oscillation_rate=sys.fast_rate)
+    return VectorField(sys.dim, fn, jac=jac, oscillation_rate=sys.fast_rate,
+                       stage_table=stage_table)

@@ -20,12 +20,12 @@ must average to +(alpha/2) * grad f.
 from __future__ import annotations
 
 import warnings
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
 from ._quadrature import cumulative_simpson, even_intervals, simpson_uniform
-from .dynamics import InputAffineSystem, VectorField, time_memo
+from .dynamics import InputAffineSystem, VectorField
 from .signals import DitherSignal
 
 # quadrature values below this are treated as structural zeros when the
@@ -131,8 +131,8 @@ def build_lie_bracket_system(sys: InputAffineSystem,
     Only the sqrt(omega) amplitude scaling averages to this system, so any
     other ``amplitude_exponent`` is refused. Coefficients are computed once
     per channel pair; pairs involving genuinely t-dependent custom dithers
-    are re-integrated once per evaluation time. Self-pairs never contribute:
-    for zero-mean dithers their averaged term vanishes identically.
+    are re-integrated whenever the evaluation time changes. Self-pairs never
+    contribute: for zero-mean dithers their averaged term vanishes identically.
 
     Each evaluation computes the system's field stack and stacked Jacobian
     once and contracts them with an antisymmetric coefficient matrix A,
@@ -177,7 +177,7 @@ def build_lie_bracket_system(sys: InputAffineSystem,
         return coeffs
 
     if any(s.t_dependent for _, s in sys.channels):
-        coefficients = time_memo(fill)
+        coefficients = lru_cache(maxsize=1)(fill)
     else:
         static = fill(0.0)
 

@@ -279,8 +279,9 @@ def build_unicycle(game: PotentialGame, params, Omega: float, omega: float) -> I
     lp = _AgentLoops(game, params, 1 + 2 * len(params))
     rates = np.array([float(p.d) * Omega for p in params])
 
-    def basis(t):
-        return np.concatenate(([1.0], np.cos(rates * t), np.sin(rates * t)))
+    def basis(t):  # (1 + 2N,) for a float t, (T, 1 + 2N) for T times
+        phase = np.multiply.outer(t, rates)
+        return np.concatenate((np.ones_like(phase[..., :1]), np.cos(phase), np.sin(phase)), -1)
 
     # basis function 1 + i is cos(Omega_i t), 1 + N + i is sin(Omega_i t)
     cos_i, sin_i = lp.washout, lp.washout + lp.n

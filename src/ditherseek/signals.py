@@ -118,18 +118,15 @@ class DitherSignal:
             return self.fn(t, theta)
         return _waveform(self.kind, self.harmonic, theta)
 
-    def scalar_evaluator(self) -> Callable[[float, float], float]:
-        """u(t, theta) for scalar arguments, as a float, without array dispatch."""
-        n = self.harmonic
-        if self.kind == "sine":
-            return lambda t, theta: math.sin(n * theta)
-        if self.kind == "cosine":
-            return lambda t, theta: math.cos(n * theta)
+    def table_evaluator(self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """u at equal-length arrays of times and phases, as a float array:
+        one array pass for a built-in, one call per element with scalar
+        (t, theta) for a custom evaluator, which may use ``math`` on t."""
         if self.kind == "custom":
             fn = self.fn
-            return lambda t, theta: float(fn(t, theta))
-        kind = self.kind
-        return lambda t, theta: float(_waveform(kind, n, theta))
+            return lambda ts, thetas: np.fromiter(map(fn, ts.tolist(), thetas.tolist()), float)
+        kind, n = self.kind, self.harmonic
+        return lambda ts, thetas: _waveform(kind, n, thetas)
 
     def eval_for_quadrature(self, t, theta):
         """Like :meth:`eval` but samples jump nodes at their midpoint value."""
@@ -230,7 +227,7 @@ def validate_assumptions(signal: DitherSignal, t_samples=None, theta_samples=Non
     """
     if signal.period <= 0.0:
         raise ValueError("dither period must be positive")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tolerance must be positive")
     T = signal.period
     if t_samples is None:

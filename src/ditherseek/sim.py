@@ -38,6 +38,9 @@ TWO_PI = 2.0 * math.pi
 # run (scalar_basic at omega=1600, 101,860 steps); 80 MB of states per component
 MAX_STEPS = 10_000_000
 
+# steps per stage table (1,025 rows); probe directions this short share one table
+STAGE_CHUNK = 512
+
 # most boundary samples a probe draws per shell: 512 times the bundled 8; the
 # Sobol draw behind them is then at most 4,096 rows
 MAX_BOUNDARY_SAMPLES = 4096
@@ -159,7 +162,8 @@ def integrate(fld: VectorField, x0, horizon: float, t0: float = 0.0,
     A non-finite state truncates the trajectory and sets the divergence flag
     instead of raising; more than :data:`MAX_STEPS` steps raise ValueError.
     Stage times are the floats t0 + k*dt and t0 + k*dt + dt/2, so steps k and
-    k+1 share the time of their common stage.
+    k+1 share the time of their common stage. A field with a stage table is
+    called as ``fn(t, x, row)``, tabulated :data:`STAGE_CHUNK` steps at a time.
     """
     if not horizon > 0.0:
         raise ValueError("horizon must be positive")
@@ -172,28 +176,34 @@ def integrate(fld: VectorField, x0, horizon: float, t0: float = 0.0,
     steps = step_count(horizon, fld.oscillation_rate, policy)
     dt = horizon / steps
 
-    fn = fld.fn
+    table = fld.stage_table
+    fn = fld.fn if table is not None else lambda t, x, row, plain=fld.fn: plain(t, x)
+
     asarray, isfinite = np.asarray, np.isfinite
     states = np.empty((steps // stride + 1, x0.size))
     states[0] = x0
     x = x0
-    t = t0
     diverged = False
     taken = 0
     half = 0.5 * dt
     sixth = dt / 6.0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
-            t_mid = t + half
-            t_next = t0 + (k + 1) * dt
+            j = 2 * (k % STAGE_CHUNK)
+            if j == 0:  # the chunk's stage times: t0 + k*dt, each then + dt/2
+                even = t0 + np.arange(k, min(k + STAGE_CHUNK, steps) + 1) * dt
+                times = np.append(np.stack((even[:-1], even[:-1] + half), axis=1), even[-1])
+                rows = [None] * times.size if table is None else list(table(times))
+                times = times.tolist()
+            t_mid, row_mid = times[j + 1], rows[j + 1]
             try:
-                k1 = asarray(fn(t, x))
+                k1 = asarray(fn(times[j], x, rows[j]))
                 if k == 0 and k1.shape != x.shape:
                     raise ValueError(f"field value must have shape ({fld.dim},), "
                                      f"got {k1.shape}")
-                k2 = asarray(fn(t_mid, x + half * k1))
-                k3 = asarray(fn(t_mid, x + half * k2))
-                k4 = asarray(fn(t_next, x + dt * k3))
+                k2 = asarray(fn(t_mid, x + half * k1, row_mid))
+                k3 = asarray(fn(t_mid, x + half * k2, row_mid))
+                k4 = asarray(fn(times[j + 2], x + dt * k3, rows[j + 2]))
                 x_new = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
             except FieldEvaluationError:
                 diverged = True
@@ -202,7 +212,6 @@ def integrate(fld: VectorField, x0, horizon: float, t0: float = 0.0,
                 diverged = True
                 break
             x = x_new
-            t = t_next
             taken = k + 1
             if taken % stride == 0:
                 states[taken // stride] = x
@@ -420,18 +429,22 @@ def stability_probe(build_system, target, delta_list, epsilon: float, omegas,
     millionth of the storage spacing, counts as at t0 + t_f: with a horizon
     equal to t_f, that is the final sample.
     """
-    if not epsilon > 0.0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:  # an infinite epsilon passes every cell
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     delta_list, omegas = list(delta_list), list(omegas)
     if not delta_list or not omegas:
         raise ValueError("a probe needs at least one delta and one omega value")
+    if not all(0.0 < d < math.inf for d in delta_list):
+        raise ValueError(f"delta_list: radii must be finite and positive, got {delta_list}")
+    if not 0.0 < t_f < math.inf:
+        raise ValueError(f"t_f must be finite and positive, got {t_f}")
     if not 1 <= boundary_samples <= MAX_BOUNDARY_SAMPLES:
         raise ValueError(f"a probe needs 1 to {MAX_BOUNDARY_SAMPLES:,} boundary samples "
                          f"per shell, got {boundary_samples}")
     target = np.asarray(target, dtype=float)
     horizon = 2.0 * t_f if horizon is None else horizon
-    if horizon < t_f:
-        raise ValueError("horizon must reach past t_f")
+    if not horizon >= t_f:  # refuses a nan horizon too
+        raise ValueError(f"horizon must reach past t_f, got {horizon}")
     dirs = _sphere_directions(boundary_samples, target.size, seed)
 
     cells = []

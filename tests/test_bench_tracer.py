@@ -78,6 +78,26 @@ def test_a_traced_unicycle_rhs_calls_each_agent_map_once():
     assert after - before == 3
 
 
+def test_a_traced_unicycle_run_makes_four_rhs_calls_per_step_and_no_dither_calls():
+    # the per-layer counts the benchmark reads: every RHS evaluation passes
+    # through the traced field, and the dithers are never evaluated through
+    # DitherSignal.eval
+    tracer = _load_tracer()
+    with tracer.Patches() as patches:
+        counter = tracer.StepCounter()
+        spans = tracer.Tracer()
+        tracer.instrument(patches, counter, spans)
+        sc = scenarios.load_scenario("three_agent_unicycle")
+        rhs = dynamics.assemble_rhs(sc.build_system(80.0))
+        traj = sim.integrate(rhs, sc.x0, 0.4, policy=sc.policy)
+    calls = spans.call_counts()
+    assert not traj.diverged and traj.total_steps > 0
+    assert counter.integrations == [(traj.total_steps, False, 1)]
+    assert calls["sim.integrate"] == 1
+    assert calls["dynamics.rhs"] == 4 * traj.total_steps
+    assert calls.get("signals.eval", 0) == 0
+
+
 def test_a_traced_generic_bracket_calls_each_agent_map_and_gradient_once():
     # the bracket evaluates the traced stack's value and Jacobian once each;
     # the row views' shared point cache turns the wrapped fields' one-at-a-time

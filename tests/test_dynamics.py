@@ -50,6 +50,13 @@ def test_finite_diff_propagates_nonfinite_values():
         finite_diff_jacobian(fld, 0.0, np.array([1e-3]), h=1e-3)
 
 
+@pytest.mark.parametrize("h", [0.0, -1e-6, math.nan])
+def test_finite_diff_refuses_a_step_that_is_not_positive(h):
+    fld = VectorField(1, lambda t, x: x)
+    with pytest.raises(ValueError, match="step must be positive"):
+        finite_diff_jacobian(fld, 0.0, np.array([1.0]), h=h)
+
+
 def test_supplied_jacobian_consistent_with_finite_differences():
     # analytic Jacobians must agree with central differences to 1e-5 relative
     def fn(t, x):

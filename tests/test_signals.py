@@ -133,5 +133,6 @@ def test_validate_t_dependent_custom_lipschitz():
 def test_validate_rejects_bad_grids_and_tol():
     with pytest.raises(ValueError):
         validate_assumptions(sine(1), t_samples=[], theta_samples=[0.1])
-    with pytest.raises(ValueError):
-        validate_assumptions(sine(1), tol=0.0)
+    for tol in (0.0, -1e-9, math.nan):
+        with pytest.raises(ValueError, match="tolerance"):
+            validate_assumptions(sine(1), tol=tol)

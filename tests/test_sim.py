@@ -328,6 +328,23 @@ def test_library_checks_refuse_nan_and_empty_evidence(make, match):
         make()
 
 
+@pytest.mark.parametrize("kwargs,match", [
+    (dict(delta_list=[-0.5]), "delta_list"),
+    (dict(delta_list=[0.1, 0.0]), "delta_list"),
+    (dict(delta_list=[NAN]), "delta_list"),
+    (dict(delta_list=[math.inf]), "delta_list"),
+    (dict(t_f=NAN), "t_f"),
+    (dict(t_f=math.inf, horizon=math.inf), "t_f"),
+    (dict(t_f=-1.0, horizon=1.0), "t_f"),
+    (dict(horizon=NAN), "horizon must reach past t_f"),
+    (dict(epsilon=math.inf), "epsilon"),
+], ids=["negative_delta", "zero_delta", "nan_delta", "inf_delta", "nan_t_f", "inf_t_f",
+        "negative_t_f", "nan_horizon", "inf_epsilon"])
+def test_probe_refuses_a_bad_radius_tolerance_settling_time_or_horizon_by_name(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        _probe(**kwargs)
+
+
 def test_probe_on_contracting_flow_is_consistent():
     # the averaged flow itself: plain asymptotic stability, any omega
     lie = analytic_lie_scalar(lambda z: -2.0 * z, 1.0)  # dz/dt = -z

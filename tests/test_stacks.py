@@ -17,7 +17,7 @@ from ditherseek import (FieldEvaluationError, FieldStack, InputAffineSystem, Ste
                         VectorField, assemble_rhs, build_lie_bracket_system, cosine,
                         finite_diff_jacobian, frequency_decomposition, integrate,
                         load_scenario, nu_closed_form, sine)
-from ditherseek import dynamics
+from ditherseek.sim import STAGE_CHUNK, step_count
 
 ARCHITECTURES = ("scalar_basic", "three_agent_single_integrator", "three_agent_unicycle")
 SCENARIOS = {name: load_scenario(name) for name in ARCHITECTURES}
@@ -206,8 +206,8 @@ def _hand_factored_system():
     features [1, f(x), x0 * x1]: a user-supplied basis."""
     layout = np.random.default_rng(7).uniform(-1.0, 1.0, (3, 3, 2, 3))
 
-    def basis(t):
-        return np.array([1.0, math.cos(2.0 * t), math.sin(2.0 * t)])
+    def basis(t):  # (3,) for a float t, (T, 3) for T times
+        return np.stack([np.ones_like(t), np.cos(2.0 * t), np.sin(2.0 * t)], axis=-1)
 
     def features(t, x):
         return np.array([1.0, -(x[0] - 1.0) ** 2 - (x[1] + 1.0) ** 2, x[0] * x[1]])
@@ -251,7 +251,9 @@ def test_stack_value_is_the_layout_contraction(name, t, offsets):
     x = _start(name) + np.array(offsets[:stack.dim])
     phi = [1.0] if stack.basis is None else stack.basis(t)
     L = np.einsum("j,jrnw->rnw", phi, stack.layout)
-    assert _close(stack.at(t), [L.reshape(stack.shape[0], -1)])
+    rows = stack.shape[0]
+    # the weights of the rows one at a time give each row of L(t)
+    assert _close(stack.weighted([t] * rows, np.eye(rows)), [L.reshape(rows, -1)])
     assert _close(stack(t, x), [L @ stack.features(t, x)])
     assert _close(stack.jacobian(t, x), [L[..., 1:] @ stack.feature_jac(t, x)])
     # any array-like point, as a field takes it
@@ -277,20 +279,25 @@ def test_bracket_is_the_per_pair_formula_on_the_row_views(name, t, offsets):
 
 @pytest.mark.parametrize("build", [assemble_rhs, build_lie_bracket_system])
 def test_the_basis_is_evaluated_once_per_stage_time(build):
-    # RK4 meets 2S + 1 distinct stage times in S steps; the RHS reaches L(t)
-    # through its memo, the bracket through the stack's one-entry cache
+    # RK4 meets 2S + 1 distinct stage times in S steps. The RHS tabulates
+    # them a chunk at a time, all of a chunk's times even if the run stops
+    # within it; the bracket reaches L(t) through the stack's one-entry cache
     sys = _hand_factored_system()
     calls = []
     basis = sys.stack.basis
 
     def counting(t):
-        calls.append(t)
+        calls.extend(np.atleast_1d(t).tolist())
         return basis(t)
 
     sys.stack.basis = counting
-    traj = integrate(build(sys), np.zeros(2), 0.5, policy=StepPolicy(max_step=0.01))
+    fld, policy = build(sys), StepPolicy(max_step=0.01)
+    traj = integrate(fld, np.zeros(2), 0.5, policy=policy)
     assert traj.total_steps > 1
-    assert len(calls) == 2 * traj.total_steps + 1
+    assert len(set(calls)) == len(calls)
+    tabulated = min(STAGE_CHUNK, step_count(0.5, fld.oscillation_rate, policy))
+    steps = tabulated if build is assemble_rhs else traj.total_steps
+    assert len(calls) == 2 * steps + 1
 
 
 def test_constructor_refuses_an_inconsistent_layout():
@@ -301,31 +308,20 @@ def test_constructor_refuses_an_inconsistent_layout():
         FieldStack(layout[:1], lambda t, x: np.array([1.0, x[0]]), oscillation_rates=(0.0,))
 
 
-def _recording_memos(monkeypatch):
-    """The time memos built from now on, in order."""
-    memos = []
-    time_memo = dynamics.time_memo
-
-    def recording(fn):
-        memos.append(time_memo(fn))
-        return memos[-1]
-
-    monkeypatch.setattr(dynamics, "time_memo", recording)
-    return memos
-
-
-def test_rhs_memo_holds_only_the_contracted_matrices(monkeypatch):
-    memos = _recording_memos(monkeypatch)
+def test_rhs_stage_table_holds_only_the_contracted_matrices():
     for name, sys in SYSTEMS.items():
-        memos.clear()
-        traj = integrate(assemble_rhs(sys), _start(name), 0.05,
-                         policy=StepPolicy(max_step=0.01))
-        # one memo per right-hand side, one (n, 1 + k) matrix per stage time
-        assert len(memos) == 1
-        cache = memos[0].cache
-        assert len(cache) == 2 * traj.total_steps + 1
+        rhs, tables, policy = assemble_rhs(sys), [], StepPolicy(max_step=0.01)
+
+        def stage_table(times, rhs=rhs, tables=tables):
+            tables.append(rhs.stage_table(times))
+            return tables[-1]
+
+        integrate(dataclasses.replace(rhs, stage_table=stage_table), _start(name), 0.05,
+                  policy=policy)
+        # one table for a run within one chunk, one (n, 1 + k) matrix per stage time
+        steps = step_count(0.05, rhs.oscillation_rate, policy)
         width = sys.stack.layout.shape[-1]
-        assert all(M.shape == (sys.dim, width) for M in cache.values())
+        assert [table.shape for table in tables] == [(2 * steps + 1, sys.dim, width)]
     # agent stacks: the constant and one washout per agent; the hand-written
     # stack has the identity layout, its 3 x 2 entries as features; the
     # hand-factored one the constant and its two features
@@ -416,39 +412,26 @@ def test_nonfinite_rhs_marks_divergence_at_the_same_step():
 
 @pytest.mark.parametrize("entry", range(3))
 @pytest.mark.parametrize("bad", ["overflow", "nan"])
-def test_a_nonfinite_rhs_entry_raises_on_a_memo_hit_and_a_miss(monkeypatch, entry, bad):
+def test_a_nonfinite_rhs_entry_raises_on_a_memo_hit_and_a_miss(entry, bad):
     # entry ``entry`` of the drift is 2 * w: w = 1e308 overflows it to inf
     # and leaves the other entries 0; a nan w makes every entry nan
-    memos = _recording_memos(monkeypatch)
     layout = np.zeros((1, 2, 3, 2))
     layout[0, 0, entry, 1] = 2.0
     stack = FieldStack(layout, lambda t, x: np.array([1.0, x[0]]))
     rhs = assemble_rhs(InputAffineSystem(stack.fields[0], ((stack.fields[1], sine(1)),), 10.0))
-    cache = memos[0].cache
     x_bad = np.array([1e308 if bad == "overflow" else math.nan, 0.0, 0.0])
     t = 0.3
+    times = np.array([t, t + 0.1])
     with np.errstate(over="ignore"):
         if bad == "overflow":
             assert np.flatnonzero(~np.isfinite(stack(t, x_bad)[0])).tolist() == [entry]
         with pytest.raises(FieldEvaluationError):
-            rhs.fn(t, x_bad)  # a miss: M(t) is computed, then the value refused
-        assert t in cache
+            rhs.fn(t, x_bad)  # no row: M(t) is computed, then the value refused
+        table = rhs.stage_table(times)  # a miss: the table is built
         with pytest.raises(FieldEvaluationError):
-            rhs.fn(t, x_bad)  # a hit
+            rhs.fn(t, x_bad, table[0])
+        assert rhs.stage_table(times) is table  # a hit: the same table
+        with pytest.raises(FieldEvaluationError):
+            rhs.fn(t, x_bad, rhs.stage_table(times)[0])
     assert np.array_equal(rhs.fn(t, np.ones(3)), 2.0 * np.eye(3)[entry])
-
-
-def test_rhs_memo_holds_at_most_its_bound_of_times(monkeypatch):
-    memos = _recording_memos(monkeypatch)
-    sc = SCENARIOS["three_agent_unicycle"]
-    rhs = assemble_rhs(sc.build_system(80.0))
-    cache = memos[0].cache
-    sizes = []
-    for k in range(3 * dynamics._TIME_MEMO_SIZE):
-        rhs.fn(1e-3 * k, sc.x0)
-        sizes.append(len(cache))
-    # filled to the bound, cleared, filled again; a hit adds nothing
-    assert max(sizes) == dynamics._TIME_MEMO_SIZE
-    assert sizes[dynamics._TIME_MEMO_SIZE] == 1
-    rhs.fn(1e-3 * (len(sizes) - 1), sc.x0)
-    assert len(cache) == sizes[-1]
+    assert np.array_equal(rhs.fn(t, np.ones(3), table[0]), 2.0 * np.eye(3)[entry])
