@@ -11,9 +11,8 @@ from .dynamics import (FieldEvaluationError, FieldStack, InputAffineSystem,
 from .liebracket import (PrecisionWarning, UnsupportedSignalError,
                          build_lie_bracket_system, lie_bracket, nu_closed_form,
                          nu_quadrature)
-from .scenarios import (ProbeConfig, ScalarMap, Scenario, ScenarioError,
-                        bundled_scenario, list_bundled, load_scenario,
-                        parse_scenario, parse_scenario_text)
+from .scenarios import (ScalarMap, Scenario, ScenarioError, bundled_scenario,
+                        list_bundled, load_scenario, parse_scenario, parse_scenario_text)
 from .seekers import (AgentMap, AgentParams, CompatibilityReport, PotentialGame,
                       StationarityReport, analytic_lie_scalar,
                       analytic_lie_single_integrator, analytic_lie_unicycle,
@@ -24,7 +23,7 @@ from .seekers import (AgentMap, AgentParams, CompatibilityReport, PotentialGame,
                       unicycle_period)
 from .signals import (DitherSignal, SignalValidationReport, cosine, custom, from_name,
                       sawtooth, sine, square, triangle, validate_assumptions)
-from .sim import (DecayRecord, DecayReport, OmegaRecord, ProbeCell,
+from .sim import (DecayRecord, DecayReport, OmegaRecord, ProbeCell, ProbeConfig,
                   StabilityProbeReport, StepPolicy, SweepReport, Trajectory,
                   averaging_decay_check, integrate, omega_sweep, stability_probe,
                   sup_distance, write_long_csv, write_sweep_csv,

@@ -126,16 +126,12 @@ def _run_sweep(sc: Scenario, config: RunConfig) -> int:
 
 
 def _run_probe(sc: Scenario, config: RunConfig) -> int:
-    probe = sc.probe
-    if probe is None:
+    if sc.probe is None:
         raise ScenarioError("scenario has no probe block and probe mode was requested")
     if sc.target is None:
         raise ScenarioError("probe mode needs a scenario with a known target")
-    report = stability_probe(sc.build_system, sc.target, probe.deltas,
-                             probe.epsilon, sc.omegas, probe.t_f,
-                             boundary_samples=probe.boundary_samples,
-                             horizon=probe.horizon, policy=sc.policy,
-                             seed=config.seed)
+    report = stability_probe(sc.build_system, sc.target, sc.probe, sc.omegas,
+                             policy=sc.policy, seed=config.seed)
     _report(sc, config, "probe", report.summary())
     return 0
 

@@ -91,20 +91,16 @@ class VectorField:
         return VectorField(v.size, lambda t, x: v, jac=lambda t, x: zj)
 
 
-def finite_diff_jacobian(fld, t: float, x: np.ndarray,
-                         h: float | None = None) -> np.ndarray:
+def finite_diff_jacobian(fld, t: float, x: np.ndarray) -> np.ndarray:
     """Central-difference Jacobian, column k = (F(x + h e_k) - F(x - h e_k)) / 2h.
 
     ``fld`` is any callable (t, x) -> array; the derivative axis is
     appended last, so a :class:`FieldStack` gives one Jacobian per row.
-    Default step 1e-6 * max(1, |x|_inf), the usual double-precision
+    The step is h = 1e-6 * max(1, |x|_inf), the usual double-precision
     compromise between truncation and roundoff.
     """
     x = np.asarray(x, dtype=float)
-    if h is None:
-        h = 1e-6 * max(1.0, float(np.max(np.abs(x))) if x.size else 1.0)
-    if not h > 0.0:
-        raise ValueError("finite-difference step must be positive")
+    h = 1e-6 * max(1.0, float(np.max(np.abs(x))) if x.size else 1.0)
     columns = []
     for k in range(x.size):
         xp = x.copy()

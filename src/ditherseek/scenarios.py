@@ -28,8 +28,8 @@ A scenario is a YAML document. Keys (strict mode rejects anything else):
     step            {samples_per_period?, max_step?, output_stride?} (optional);
                     samples_per_period an integer >= 4, output_stride >= 1
     probe           {delta: [...], epsilon, t_f, boundary_samples?, horizon?}
-                    (optional); boundary_samples an integer from 1 to 4,096,
-                    horizon 2*t_f if absent
+                    (optional), checked by ``sim.ProbeConfig``; boundary_samples
+                    8 and horizon 2*t_f if absent
 
 Numeric values may be written as decimals or as rational strings ("3/10").
 """
@@ -54,7 +54,7 @@ from .seekers import (AgentParams, PotentialGame, _check_params,
                       build_scalar_seeker, build_single_integrator, build_unicycle,
                       equilibrium_state, quadratic_game, three_agent_game)
 from .signals import DitherSignal, from_name
-from .sim import MAX_BOUNDARY_SAMPLES, StepPolicy, checked_omegas
+from .sim import ProbeConfig, StepPolicy, checked_omegas
 
 BUILTIN_GAMES = {"three_agent": three_agent_game}
 DYNAMICS_KINDS = ("scalar", "single_integrator", "unicycle")
@@ -96,14 +96,19 @@ def _require_keys(block: dict, path: str, required: set[str], optional: set[str]
         _fail(path, f"missing required key(s) {sorted(missing)}")
 
 
-def _number(value, path: str) -> float:
-    """Finite decimal or rational-string scalar."""
+def _real(value, path: str) -> float:
+    """Decimal or rational-string scalar, nan and inf included."""
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         _fail(path, f"expected a number, got {type(value).__name__}")
     try:
-        number = float(Fraction(value) if isinstance(value, str) else value)
+        return float(Fraction(value) if isinstance(value, str) else value)
     except (ValueError, ZeroDivisionError, OverflowError):
         _fail(path, f"cannot parse {value!r} as a number")
+
+
+def _number(value, path: str) -> float:
+    """Finite decimal or rational-string scalar."""
+    number = _real(value, path)
     if not math.isfinite(number):
         _fail(path, f"must be finite, got {value!r}")
     return number
@@ -124,15 +129,6 @@ def _ratio(value, path: str) -> Fraction:
                 f"{type(value).__name__}")
 
 
-def _count(value, path: str, minimum: int, maximum: int) -> int:
-    """An integer from ``minimum`` to ``maximum``; floats are refused, never truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(path, f"expected an integer, got {value!r}")
-    if not minimum <= value <= maximum:
-        _fail(path, f"must be from {minimum} to {maximum:,}, got {value}")
-    return value
-
-
 def _vector(value, path: str) -> np.ndarray:
     if not isinstance(value, list) or not value:
         _fail(path, "expected a non-empty list of numbers")
@@ -144,15 +140,6 @@ class ScalarMap:
     fn: Callable[[float], float]
     grad: Callable[[float], float]
     xstar: float
-
-
-@dataclass(frozen=True)
-class ProbeConfig:
-    deltas: tuple[float, ...]
-    epsilon: float
-    t_f: float
-    boundary_samples: int = 8
-    horizon: float | None = None
 
 
 @dataclass(frozen=True)
@@ -196,18 +183,19 @@ class Scenario:
                 "no averaged reference flow exists for amplitude exponent "
                 f"{self.amplitude_exponent}; only simulate mode applies")
         if self.kind == "scalar":
-            # closed forms exist for sinusoids only; a node count is kept
-            method = self.nu_method
-            if method == "closed_form" and not all(s.is_sinusoid for s in self.dithers):
-                method = "quadrature"
-            return build_lie_bracket_system(self.build_system(self.omegas[0]), method)
+            return self.generic_lie_field()
         if self.kind == "single_integrator":
             return analytic_lie_single_integrator(self.game, self.params)
         return analytic_lie_unicycle(self.game, self.params, self.Omega)
 
     def generic_lie_field(self) -> VectorField:
         """Averaged flow via the generic bracket construction (cross-check path)."""
-        return build_lie_bracket_system(self.build_system(self.omegas[0]), self.nu_method)
+        sys = self.build_system(self.omegas[0])
+        # closed forms exist for sinusoids only; a node count is kept
+        method = self.nu_method
+        if method == "closed_form" and not all(s.is_sinusoid for _, s in sys.channels):
+            method = "quadrature"
+        return build_lie_bracket_system(sys, method)
 
     @property
     def target(self) -> np.ndarray | None:
@@ -290,22 +278,16 @@ def _parse_step(block, path: str) -> StepPolicy:
 
 
 def _parse_probe(block, path: str) -> ProbeConfig:
+    """The block's values as parsed; :class:`ProbeConfig` holds every probe rule."""
     _require_keys(block, path, {"delta", "epsilon", "t_f"},
                   {"boundary_samples", "horizon"})
-    deltas = tuple(float(v) for v in _vector(block["delta"], f"{path}.delta"))
-    if any(d <= 0.0 for d in deltas):
-        _fail(f"{path}.delta", "shell radii must be positive")
-    eps = _number(block["epsilon"], f"{path}.epsilon")
-    t_f = _number(block["t_f"], f"{path}.t_f")
-    if eps <= 0.0 or t_f <= 0.0:
-        _fail(path, "epsilon and t_f must be positive")
-    horizon = (_number(block["horizon"], f"{path}.horizon")
-               if "horizon" in block else 2.0 * t_f)
-    if horizon < t_f:
-        _fail(f"{path}.horizon", f"must reach past t_f = {t_f:g}, got {horizon:g}")
-    samples = _count(block.get("boundary_samples", 8), f"{path}.boundary_samples", 1,
-                     MAX_BOUNDARY_SAMPLES)
-    return ProbeConfig(deltas, eps, t_f, boundary_samples=samples, horizon=horizon)
+    if not isinstance(block["delta"], list):
+        _fail(f"{path}.delta", "expected a list of numbers")
+    deltas = [_real(v, f"{path}.delta[{k}]") for k, v in enumerate(block["delta"])]
+    horizon = _real(block["horizon"], f"{path}.horizon") if "horizon" in block else None
+    return checked(path, ProbeConfig, deltas, _real(block["epsilon"], f"{path}.epsilon"),
+                   _real(block["t_f"], f"{path}.t_f"), block.get("boundary_samples", 8),
+                   horizon)
 
 
 _TOP_REQUIRED = {"name", "dynamics", "map", "omega", "initial_state", "horizon"}

@@ -24,6 +24,7 @@ number of concurrent workers.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -86,7 +87,8 @@ class DitherSignal:
     def __post_init__(self):
         if not self.period > 0.0:
             raise ValueError("dither period must be positive")
-        if self.harmonic < 1 or self.harmonic != int(self.harmonic):
+        n = self.harmonic
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
             raise ValueError("harmonic must be a positive integer")
         if not (self.sup_bound >= 0.0 and self.lipschitz_t >= 0.0):
             raise ValueError("claimed bounds must be nonnegative")
@@ -218,27 +220,19 @@ class SignalValidationReport:
         return "\n".join(lines)
 
 
-def validate_assumptions(signal: DitherSignal, t_samples=None, theta_samples=None,
-                         tol: float = 1e-9) -> SignalValidationReport:
+def validate_assumptions(signal: DitherSignal, tol: float = 1e-9) -> SignalValidationReport:
     """Measure the periodicity, zero-average, bound and Lipschitz claims on grids.
 
-    Default theta grid uses cell midpoints over one period so that
-    discontinuous kinds are sampled away from their jump points.
+    The t grid is 9 points on [-2, 2]; the theta grid is the midpoints of 1,024
+    cells over one period, so discontinuous kinds are sampled away from their
+    jump points. Any claim ``tol`` short of its measurement fails.
     """
-    if signal.period <= 0.0:
-        raise ValueError("dither period must be positive")
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
     T = signal.period
-    if t_samples is None:
-        t_samples = np.linspace(-2.0, 2.0, 9)
-    if theta_samples is None:
-        cell = T / 1024
-        theta_samples = np.arange(1024) * cell + 0.5 * cell
-    t_samples = np.atleast_1d(np.asarray(t_samples, dtype=float))
-    theta_samples = np.atleast_1d(np.asarray(theta_samples, dtype=float))
-    if t_samples.size == 0 or theta_samples.size == 0:
-        raise ValueError("sample grids must be non-empty")
+    t_samples = np.linspace(-2.0, 2.0, 9)
+    cell = T / 1024
+    theta_samples = np.arange(1024) * cell + 0.5 * cell
 
     values = np.stack([np.broadcast_to(signal.eval(t, theta_samples), theta_samples.shape)
                        for t in t_samples])
@@ -251,14 +245,10 @@ def validate_assumptions(signal: DitherSignal, t_samples=None, theta_samples=Non
     mean_defect = max(abs(period_mean(signal, t)) for t in t_samples)
 
     lip_quot = 0.0
-    if t_samples.size > 1:
-        for a in range(t_samples.size):
-            for b in range(a + 1, t_samples.size):
-                dt = abs(t_samples[a] - t_samples[b])
-                if dt == 0.0:
-                    continue
-                q = np.max(np.abs(values[a] - values[b])) / dt
-                lip_quot = max(lip_quot, float(q))
+    for a in range(t_samples.size):
+        for b in range(a + 1, t_samples.size):
+            q = np.max(np.abs(values[a] - values[b])) / abs(t_samples[a] - t_samples[b])
+            lip_quot = max(lip_quot, float(q))
 
     return SignalValidationReport(
         signal_name=signal.name,

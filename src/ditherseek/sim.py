@@ -219,24 +219,18 @@ def integrate(fld: VectorField, x0, horizon: float, t0: float = 0.0,
                       total_steps=taken)
 
 
-def sup_distance(a: Trajectory, b: Trajectory, interval=None) -> float:
-    """Max Euclidean distance over a's grid points, b linearly resampled.
-
-    ``interval`` restricts to absolute times [lo, hi]; the effective window
-    is its intersection with both trajectories' ranges and must be nonempty.
-    A diverged trajectory is infinitely far from any other.
-    """
+def sup_distance(a: Trajectory, b: Trajectory) -> float:
+    """Max Euclidean distance over a's grid points where both trajectories are
+    defined, b linearly resampled; ValueError if they do not overlap. A
+    diverged trajectory is infinitely far from any other."""
     if a.dim != b.dim:
         raise ValueError("trajectories must share a dimension")
     if a.diverged or b.diverged:
         return math.inf
     lo = max(a.t0, b.t0)
     hi = min(a.final_time, b.final_time)
-    if interval is not None:
-        lo = max(lo, interval[0])
-        hi = min(hi, interval[1])
     if hi < lo:
-        raise ValueError("trajectories do not overlap on the requested interval")
+        raise ValueError("trajectories do not overlap")
     mask = (a.times >= lo - 1e-12) & (a.times <= hi + 1e-12)
     ts = a.times[mask]
     diffs = a.states[mask] - b.sample(ts)
@@ -327,9 +321,9 @@ class SweepReport:
 
 
 def omega_sweep(build_system, lie_field: VectorField, omegas, x0, horizon: float,
-                t0: float = 0.0, policy: StepPolicy | None = None,
-                target=None) -> SweepReport:
-    """Integrate the oscillatory system at each omega against the averaged flow.
+                policy: StepPolicy | None = None, target=None) -> SweepReport:
+    """Integrate the oscillatory system at each omega against the averaged flow,
+    every run over [0, horizon].
 
     ``build_system`` maps omega to an InputAffineSystem (or directly to a
     VectorField); the averaged flow is integrated once, first, since it does
@@ -339,13 +333,13 @@ def omega_sweep(build_system, lie_field: VectorField, omegas, x0, horizon: float
     if not omegas:
         raise ValueError("a sweep needs at least one omega value")
     x0 = np.asarray(x0, dtype=float)
-    lie_traj = integrate(lie_field, x0, horizon, t0=t0, policy=policy)
+    lie_traj = integrate(lie_field, x0, horizon, policy=policy)
 
     records = []
     for w in omegas:
         rhs = _rhs_of(build_system(w))
         start = time.perf_counter()
-        traj = integrate(rhs, x0, horizon, t0=t0, policy=policy)
+        traj = integrate(rhs, x0, horizon, policy=policy)
         wall = time.perf_counter() - start
         records.append(OmegaRecord(w, sup_distance(traj, lie_traj),
                                    final_distance(traj, target), traj.total_steps, wall,
@@ -369,6 +363,39 @@ def _sphere_directions(count: int, dim: int, seed: int) -> np.ndarray:
     dirs = z / norms
     _, first = np.unique(dirs, axis=0, return_index=True)
     return dirs[np.sort(first)]
+
+
+@dataclass(frozen=True)
+class ProbeConfig:
+    """Shell radii, tolerance, settling time, samples per shell and horizon
+    (2*t_f if None) of a :func:`stability_probe`: the one owner of its rules."""
+
+    deltas: tuple[float, ...]
+    epsilon: float
+    t_f: float
+    boundary_samples: int = 8
+    horizon: float | None = None
+
+    def __post_init__(self):
+        deltas = tuple(float(d) for d in self.deltas)
+        if not deltas:
+            raise ValueError("a probe needs at least one delta and one omega value")
+        if not all(0.0 < d < math.inf for d in deltas):
+            raise ValueError(f"deltas: radii must be finite and positive, got {list(deltas)}")
+        for name, value in (("epsilon", self.epsilon), ("t_f", self.t_f)):
+            if not 0.0 < value < math.inf:  # an infinite epsilon passes every cell
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        n = self.boundary_samples
+        if (isinstance(n, bool) or not isinstance(n, numbers.Integral)
+                or not 1 <= n <= MAX_BOUNDARY_SAMPLES):
+            raise ValueError("boundary_samples: a probe needs an integer from 1 to "
+                             f"{MAX_BOUNDARY_SAMPLES:,} boundary samples per shell, got {n!r}")
+        horizon = 2.0 * self.t_f if self.horizon is None else self.horizon
+        if not self.t_f <= horizon < math.inf:  # refuses a nan horizon too
+            raise ValueError(f"probe.horizon must reach past t_f = {self.t_f:g} and be "
+                             f"finite, got {horizon}")
+        object.__setattr__(self, "deltas", deltas)
+        object.__setattr__(self, "horizon", horizon)
 
 
 @dataclass(frozen=True)
@@ -416,46 +443,34 @@ class StabilityProbeReport:
         return "\n".join(lines)
 
 
-def stability_probe(build_system, target, delta_list, epsilon: float, omegas,
-                    t_f: float, boundary_samples: int = 8, horizon: float | None = None,
-                    t0: float = 0.0, policy: StepPolicy | None = None,
+def stability_probe(build_system, target, probe: ProbeConfig, omegas,
+                    policy: StepPolicy | None = None,
                     seed: int = 2023) -> StabilityProbeReport:
     """Empirical containment/attraction probe around a target point.
 
-    For each (delta, omega) cell, initial conditions are sampled on the
-    delta-shell of the target; containment is the worst-case distance over
+    Cells run delta-major; each integrates, over [0, probe.horizon], one start
+    per distinct direction among ``probe.boundary_samples`` drawn on the
+    delta-shell of the target. Containment is the worst-case distance over
     the whole run, attraction the worst case over the stored samples at or
-    after t0 + t_f. A sample short of t0 + t_f by rounding only, less than a
-    millionth of the storage spacing, counts as at t0 + t_f: with a horizon
-    equal to t_f, that is the final sample.
+    after t_f. A sample short of t_f by rounding only, less than a millionth
+    of the storage spacing, counts as at t_f: with a horizon equal to t_f,
+    that is the final sample.
     """
-    if not 0.0 < epsilon < math.inf:  # an infinite epsilon passes every cell
-        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
-    delta_list, omegas = list(delta_list), list(omegas)
-    if not delta_list or not omegas:
+    omegas = list(omegas)
+    if not omegas:
         raise ValueError("a probe needs at least one delta and one omega value")
-    if not all(0.0 < d < math.inf for d in delta_list):
-        raise ValueError(f"delta_list: radii must be finite and positive, got {delta_list}")
-    if not 0.0 < t_f < math.inf:
-        raise ValueError(f"t_f must be finite and positive, got {t_f}")
-    if not 1 <= boundary_samples <= MAX_BOUNDARY_SAMPLES:
-        raise ValueError(f"a probe needs 1 to {MAX_BOUNDARY_SAMPLES:,} boundary samples "
-                         f"per shell, got {boundary_samples}")
     target = np.asarray(target, dtype=float)
-    horizon = 2.0 * t_f if horizon is None else horizon
-    if not horizon >= t_f:  # refuses a nan horizon too
-        raise ValueError(f"horizon must reach past t_f, got {horizon}")
-    dirs = _sphere_directions(boundary_samples, target.size, seed)
+    dirs = _sphere_directions(probe.boundary_samples, target.size, seed)
 
     cells = []
-    for delta in delta_list:
+    for delta in probe.deltas:
         for w in omegas:
             rhs = _rhs_of(build_system(w))
             containment = 0.0
             attraction = 0.0
             any_div = False
             for d in dirs:
-                traj = integrate(rhs, target + delta * d, horizon, t0=t0, policy=policy)
+                traj = integrate(rhs, target + delta * d, probe.horizon, policy=policy)
                 dist = np.linalg.norm(traj.states - target, axis=1)
                 if traj.diverged:
                     any_div = True
@@ -464,15 +479,15 @@ def stability_probe(build_system, target, delta_list, epsilon: float, omegas,
                     continue
                 containment = max(containment, float(np.max(dist)))
                 # no stored sample at or after t_f is no evidence of attraction
-                tail = dist[math.ceil(t_f / traj.dt - 1e-6):]
+                tail = dist[math.ceil(probe.t_f / traj.dt - 1e-6):]
                 attraction = max(attraction, float(np.max(tail)) if tail.size else math.inf)
             cells.append(ProbeCell(
-                delta=float(delta), omega=float(w),
+                delta=delta, omega=float(w),
                 containment_radius=containment, attraction_radius=attraction,
-                stable_consistent=containment <= epsilon,
-                attractive_consistent=attraction <= epsilon,
+                stable_consistent=containment <= probe.epsilon,
+                attractive_consistent=attraction <= probe.epsilon,
                 any_diverged=any_div))
-    return StabilityProbeReport(epsilon, t_f, len(dirs), tuple(cells))
+    return StabilityProbeReport(probe.epsilon, probe.t_f, len(dirs), tuple(cells))
 
 
 @dataclass(frozen=True)

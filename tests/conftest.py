@@ -2,8 +2,8 @@
 
 import pytest
 
-from ditherseek import (AgentParams, StepPolicy, build_single_integrator, equilibrium_state,
-                        stability_probe, three_agent_game)
+from ditherseek import (AgentParams, ProbeConfig, StepPolicy, build_single_integrator,
+                        equilibrium_state, stability_probe, three_agent_game)
 
 
 @pytest.fixture(scope="session")
@@ -18,6 +18,5 @@ def zero_gain_probe():
     return stability_probe(
         lambda w: build_single_integrator(game, params0, w),
         equilibrium_state(game, params0),
-        delta_list=[1.0], epsilon=0.5, omegas=[50.0], t_f=10.0,
-        boundary_samples=4, horizon=15.0,
-        policy=StepPolicy(max_step=0.01, output_stride=10))
+        ProbeConfig(deltas=[1.0], epsilon=0.5, t_f=10.0, boundary_samples=4, horizon=15.0),
+        omegas=[50.0], policy=StepPolicy(max_step=0.01, output_stride=10))

@@ -7,7 +7,11 @@ runs.
 
 import importlib.util
 import sys
+from importlib import resources
 from pathlib import Path
+
+import numpy as np
+import yaml
 
 from ditherseek import dynamics, scenarios, signals, sim
 
@@ -147,3 +151,45 @@ def test_traced_compare_integrates_the_averaged_flow_first_then_each_omega(tmp_p
     assert calls["sim.integrate"] == 1 + len(sc.omegas)
     assert calls["sim.sup_distance"] == len(sc.omegas)
     assert calls["sim.csv"] == len(sc.omegas) + 2
+
+
+def test_a_traced_probe_integrates_each_distinct_direction_once_per_cell_delta_major(tmp_path):
+    # the gate of the probe workload reads the per-integration step list in
+    # call order: each (delta, omega) cell, deltas outermost, runs every
+    # distinct shell direction once over the probe horizon
+    tracer = _load_tracer()
+    from ditherseek import cli
+
+    doc = yaml.safe_load(resources.files("ditherseek").joinpath(
+        "data", "three_agent_unicycle.yaml").read_text("utf-8"))
+    doc["probe"] = {"delta": [0.25, 0.5], "epsilon": 1.25, "t_f": 0.1,
+                    "boundary_samples": 8, "horizon": 0.2}
+    path = tmp_path / "short_probe.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    starts = []
+    with tracer.Patches() as patches:
+        counter = tracer.StepCounter()
+        tracer.instrument(patches, counter, tracer.Tracer())
+        traced = sim.integrate
+
+        def recording(fld, x0, *args, **kwargs):
+            starts.append(np.array(x0, dtype=float))
+            return traced(fld, x0, *args, **kwargs)
+
+        patches.rebind(traced, recording)
+        status = cli.main(["--scenario", str(path), "--mode", "probe", "--seed", "2023",
+                           "--out", str(tmp_path / "o")])
+    assert status == 0
+    sc = scenarios.load_scenario(str(path))
+    dirs = sim._sphere_directions(8, sc.dim, 2023)
+    assert len(dirs) == 8
+    cells = [(delta, w) for delta in sc.probe.deltas for w in sc.omegas]
+    steps = {w: sim.step_count(0.2, sc.build_system(w).fast_rate, sc.policy)
+             for w in sc.omegas}
+    assert len(set(steps.values())) == len(sc.omegas)  # the order shows in the steps
+    assert counter.integrations == [(steps[w], False, 1) for _, w in cells for _ in dirs]
+    expected = [sc.target + delta * d for delta, _ in cells for d in dirs]
+    assert len(starts) == len(expected)
+    assert all(np.array_equal(a, b) for a, b in zip(starts, expected))
+    report = (tmp_path / "o" / f"{sc.name}_probe.txt").read_text(encoding="utf-8")
+    assert "samples/shell=8" in report and report.count(" delta=") == len(cells)

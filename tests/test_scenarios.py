@@ -12,7 +12,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ditherseek import (FieldEvaluationError, ScenarioError, assemble_rhs,
+from ditherseek import (FieldEvaluationError, ProbeConfig, ScenarioError, assemble_rhs,
                         build_lie_bracket_system, bundled_scenario, list_bundled,
                         load_scenario, parse_scenario, parse_scenario_text)
 from ditherseek.cli import RunConfig, _resolved
@@ -490,3 +490,25 @@ def test_probe_block_parsed():
     assert sc.probe is not None
     assert sc.probe.deltas == (0.5,)
     assert sc.probe.epsilon > 0
+
+
+@pytest.mark.parametrize("key,value", [("delta", [-0.5]), ("epsilon", 0.0), ("t_f", math.nan),
+                                       ("horizon", 0.5), ("boundary_samples", 4097)])
+def test_a_probe_rule_refuses_a_yaml_block_and_the_library_in_the_same_words(key, value):
+    block = {"delta": [0.1], "epsilon": 0.5, "t_f": 1.0, key: value}
+    with pytest.raises(ValueError) as library:
+        ProbeConfig(**{("deltas" if k == "delta" else k): v for k, v in block.items()})
+    with pytest.raises(ScenarioError) as loaded:
+        parse_scenario_text(yaml.safe_dump({**AGENT_DOC, "probe": block}))
+    assert str(loaded.value) == f"scenario.probe: {library.value}"
+
+
+def test_generic_averaged_field_of_a_square_dither_falls_back_to_quadrature():
+    # no closed form exists for a square dither: both averaged fields switch
+    # to quadrature instead of refusing a scenario every CLI mode accepts
+    sc = parse_scenario_text(yaml.safe_dump({**SCALAR_DOC, "dither": ["cosine:1", "square:1"]}))
+    assert sc.nu_method == "closed_form"
+    z = np.array([0.3])
+    value = sc.generic_lie_field()(0.0, z)
+    assert value == sc.lie_field()(0.0, z)
+    assert value[0] == pytest.approx(0.891268, abs=1e-6)

@@ -131,8 +131,14 @@ def test_validate_t_dependent_custom_lipschitz():
 
 
 def test_validate_rejects_bad_grids_and_tol():
-    with pytest.raises(ValueError):
-        validate_assumptions(sine(1), t_samples=[], theta_samples=[0.1])
     for tol in (0.0, -1e-9, math.nan):
         with pytest.raises(ValueError, match="tolerance"):
             validate_assumptions(sine(1), tol=tol)
+
+
+@pytest.mark.parametrize("make", [lambda: sine(math.inf), lambda: sine("2"),
+                                  lambda: DitherSignal("cosine", True), lambda: sine(2.0)],
+                         ids=["inf", "str", "bool", "float"])
+def test_a_harmonic_that_is_not_an_integer_is_refused(make):
+    with pytest.raises(ValueError, match="harmonic must be a positive integer"):
+        make()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ditherseek import (AgentParams, DitherSignal, InputAffineSystem, OmegaRecord,
-                        StepPolicy, SweepReport, Trajectory, VectorField,
+                        ProbeConfig, StepPolicy, SweepReport, Trajectory, VectorField,
                         analytic_lie_scalar, analytic_lie_single_integrator,
                         assemble_rhs, averaging_decay_check, build_scalar_seeker,
                         build_single_integrator, cosine, equilibrium_state,
@@ -145,7 +145,6 @@ def test_sup_distance_resamples_and_windows():
     ts_a = Trajectory(0.0, 0.05, np.linspace(0.0, 1.0, 21)[:, None])
     ts_b = Trajectory(0.0, 0.5, np.linspace(0.0, 1.0, 3)[:, None])
     assert sup_distance(ts_a, ts_b) == pytest.approx(0.0, abs=1e-12)
-    assert sup_distance(ts_a, ts_b, interval=(0.2, 0.6)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_sup_distance_disjoint_intervals_rejected():
@@ -273,9 +272,8 @@ def test_probe_consistent_near_target_at_moderate_omega():
     target = equilibrium_state(game, params)
     rep = stability_probe(
         lambda w: build_single_integrator(game, params, w), target,
-        delta_list=[0.2], epsilon=0.75, omegas=[50.0], t_f=8.0,
-        boundary_samples=3, horizon=12.0,
-        policy=StepPolicy(max_step=0.01, output_stride=10))
+        ProbeConfig(deltas=[0.2], epsilon=0.75, t_f=8.0, boundary_samples=3, horizon=12.0),
+        omegas=[50.0], policy=StepPolicy(max_step=0.01, output_stride=10))
     assert rep.all_stable_consistent
     assert rep.all_attractive_consistent
 
@@ -283,8 +281,9 @@ def test_probe_consistent_near_target_at_moderate_omega():
 def test_probe_without_boundary_samples_rejected():
     # zero samples would report every shell consistent on no evidence
     with pytest.raises(ValueError, match="boundary sample"):
-        stability_probe(lambda w: _decay_field(), [0.0], delta_list=[0.1],
-                        epsilon=0.5, omegas=[10.0], t_f=1.0, boundary_samples=0)
+        stability_probe(lambda w: _decay_field(), [0.0],
+                        ProbeConfig(deltas=[0.1], epsilon=0.5, t_f=1.0, boundary_samples=0),
+                        omegas=[10.0])
 
 
 @pytest.mark.parametrize("samples", [sim.MAX_BOUNDARY_SAMPLES + 1, 10**9])
@@ -292,17 +291,19 @@ def test_probe_refuses_too_many_boundary_samples_before_drawing(monkeypatch, sam
     drawn = []
     monkeypatch.setattr(sim, "_sphere_directions", lambda *args: drawn.append(args))
     with pytest.raises(ValueError, match="boundary samples"):
-        stability_probe(lambda w: _decay_field(), [0.0], delta_list=[0.1],
-                        epsilon=0.5, omegas=[10.0], t_f=1.0, boundary_samples=samples)
+        stability_probe(lambda w: _decay_field(), [0.0],
+                        ProbeConfig(deltas=[0.1], epsilon=0.5, t_f=1.0,
+                                    boundary_samples=samples), omegas=[10.0])
     assert drawn == []
 
 
 NAN = math.nan
 
 
-def _probe(**kwargs):
-    args = dict(delta_list=[0.1], epsilon=0.5, omegas=[10.0], t_f=1.0, boundary_samples=2)
-    return stability_probe(lambda w: _decay_field(), [0.0], **{**args, **kwargs})
+def _probe(omegas=(10.0,), **kwargs):
+    args = dict(deltas=[0.1], epsilon=0.5, t_f=1.0, boundary_samples=2)
+    return stability_probe(lambda w: _decay_field(), [0.0], ProbeConfig(**{**args, **kwargs}),
+                           omegas)
 
 
 @pytest.mark.parametrize("make,match", [
@@ -319,7 +320,7 @@ def _probe(**kwargs):
     (lambda: integrate(_decay_field(), [1.0], NAN), "horizon must be positive"),
     (lambda: _probe(epsilon=NAN), "epsilon"),
     # no cells: every verdict would read consistent on zero evidence
-    (lambda: _probe(delta_list=[]), "at least one delta"),
+    (lambda: _probe(deltas=[]), "at least one delta"),
     (lambda: _probe(omegas=[]), "at least one delta"),
 ], ids=["omega", "max_step", "dt", "c", "alpha", "h", "period", "sup_bound", "lipschitz_t",
         "horizon", "epsilon", "no_deltas", "no_omegas"])
@@ -329,10 +330,10 @@ def test_library_checks_refuse_nan_and_empty_evidence(make, match):
 
 
 @pytest.mark.parametrize("kwargs,match", [
-    (dict(delta_list=[-0.5]), "delta_list"),
-    (dict(delta_list=[0.1, 0.0]), "delta_list"),
-    (dict(delta_list=[NAN]), "delta_list"),
-    (dict(delta_list=[math.inf]), "delta_list"),
+    (dict(deltas=[-0.5]), "deltas"),
+    (dict(deltas=[0.1, 0.0]), "deltas"),
+    (dict(deltas=[NAN]), "deltas"),
+    (dict(deltas=[math.inf]), "deltas"),
     (dict(t_f=NAN), "t_f"),
     (dict(t_f=math.inf, horizon=math.inf), "t_f"),
     (dict(t_f=-1.0, horizon=1.0), "t_f"),
@@ -345,20 +346,28 @@ def test_probe_refuses_a_bad_radius_tolerance_settling_time_or_horizon_by_name(k
         _probe(**kwargs)
 
 
+@pytest.mark.parametrize("samples", [2.5, "8", True])
+def test_probe_refuses_boundary_samples_that_are_not_an_integer(samples):
+    # 2.5 once reached the Sobol draw as a slice bound (TypeError), and True
+    # ran one sample per shell
+    with pytest.raises(ValueError, match="boundary_samples"):
+        _probe(boundary_samples=samples)
+
+
 def test_probe_on_contracting_flow_is_consistent():
     # the averaged flow itself: plain asymptotic stability, any omega
     lie = analytic_lie_scalar(lambda z: -2.0 * z, 1.0)  # dz/dt = -z
-    rep = stability_probe(lambda w: lie, np.zeros(1), delta_list=[0.5, 1.0],
-                          epsilon=1.2, omegas=[10.0, 100.0], t_f=4.0,
-                          boundary_samples=4, horizon=8.0,
-                          policy=StepPolicy(max_step=0.01))
+    rep = stability_probe(lambda w: lie, np.zeros(1),
+                          ProbeConfig(deltas=[0.5, 1.0], epsilon=1.2, t_f=4.0,
+                                      boundary_samples=4, horizon=8.0),
+                          omegas=[10.0, 100.0], policy=StepPolicy(max_step=0.01))
     assert rep.all_stable_consistent
     assert rep.all_attractive_consistent
     # longer settling time shrinks the attraction radius estimate
-    rep2 = stability_probe(lambda w: lie, np.zeros(1), delta_list=[1.0],
-                           epsilon=1.2, omegas=[10.0], t_f=6.0,
-                           boundary_samples=4, horizon=8.0,
-                           policy=StepPolicy(max_step=0.01))
+    rep2 = stability_probe(lambda w: lie, np.zeros(1),
+                           ProbeConfig(deltas=[1.0], epsilon=1.2, t_f=6.0,
+                                       boundary_samples=4, horizon=8.0),
+                           omegas=[10.0], policy=StepPolicy(max_step=0.01))
     assert rep2.cells[0].attraction_radius < rep.cells[-1].attraction_radius
 
 
@@ -366,10 +375,10 @@ def test_probe_reproducible_with_fixed_seed():
     lie = analytic_lie_scalar(lambda z: -2.0 * z, 1.0)
 
     def probe():
-        return stability_probe(lambda w: lie, np.zeros(1), delta_list=[1.0],
-                               epsilon=1.0, omegas=[10.0], t_f=2.0,
-                               boundary_samples=4, horizon=4.0,
-                               policy=StepPolicy(max_step=0.01), seed=7)
+        return stability_probe(lambda w: lie, np.zeros(1),
+                               ProbeConfig(deltas=[1.0], epsilon=1.0, t_f=2.0,
+                                           boundary_samples=4, horizon=4.0),
+                               omegas=[10.0], policy=StepPolicy(max_step=0.01), seed=7)
 
     a, b = probe(), probe()
     assert a.cells[0].containment_radius == b.cells[0].containment_radius
@@ -387,10 +396,10 @@ def test_probe_integrates_each_distinct_start_once(monkeypatch):
 
     monkeypatch.setattr(sim, "integrate", counting)
     lie = analytic_lie_scalar(lambda z: -2.0 * z, 1.0)
-    rep = stability_probe(lambda w: lie, np.zeros(1), delta_list=[0.5, 1.0],
-                          epsilon=1.2, omegas=[10.0, 100.0], t_f=1.0,
-                          boundary_samples=4, horizon=2.0,
-                          policy=StepPolicy(max_step=0.01), seed=2023)
+    rep = stability_probe(lambda w: lie, np.zeros(1),
+                          ProbeConfig(deltas=[0.5, 1.0], epsilon=1.2, t_f=1.0,
+                                      boundary_samples=4, horizon=2.0),
+                          omegas=[10.0, 100.0], policy=StepPolicy(max_step=0.01), seed=2023)
     assert len(starts) == 2 * len(rep.cells)
     assert [abs(s) for s in starts] == [0.5, 0.5, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0]
     assert rep.samples == 2
@@ -405,9 +414,9 @@ def test_probe_tail_at_a_horizon_equal_to_t_f_is_the_final_sample():
     unstable = VectorField(1, lambda t, x: x)
     final = integrate(unstable, [0.3], t_f, policy=policy)
     assert final.final_time < t_f
-    rep = stability_probe(lambda w: unstable, np.zeros(1), delta_list=[0.3], epsilon=0.6,
-                          omegas=[20.0], t_f=t_f, boundary_samples=2, horizon=t_f,
-                          policy=policy)
+    rep = stability_probe(lambda w: unstable, np.zeros(1),
+                          ProbeConfig(deltas=[0.3], epsilon=0.6, t_f=t_f, boundary_samples=2,
+                                      horizon=t_f), omegas=[20.0], policy=policy)
     assert rep.cells[0].attraction_radius == abs(final.final_state[0]) > 0.3
 
 
@@ -421,7 +430,7 @@ def test_probe_keeps_distinct_directions_in_their_order():
 def test_probe_validates_epsilon():
     lie = analytic_lie_scalar(lambda z: -z, 1.0)
     with pytest.raises(ValueError):
-        stability_probe(lambda w: lie, np.zeros(1), [1.0], 0.0, [10.0], 1.0)
+        stability_probe(lambda w: lie, np.zeros(1), ProbeConfig([1.0], 0.0, 1.0), [10.0])
 
 
 # ---------------------------------------------------------------------------

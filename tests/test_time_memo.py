@@ -18,8 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ditherseek import (FieldEvaluationError, InputAffineSystem, StepPolicy, VectorField,
-                        assemble_rhs, build_lie_bracket_system, build_scalar_seeker, custom,
+from ditherseek import (FieldEvaluationError, InputAffineSystem, ProbeConfig, StepPolicy,
+                        VectorField, assemble_rhs, build_lie_bracket_system, build_scalar_seeker, custom,
                         integrate, load_scenario, sine, stability_probe)
 from ditherseek.sim import STAGE_CHUNK, step_count
 
@@ -102,8 +102,8 @@ def test_probe_cell_evaluates_each_dither_once_per_stage_time():
     steps = integrate(assemble_rhs(build(20.0)), [1.3], 1.0, policy=policy).total_steps
     assert steps <= STAGE_CHUNK
     calls.update(a=0, b=0)
-    report = stability_probe(build, [1.0], [0.3], 0.6, [20.0], t_f=0.5,
-                             boundary_samples=4, horizon=1.0, policy=policy)
+    report = stability_probe(build, [1.0], ProbeConfig([0.3], 0.6, t_f=0.5, boundary_samples=4,
+                                                       horizon=1.0), [20.0], policy=policy)
     assert len(report.cells) == 1 and not report.cells[0].any_diverged
     # four directions, one shared time grid: 2S + 1 distinct stage times
     assert calls == {"a": 2 * steps + 1, "b": 2 * steps + 1}
