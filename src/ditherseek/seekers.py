@@ -13,6 +13,7 @@ canonical 2*pi period; the sqrt(n_i) factor moves into the channel field.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable
@@ -20,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import FieldStack, InputAffineSystem, VectorField, finite_diff_jacobian
-from .signals import cosine, sine
+from .signals import check_tolerance, cosine, sine
 
 
 @dataclass(frozen=True)
@@ -69,8 +70,11 @@ class PotentialGame:
         if not self.maps:
             raise ValueError("a game needs at least one agent map")
         if self.maximizer is not None:
-            object.__setattr__(self, "maximizer",
-                               np.asarray(self.maximizer, dtype=float))
+            maximizer = np.asarray(self.maximizer, dtype=float)
+            if maximizer.shape != (self.dim,):
+                raise ValueError(f"maximizer must have length 2N = {self.dim} for "
+                                 f"{self.n_agents} agents, got shape {maximizer.shape}")
+            object.__setattr__(self, "maximizer", maximizer)
 
     @property
     def n_agents(self) -> int:
@@ -340,7 +344,6 @@ def unicycle_period(params, Omega: float) -> float:
 class CompatibilityReport:
     """Block-gradient agreement between individual maps and the potential."""
 
-    samples: int
     tol: float
     max_defect: float
     per_agent: tuple[float, ...]
@@ -348,12 +351,6 @@ class CompatibilityReport:
     @property
     def passed(self) -> bool:
         return self.max_defect < self.tol
-
-    def summary(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        per = ", ".join(f"agent {i + 1}: {d:.3e}" for i, d in enumerate(self.per_agent))
-        return (f"[{status}] potential compatibility: max block-gradient defect "
-                f"{self.max_defect:.3e} over {self.samples} samples (tol {self.tol:g}); {per}")
 
 
 def check_potential_compatibility(game: PotentialGame, samples: int = 1000,
@@ -363,6 +360,9 @@ def check_potential_compatibility(game: PotentialGame, samples: int = 1000,
     The gradients are collected per sample; the own-block defects of all
     samples are then reduced at once, so a nan defect reads nan (a FAIL).
     """
+    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 1:
+        raise ValueError(f"samples must be an integer of at least 1, got {samples!r}")
+    check_tolerance(tol)
     rng = np.random.default_rng(seed)
     n = game.n_agents
     pts = rng.uniform(-3.0, 3.0, size=(samples, game.dim))
@@ -375,7 +375,7 @@ def check_potential_compatibility(game: PotentialGame, samples: int = 1000,
     # own[s, i] is agent i's block of grad f_i at sample s, pot[s, i] that of grad F
     own, pot = blocks[:, agents, agents], blocks[:, n]
     per_agent = np.abs(own - pot).max(axis=(0, 2), initial=0.0)
-    return CompatibilityReport(samples, tol, float(np.max(per_agent)),
+    return CompatibilityReport(tol, float(np.max(per_agent)),
                                tuple(per_agent.tolist()))
 
 
@@ -390,11 +390,6 @@ class StationarityReport:
     def passed(self) -> bool:
         return self.gradient_norm < self.tol
 
-    def summary(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return (f"[{status}] maximizer stationarity: |grad F| = "
-                f"{self.gradient_norm:.3e} (tol {self.tol:g})")
-
 
 def check_maximizer_stationarity(game: PotentialGame,
                                  tol: float = 1e-5) -> StationarityReport:
@@ -407,6 +402,7 @@ def check_maximizer_stationarity(game: PotentialGame,
     """
     if game.maximizer is None:
         raise ValueError("game has no known maximizer to check")
+    check_tolerance(tol)
     grad = finite_diff_jacobian(lambda t, y: game.potential(y), 0.0, game.maximizer)
     return StationarityReport(float(np.linalg.norm(grad)), tol)
 

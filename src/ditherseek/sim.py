@@ -509,22 +509,10 @@ class DecayReport:
     An O(1/omega) averaging bound shows as a slope near -1.
     """
 
-    signal_name: str
-    partner_name: str
     nu_value: float
     records: tuple[DecayRecord, ...]
     slope: float
     paired_slope: float
-
-    def summary(self) -> str:
-        lines = [f"averaging decay for {self.signal_name} "
-                 f"(paired with {self.partner_name}, nu={self.nu_value:.6g}):"]
-        for r in self.records:
-            lines.append(f"  omega={r.omega:g}: sup={r.sup_defect:.6g} "
-                         f"endpoint={r.endpoint_defect:.6g} "
-                         f"paired_sup={r.paired_sup_defect:.6g}")
-        lines.append(f"  fitted slopes: single={self.slope:.4f} paired={self.paired_slope:.4f}")
-        return "\n".join(lines)
 
 
 def averaging_decay_check(u: DitherSignal, t0: float, t_end: float, omegas,
@@ -541,6 +529,9 @@ def averaging_decay_check(u: DitherSignal, t0: float, t_end: float, omegas,
     """
     if u.t_dependent:
         raise ValueError("decay check expects dithers without slow-time dependence")
+    for name, value in (("t0", t0), ("t_end", t_end)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if t_end <= t0:
         raise ValueError("t_end must exceed t0")
     omegas = checked_omegas(omegas)
@@ -582,7 +573,7 @@ def averaging_decay_check(u: DitherSignal, t0: float, t_end: float, omegas,
     slope = fit_loglog_slope(np.array(omegas), np.array([r.sup_defect for r in records]))
     paired_slope = fit_loglog_slope(np.array(omegas),
                                     np.array([r.paired_sup_defect for r in records]))
-    return DecayReport(u.name, partner.name, nu, tuple(records), slope, paired_slope)
+    return DecayReport(nu, tuple(records), slope, paired_slope)
 
 
 # ---------------------------------------------------------------------------

@@ -66,8 +66,28 @@ def test_probe_mode_writes_report(scalar_file, tmp_path):
     assert "delta=0.3" in text
 
 
-def test_verify_mode_passes_on_bundled_scalar(tmp_path):
-    assert run(RunConfig("verify", "scalar_basic", tmp_path / "v")) == 0
+_DITHER_CHECKS = [f"dither {kind}:{n} periodic/zero-mean/bounded"
+                  for kind in ("cosine", "sine") for n in (1, 2, 3)]
+_FIELD_CHECKS = ["analytic Jacobians vs finite differences", "nu quadrature vs closed form"]
+_GAME_CHECKS = (_DITHER_CHECKS + ["potential compatibility (own-block gradients)",
+                                  "maximizer witness is stationary"] + _FIELD_CHECKS)
+_VERIFY_CHECKS = {
+    "scalar_basic": [_DITHER_CHECKS[0], _DITHER_CHECKS[3]] + _FIELD_CHECKS,
+    "three_agent_single_integrator": _GAME_CHECKS,
+    "three_agent_unicycle": _GAME_CHECKS,
+}
+
+
+@pytest.mark.parametrize("name", list(_VERIFY_CHECKS))
+def test_verify_mode_passes_on_each_bundled_scenario(tmp_path, name):
+    # the check names in order and the closing count, as the verify report prints them
+    assert run(RunConfig("verify", name, tmp_path / "v")) == 0
+    lines = (tmp_path / "v" / f"{name}_verify.txt").read_text().splitlines()
+    assert lines[0] == f"verification of scenario {name}:"
+    checks = _VERIFY_CHECKS[name]
+    assert [line[9:].split("  ")[0] for line in lines[1:-1]] == checks
+    assert all(line.startswith("  [PASS] ") for line in lines[1:-1])
+    assert lines[-1] == f"{len(checks)}/{len(checks)} checks passed"
 
 
 def test_identical_runs_are_byte_identical(scalar_file, tmp_path):

@@ -354,6 +354,31 @@ def test_a_nan_gradient_fails_the_compatibility_check():
         PotentialGame((nan_map,), good.potential, good.potential_grad), samples=50)
     assert math.isnan(rep.max_defect) and not rep.passed
 
+
+@pytest.mark.parametrize("samples", [0, -1, 1.5, True])
+def test_compatibility_refuses_samples_that_are_not_a_positive_integer(samples):
+    # zero samples would read PASS on no evidence
+    with pytest.raises(ValueError, match="samples"):
+        check_potential_compatibility(three_agent_game(), samples=samples)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan, math.inf])
+def test_game_checks_refuse_a_tolerance_that_is_not_finite_and_positive(tol):
+    # an infinite tolerance would pass every game, a zero or nan one fail every game
+    with pytest.raises(ValueError, match="tolerance"):
+        check_potential_compatibility(three_agent_game(), samples=10, tol=tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        check_maximizer_stationarity(three_agent_game(), tol=tol)
+
+
+@pytest.mark.parametrize("maximizer", [[1.0, 2.0], np.zeros(7), np.zeros((3, 2))],
+                         ids=["short", "long", "matrix"])
+def test_a_maximizer_that_is_not_one_point_of_the_game_is_refused(maximizer):
+    g = three_agent_game()
+    with pytest.raises(ValueError, match="maximizer"):
+        PotentialGame(g.maps, g.potential, g.potential_grad, maximizer=maximizer)
+
+
 def test_filter_equilibrium_unit_poles():
     game = three_agent_game()
     params = _params()
@@ -385,7 +410,6 @@ def test_bundled_map_gradients_match_finite_differences():
 def test_maximizer_stationarity_check():
     rep = check_maximizer_stationarity(three_agent_game(), tol=1e-5)
     assert rep.passed
-    assert "stationarity" in rep.summary()
     shifted = quadratic_game(np.ones(2), np.zeros(2))
     off = PotentialGame(shifted.maps, shifted.potential, shifted.potential_grad,
                         maximizer=np.array([0.5, 0.0]))

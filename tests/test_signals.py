@@ -91,7 +91,6 @@ def test_validate_sine_all_pass():
     rep = validate_assumptions(sine(1), tol=1e-9)
     assert rep.passed
     assert rep.max_periodicity_defect < 1e-12
-    assert "no violation found" in rep.summary()
 
 
 def test_validate_constant_fails_zero_mean():
@@ -114,7 +113,7 @@ def test_validate_sawtooth_with_understated_bound():
 @pytest.mark.parametrize("n", list(range(1, 11)))
 def test_builtin_kinds_satisfy_their_claims(ctor, n):
     rep = validate_assumptions(ctor(n), tol=1e-9)
-    assert rep.passed, rep.summary()
+    assert rep.passed, rep
     if ctor(n).is_sinusoid:
         assert rep.max_periodicity_defect < 1e-12
 
@@ -131,7 +130,7 @@ def test_validate_t_dependent_custom_lipschitz():
 
 
 def test_validate_rejects_bad_grids_and_tol():
-    for tol in (0.0, -1e-9, math.nan):
+    for tol in (0.0, -1e-9, math.nan, math.inf):
         with pytest.raises(ValueError, match="tolerance"):
             validate_assumptions(sine(1), tol=tol)
 

@@ -471,6 +471,11 @@ def test_decay_validates_arguments():
         averaging_decay_check(sine(1), 0.0, 0.0, [10.0, 100.0])
     with pytest.raises(ValueError):
         averaging_decay_check(sine(1), 0.0, 1.0, [10.0])
+    # a non-finite end of the window is refused by name
+    for t0, t_end, name in ((0.0, math.inf, "t_end"), (0.0, math.nan, "t_end"),
+                            (-math.inf, 1.0, "t0"), (math.nan, 1.0, "t0")):
+        with pytest.raises(ValueError, match=name):
+            averaging_decay_check(sine(1), t0, t_end, [10.0, 100.0])
 
 
 # ---------------------------------------------------------------------------
