@@ -16,6 +16,8 @@ time-only layout times state features, so that work the fields share (agent
 maps, gradients) is done once per point and work that depends on t alone
 once per time. Fields made one at a time are stacked by
 :meth:`FieldStack.of` over the identity layout, their values as features.
+A right-hand side carries its stack's features as ``fn.features``, so that
+integrators form a stage as a stage-table row times the features.
 
 Fields and systems are immutable after construction; evaluation is
 reentrant. The only mutable state is in one-entry caches, each replaced as
@@ -211,7 +213,8 @@ class FieldStack:
     @staticmethod
     def of(fields) -> "FieldStack":
         """The stack whose row views ``fields`` are, in order; else the identity
-        layout over the fields' values, rows as features."""
+        layout over the fields' values, rows as features, which refuse a non-finite
+        state with FieldEvaluationError before calling any field (see ``integrate``)."""
         fields = tuple(fields)
         view = fields[0].fn
         if isinstance(view, _RowView):
@@ -225,6 +228,8 @@ class FieldStack:
         jacs = tuple(f.jacobian for f in fields)  # analytic when given, shape-checked
 
         def features(t, x):
+            if not np.isfinite(x).all():
+                raise FieldEvaluationError("non-finite state")
             value = np.array([f(t, x) for f in fns], dtype=float)
             if value.shape != shape:
                 raise ValueError(f"stack returned shape {value.shape}, expected {shape}")
@@ -297,8 +302,10 @@ def assemble_rhs(sys: InputAffineSystem) -> VectorField:
     (n, 1 + k) matrices M(t) = c(t) @ L(t) of an array of times, built in one
     pass and kept for the last array, so dithers must be pure in (t, theta).
     ``fn(t, x, row)`` is one matrix-vector product, checked for finiteness;
-    ``fn(t, x)`` tabulates t itself. M(t)[:, 1:] @ feature_jac is the
-    Jacobian, supplied only when drift and every channel carry one.
+    ``fn(t, x)`` tabulates t itself. ``fn.features`` is the stack's features:
+    for a table row r, ``fn(t, x, r)`` is ``r @ fn.features(t, x)``, then the
+    check. M(t)[:, 1:] @ feature_jac is the Jacobian, supplied only when
+    drift and every channel carry one.
     """
     stack, omega = sys.stack, sys.omega
     gain = omega ** sys.amplitude_exponent
@@ -325,6 +332,7 @@ def assemble_rhs(sys: InputAffineSystem) -> VectorField:
             raise FieldEvaluationError("non-finite right-hand side")
         return out
 
+    fn.features = features
     jac = None
     if all(fld.has_jacobian for fld in sys.fields):
         feature_jac = stack.feature_jac

@@ -353,6 +353,11 @@ class CompatibilityReport:
         return self.max_defect < self.tol
 
 
+# most samples of a compatibility check: 10 times the CLI's 1,000; the (samples,
+# N + 1, 2N) gradients take 1.9 MB for three agents, 96 MB at MAX_AGENTS
+MAX_COMPATIBILITY_SAMPLES = 10_000
+
+
 def check_potential_compatibility(game: PotentialGame, samples: int = 1000,
                                   tol: float = 1e-6, seed: int = 0) -> CompatibilityReport:
     """Measure max over random points in [-3, 3]^(2N) of the own-block gradient defect.
@@ -360,8 +365,10 @@ def check_potential_compatibility(game: PotentialGame, samples: int = 1000,
     The gradients are collected per sample; the own-block defects of all
     samples are then reduced at once, so a nan defect reads nan (a FAIL).
     """
-    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 1:
-        raise ValueError(f"samples must be an integer of at least 1, got {samples!r}")
+    if (isinstance(samples, bool) or not isinstance(samples, numbers.Integral)
+            or not 1 <= samples <= MAX_COMPATIBILITY_SAMPLES):
+        raise ValueError("samples must be an integer from 1 to MAX_COMPATIBILITY_SAMPLES = "
+                         f"{MAX_COMPATIBILITY_SAMPLES:,}, got {samples!r}")
     check_tolerance(tol)
     rng = np.random.default_rng(seed)
     n = game.n_agents

@@ -41,6 +41,10 @@ MAX_STEPS = 10_000_000
 # steps per stage table (1,025 rows); probe directions this short share one table
 STAGE_CHUNK = 512
 
+# most intervals of an averaging_decay_check grid: 20 times the largest caller's
+# (101,860 at omega=10,000 over [0, 1]); about ten arrays of 16.8 MB each
+MAX_DECAY_INTERVALS = 1 << 21
+
 # most boundary samples a probe draws per shell: 512 times the bundled 8; the
 # Sobol draw behind them is then at most 4,096 rows
 MAX_BOUNDARY_SAMPLES = 4096
@@ -163,7 +167,11 @@ def integrate(fld: VectorField, x0, horizon: float, t0: float = 0.0,
     instead of raising; more than :data:`MAX_STEPS` steps raise ValueError.
     Stage times are the floats t0 + k*dt and t0 + k*dt + dt/2, so steps k and
     k+1 share the time of their common stage. A field with a stage table is
-    called as ``fn(t, x, row)``, tabulated :data:`STAGE_CHUNK` steps at a time.
+    called as ``fn(t, x, row)``, tabulated :data:`STAGE_CHUNK` steps at a time;
+    if ``fn`` carries ``features`` (see ``assemble_rhs``), each stage is
+    ``row @ features(t, x)``, unchecked: RK4's stage weights are finite and
+    non-zero, so a non-finite stage is refused in the new state. ``features``
+    must map a non-finite state to non-finite values or raise FieldEvaluationError.
     """
     if not horizon > 0.0:
         raise ValueError("horizon must be positive")
@@ -178,6 +186,7 @@ def integrate(fld: VectorField, x0, horizon: float, t0: float = 0.0,
 
     table = fld.stage_table
     fn = fld.fn if table is not None else lambda t, x, row, plain=fld.fn: plain(t, x)
+    features = None if table is None else getattr(fn, "features", None)
 
     asarray, isfinite = np.asarray, np.isfinite
     states = np.empty((steps // stride + 1, x0.size))
@@ -197,13 +206,19 @@ def integrate(fld: VectorField, x0, horizon: float, t0: float = 0.0,
                 times = times.tolist()
             t_mid, row_mid = times[j + 1], rows[j + 1]
             try:
-                k1 = asarray(fn(times[j], x, rows[j]))
-                if k == 0 and k1.shape != x.shape:
-                    raise ValueError(f"field value must have shape ({fld.dim},), "
-                                     f"got {k1.shape}")
-                k2 = asarray(fn(t_mid, x + half * k1, row_mid))
-                k3 = asarray(fn(t_mid, x + half * k2, row_mid))
-                k4 = asarray(fn(times[j + 2], x + dt * k3, rows[j + 2]))
+                if features is not None:  # fn(t, x, row) without its per-stage check
+                    k1 = rows[j] @ features(times[j], x)
+                    k2 = row_mid @ features(t_mid, x + half * k1)
+                    k3 = row_mid @ features(t_mid, x + half * k2)
+                    k4 = rows[j + 2] @ features(times[j + 2], x + dt * k3)
+                else:
+                    k1 = asarray(fn(times[j], x, rows[j]))
+                    if k == 0 and k1.shape != x.shape:
+                        raise ValueError(f"field value must have shape ({fld.dim},), "
+                                         f"got {k1.shape}")
+                    k2 = asarray(fn(t_mid, x + half * k1, row_mid))
+                    k3 = asarray(fn(t_mid, x + half * k2, row_mid))
+                    k4 = asarray(fn(times[j + 2], x + dt * k3, rows[j + 2]))
                 x_new = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
             except FieldEvaluationError:
                 diverged = True
@@ -539,15 +554,17 @@ def averaging_decay_check(u: DitherSignal, t0: float, t_end: float, omegas,
         raise ValueError("a decay check needs at least two omega values")
     partner = partner or u
     K = 8 * max(1, math.ceil(samples_per_period / 8))
+    steps = [u.period / (w * u.harmonic) / K for w in omegas]
+    if not (t_end - t0) / steps[-1] <= MAX_DECAY_INTERVALS:  # the last omega's grid is finest
+        raise ValueError(f"a window of {t_end - t0:g} at omega {omegas[-1]:g} needs more than "
+                         f"MAX_DECAY_INTERVALS = {MAX_DECAY_INTERVALS:,} quadrature intervals")
 
     nu = nu_quadrature(u, partner, t=t0, nodes=8192)
 
     mean0 = period_mean(u, t0)  # zero for any zero-mean dither
 
     records = []
-    for w in omegas:
-        period_t = u.period / (w * u.harmonic)
-        step = period_t / K
+    for w, step in zip(omegas, steps):
         n_int = even_intervals(math.ceil((t_end - t0) / step))
         grid = t0 + step * np.arange(n_int + 1)
 
@@ -587,8 +604,9 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Trajectory as CSV with header t,x1,...,xn and 12 significant digits."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t," + ",".join(f"x{k + 1}" for k in range(traj.dim)) + "\n")
-        for t, row in zip(traj.times, traj.states):
-            fh.write(_fmt(t) + "," + ",".join(_fmt(v) for v in row) + "\n")
+        line = ",".join(["%.12g"] * (traj.dim + 1)) + "\n"  # "%.12g" % v is _fmt(v)
+        fh.writelines(line % tuple(row) for row
+                      in np.column_stack((traj.times, traj.states)).tolist())
 
 
 def write_sweep_csv(report: SweepReport, path) -> None:
@@ -607,6 +625,6 @@ def write_long_csv(trajectories: dict[str, Trajectory], path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,series,component,value\n")
         for label, traj in trajectories.items():
-            for t, row in zip(traj.times, traj.states):
-                for k, v in enumerate(row):
-                    fh.write(f"{_fmt(t)},{label},x{k + 1},{_fmt(v)}\n")
+            fh.writelines("%.12g,%s,x%d,%.12g\n" % (t, label, k + 1, v)
+                          for t, row in zip(traj.times.tolist(), traj.states.tolist())
+                          for k, v in enumerate(row))

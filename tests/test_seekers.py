@@ -17,6 +17,7 @@ from ditherseek import (AgentMap, AgentParams, PotentialGame,
                         filter_equilibrium, frequency_decomposition,
                         assemble_rhs, quadratic_game, three_agent_game,
                         unicycle_period)
+from ditherseek import seekers
 
 RNG = np.random.default_rng(2024)
 X0 = np.array([2.0, -2.0, -2.0, 2.0, -1.0, 2.5, 0.0, 0.0, 0.0])
@@ -360,6 +361,16 @@ def test_compatibility_refuses_samples_that_are_not_a_positive_integer(samples):
     # zero samples would read PASS on no evidence
     with pytest.raises(ValueError, match="samples"):
         check_potential_compatibility(three_agent_game(), samples=samples)
+
+
+def test_compatibility_refuses_more_samples_than_its_bound():
+    # 10**12 samples of the three-agent game would be a (1e12, 6) array of points
+    bound = seekers.MAX_COMPATIBILITY_SAMPLES
+    for samples in (10**12, bound + 1):
+        with pytest.raises(ValueError, match="MAX_COMPATIBILITY_SAMPLES"):
+            check_potential_compatibility(three_agent_game(), samples=samples)
+    assert check_potential_compatibility(quadratic_game(np.ones(2), np.zeros(2)),
+                                         samples=bound).passed
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan, math.inf])

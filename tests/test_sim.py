@@ -478,6 +478,16 @@ def test_decay_validates_arguments():
             averaging_decay_check(sine(1), t0, t_end, [10.0, 100.0])
 
 
+def test_decay_check_refuses_a_grid_past_its_bound_before_any_quadrature(monkeypatch):
+    # a 1e12 window at omega=100 is a 1e14-point grid; a huge omega is finer still
+    monkeypatch.setattr(sim, "nu_quadrature", None)  # refused before this first step
+    for t_end, omegas in ((1e12, [10.0, 100.0]), (1.0, [10.0, 1e300])):
+        with pytest.raises(ValueError, match="MAX_DECAY_INTERVALS"):
+            averaging_decay_check(sine(1), 0.0, t_end, omegas)
+    with pytest.raises(ValueError, match="MAX_DECAY_INTERVALS"):
+        averaging_decay_check(sine(1), 0.0, 1.0, [10.0, 100.0], samples_per_period=10**9)
+
+
 # ---------------------------------------------------------------------------
 # CSV output
 
