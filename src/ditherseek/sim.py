@@ -22,11 +22,11 @@ from __future__ import annotations
 import math
 import numbers
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _qmc
 from ._quadrature import cumulative_simpson, even_intervals, fit_loglog_slope
 from .dynamics import FieldEvaluationError, InputAffineSystem, VectorField, assemble_rhs
 from .liebracket import nu_quadrature
@@ -364,15 +364,15 @@ def omega_sweep(build_system, lie_field: VectorField, omegas, x0, horizon: float
 
 def _sphere_directions(count: int, dim: int, seed: int) -> np.ndarray:
     """Deterministic low-discrepancy directions on the unit sphere, at most
-    ``count`` of them: repeats are dropped, first occurrences keep their order."""
-    from scipy.special import ndtri
-    from scipy.stats import qmc
+    ``count`` of them: repeats are dropped, first occurrences keep their order.
 
+    Scrambled Sobol points mapped through the normal quantile, as
+    ``scipy.stats.qmc.Sobol`` and ``scipy.special.ndtri`` give them, for up
+    to ``_qmc.MAX_DIM`` dimensions.
+    """
     n_pow2 = 1 << max(1, math.ceil(math.log2(max(count, 2))))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        u = qmc.Sobol(d=dim, scramble=True, seed=seed).random(n_pow2)[:count]
-    z = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
+    u = _qmc.sobol(n_pow2, dim, seed)[:count]
+    z = _qmc.ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
     norms = np.linalg.norm(z, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     dirs = z / norms
@@ -469,8 +469,11 @@ def stability_probe(build_system, target, probe: ProbeConfig, omegas,
     the whole run, attraction the worst case over the stored samples at or
     after t_f. A sample short of t_f by rounding only, less than a millionth
     of the storage spacing, counts as at t_f: with a horizon equal to t_f,
-    that is the final sample.
+    that is the final sample. ``seed``, a non-negative integer, fixes the
+    shell directions.
     """
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     omegas = list(omegas)
     if not omegas:
         raise ValueError("a probe needs at least one delta and one omega value")

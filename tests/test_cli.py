@@ -1,10 +1,15 @@
 """Command-line front end: modes, exit codes, determinism, strictness."""
 
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ditherseek
 from ditherseek import (AgentParams, analytic_lie_single_integrator, analytic_lie_unicycle,
                         assemble_rhs, build_single_integrator, build_unicycle, integrate,
                         load_scenario, quadratic_game, seekers)
@@ -558,3 +563,29 @@ def test_refusal_lines_are_pinned(tmp_path, capsys, doc, old, new, flags, line):
                    "--horizon", "0.05", "--out", str(tmp_path / "o")])
     assert status == 2
     assert capsys.readouterr().err == f"error: {line}\n"
+
+
+def test_a_probe_imports_no_scipy(tmp_path):
+    # a fresh interpreter: the test session itself has scipy loaded as an oracle
+    text = (resources.files("ditherseek") / "data" / "scalar_basic.yaml").read_text(
+        encoding="utf-8")
+    probe = "probe: {delta: [0.25, 0.5], epsilon: 0.75, t_f: 8.0, boundary_samples: 4"
+    assert probe in text
+    path = tmp_path / "scalar_basic.yaml"
+    path.write_text(text.replace(probe, "probe: {delta: [0.25, 0.5], epsilon: 0.75, "
+                                        "t_f: 0.05, boundary_samples: 4")
+                    .replace("horizon: 16.0}", "horizon: 0.1}"), encoding="utf-8")
+    argv = ["--scenario", str(path), "--mode", "probe", "--omega", "100",
+            "--out", str(tmp_path / "o")]
+    code = ("import sys\n"
+            "from ditherseek.cli import main\n"
+            f"status = main({argv!r})\n"
+            "print(status, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(ditherseek.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "delta=0.25 omega=100" in done.stdout
+    assert done.stdout.splitlines()[-1] == "0 []"

@@ -420,6 +420,22 @@ def test_probe_tail_at_a_horizon_equal_to_t_f_is_the_final_sample():
     assert rep.cells[0].attraction_radius == abs(final.final_state[0]) > 0.3
 
 
+@pytest.mark.parametrize("seed", [None, True, False, -1, 1.5, 2.0, "7", np.float64(7.0)])
+def test_probe_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ValueError, match="seed"):
+        stability_probe(lambda w: _decay_field(), [0.0],
+                        ProbeConfig(deltas=[0.1], epsilon=0.5, t_f=1.0, boundary_samples=2),
+                        omegas=[10.0], seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, np.int64(7), 2**40])
+def test_probe_takes_any_non_negative_integer_seed(seed):
+    rep = stability_probe(lambda w: _decay_field(), [0.0],
+                          ProbeConfig(deltas=[0.1], epsilon=0.5, t_f=1.0, boundary_samples=2),
+                          omegas=[10.0], policy=StepPolicy(max_step=0.01), seed=seed)
+    assert rep.all_attractive_consistent
+
+
 def test_probe_keeps_distinct_directions_in_their_order():
     dirs = sim._sphere_directions(8, 9, 2023)
     assert dirs.shape == (8, 9)
