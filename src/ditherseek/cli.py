@@ -54,6 +54,9 @@ def _resolved(scenario: Scenario, config: RunConfig) -> Scenario:
     if config.omegas:
         updates["omegas"] = checked("--omega", checked_omegas, sorted(config.omegas))
     if config.horizon is not None:
+        if config.mode == "probe":
+            raise ScenarioError("--horizon does not apply in probe mode, which integrates "
+                                "over the scenario's probe.horizon")
         if not (math.isfinite(config.horizon) and config.horizon > 0.0):
             raise ScenarioError(f"--horizon must be finite and positive, got {config.horizon}")
         updates["horizon"] = config.horizon

@@ -220,6 +220,15 @@ def test_negative_seed_rejected(scalar_file, tmp_path, capsys, mode):
     assert not (tmp_path / "o").exists()
 
 
+def test_horizon_override_refused_in_probe_mode(scalar_file, tmp_path, capsys):
+    status = main(["--scenario", str(scalar_file), "--mode", "probe", "--horizon", "0.1",
+                   "--out", str(tmp_path / "o")])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--horizon" in err and "probe.horizon" in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("mode", ["simulate", "compare", "sweep"])
 def test_huge_horizon_override_rejected(scalar_file, tmp_path, capsys, mode):
     status = main(["--scenario", str(scalar_file), "--mode", mode, "--horizon", "1e300",
@@ -296,7 +305,9 @@ def _run_with_line(tmp_path, doc, key, line, mode):
     end = text.index("\n", start)
     bad = tmp_path / "huge.yaml"
     bad.write_text(text[:start] + line + text[end:], encoding="utf-8")
-    status = main(["--scenario", str(bad), "--mode", mode, "--horizon", "1",
+    # probe mode refuses --horizon: it integrates over the scenario's probe.horizon
+    horizon = [] if mode == "probe" else ["--horizon", "1"]
+    status = main(["--scenario", str(bad), "--mode", mode, *horizon,
                    "--out", str(tmp_path / "o")])
     return status, load_scenario(str(bad))
 

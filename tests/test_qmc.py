@@ -1,5 +1,8 @@
 """The probe's direction draw against scipy, its oracle."""
 
+import math
+import statistics
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 from scipy.stats import qmc
 
-from ditherseek import ProbeConfig, VectorField, _qmc, stability_probe
+from ditherseek import ProbeConfig, VectorField, _qmc, sim, stability_probe
 
 
 @pytest.mark.parametrize("dim", range(1, _qmc.MAX_DIM + 1))
@@ -20,21 +23,41 @@ def test_sobol_points_equal_scipys_bit_for_bit(dim):
             assert np.array_equal(points, expected), (dim, seed, n)
 
 
+QUANTILE = statistics.NormalDist().inv_cdf  # the probe's quantile step
+
+
+def _within_8_ulps(u):
+    expected = ndtri(u)
+    return abs(QUANTILE(u) - expected) <= 8 * math.ulp(expected)
+
+
+@pytest.mark.parametrize("u", [1e-12, 1.0 - 1e-12, 0.5])
+def test_the_quantile_agrees_with_scipys_at_the_clipped_ends_and_the_median(u):
+    assert _within_8_ulps(u)
+
+
 @given(st.floats(min_value=1e-12, max_value=1.0 - 1e-12, exclude_min=True, exclude_max=True))
 @settings(max_examples=300, deadline=None)
-def test_ndtri_agrees_with_scipys(u):
-    assert abs(_qmc.ndtri(np.array([u]))[0] - ndtri(u)) <= 4e-15
+def test_the_quantile_agrees_with_scipys(u):
+    assert _within_8_ulps(u)
 
 
-def test_ndtri_agrees_with_scipys_on_the_clipped_ends_and_the_branch_points():
-    u = np.array([1e-12, 1.0 - 1e-12, _qmc._EXPM2, 1.0 - _qmc._EXPM2, 0.5,
-                  np.nextafter(_qmc._EXPM2, 1.0), np.nextafter(1.0 - _qmc._EXPM2, 0.0)])
-    assert np.abs(_qmc.ndtri(u) - ndtri(u)).max() <= 4e-15
+def _scipys_directions(count, dim, seed):
+    u = np.clip(qmc.Sobol(d=dim, scramble=True, seed=seed).random(count), 1e-12, 1.0 - 1e-12)
+    z = ndtri(u)
+    dirs = z / np.linalg.norm(z, axis=1, keepdims=True)
+    _, first = np.unique(dirs, axis=0, return_index=True)
+    return dirs[np.sort(first)]
 
 
-def test_ndtri_refuses_the_far_tail_it_does_not_approximate():
-    with pytest.raises(ValueError, match="exp"):
-        _qmc.ndtri(np.array([0.5, 1e-15]))
+@pytest.mark.parametrize("dim", [1, 9, 72])
+@pytest.mark.parametrize("count", [4, 8, 4096])
+@pytest.mark.parametrize("seed", [7, 2023])
+def test_probe_directions_match_scipys_draw(dim, count, seed):
+    expected = _scipys_directions(count, dim, seed)
+    dirs = sim._sphere_directions(count, dim, seed)
+    assert dirs.shape == expected.shape
+    assert np.abs(dirs - expected).max() <= 1e-15
 
 
 def test_a_probe_target_past_the_direction_table_is_refused():

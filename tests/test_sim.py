@@ -14,6 +14,7 @@ from ditherseek import (AgentParams, DitherSignal, InputAffineSystem, OmegaRecor
                         sup_distance, three_agent_game, write_long_csv,
                         write_sweep_csv, write_trajectory_csv)
 from ditherseek import sim
+from ditherseek.scenarios import bundled_scenario
 
 RNG = np.random.default_rng(99)
 X0 = np.array([2.0, -2.0, -2.0, 2.0, -1.0, 2.5, 0.0, 0.0, 0.0])
@@ -327,6 +328,32 @@ def _probe(omegas=(10.0,), **kwargs):
 def test_library_checks_refuse_nan_and_empty_evidence(make, match):
     with pytest.raises(ValueError, match=match):
         make()
+
+
+def test_step_policy_refuses_an_infinite_max_step():
+    # without a finite cap a field with no oscillation would be crossed in one RK4 step
+    with pytest.raises(ValueError, match="max_step must be finite and positive"):
+        StepPolicy(max_step=math.inf)
+
+
+@pytest.mark.parametrize("t0", [NAN, math.inf, -math.inf])
+def test_integrate_refuses_a_nonfinite_start_time(t0):
+    # a nan t0 would make every stage time nan, read as a run diverged at step 0
+    with pytest.raises(ValueError, match="t0 must be finite"):
+        integrate(_decay_field(), [1.0], 1.0, t0=t0)
+
+
+@pytest.mark.parametrize("doc,target", [("scalar_basic", [1.0, 1.0]),
+                                        ("three_agent_single_integrator", [0.0])])
+def test_sweep_refuses_a_target_shaped_unlike_x0(doc, target):
+    # numpy would broadcast such a target into a distance that means nothing
+    sc = bundled_scenario(doc)
+    calls = []  # the averaged flow is not integrated for a refused target
+    lie = VectorField(sc.x0.size, lambda t, x: calls.append(t) or -x)
+    with pytest.raises(ValueError, match="target"):
+        omega_sweep(sc.build_system, lie, sc.omegas, sc.x0, sc.horizon,
+                    policy=sc.policy, target=target)
+    assert calls == []
 
 
 @pytest.mark.parametrize("kwargs,match", [
