@@ -48,6 +48,8 @@ class RunConfig:
 
 
 def _resolved(scenario: Scenario, config: RunConfig) -> Scenario:
+    """The scenario with the flags applied; ScenarioError for a bad flag or a
+    mode precondition that fails, before any output is made."""
     if config.seed < 0:
         raise ScenarioError(f"--seed must be non-negative, got {config.seed}")
     updates = {}
@@ -64,6 +66,10 @@ def _resolved(scenario: Scenario, config: RunConfig) -> Scenario:
         updates["policy"] = checked("--samples-per-period", replace, scenario.policy,
                                     samples_per_period=config.samples_per_period)
     sc = replace(scenario, **updates) if updates else scenario
+    if config.mode == "probe" and sc.probe is None:
+        raise ScenarioError("scenario has no probe block and probe mode was requested")
+    if config.mode == "probe" and sc.target is None:
+        raise ScenarioError("probe mode needs a scenario with a known target")
     # omegas name output files and report rows by their tag; they increase,
     # so equal tags are neighbours
     for a, b in zip(sc.omegas, sc.omegas[1:]):
@@ -71,10 +77,14 @@ def _resolved(scenario: Scenario, config: RunConfig) -> Scenario:
             raise ScenarioError(f"omegas {a!r} and {b!r} share the tag {a:g} that "
                                 "names their output files and report rows")
     # runs stay within sim.MAX_STEPS (averaged flows step no finer than these)
-    horizon = sc.probe.horizon if config.mode == "probe" and sc.probe else sc.horizon
+    horizon = sc.probe.horizon if config.mode == "probe" else sc.horizon
     for w in sc.omegas if config.mode != "verify" else ():
         checked(f"omega={w:g}", step_count, horizon, sc.build_system(w).fast_rate,
                 sc.policy)
+    if config.mode == "sweep" and len(sc.omegas) < 2:
+        raise ScenarioError("sweep mode needs at least two omega values")
+    if config.mode in ("compare", "sweep"):
+        sc.lie_field()  # refuses a scenario without an averaged flow
     return sc
 
 
@@ -120,8 +130,6 @@ def _run_compare(sc: Scenario, config: RunConfig) -> int:
 
 
 def _run_sweep(sc: Scenario, config: RunConfig) -> int:
-    if len(sc.omegas) < 2:
-        raise ScenarioError("sweep mode needs at least two omega values")
     report = _omega_sweep(sc)
     write_sweep_csv(report, config.out / f"{sc.name}_sweep.csv")
     _report(sc, config, "sweep", report.summary())
@@ -129,10 +137,6 @@ def _run_sweep(sc: Scenario, config: RunConfig) -> int:
 
 
 def _run_probe(sc: Scenario, config: RunConfig) -> int:
-    if sc.probe is None:
-        raise ScenarioError("scenario has no probe block and probe mode was requested")
-    if sc.target is None:
-        raise ScenarioError("probe mode needs a scenario with a known target")
     report = stability_probe(sc.build_system, sc.target, sc.probe, sc.omegas,
                              policy=sc.policy, seed=config.seed)
     _report(sc, config, "probe", report.summary())

@@ -19,8 +19,10 @@ must average to +(alpha/2) * grad f.
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -80,9 +82,11 @@ def nu_quadrature(outer: DitherSignal, inner: DitherSignal, t: float = 0.0,
     """Composite-Simpson evaluation of nu over one shared period.
 
     The inner running integral is accumulated with cumulative Simpson on the
-    same grid. ``nodes`` counts subintervals (rounded up to even, from 8 to
-    MAX_NU_NODES).
+    same grid. ``nodes``, an integer, counts subintervals (rounded up to even,
+    from 8 to MAX_NU_NODES).
     """
+    if isinstance(nodes, bool) or not isinstance(nodes, numbers.Integral):
+        raise ValueError(f"nu quadrature needs an integer node count, got {nodes!r}")
     if not 8 <= nodes <= MAX_NU_NODES:
         raise ValueError(f"nu quadrature needs from 8 to {MAX_NU_NODES:,} nodes, got {nodes}")
     if abs(outer.period - inner.period) > 1e-12 * max(outer.period, inner.period):
@@ -97,15 +101,12 @@ def nu_quadrature(outer: DitherSignal, inner: DitherSignal, t: float = 0.0,
     return simpson_uniform(outer_vals * inner_running, h) / T
 
 
-def _parse_nu_method(nu_method: str):
-    """The evaluator (outer, inner[, t]) -> nu named by "closed_form",
-    "quadrature" (4096 nodes) or "quadrature:<nodes>".
-
-    Raises ValueError for any other value and for node counts outside 8 to
-    MAX_NU_NODES.
-    """
+def _parse_nu_method(nu_method: str) -> int | None:
+    """The quadrature node count named by "quadrature" (4096) or
+    "quadrature:<nodes>", or None for "closed_form"; ValueError for any other
+    value and for node counts outside 8 to MAX_NU_NODES."""
     if nu_method == "closed_form":
-        return lambda outer, inner, t=0.0: nu_closed_form(outer, inner)
+        return None
     kind, sep, count = str(nu_method).partition(":")
     if kind != "quadrature":
         raise ValueError(f"unknown nu method {nu_method!r}; "
@@ -120,8 +121,7 @@ def _parse_nu_method(nu_method: str):
     if not 8 <= nodes <= MAX_NU_NODES:
         raise ValueError(f"nu method {nu_method!r}: quadrature needs from 8 to "
                          f"{MAX_NU_NODES:,} nodes")
-    # nu_quadrature is looked up per call, so a rebound name is honoured
-    return lambda outer, inner, t=0.0: nu_quadrature(outer, inner, t, nodes)
+    return nodes
 
 
 def build_lie_bracket_system(sys: InputAffineSystem,
@@ -129,66 +129,58 @@ def build_lie_bracket_system(sys: InputAffineSystem,
     """Assemble the averaged field b0 + sum_{i<j} nu_ji [b_i, b_j].
 
     Only the sqrt(omega) amplitude scaling averages to this system, so any
-    other ``amplitude_exponent`` is refused. Coefficients are computed once
-    per channel pair; pairs involving genuinely t-dependent custom dithers
-    are re-integrated whenever the evaluation time changes. Self-pairs never
-    contribute: for zero-mean dithers their averaged term vanishes identically.
-
-    Each evaluation computes the system's field stack and stacked Jacobian
-    once and contracts them with an antisymmetric coefficient matrix A,
-    A[j, i] = nu_ji = -A[i, j], as sum_a J_a (A B)_a with B the channel rows.
+    other ``amplitude_exponent`` is refused. The coefficients form one
+    antisymmetric matrix A, A[j, i] = nu_ji = -A[i, j], filled once, and
+    again whenever the evaluation time changes if a dither is genuinely
+    t-dependent; a coefficient that is not finite raises ValueError.
+    Self-pairs never contribute: for zero-mean dithers their averaged term
+    vanishes identically. Each evaluation computes the system's field stack
+    B and stacked Jacobian J once and contracts them as sum_a J_a (A B)_a.
     """
     if sys.amplitude_exponent != 0.5:
         raise ValueError(
             "the averaged system exists only for amplitude exponent 0.5 "
             f"(got {sys.amplitude_exponent})")
-    nu = _parse_nu_method(nu_method)
+    nodes = _parse_nu_method(nu_method)
+    dithers = [s for _, s in sys.channels]
+    m = len(dithers)
+    varying = m > 1 and any(s.t_dependent for s in dithers)
+    if varying and nodes is None:
+        raise UnsupportedSignalError("t-dependent dithers need nu_method='quadrature'")
 
-    m = sys.n_channels
-    # (i, j, t -> nu_ji(t)) for every pair that can contribute
-    pairs = []
-    for i in range(m):
-        s_i = sys.channels[i][1]
-        for j in range(i + 1, m):
-            s_j = sys.channels[j][1]
-            if s_i.t_dependent or s_j.t_dependent:
-                if nu_method == "closed_form":
-                    raise UnsupportedSignalError(
-                        "t-dependent dithers need nu_method='quadrature'")
-                pairs.append((i, j, partial(nu, s_j, s_i)))
-            elif abs(value := nu(s_j, s_i)) > _NU_ZERO_TOL:
-                pairs.append((i, j, lambda t, v=value: v))
+    def fill(t):
+        coeffs = np.zeros((m, m))
+        for i in range(m):
+            for j in range(i + 1, m):
+                outer, inner = dithers[j], dithers[i]
+                # nu_quadrature is looked up per call, so a rebound name is honoured
+                value = (nu_closed_form(outer, inner) if nodes is None
+                         else nu_quadrature(outer, inner, t, nodes))
+                if not math.isfinite(value):
+                    raise ValueError(f"nu({outer.name}, {inner.name}) at t={t:g} is {value}")
+                if abs(value) > _NU_ZERO_TOL:
+                    coeffs[j, i], coeffs[i, j] = value, -value
+        return coeffs
 
-    # only channel fields are differentiated; the drift enters undifferentiated
-    fields = [sys.channels[k][0] for i, j, _ in pairs for k in (i, j)]
+    coefficients = lru_cache(maxsize=1)(fill)
+    static = coefficients(0.0)
+    if not varying:
+        def coefficients(t):
+            return static
+
+    # only the channel fields of pairs that can contribute are differentiated;
+    # the drift enters undifferentiated
+    fields = [f for k, (f, _) in enumerate(sys.channels) if varying or static[:, k].any()]
     if not all(f.has_jacobian for f in fields):
         warnings.warn(
             "averaged system uses finite-difference Jacobians for at least "
             "one bracket", PrecisionWarning, stacklevel=2)
     rate = max([sys.drift.oscillation_rate] + [f.oscillation_rate for f in fields])
-
-    def fill(t):
-        coeffs = np.zeros((m, m))
-        for i, j, nu_ji in pairs:
-            value = nu_ji(t)
-            if abs(value) > _NU_ZERO_TOL:
-                coeffs[j, i] = value
-                coeffs[i, j] = -value
-        return coeffs
-
-    if any(s.t_dependent for _, s in sys.channels):
-        coefficients = lru_cache(maxsize=1)(fill)
-    else:
-        static = fill(0.0)
-
-        def coefficients(t):
-            return static
-
     stack_fn, stack_jac = sys.stack.__call__, sys.stack.jacobian
 
     def fn(t, z):
         rows = stack_fn(t, z)
-        if not pairs:
+        if not fields:
             return rows[0]
         mixed = coefficients(t) @ rows[1:]
         return rows[0] + np.einsum("akl,al->k", stack_jac(t, z)[1:], mixed)

@@ -21,7 +21,7 @@ A scenario is a YAML document. Keys (strict mode rejects anything else):
     horizon         positive number
     amplitude_exponent  0.5 (default) or 1.0; with 1.0 the dither amplitude
                     grows like omega instead of sqrt(omega), a contrast
-                    configuration that only supports simulate mode (no
+                    configuration that compare and sweep mode refuse (no
                     averaged counterpart exists for that scaling)
     nu_method       "closed_form" | "quadrature" | "quadrature:<nodes>" with
                     <nodes> an integer from 8 to 1,048,576 (optional)
@@ -181,7 +181,7 @@ class Scenario:
         if self.amplitude_exponent != 0.5:
             raise ScenarioError(
                 "no averaged reference flow exists for amplitude exponent "
-                f"{self.amplitude_exponent}; only simulate mode applies")
+                f"{self.amplitude_exponent}; compare and sweep mode need one")
         if self.kind == "scalar":
             return self.generic_lie_field()
         if self.kind == "single_integrator":
@@ -364,8 +364,6 @@ def parse_scenario(doc: dict, strict: bool = True) -> Scenario:
     if "agents" not in doc:
         _fail("scenario.agents", "agent dynamics need agent blocks")
     game = _parse_map(doc["map"], kind, "scenario.map")
-    if isinstance(game, ScalarMap):
-        _fail("scenario.map", "agent dynamics need a builtin or quadratic map")
     params = _parse_agents(doc["agents"], "scenario.agents")
 
     Omega = None

@@ -85,8 +85,8 @@ class DitherSignal:
     t_dependent: bool = False
 
     def __post_init__(self):
-        if not self.period > 0.0:
-            raise ValueError("dither period must be positive")
+        if not 0.0 < self.period < math.inf:  # an infinite period reads angular rate 0
+            raise ValueError(f"dither period must be finite and positive, got {self.period}")
         n = self.harmonic
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
             raise ValueError("harmonic must be a positive integer")

@@ -31,9 +31,7 @@ from . import _qmc
 from ._quadrature import cumulative_simpson, even_intervals, fit_loglog_slope
 from .dynamics import FieldEvaluationError, InputAffineSystem, VectorField, assemble_rhs
 from .liebracket import nu_quadrature
-from .signals import DitherSignal, period_mean
-
-TWO_PI = 2.0 * math.pi
+from .signals import TWO_PI, DitherSignal, period_mean
 
 # most RK4 steps one integration may take: about 100 times the longest bundled
 # run (scalar_basic at omega=1600, 101,860 steps); 80 MB of states per component
@@ -377,9 +375,8 @@ def _sphere_directions(count: int, dim: int, seed: int) -> np.ndarray:
     quantile (Wichura's AS 241). That is within 7 ulps of scipy's quantile,
     so the directions are within 1e-15 of scipy's draw.
     """
-    n_pow2 = 1 << max(1, math.ceil(math.log2(max(count, 2))))
     # inv_cdf's domain is the open interval (0, 1); a Sobol point can be 0
-    u = np.clip(_qmc.sobol(n_pow2, dim, seed)[:count], 1e-12, 1.0 - 1e-12)
+    u = np.clip(_qmc.sobol(count, dim, seed), 1e-12, 1.0 - 1e-12)
     quantile = statistics.NormalDist().inv_cdf
     z = np.array([quantile(p) for p in u.ravel().tolist()]).reshape(u.shape)
     norms = np.linalg.norm(z, axis=1, keepdims=True)
@@ -522,7 +519,6 @@ class DecayRecord:
     omega: float
     endpoint_defect: float
     sup_defect: float
-    paired_endpoint_defect: float
     paired_sup_defect: float
 
 
@@ -547,12 +543,13 @@ def averaging_decay_check(u: DitherSignal, t0: float, t_end: float, omegas,
                           samples_per_period: int = 64) -> DecayReport:
     """Measure |int (u(tau, omega*tau) - mean)| and its paired analogue.
 
-    The quadrature grid carries ``samples_per_period`` intervals per fast
-    period (rounded to a multiple of 8) so that the jump and kink points of
-    the discontinuous built-ins land exactly on panel boundaries (exactly so
-    when omega * t0 is a multiple of the dither period, e.g. t0 = 0); the
-    grid may overshoot t_end by less than one step. The endpoint defect is
-    read at the node closest to t_end, the sup defect over the whole window.
+    The quadrature grid carries ``samples_per_period`` (an integer >= 1)
+    intervals per fast period, rounded up to a multiple of 8 so that the
+    jump and kink points of the discontinuous built-ins land exactly on panel
+    boundaries (exactly so when omega * t0 is a multiple of the dither
+    period, e.g. t0 = 0); the grid may overshoot t_end by less than one
+    step. The endpoint defect is read at the node closest to t_end, the sup
+    defect over the whole window.
     """
     if u.t_dependent:
         raise ValueError("decay check expects dithers without slow-time dependence")
@@ -564,8 +561,11 @@ def averaging_decay_check(u: DitherSignal, t0: float, t_end: float, omegas,
     omegas = checked_omegas(omegas)
     if len(omegas) < 2:
         raise ValueError("a decay check needs at least two omega values")
+    n = samples_per_period
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"samples_per_period must be an integer >= 1, got {n!r}")
     partner = partner or u
-    K = 8 * max(1, math.ceil(samples_per_period / 8))
+    K = 8 * math.ceil(n / 8)
     steps = [u.period / (w * u.harmonic) / K for w in omegas]
     if not (t_end - t0) / steps[-1] <= MAX_DECAY_INTERVALS:  # the last omega's grid is finest
         raise ValueError(f"a window of {t_end - t0:g} at omega {omegas[-1]:g} needs more than "
@@ -596,7 +596,6 @@ def averaging_decay_check(u: DitherSignal, t0: float, t_end: float, omegas,
             omega=w,
             endpoint_defect=float(defects[endpoint_idx]),
             sup_defect=float(np.max(defects)),
-            paired_endpoint_defect=float(paired_defects[endpoint_idx]),
             paired_sup_defect=float(np.max(paired_defects))))
 
     slope = fit_loglog_slope(np.array(omegas), np.array([r.sup_defect for r in records]))
@@ -608,15 +607,11 @@ def averaging_decay_check(u: DitherSignal, t0: float, t_end: float, omegas,
 # ---------------------------------------------------------------------------
 # CSV output
 
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
-
-
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Trajectory as CSV with header t,x1,...,xn and 12 significant digits."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t," + ",".join(f"x{k + 1}" for k in range(traj.dim)) + "\n")
-        line = ",".join(["%.12g"] * (traj.dim + 1)) + "\n"  # "%.12g" % v is _fmt(v)
+        line = ",".join(["%.12g"] * (traj.dim + 1)) + "\n"
         fh.writelines(line % tuple(row) for row
                       in np.column_stack((traj.times, traj.states)).tolist())
 
@@ -626,10 +621,9 @@ def write_sweep_csv(report: SweepReport, path) -> None:
     must be byte-identical for identical configs)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("omega,sup_error,final_distance_to_target,steps,diverged\n")
-        for r in report.records:
-            fh.write(",".join([_fmt(r.omega), _fmt(r.sup_error),
-                               _fmt(r.final_distance_to_target), str(r.steps),
-                               str(int(r.diverged))]) + "\n")
+        fh.writelines("%.12g,%.12g,%.12g,%d,%d\n" % (r.omega, r.sup_error,
+                                                     r.final_distance_to_target, r.steps,
+                                                     r.diverged) for r in report.records)
 
 
 def write_long_csv(trajectories: dict[str, Trajectory], path) -> None:

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -13,7 +14,8 @@ import ditherseek
 from ditherseek import (AgentParams, analytic_lie_single_integrator, analytic_lie_unicycle,
                         assemble_rhs, build_single_integrator, build_unicycle, integrate,
                         load_scenario, quadratic_game, seekers)
-from ditherseek.cli import MODES, RunConfig, main, run
+from ditherseek.cli import MODES, RunConfig, _resolved, main, run
+from ditherseek.scenarios import ScenarioError
 
 FAST_SCALAR = """
 name: tiny
@@ -481,6 +483,37 @@ def test_sweep_with_one_omega_fails_cleanly(scalar_file, tmp_path, capsys):
     assert status == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "two omega" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("mode, edit, message", [
+    ("probe", ("probe: {", "# probe: {"), "no probe block"),
+    ("compare", ("horizon: 2.0", "horizon: 2.0\namplitude_exponent: 1.0"), "averaged"),
+    ("sweep", ("horizon: 2.0", "horizon: 2.0\namplitude_exponent: 1.0"), "averaged"),
+], ids=["probe-without-block", "compare-exponent-1", "sweep-exponent-1"])
+def test_mode_preconditions_refused_before_any_output(tmp_path, capsys, mode, edit, message):
+    doc = tmp_path / "doc.yaml"
+    doc.write_text(FAST_SCALAR.replace(*edit), encoding="utf-8")
+    out = tmp_path / "o"
+    status = main(["--scenario", str(doc), "--mode", mode, "--out", str(out)])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
+
+
+def test_probe_without_a_known_target_refused_before_any_output():
+    sc = load_scenario("three_agent_single_integrator")
+    sc = replace(sc, game=replace(sc.game, maximizer=None))
+    with pytest.raises(ScenarioError, match="known target"):
+        _resolved(sc, RunConfig("probe", sc.name, "unused"))
+
+
+@pytest.mark.parametrize("mode", ["simulate", "probe", "verify"])
+def test_modes_without_an_averaged_flow_run_at_amplitude_exponent_one(tmp_path, mode):
+    doc = tmp_path / "doc.yaml"
+    doc.write_text(FAST_SCALAR + "amplitude_exponent: 1.0\n", encoding="utf-8")
+    assert main(["--scenario", str(doc), "--mode", mode, "--out", str(tmp_path / "o")]) == 0
 
 
 def _no_quadrature(*args, **kwargs):

@@ -155,6 +155,11 @@ def test_nu_quadrature_validates_inputs():
         nu_quadrature(sine(1), cosine(1), nodes=MAX_NU_NODES + 1)
     with pytest.raises(ValueError):
         nu_quadrature(sine(1), custom(lambda t, th: np.sin(th), period=1.0))
+    # 8.5 ran on 8 nodes and read 0.49585 where nu = 0.5
+    for nodes in (8.5, 4096.0, True, "4096", None):
+        with pytest.raises(ValueError, match="integer node count"):
+            nu_quadrature(sine(1), cosine(1), nodes=nodes)
+    assert nu_quadrature(sine(1), cosine(1), nodes=np.int64(4096)) == pytest.approx(0.5)
 
 
 def test_nu_antisymmetric_for_any_zero_mean_pair():
@@ -282,6 +287,48 @@ def test_t_dependent_custom_nu_recomputed_per_time():
     for t in (0.0, 1.0, 2.5):
         expected = 0.5 * (1.0 + 0.5 * math.sin(t))
         assert lie(t, np.array([0.3]))[0] == pytest.approx(expected, abs=1e-9)
+    # one t-dependent channel forms no pair: closed_form averages it to the drift
+    single = InputAffineSystem(VectorField.constant([2.0]), ((f_field, mod),), 10.0)
+    lie = build_lie_bracket_system(single, "closed_form")
+    for t in (0.0, 1.0):
+        assert lie(t, np.array([0.3])).tolist() == [2.0]
+
+
+def test_non_finite_nu_is_refused_by_name():
+    # one nan sample makes nu nan, which the zero test alone reads as a
+    # structural zero, leaving the drift
+    holed = custom(lambda t, th: np.where(th == 0.0, np.nan, np.sin(th)), t_dependent=False)
+    const = VectorField.constant([1.0])
+    f_field = VectorField(1, lambda t, x: np.array([x[0]]),
+                          jac=lambda t, x: np.array([[1.0]]))
+    sys = InputAffineSystem(VectorField.zero(1), ((const, cosine(1)), (f_field, holed)), 10.0)
+    with pytest.raises(ValueError, match=r"nu\(custom, cosine:1\) at t=0 is nan"):
+        build_lie_bracket_system(sys, "quadrature")
+    # a t-dependent pair is refused at the time its nu is not finite
+    late = custom(lambda t, th: (math.nan if t >= 1.0 else 1.0) * np.sin(th))
+    sys = InputAffineSystem(VectorField.zero(1), ((const, cosine(1)), (f_field, late)), 10.0)
+    lie = build_lie_bracket_system(sys, "quadrature")
+    assert lie(0.5, np.array([0.3]))[0] == pytest.approx(0.5, abs=1e-9)
+    with pytest.raises(ValueError, match=r"nu\(custom, cosine:1\) at t=1 is nan"):
+        lie(1.0, np.array([0.3]))
+
+
+@pytest.mark.parametrize("third, differentiated", [(cosine(2), False), (sine(1), True)])
+def test_only_channels_of_non_zero_pairs_are_differentiated(third, differentiated):
+    # a third channel whose pairs all have nu = 0 sets neither the rate nor
+    # the finite-difference warning, and adds nothing to the field
+    base = _scalar_scheme()
+    rough = VectorField(1, lambda t, x: np.array([x[0] ** 2]), oscillation_rate=7.0)
+    sys = InputAffineSystem(base.drift, base.channels + ((rough, third),), base.omega)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        lie = build_lie_bracket_system(sys)
+    assert [w.category for w in caught] == [PrecisionWarning] * differentiated
+    assert lie.oscillation_rate == (7.0 if differentiated else 0.0)
+    if not differentiated:
+        pair = build_lie_bracket_system(base)
+        for z in np.linspace(-2.0, 2.0, 5):
+            assert lie(0.0, np.array([z])).tolist() == pair(0.0, np.array([z])).tolist()
 
 
 def test_fallback_warning_from_averaged_construction():

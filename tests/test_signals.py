@@ -60,6 +60,10 @@ def test_malformed_signals_rejected():
         DitherSignal("sine", 0)
     with pytest.raises(ValueError):
         DitherSignal("custom", 1)  # no evaluator
+    # an infinite period reads angular rate 0, so the step policy would ignore the dither
+    for period in (math.inf, -math.inf, math.nan, -1.0):
+        with pytest.raises(ValueError, match="period must be finite and positive"):
+            custom(lambda t, th: np.sin(th), period=period)
 
 
 # ---------------------------------------------------------------------------

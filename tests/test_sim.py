@@ -519,6 +519,10 @@ def test_decay_validates_arguments():
                             (-math.inf, 1.0, "t0"), (math.nan, 1.0, "t0")):
         with pytest.raises(ValueError, match=name):
             averaging_decay_check(sine(1), t0, t_end, [10.0, 100.0])
+    # nan and inf raised unnamed errors, and 0 and -5 silently became 8
+    for value in (math.nan, math.inf, 0, -5, 8.5, True, "64"):
+        with pytest.raises(ValueError, match="samples_per_period must be an integer >= 1"):
+            averaging_decay_check(sine(1), 0.0, 1.0, [10.0, 100.0], samples_per_period=value)
 
 
 def test_decay_check_refuses_a_grid_past_its_bound_before_any_quadrature(monkeypatch):
