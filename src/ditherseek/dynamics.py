@@ -303,9 +303,9 @@ def assemble_rhs(sys: InputAffineSystem) -> VectorField:
     pass and kept for the last array, so dithers must be pure in (t, theta).
     ``fn(t, x, row)`` is one matrix-vector product, checked for finiteness;
     ``fn(t, x)`` tabulates t itself. ``fn.features`` is the stack's features:
-    for a table row r, ``fn(t, x, r)`` is ``r @ fn.features(t, x)``, then the
-    check. M(t)[:, 1:] @ feature_jac is the Jacobian, supplied only when
-    drift and every channel carry one.
+    for a table row r, ``fn(t, x, r)`` is ``np.dot(r, fn.features(t, x))``, the
+    product ``integrate``'s kernel forms as ``r.dot(...)``, then the check. M(t)[:, 1:] @ feature_jac is the
+    Jacobian, supplied only when drift and every channel carry one.
     """
     stack, omega = sys.stack, sys.omega
     gain = omega ** sys.amplitude_exponent
@@ -321,13 +321,13 @@ def assemble_rhs(sys: InputAffineSystem) -> VectorField:
         return table
 
     tabulated = lru_cache(maxsize=1)(lambda key: matrices(np.frombuffer(key)))
-    isfinite = np.isfinite
+    dot, isfinite = np.dot, np.isfinite
 
     def stage_table(times):  # one entry, keyed by the exact times
         return tabulated(np.asarray(times, dtype=float).tobytes())
 
     def fn(t, x, row=None):
-        out = (matrices(t)[0] if row is None else row) @ features(t, x)
+        out = dot(matrices(t)[0] if row is None else row, features(t, x))
         if not isfinite(out).all():
             raise FieldEvaluationError("non-finite right-hand side")
         return out

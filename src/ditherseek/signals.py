@@ -90,8 +90,11 @@ class DitherSignal:
         n = self.harmonic
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
             raise ValueError("harmonic must be a positive integer")
-        if not (self.sup_bound >= 0.0 and self.lipschitz_t >= 0.0):
-            raise ValueError("claimed bounds must be nonnegative")
+        for name in ("sup_bound", "lipschitz_t"):  # an infinite claim passes any dither
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"claimed bounds must be finite and nonnegative, "
+                                 f"got {name}={value}")
         if self.kind == "custom":
             if self.fn is None:
                 raise ValueError("custom signals need an evaluator")

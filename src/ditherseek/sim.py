@@ -168,9 +168,14 @@ def integrate(fld: VectorField, x0, horizon: float, t0: float = 0.0,
     k+1 share the time of their common stage. A field with a stage table is
     called as ``fn(t, x, row)``, tabulated :data:`STAGE_CHUNK` steps at a time;
     if ``fn`` carries ``features`` (see ``assemble_rhs``), each stage is
-    ``row @ features(t, x)``, unchecked: RK4's stage weights are finite and
-    non-zero, so a non-finite stage is refused in the new state. ``features``
-    must map a non-finite state to non-finite values or raise FieldEvaluationError.
+    ``row.dot(features(t, x))``, ``np.dot`` without its dispatch, unchecked:
+    RK4's stage weights are finite and non-zero, so a non-finite stage is
+    refused in the new state. ``features`` must map a non-finite state to
+    non-finite values or raise FieldEvaluationError.
+    Stage inputs and the RK4 combination are explicit ufunc calls, the operations
+    of ``x + half * k1`` and ``x + sixth * (k1 + 2 * (k2 + k3) + k4)`` in their
+    order, so every bit is the operator form's. The new state is finite if its
+    sum is, else if each component is.
     """
     if not horizon > 0.0:
         raise ValueError("horizon must be positive")
@@ -189,7 +194,8 @@ def integrate(fld: VectorField, x0, horizon: float, t0: float = 0.0,
     fn = fld.fn if table is not None else lambda t, x, row, plain=fld.fn: plain(t, x)
     features = None if table is None else getattr(fn, "features", None)
 
-    asarray, isfinite = np.asarray, np.isfinite
+    add, mul, asarray = np.add, np.multiply, np.asarray
+    add_reduce, isfinite, isfinite_sum = np.add.reduce, np.isfinite, math.isfinite
     states = np.empty((steps // stride + 1, x0.size))
     states[0] = x0
     x = x0
@@ -198,39 +204,44 @@ def integrate(fld: VectorField, x0, horizon: float, t0: float = 0.0,
     half = 0.5 * dt
     sixth = dt / 6.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            j = 2 * (k % STAGE_CHUNK)
-            if j == 0:  # the chunk's stage times: t0 + k*dt, each then + dt/2
-                even = t0 + np.arange(k, min(k + STAGE_CHUNK, steps) + 1) * dt
-                times = np.append(np.stack((even[:-1], even[:-1] + half), axis=1), even[-1])
-                rows = [None] * times.size if table is None else list(table(times))
-                times = times.tolist()
-            t_mid, row_mid = times[j + 1], rows[j + 1]
-            try:
-                if features is not None:  # fn(t, x, row) without its per-stage check
-                    k1 = rows[j] @ features(times[j], x)
-                    k2 = row_mid @ features(t_mid, x + half * k1)
-                    k3 = row_mid @ features(t_mid, x + half * k2)
-                    k4 = rows[j + 2] @ features(times[j + 2], x + dt * k3)
-                else:
-                    k1 = asarray(fn(times[j], x, rows[j]))
-                    if k == 0 and k1.shape != x.shape:
-                        raise ValueError(f"field value must have shape ({fld.dim},), "
-                                         f"got {k1.shape}")
-                    k2 = asarray(fn(t_mid, x + half * k1, row_mid))
-                    k3 = asarray(fn(t_mid, x + half * k2, row_mid))
-                    k4 = asarray(fn(times[j + 2], x + dt * k3, rows[j + 2]))
-                x_new = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-            except FieldEvaluationError:
-                diverged = True
-                break
-            if not isfinite(x_new).all():
-                diverged = True
-                break
-            x = x_new
-            taken = k + 1
-            if taken % stride == 0:
-                states[taken // stride] = x
+        for start in range(0, steps, STAGE_CHUNK):
+            stop = min(start + STAGE_CHUNK, steps)
+            # the chunk's stage times: t0 + k*dt, each then + dt/2
+            even = t0 + np.arange(start, stop + 1) * dt
+            times = np.append(np.stack((even[:-1], even[:-1] + half), axis=1), even[-1])
+            rows = [None] * times.size if table is None else list(table(times))
+            times = times.tolist()
+            for k, t_a, row_a, t_mid, row_mid, t_b, row_b in zip(
+                    range(start, stop), times[0::2], rows[0::2], times[1::2], rows[1::2],
+                    times[2::2], rows[2::2]):
+                try:
+                    if features is not None:  # fn(t, x, row) without its per-stage check
+                        k1 = row_a.dot(features(t_a, x))
+                        k2 = row_mid.dot(features(t_mid, add(x, mul(half, k1))))
+                        k3 = row_mid.dot(features(t_mid, add(x, mul(half, k2))))
+                        k4 = row_b.dot(features(t_b, add(x, mul(dt, k3))))
+                    else:
+                        k1 = asarray(fn(t_a, x, row_a))
+                        if k == 0 and k1.shape != x.shape:
+                            raise ValueError(f"field value must have shape ({fld.dim},), "
+                                             f"got {k1.shape}")
+                        k2 = asarray(fn(t_mid, add(x, mul(half, k1)), row_mid))
+                        k3 = asarray(fn(t_mid, add(x, mul(half, k2)), row_mid))
+                        k4 = asarray(fn(t_b, add(x, mul(dt, k3)), row_b))
+                    x_new = add(x, mul(sixth, add(add(k1, mul(2.0, add(k2, k3))), k4)))
+                except FieldEvaluationError:
+                    break
+                # a finite sum has finite terms; an overflowing one is checked term by term
+                if not (isfinite_sum(add_reduce(x_new)) or isfinite(x_new).all()):
+                    break
+                x = x_new
+                taken = k + 1
+                if taken % stride == 0:
+                    states[taken // stride] = x
+            else:
+                continue
+            diverged = True  # the inner loop broke on a refused step
+            break
     return Trajectory(t0, dt * stride, states[:taken // stride + 1], diverged,
                       total_steps=taken)
 

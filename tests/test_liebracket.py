@@ -9,6 +9,7 @@ import pytest
 from ditherseek import (InputAffineSystem, PrecisionWarning, UnsupportedSignalError,
                         VectorField, build_lie_bracket_system, cosine, custom,
                         lie_bracket, nu_closed_form, nu_quadrature, sine, square)
+from ditherseek import liebracket
 from ditherseek.liebracket import MAX_NU_NODES
 
 RNG = np.random.default_rng(42)
@@ -292,6 +293,33 @@ def test_t_dependent_custom_nu_recomputed_per_time():
     lie = build_lie_bracket_system(single, "closed_form")
     for t in (0.0, 1.0):
         assert lie(t, np.array([0.3])).tolist() == [2.0]
+
+
+def test_only_pairs_with_a_t_dependent_dither_are_refilled(monkeypatch):
+    counted = []
+
+    def counting(outer, inner, t, nodes):
+        counted.append((outer.name, inner.name, t))
+        return nu_quadrature(outer, inner, t, nodes)
+
+    monkeypatch.setattr(liebracket, "nu_quadrature", counting)
+    mod = custom(lambda t, th: (1.0 + 0.5 * math.sin(t)) * np.sin(th),
+                 sup_bound=1.5, lipschitz_t=0.5)
+    const = VectorField.constant([1.0])
+    f_field = VectorField(1, lambda t, x: np.array([x[0]]),
+                          jac=lambda t, x: np.array([[1.0]]))
+    sys = InputAffineSystem(VectorField.zero(1), ((const, cosine(1)), (f_field, sine(1)),
+                                                  (f_field, mod)), 10.0)
+    lie = build_lie_bracket_system(sys, "quadrature")
+    assert len(counted) == 3  # every pair once at build, at t = 0
+    x = np.array([0.3])
+    # a new time refills the two pairs of the t-dependent third channel only
+    for t, refilled in ((0.0, 0), (1.0, 2), (1.0, 0), (2.5, 2), (0.0, 2)):
+        before = len(counted)
+        value = lie(t, x)
+        assert len(counted) - before == refilled
+        assert all(outer == "custom" for outer, _, _ in counted[before:])
+        assert np.array_equal(value, build_lie_bracket_system(sys, "quadrature")(t, x))
 
 
 def test_non_finite_nu_is_refused_by_name():

@@ -7,10 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from ditherseek import (AgentParams, FieldStack, InputAffineSystem, StepPolicy, Trajectory,
-                        VectorField, assemble_rhs, build_scalar_seeker, build_single_integrator,
-                        build_unicycle, cosine, integrate, load_scenario, parse_scenario_text,
-                        quadratic_game, sine, write_long_csv, write_trajectory_csv)
+from ditherseek import (AgentParams, FieldEvaluationError, FieldStack, InputAffineSystem,
+                        StepPolicy, Trajectory, VectorField, assemble_rhs, build_scalar_seeker,
+                        build_single_integrator, build_unicycle, cosine, integrate, load_scenario,
+                        parse_scenario_text, quadratic_game, sine, write_long_csv,
+                        write_trajectory_csv)
+from ditherseek.sim import STAGE_CHUNK, step_count
 
 STRIDE_1 = StepPolicy(output_stride=1)
 BUNDLED = ("scalar_basic", "three_agent_single_integrator", "three_agent_unicycle")
@@ -110,6 +112,79 @@ def test_the_kernel_and_the_fn_path_give_identical_trajectories(label, system, x
         assert kernel.diverged and kernel.total_steps >= 100
     if label == "overflow_1e308":
         assert kernel.diverged and kernel.total_steps == 0
+
+
+def _operator_form_rk4(rhs, x0, horizon, policy):
+    """The stage-table kernel written with operators, one step at a time:
+    ``row @ f``, ``x + half * k1``, ``x + sixth * (k1 + 2.0 * (k2 + k3) + k4)``
+    and ``isfinite(x).all()``. Returns (kept states, steps taken, diverged)."""
+    steps = step_count(horizon, rhs.oscillation_rate, policy)
+    dt = horizon / steps
+    half, sixth = 0.5 * dt, dt / 6.0
+    features, stride = rhs.fn.features, policy.output_stride
+    x = np.array(x0, dtype=float)
+    kept, taken = [x], 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            j = 2 * (k % STAGE_CHUNK)
+            if j == 0:
+                even = 0.0 + np.arange(k, min(k + STAGE_CHUNK, steps) + 1) * dt
+                times = np.append(np.stack((even[:-1], even[:-1] + half), axis=1), even[-1])
+                rows = rhs.stage_table(times)
+                times = times.tolist()
+            try:
+                k1 = rows[j] @ features(times[j], x)
+                k2 = rows[j + 1] @ features(times[j + 1], x + half * k1)
+                k3 = rows[j + 1] @ features(times[j + 1], x + half * k2)
+                k4 = rows[j + 2] @ features(times[j + 2], x + dt * k3)
+            except FieldEvaluationError:
+                return np.array(kept), taken, True
+            x_new = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+            if not np.isfinite(x_new).all():
+                return np.array(kept), taken, True
+            x = x_new
+            taken = k + 1
+            if taken % stride == 0:
+                kept.append(x)
+    return np.array(kept), taken, False
+
+
+def _assert_operator_form(system, x0, horizon, policy):
+    rhs = assemble_rhs(system)
+    run = integrate(rhs, x0, horizon, policy=policy)
+    states, taken, diverged = _operator_form_rk4(rhs, x0, horizon, policy)
+    assert np.array_equal(run.states, states)
+    assert (run.total_steps, run.diverged) == (taken, diverged)
+    return run
+
+
+@pytest.mark.parametrize("label, system, x0, horizon", CASES, ids=[c[0] for c in CASES])
+def test_the_kernel_gives_the_bits_of_the_operator_form(label, system, x0, horizon):
+    _assert_operator_form(system, x0, horizon, STRIDE_1)
+
+
+def test_a_divergence_after_the_first_chunk_is_kept_at_the_output_stride():
+    quartic = build_scalar_seeker(lambda x: x ** 4, lambda x: 4.0 * x ** 3, 1.0, 100.0)
+    run = _assert_operator_form(quartic, [0.5], 20.0, StepPolicy(output_stride=7))
+    assert run.diverged and STAGE_CHUNK < run.total_steps
+    assert len(run.states) == run.total_steps // 7 + 1
+
+
+def test_finite_components_whose_sum_overflows_are_not_refused():
+    # dx/dt = -1e-300 x + u e_1 barely moves [1e308, 1e308]; the sum is inf
+    layout = np.zeros((1, 2, 2, 3))
+    layout[0, 0, 0, 1] = layout[0, 0, 1, 2] = -1e-300
+    layout[0, 1, 0, 0] = 1.0
+    drift, e1 = FieldStack(layout, lambda t, x: np.array([1.0, x[0], x[1]])).fields
+    x0 = np.array([1e308, 1e308])
+    kernel = _assert_operator_form(InputAffineSystem(drift, ((e1, sine(1)),), 10.0), x0, 0.5,
+                                   STRIDE_1)
+    plain = integrate(VectorField(2, lambda t, x: -1e-300 * x), x0, 0.5, policy=STRIDE_1)
+    for run in (kernel, plain):
+        assert not run.diverged and run.total_steps == 50
+        assert np.isfinite(run.states).all()
+        with np.errstate(over="ignore"):
+            assert np.add.reduce(run.final_state) == math.inf
 
 
 def _reachable_features():

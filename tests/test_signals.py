@@ -145,3 +145,16 @@ def test_validate_rejects_bad_grids_and_tol():
 def test_a_harmonic_that_is_not_an_integer_is_refused(make):
     with pytest.raises(ValueError, match="harmonic must be a positive integer"):
         make()
+
+
+@pytest.mark.parametrize("field", ["sup_bound", "lipschitz_t"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, -1.0])
+def test_a_claimed_bound_that_is_not_finite_and_nonnegative_is_refused_by_name(field, value):
+    # an infinite claim would pass the bound or Lipschitz check of any dither
+    fn = lambda t, th: 50.0 * np.sin(np.asarray(th, dtype=float)) + t * np.cos(th)
+    with pytest.raises(ValueError, match=f"claimed bounds must be finite and nonnegative, "
+                                         f"got {field}="):
+        custom(fn, **{field: value})
+    with pytest.raises(ValueError, match=field):
+        DitherSignal("sine", **{field: value})
+    assert DitherSignal("sine", **{field: 0.0}).name == "sine:1"
