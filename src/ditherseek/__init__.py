@@ -25,8 +25,8 @@ from .signals import (DitherSignal, SignalValidationReport, cosine, custom, from
                       sawtooth, sine, square, triangle, validate_assumptions)
 from .sim import (DecayRecord, DecayReport, OmegaRecord, ProbeCell, ProbeConfig,
                   StabilityProbeReport, StepPolicy, SweepReport, Trajectory,
-                  averaging_decay_check, integrate, omega_sweep, stability_probe,
-                  sup_distance, write_long_csv, write_sweep_csv,
+                  averaging_decay_check, integrate, omega_sweep, run_cells,
+                  stability_probe, sup_distance, write_long_csv, write_sweep_csv,
                   write_trajectory_csv)
 
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ from .liebracket import nu_closed_form, nu_quadrature
 from .scenarios import Scenario, ScenarioError, checked, list_bundled, load_scenario
 from .seekers import check_maximizer_stationarity, check_potential_compatibility
 from .signals import cosine, sine, validate_assumptions
-from .sim import (checked_omegas, integrate, omega_sweep, stability_probe, step_count,
+from .sim import (checked_omegas, omega_sweep, run_cells, stability_probe, step_count,
                   write_long_csv, write_sweep_csv, write_trajectory_csv)
 
 MODES = ("simulate", "compare", "sweep", "probe", "verify")
@@ -94,9 +94,8 @@ def _omega_csv(sc: Scenario, config: RunConfig, w: float) -> Path:
 
 
 def _run_simulate(sc: Scenario, config: RunConfig) -> int:
-    for w in sc.omegas:
-        traj = integrate(assemble_rhs(sc.build_system(w)), sc.x0, sc.horizon,
-                         policy=sc.policy)
+    cells = ((assemble_rhs(sc.build_system(w)), sc.x0, sc.horizon) for w in sc.omegas)
+    for w, (traj, _) in zip(sc.omegas, run_cells(cells, sc.policy)):
         out = _omega_csv(sc, config, w)
         write_trajectory_csv(traj, out)
         print(f"wrote {out}" + (" (diverged)" if traj.diverged else ""))

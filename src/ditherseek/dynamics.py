@@ -281,10 +281,6 @@ class InputAffineSystem:
         return self.drift.dim
 
     @property
-    def n_channels(self) -> int:
-        return len(self.channels)
-
-    @property
     def fast_rate(self) -> float:
         """Largest effective angular rate among dithers and channel fields."""
         rates = [self.drift.oscillation_rate]

@@ -12,9 +12,9 @@ sufficiently large omega, which no finite sweep can prove.
 :func:`omega_sweep` alone integrates the averaged flow and each omega's
 oscillatory system against it; a one-omega report gives no verdict.
 
-Every (omega, initial-condition) cell of a sweep or probe is an independent
-integration over immutable inputs, so cells can be farmed out to concurrent
-workers; the serial loops here are simply the baseline schedule.
+Every (omega, initial-condition) cell of a simulation, sweep or probe is an
+independent integration over immutable inputs. :func:`run_cells` is the one
+schedule that runs them: one cell at a time, in the order the caller draws.
 """
 
 from __future__ import annotations
@@ -246,6 +246,16 @@ def integrate(fld: VectorField, x0, horizon: float, t0: float = 0.0,
                       total_steps=taken)
 
 
+def run_cells(cells, policy: StepPolicy | None = None):
+    """Integrate each ``(field, x0, horizon)`` cell over [0, horizon], drawing it only
+    when the one before is done; yield its trajectory and its integration's wall seconds.
+    ``integrate`` is looked up per cell, so a rebound ``sim.integrate`` sees every cell."""
+    for fld, x0, horizon in cells:
+        start = time.perf_counter()
+        traj = integrate(fld, x0, horizon, policy=policy)
+        yield traj, time.perf_counter() - start
+
+
 def sup_distance(a: Trajectory, b: Trajectory) -> float:
     """Max Euclidean distance over a's grid points where both trajectories are
     defined, b linearly resampled; ValueError if they do not overlap. A
@@ -363,17 +373,11 @@ def omega_sweep(build_system, lie_field: VectorField, omegas, x0, horizon: float
     if target is not None and np.shape(target) != x0.shape:
         raise ValueError(f"target must have the shape of x0, {x0.shape}, got "
                          f"{np.shape(target)}")
-    lie_traj = integrate(lie_field, x0, horizon, policy=policy)
-
-    records = []
-    for w in omegas:
-        rhs = _rhs_of(build_system(w))
-        start = time.perf_counter()
-        traj = integrate(rhs, x0, horizon, policy=policy)
-        wall = time.perf_counter() - start
-        records.append(OmegaRecord(w, sup_distance(traj, lie_traj),
-                                   final_distance(traj, target), traj.total_steps, wall,
-                                   traj.diverged, traj))
+    lie_traj, _ = next(run_cells([(lie_field, x0, horizon)], policy))
+    cells = ((_rhs_of(build_system(w)), x0, horizon) for w in omegas)
+    records = [OmegaRecord(w, sup_distance(traj, lie_traj), final_distance(traj, target),
+                           traj.total_steps, wall, traj.diverged, traj)
+               for w, (traj, wall) in zip(omegas, run_cells(cells, policy))]
     return SweepReport(tuple(records), horizon, final_distance(lie_traj, target), lie_traj)
 
 
@@ -451,14 +455,6 @@ class StabilityProbeReport:
     def __post_init__(self):
         object.__setattr__(self, "cells", tuple(self.cells))
 
-    @property
-    def all_stable_consistent(self) -> bool:
-        return all(c.stable_consistent for c in self.cells)
-
-    @property
-    def all_attractive_consistent(self) -> bool:
-        return all(c.attractive_consistent for c in self.cells)
-
     def summary(self) -> str:
         lines = [f"stability probe: epsilon={self.epsilon:g} t_f={self.t_f:g} "
                  f"samples/shell={self.samples}"]
@@ -500,12 +496,12 @@ def stability_probe(build_system, target, probe: ProbeConfig, omegas,
     cells = []
     for delta in probe.deltas:
         for w in omegas:
-            rhs = _rhs_of(build_system(w))
+            rhs = _rhs_of(build_system(w))  # the directions share it and its stage tables
             containment = 0.0
             attraction = 0.0
             any_div = False
-            for d in dirs:
-                traj = integrate(rhs, target + delta * d, probe.horizon, policy=policy)
+            for traj, _ in run_cells(((rhs, target + delta * d, probe.horizon) for d in dirs),
+                                     policy):
                 dist = np.linalg.norm(traj.states - target, axis=1)
                 if traj.diverged:
                     any_div = True

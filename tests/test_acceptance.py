@@ -237,7 +237,7 @@ def test_criterion_10_negative_control_no_feedback(game, zero_gain_probe):
 
     # the c = 0 probe at delta=1, epsilon=0.5, omega=50 (see conftest.py)
     report = zero_gain_probe
-    assert not report.all_attractive_consistent
+    assert not all(c.attractive_consistent for c in report.cells)
     worst = max(c.attraction_radius for c in report.cells)
     print(f"[PASS] criterion 10: with zero gain the probe reports attraction "
           f"failure at delta=1 (residual distance {worst:.2f} > 0.5)")

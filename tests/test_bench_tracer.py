@@ -11,6 +11,7 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
+import pytest
 import yaml
 
 from ditherseek import dynamics, scenarios, signals, sim
@@ -151,6 +152,31 @@ def test_traced_compare_integrates_the_averaged_flow_first_then_each_omega(tmp_p
     assert calls["sim.integrate"] == 1 + len(sc.omegas)
     assert calls["sim.sup_distance"] == len(sc.omegas)
     assert calls["sim.csv"] == len(sc.omegas) + 2
+
+
+@pytest.mark.parametrize("mode", ["simulate", "sweep"])
+def test_simulate_and_sweep_integrate_each_omega_once_in_increasing_order(mode, tmp_path):
+    # the gate reads each mode's per-integration step list in call order: the
+    # sweep's averaged flow first, then one integration per omega, in
+    # increasing order whatever the order of the flags
+    tracer = _load_tracer()
+    from ditherseek import cli
+
+    horizon, omegas = 0.05, [1600.0, 400.0, 800.0]
+    flags = [arg for w in omegas for arg in ("--omega", str(w))]
+    with tracer.Patches() as patches:
+        counter = tracer.StepCounter()
+        tracer.instrument(patches, counter, None)
+        status = cli.main(["--scenario", "scalar_basic", "--mode", mode, "--horizon",
+                           str(horizon), *flags, "--out", str(tmp_path)])
+    assert status == 0
+    sc = scenarios.load_scenario("scalar_basic")
+    rates = [sc.build_system(w).fast_rate for w in sorted(omegas)]
+    if mode == "sweep":
+        rates.insert(0, sc.lie_field().oscillation_rate)
+    steps = [sim.step_count(horizon, rate, sc.policy) for rate in rates]
+    assert len(set(steps)) == len(rates)  # the order shows in the steps
+    assert counter.integrations == [(s, False, 1) for s in steps]
 
 
 def test_a_traced_probe_integrates_each_distinct_direction_once_per_cell_delta_major(tmp_path):

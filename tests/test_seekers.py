@@ -123,7 +123,7 @@ def test_single_integrator_dimension_and_t0_evaluation():
 def test_three_agent_system_dimension():
     sys = build_single_integrator(three_agent_game(), _params(), 10.0)
     assert sys.dim == 9
-    assert sys.n_channels == 6
+    assert len(sys.channels) == 6
     assert sys.omega == pytest.approx(10.0)  # integer ratios: q = 1
     harmonics = sorted({s.harmonic for _, s in sys.channels})
     assert harmonics == [1, 2, 3]

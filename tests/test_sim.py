@@ -1,5 +1,6 @@
 """Integration, trajectory comparison, sweeps, probes, and decay checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -51,6 +52,31 @@ def test_rk4_global_order():
         errs.append(abs(traj.final_state[0] - math.exp(-1.0)))
     ratio = errs[0] / errs[1]
     assert 128.0 < ratio < 512.0
+
+
+@pytest.mark.parametrize("name", ["scalar_basic", "three_agent_single_integrator",
+                                  "three_agent_unicycle"])
+def test_the_bundled_step_policy_resolves_the_runs(name):
+    # each scenario's policy at K samples per period and at 2K, both against a
+    # 4K reference, at its first two omegas: RK4 keeps its fourth order in the
+    # steps taken (max_step caps scalar_basic's K run at omega=100), and its
+    # error is a vanishing part of the oscillatory-averaged distance
+    sc = bundled_scenario(name)
+    horizon = 0.5
+    k = sc.policy.samples_per_period
+    averaged = integrate(sc.lie_field(), sc.x0, horizon, policy=sc.policy).final_state
+    for w in sc.omegas[:2]:
+        rhs = assemble_rhs(sc.build_system(w))
+        coarse, fine, reference = (
+            integrate(rhs, sc.x0, horizon,
+                      policy=dataclasses.replace(sc.policy, samples_per_period=m * k))
+            for m in (1, 2, 4))
+        errors = [np.linalg.norm(run.final_state - reference.final_state)
+                  for run in (coarse, fine)]
+        order = math.log(errors[0] / errors[1]) / math.log(fine.total_steps
+                                                           / coarse.total_steps)
+        assert order >= 3.5, (w, order)
+        assert errors[0] <= 1e-4 * np.linalg.norm(coarse.final_state - averaged), w
 
 
 @pytest.mark.parametrize("value", [np.array([1.0]), 1.0])
@@ -125,6 +151,32 @@ def test_output_stride_decimates_storage():
     assert traj.dt == pytest.approx(0.1)
     assert traj.states.shape[0] == 11
     assert traj.total_steps == 100
+
+
+def test_run_cells_integrates_one_cell_per_draw(monkeypatch):
+    # cells are drawn lazily and integrated through the module's integrate,
+    # one call each, so the first result costs exactly one integration
+    drawn, calls = [], []
+    plain = sim.integrate
+
+    def counting(fld, x0, *args, **kwargs):
+        calls.append(float(x0[0]))
+        return plain(fld, x0, *args, **kwargs)
+
+    def cells():
+        for x in (1.0, 2.0, 3.0):
+            drawn.append(x)
+            yield _decay_field(), [x], 0.5
+
+    monkeypatch.setattr(sim, "integrate", counting)
+    policy = StepPolicy(max_step=0.01)
+    runs = sim.run_cells(cells(), policy)
+    assert drawn == [] and calls == []
+    traj, wall = next(runs)
+    assert drawn == [1.0] and calls == [1.0] and wall >= 0.0
+    assert np.array_equal(traj.states, plain(_decay_field(), [1.0], 0.5, policy=policy).states)
+    assert [t.states[0, 0] for t, _ in runs] == [2.0, 3.0]
+    assert drawn == calls == [1.0, 2.0, 3.0]
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +314,7 @@ def test_filter_states_track_equilibrium_once_settled():
 def test_probe_negative_control_no_feedback(zero_gain_probe):
     # the c = 0 probe at delta=1, epsilon=0.5, omega=50 (see conftest.py)
     rep = zero_gain_probe
-    assert not rep.all_attractive_consistent
+    assert not all(c.attractive_consistent for c in rep.cells)
     assert all(c.attraction_radius > 0.5 for c in rep.cells)
 
 
@@ -275,8 +327,8 @@ def test_probe_consistent_near_target_at_moderate_omega():
         lambda w: build_single_integrator(game, params, w), target,
         ProbeConfig(deltas=[0.2], epsilon=0.75, t_f=8.0, boundary_samples=3, horizon=12.0),
         omegas=[50.0], policy=StepPolicy(max_step=0.01, output_stride=10))
-    assert rep.all_stable_consistent
-    assert rep.all_attractive_consistent
+    assert all(c.stable_consistent for c in rep.cells)
+    assert all(c.attractive_consistent for c in rep.cells)
 
 
 def test_probe_without_boundary_samples_rejected():
@@ -388,8 +440,8 @@ def test_probe_on_contracting_flow_is_consistent():
                           ProbeConfig(deltas=[0.5, 1.0], epsilon=1.2, t_f=4.0,
                                       boundary_samples=4, horizon=8.0),
                           omegas=[10.0, 100.0], policy=StepPolicy(max_step=0.01))
-    assert rep.all_stable_consistent
-    assert rep.all_attractive_consistent
+    assert all(c.stable_consistent for c in rep.cells)
+    assert all(c.attractive_consistent for c in rep.cells)
     # longer settling time shrinks the attraction radius estimate
     rep2 = stability_probe(lambda w: lie, np.zeros(1),
                            ProbeConfig(deltas=[1.0], epsilon=1.2, t_f=6.0,
@@ -460,7 +512,7 @@ def test_probe_takes_any_non_negative_integer_seed(seed):
     rep = stability_probe(lambda w: _decay_field(), [0.0],
                           ProbeConfig(deltas=[0.1], epsilon=0.5, t_f=1.0, boundary_samples=2),
                           omegas=[10.0], policy=StepPolicy(max_step=0.01), seed=seed)
-    assert rep.all_attractive_consistent
+    assert all(c.attractive_consistent for c in rep.cells)
 
 
 def test_probe_keeps_distinct_directions_in_their_order():

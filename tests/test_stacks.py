@@ -150,7 +150,7 @@ def test_stacked_jacobians_match_per_field_jacobians(case):
     sys = sc.build_system(sc.omegas[0])
     x = _point(sc, offsets)
     stacked = sys.stack.jacobian(t, x)
-    assert stacked.shape == (1 + sys.n_channels, sys.dim, sys.dim)
+    assert stacked.shape == (1 + len(sys.channels), sys.dim, sys.dim)
     for J, (_, jac) in zip(stacked, _reference_fields(sc, sys)):
         assert _close(J, [jac(t, x)])
     gain = math.sqrt(sys.omega)
@@ -169,8 +169,8 @@ def test_stacked_bracket_matches_per_pair_formula(case):
     z = _point(sc, offsets)
     reference = _reference_fields(sc, sys)
     terms = [reference[0][0](t, z)]
-    for i in range(sys.n_channels):
-        for j in range(i + 1, sys.n_channels):
+    for i in range(len(sys.channels)):
+        for j in range(i + 1, len(sys.channels)):
             s_i, s_j = sys.channels[i][1], sys.channels[j][1]
             nu = nu_closed_form(s_j, s_i)
             (b_i, J_i), (b_j, J_j) = reference[i + 1], reference[j + 1]

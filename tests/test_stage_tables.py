@@ -19,8 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ditherseek import (FieldEvaluationError, InputAffineSystem, ProbeConfig, StepPolicy,
-                        VectorField, assemble_rhs, build_lie_bracket_system, build_scalar_seeker, custom,
-                        integrate, load_scenario, sine, stability_probe)
+                        VectorField, assemble_rhs, build_lie_bracket_system, build_scalar_seeker, cosine,
+                        custom, integrate, load_scenario, sine, stability_probe)
+from ditherseek import sim
 from ditherseek.sim import STAGE_CHUNK, step_count
 
 ARCHITECTURES = ("scalar_basic", "three_agent_single_integrator", "three_agent_unicycle")
@@ -107,6 +108,30 @@ def test_probe_cell_evaluates_each_dither_once_per_stage_time():
     assert len(report.cells) == 1 and not report.cells[0].any_diverged
     # four directions, one shared time grid: 2S + 1 distinct stage times
     assert calls == {"a": 2 * steps + 1, "b": 2 * steps + 1}
+
+
+def test_probe_directions_share_one_right_hand_side_per_cell(monkeypatch):
+    # the directions of a (delta, omega) cell are integrated on one right-hand
+    # side, so they can share its stage tables; each cell builds its own
+    fields = []
+    plain = sim.integrate
+
+    def recording(fld, x0, *args, **kwargs):
+        fields.append(fld)
+        return plain(fld, x0, *args, **kwargs)
+
+    def build(w):
+        return build_scalar_seeker(lambda x: -(x - 1.0) ** 2, lambda x: -2.0 * (x - 1.0),
+                                   1.0, w, (cosine(1), sine(1)))
+
+    monkeypatch.setattr(sim, "integrate", recording)
+    report = stability_probe(build, [1.0], ProbeConfig([0.2, 0.3], 0.6, t_f=0.1, horizon=0.2),
+                             [10.0, 20.0], policy=StepPolicy(max_step=0.01))
+    n = report.samples
+    assert n == 2 and len(fields) == n * len(report.cells) == 8
+    cells = [fields[i:i + n] for i in range(0, len(fields), n)]
+    assert all(fld is cell[0] for cell in cells for fld in cell)
+    assert len({id(cell[0]) for cell in cells}) == len(cells)
 
 
 def _scalar_matrix(sys, t):
