@@ -22,8 +22,9 @@ integrators form a stage as a stage-table row times the features.
 Fields and systems are immutable after construction; evaluation is
 reentrant. The only mutable state is in one-entry caches, each replaced as
 a whole: a stack's L(t), the point cache its row views share (one value
-slot, one Jacobian slot), a right-hand side's last stage table and the
-averaged field's t-dependent coefficient matrix.
+slot, one Jacobian slot), a right-hand side's last stage table, and the
+averaged field's contracted P(t) and H(t) and its t-dependent coefficient
+matrix, each for the last time.
 """
 
 from __future__ import annotations
@@ -202,12 +203,17 @@ class FieldStack:
         x = np.asarray(x, dtype=float)
         return (self._matrix(t) @ self.features(t, x)).reshape(self.shape)
 
-    def jacobian(self, t: float, x: np.ndarray) -> np.ndarray:
-        """Stacked Jacobian (rows, n, n): L(t)[..., 1:] @ feature_jac when
-        supplied, else central differences."""
+    def feature_jacobian(self, t: float, x: np.ndarray) -> np.ndarray:
+        """The (k, n) Jacobian of w: ``feature_jac`` when supplied, else central
+        differences of the features."""
+        x = np.asarray(x, dtype=float)
         if self.feature_jac is None:
-            return finite_diff_jacobian(self, t, x)
-        J = self._matrix(t)[:, 1:] @ self.feature_jac(t, np.asarray(x, dtype=float))
+            return finite_diff_jacobian(self.features, t, x)[1:]
+        return self.feature_jac(t, x)
+
+    def jacobian(self, t: float, x: np.ndarray) -> np.ndarray:
+        """Stacked Jacobian (rows, n, n): L(t)[..., 1:] @ :meth:`feature_jacobian`."""
+        J = self._matrix(t)[:, 1:] @ self.feature_jacobian(t, x)
         return J.reshape(self.shape + (self.dim,))
 
     @staticmethod

@@ -26,7 +26,7 @@ import warnings
 import numpy as np
 
 from ._quadrature import cumulative_simpson, even_intervals, simpson_uniform
-from .dynamics import InputAffineSystem, VectorField
+from .dynamics import FieldStack, InputAffineSystem, VectorField
 from .signals import DitherSignal
 
 # quadrature values below this are treated as structural zeros when the
@@ -133,8 +133,17 @@ def build_lie_bracket_system(sys: InputAffineSystem,
     pairs with a genuinely t-dependent dither are refilled whenever the
     evaluation time changes. A coefficient that is not finite raises ValueError.
     Self-pairs never contribute: for zero-mean dithers their averaged term
-    vanishes identically. Each evaluation computes the system's field stack
-    B and stacked Jacobian J once and contracts them as sum_a J_a (A B)_a.
+    vanishes identically, and a channel with no non-zero pair is left out of
+    the field, never evaluated.
+
+    Over the stack of the drift and the r live channels, L(t) = phi(t) @ layout,
+    the field is B_0 + sum_a J_a (A B)_a with B = L(t) @ w and J_a = L_a(t)[:, 1:] @ Jw.
+    All but the features w and their Jacobian Jw is contracted at build, per
+    basis function: P stacks the drift rows over the rows A @ L_live, and H,
+    (n, r*k), holds the live rows' Jacobian columns side by side. One evaluation
+    is y = P(t) @ w, U = y[n:] as (r, n) @ Jw.T and y[:n] + H(t) @ U. The stage
+    table holds phi(t); P(t) and H(t) are formed once per new time and kept for
+    the last one.
     """
     if sys.amplitude_exponent != 0.5:
         raise ValueError(
@@ -163,31 +172,61 @@ def build_lie_bracket_system(sys: InputAffineSystem,
     static = fill(0.0, np.zeros((m, m)), pairs)
     if varying:  # refill only the pairs with a t-dependent dither, once per new time
         moving = [(i, j) for i, j in pairs if dithers[i].t_dependent or dithers[j].t_dependent]
-        last = [0.0, static]
+        last_nu = [0.0, static]
 
         def coefficients(t):
-            if t != last[0]:
-                last[:] = t, fill(t, static.copy(), moving)
-            return last[1]
-    else:
-        def coefficients(t):
-            return static
+            if t != last_nu[0]:
+                last_nu[:] = t, fill(t, static.copy(), moving)
+            return last_nu[1]
 
     # only the channel fields of pairs that can contribute are differentiated;
     # the drift enters undifferentiated
-    fields = [f for k, (f, _) in enumerate(sys.channels) if varying or static[:, k].any()]
+    live = [k for k in range(m) if varying or static[:, k].any()]
+    fields = [sys.channels[k][0] for k in live]
     if not all(f.has_jacobian for f in fields):
         warnings.warn(
             "averaged system uses finite-difference Jacobians for at least "
             "one bracket", PrecisionWarning, stacklevel=2)
     rate = max([sys.drift.oscillation_rate] + [f.oscillation_rate for f in fields])
-    stack_fn, stack_jac = sys.stack.__call__, sys.stack.jacobian
+    stack = sys.stack if len(live) == m else FieldStack.of([sys.drift] + fields)
+    layout, basis, features = stack.layout, stack.basis, stack.features
+    feature_jac = stack.feature_jac or stack.feature_jacobian
+    p, _, n, width = layout.shape
+    r = len(live)
+    live_rows = layout[:, 1:].reshape(p, r, n * width)
+    if not varying:
+        live_rows = static[np.ix_(live, live)] @ live_rows
+    # per basis function: P's drift and live rows, then H with H[:, a*k:(a+1)*k] = L_a[:, 1:]
+    G = np.concatenate((layout[:, 0].reshape(p, -1), live_rows.reshape(p, -1),
+                        layout[:, 1:, :, 1:].transpose(0, 2, 1, 3).reshape(p, -1)), axis=1)
+    split = (1 + r) * n * width
 
-    def fn(t, z):
-        rows = stack_fn(t, z)
-        if not fields:
-            return rows[0]
-        mixed = coefficients(t) @ rows[1:]
-        return rows[0] + np.einsum("akl,al->k", stack_jac(t, z)[1:], mixed)
+    def contract(t, phi):  # P(t) and H(t) from the basis weights phi(t)
+        PH = phi.dot(G)
+        P = PH[:split].reshape((1 + r) * n, width)
+        if varying:
+            P[n:] = (coefficients(t) @ P[n:].reshape(r, -1)).reshape(r * n, width)
+        return P, PH[split:].reshape(n, -1)
 
-    return VectorField(sys.dim, fn, oscillation_rate=rate)
+    one = np.ones(1)
+    timed = basis is not None or varying
+    last = [None, *contract(0.0, one)] if not timed else [None, None, None]
+
+    def stage_table(times):
+        times = np.asarray(times, dtype=float)
+        phi = np.ones((times.size, 1)) if basis is None else np.asarray(basis(times))
+        phi.flags.writeable = False
+        return phi
+
+    def fn(t, z, row=None):
+        if timed and t != last[0]:
+            phi = row if row is not None else one if basis is None else np.asarray(basis(t))
+            last[:] = t, *contract(t, phi)
+        _, P, H = last
+        y = P.dot(features(t, z))
+        if not r:
+            return y
+        U = y[n:].reshape(r, n).dot(feature_jac(t, z).T)
+        return y[:n] + H.dot(U.ravel())
+
+    return VectorField(sys.dim, fn, oscillation_rate=rate, stage_table=stage_table)

@@ -59,10 +59,17 @@ from .sim import ProbeConfig, StepPolicy, checked_omegas
 BUILTIN_GAMES = {"three_agent": three_agent_game}
 DYNAMICS_KINDS = ("scalar", "single_integrator", "unicycle")
 
-# flow collections ("[[[" or "{{{") nested deeper than this are refused before
-# PyYAML, whose scanner takes time quadratic in their depth (2,000 levels take
-# over a second); the bundled scenarios nest 2 deep
+# collections nested deeper than this are refused before a document is built;
+# the bundled scenarios nest 2 deep inside their top-level mapping. Flow
+# collections ("[[[" or "{{{") are counted in the text, since PyYAML's own
+# scanner takes time quadratic in their depth (2,000 levels take over a second).
+# Under libyaml every collection is counted in its event stream, which is read
+# in constant stack: libyaml builds documents recursively in C and overflows
+# the C stack somewhere between 20,000 and 40,000 block levels ("- - - ...")
 MAX_FLOW_DEPTH = 100
+# PyYAML's libyaml parser, about eight times faster than its pure-Python one;
+# a PyYAML built without libyaml parses the same documents with SafeLoader
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 # a quoted scalar (a quote that starts a token), a comment, or a flow bracket
 _FLOW_TOKEN = re.compile(r"""(?<![^\s\[{,:])(?:"(?:[^"\\]|\\.)*"|'(?:[^']|'')*')"""
                          r"|(?<!\S)#.*|[\[\]{}]")
@@ -406,14 +413,33 @@ def _check_flow_depth(text: str) -> None:
             depth = max(0, depth - 1)
 
 
+def _check_event_depth(text: str) -> None:
+    """Refuse collections nested more than MAX_FLOW_DEPTH deep inside the top-level one,
+    from libyaml's event stream; PyYAML's own parser raises RecursionError instead."""
+    if _LOADER is yaml.SafeLoader:
+        return
+    depth = 0
+    for event in yaml.parse(text, Loader=_LOADER):
+        if isinstance(event, yaml.CollectionStartEvent):
+            depth += 1
+            if depth > MAX_FLOW_DEPTH + 1:
+                raise ScenarioError("scenario syntax error: collections nested "
+                                    f"more than {MAX_FLOW_DEPTH} deep")
+        elif isinstance(event, yaml.CollectionEndEvent):
+            depth -= 1
+
+
 def parse_scenario_text(text: str, strict: bool = True) -> Scenario:
     _check_flow_depth(text)
     try:
-        doc = yaml.safe_load(text)
+        _check_event_depth(text)
+        doc = yaml.load(text, Loader=_LOADER)
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         raise ScenarioError(f"scenario syntax error{where}: {exc.problem}") from exc
+    except ScenarioError:
+        raise
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: a bad !!int or date
         raise ScenarioError(f"scenario syntax error: {exc}") from exc
     except RecursionError:

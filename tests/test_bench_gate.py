@@ -43,3 +43,20 @@ def test_one_job_per_workload_passes_the_gate(bench, name, tmp_path):
     checks = gate.check(observed, gate.load_references(name), SEED)
     assert any(key.startswith("value:") for key, _ in checks)
     assert [key for key, ok in checks if not ok] == []
+
+
+def test_a_traced_crosscheck_job_passes_the_gate(bench, tmp_path):
+    # the tracer wraps the generic bracket's fn and keeps its stage table, so
+    # the traced bracket is integrated on its rows as an untraced one is
+    workloads, gate, tracer = bench["workloads"], bench["gate"], bench["tracer"]
+    workload = workloads.WORKLOADS["crosscheck"]
+    inputs = workload.prepare(SEED, tmp_path, None)
+    counter, spans = tracer.StepCounter(), tracer.Tracer()
+    with tracer.Patches() as patches:
+        tracer.instrument(patches, counter, spans)
+        with contextlib.redirect_stdout(io.StringIO()):
+            result = workload.run(inputs, tmp_path / "out")
+    observed = workload.observe(inputs, tmp_path / "out", result, counter.integrations)
+    checks = gate.check(observed, gate.load_references("crosscheck"), SEED)
+    assert [key for key, ok in checks if not ok] == []
+    assert spans.call_counts()["liebracket.generic"] > 0

@@ -219,3 +219,33 @@ def test_a_traced_probe_integrates_each_distinct_direction_once_per_cell_delta_m
     assert all(np.array_equal(a, b) for a, b in zip(starts, expected))
     report = (tmp_path / "o" / f"{sc.name}_probe.txt").read_text(encoding="utf-8")
     assert "samples/shell=8" in report and report.count(" delta=") == len(cells)
+
+
+@pytest.mark.parametrize("traced", [False, True])
+@pytest.mark.parametrize("mode", ["compare", "sweep"])
+def test_the_averaged_flows_compare_and_sweep_integrate_carry_stage_tables(mode, traced,
+                                                                           tmp_path):
+    # scalar_basic's averaged flow is the generic bracket; the tracer wraps its
+    # fn and keeps its stage table
+    tracer = _load_tracer()
+    from ditherseek import cli
+
+    fields = []
+    with tracer.Patches() as patches:
+        spans = tracer.Tracer() if traced else None
+        tracer.instrument(patches, tracer.StepCounter(), spans)
+        counted = sim.integrate
+
+        def recording(fld, *args, **kwargs):
+            fields.append(fld)
+            return counted(fld, *args, **kwargs)
+
+        patches.rebind(counted, recording)
+        status = cli.main(["--scenario", "scalar_basic", "--mode", mode, "--horizon", "0.05",
+                           "--out", str(tmp_path)])
+    assert status == 0
+    assert len(fields) == 1 + len(scenarios.load_scenario("scalar_basic").omegas)
+    assert all(fld.stage_table is not None for fld in fields)
+    if traced:
+        assert spans.call_counts()["liebracket.generic"] == 4 * sim.step_count(
+            0.05, fields[0].oscillation_rate, scenarios.load_scenario("scalar_basic").policy)

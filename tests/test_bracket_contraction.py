@@ -1,0 +1,249 @@
+"""The generic bracket as precontracted products: equal to the stacked formula, at its cost.
+
+The reference below is the bracket as the full stacked value and Jacobian
+contracted per evaluation, ``rows[0] + einsum(J[1:], A @ rows[1:])``, with the
+``nu`` matrix A filled here pair by pair.
+"""
+
+import dataclasses
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ditherseek import (FieldStack, InputAffineSystem, PrecisionWarning, StepPolicy,
+                        VectorField, build_lie_bracket_system, cosine, custom, integrate,
+                        load_scenario, nu_closed_form, nu_quadrature, sine)
+from ditherseek import liebracket
+from ditherseek.sim import step_count
+
+REL_TOL = 1e-13
+BUNDLED = ("scalar_basic", "three_agent_single_integrator", "three_agent_unicycle")
+SCENARIOS = {name: load_scenario(name) for name in BUNDLED}
+
+
+def _t_dependent():
+    return custom(lambda t, th: (1.0 + 0.5 * math.sin(t)) * np.sin(th),
+                  sup_bound=1.5, lipschitz_t=0.5)
+
+
+def _fields():
+    """Drift and three channel fields on R^2 with analytic Jacobians."""
+    def fld(fn, jac):
+        return VectorField(2, fn, jac)
+
+    return (fld(lambda t, x: np.array([0.1 * x[1], -0.2 * x[0] + math.cos(t)]),
+                lambda t, x: np.array([[0.0, 0.1], [-0.2, 0.0]])),
+            fld(lambda t, x: np.array([x[0] * x[1], 1.0]),
+                lambda t, x: np.array([[x[1], x[0]], [0.0, 0.0]])),
+            fld(lambda t, x: np.array([0.5, -(x[0] - 1.0) ** 2 - x[1] ** 2]),
+                lambda t, x: np.array([[0.0, 0.0], [-2.0 * (x[0] - 1.0), -2.0 * x[1]]])),
+            fld(lambda t, x: np.array([math.sin(x[0]), x[1] ** 3]),
+                lambda t, x: np.array([[math.cos(x[0]), 0.0], [0.0, 3.0 * x[1] ** 2]])))
+
+
+def _custom_dither_system():
+    """Three channels, one with a t-dependent custom dither: the quadrature refill."""
+    drift, b1, b2, b3 = _fields()
+    return InputAffineSystem(drift, ((b1, cosine(1)), (b2, sine(1)), (b3, _t_dependent())), 20.0)
+
+
+def _field_by_field_system():
+    """Fields made one at a time: the identity layout, their values as features."""
+    drift, b1, b2, b3 = _fields()
+    return InputAffineSystem(drift, ((b1, cosine(1)), (b2, sine(1)), (b3, sine(1))), 20.0)
+
+
+def _stack_without_feature_jac():
+    """A stack over the basis [1, cos 2t, sin 2t] whose Jacobians are central differences."""
+    layout = np.random.default_rng(11).uniform(-1.0, 1.0, (3, 4, 2, 3))
+
+    def basis(t):
+        return np.stack([np.ones_like(t), np.cos(2.0 * t), np.sin(2.0 * t)], axis=-1)
+
+    def features(t, x):
+        return np.array([1.0, -(x[0] - 1.0) ** 2 - (x[1] + 1.0) ** 2, x[0] * x[1]])
+
+    drift, *channels = FieldStack(layout, features, basis=basis).fields
+    return InputAffineSystem(drift, tuple(zip(channels, (sine(1), cosine(1), cosine(1)))), 20.0)
+
+
+SYSTEMS = {name: (sc.build_system(sc.omegas[0]), sc.nu_method, sc.x0)
+           for name, sc in SCENARIOS.items()}
+SYSTEMS["custom_quadrature_512"] = (_custom_dither_system(), "quadrature:512", np.zeros(2))
+SYSTEMS["field_by_field"] = (_field_by_field_system(), "closed_form", np.zeros(2))
+SYSTEMS["no_feature_jac"] = (_stack_without_feature_jac(), "closed_form", np.zeros(2))
+
+
+def _nu_matrix(sys, nu_method, t):
+    nodes = liebracket._parse_nu_method(nu_method)
+    dithers = [s for _, s in sys.channels]
+    m = len(dithers)
+    A = np.zeros((m, m))
+    for i in range(m):
+        for j in range(i + 1, m):
+            outer, inner = dithers[j], dithers[i]
+            value = (nu_closed_form(outer, inner) if nodes is None
+                     else nu_quadrature(outer, inner, t, nodes))
+            if abs(value) > 1e-12:
+                A[j, i], A[i, j] = value, -value
+    return A
+
+
+def _reference(sys, nu_method, t, z):
+    """The stacked bracket and the largest of its terms."""
+    rows, J = sys.stack(t, z), sys.stack.jacobian(t, z)
+    mixed = _nu_matrix(sys, nu_method, t) @ rows[1:]
+    terms = J[1:] * mixed[:, None, :]
+    scale = max(1.0, float(np.abs(rows[0]).max()), float(np.abs(terms).max(initial=0.0)))
+    return rows[0] + np.einsum("akl,al->k", J[1:], mixed), scale
+
+
+@given(name=st.sampled_from(sorted(SYSTEMS)), t=st.floats(min_value=0.0, max_value=20.0),
+       offsets=st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=9, max_size=9))
+@settings(max_examples=80, deadline=None)
+def test_the_contracted_bracket_is_the_stacked_formula(name, t, offsets):
+    sys, nu_method, x0 = SYSTEMS[name]
+    z = x0 + np.array(offsets[:sys.dim])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PrecisionWarning)
+        bracket, fresh = (build_lie_bracket_system(sys, nu_method) for _ in range(2))
+    want, scale = _reference(sys, nu_method, t, z)
+    got = bracket.fn(t, z)
+    assert np.max(np.abs(got - want)) <= REL_TOL * scale
+    # through its stage-table row, as integrate calls it, at a fresh build
+    row = fresh.stage_table(np.array([t, t + 0.5]))[0]
+    assert np.max(np.abs(fresh.fn(t, z, row) - want)) <= REL_TOL * scale
+
+
+def _counting(calls, key, fn):
+    def counted(*args):
+        calls[key] += 1
+        return fn(*args)
+    return counted
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_one_features_and_one_feature_jac_call_per_evaluation(name):
+    sys, nu_method, x0 = SYSTEMS[name]
+    stack = sys.stack
+    features, feature_jac = stack.features, stack.feature_jac
+    calls = {"features": 0, "feature_jac": 0}
+    stack.features = _counting(calls, "features", features)
+    if feature_jac is not None:
+        stack.feature_jac = _counting(calls, "feature_jac", feature_jac)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PrecisionWarning)
+            bracket = build_lie_bracket_system(sys, nu_method)
+        assert calls == {"features": 0, "feature_jac": 0}
+        for k, t in enumerate((0.3, 0.3, 0.7)):
+            bracket.fn(t, x0 + 0.1)
+            if feature_jac is not None:
+                assert calls == {"features": k + 1, "feature_jac": k + 1}
+            else:  # and central differences of the features, 2 calls per state
+                assert calls == {"features": (k + 1) * (1 + 2 * sys.dim), "feature_jac": 0}
+    finally:
+        stack.features, stack.feature_jac = features, feature_jac
+
+
+class _CountingRows(np.ndarray):
+    """Stage-table rows that count the products formed from them."""
+
+    products = 0
+
+    def dot(self, other, *args):
+        _CountingRows.products += 1
+        return np.asarray(self).dot(other, *args)
+
+
+@pytest.mark.parametrize("name, timed", [("three_agent_unicycle", True),
+                                         ("custom_quadrature_512", True),
+                                         ("three_agent_single_integrator", False),
+                                         ("field_by_field", False)])
+def test_p_and_h_are_formed_once_per_distinct_stage_time(name, timed):
+    # RK4 meets 2S + 1 distinct stage times in S steps; a t-dependent basis or
+    # nu matrix forms P(t) and H(t) at each, a constant one only at build
+    sys, nu_method, x0 = SYSTEMS[name]
+    bracket = build_lie_bracket_system(sys, nu_method)
+
+    def stage_table(times):
+        return bracket.stage_table(times).view(_CountingRows)
+
+    _CountingRows.products = 0
+    policy = StepPolicy(max_step=0.01)
+    traj = integrate(dataclasses.replace(bracket, stage_table=stage_table), x0, 0.3,
+                     policy=policy)
+    assert traj.total_steps == step_count(0.3, bracket.oscillation_rate, policy) > 1
+    assert _CountingRows.products == (2 * traj.total_steps + 1 if timed else 0)
+
+
+def test_a_row_less_call_evaluates_the_basis_once_per_new_time():
+    sys, nu_method, x0 = SYSTEMS["three_agent_unicycle"]
+    calls = []
+    basis = sys.stack.basis
+    sys.stack.basis = lambda t: (calls.append(t), basis(t))[1]
+    try:
+        bracket = build_lie_bracket_system(sys, nu_method)
+        for t in (0.3, 0.3, 0.7, 0.7, 0.3):
+            bracket.fn(t, x0)
+    finally:
+        sys.stack.basis = basis
+    assert calls == [0.3, 0.7, 0.3]
+
+
+def test_a_t_dependent_dither_costs_the_same_quadratures_over_an_integration(monkeypatch):
+    # 3 pairs at build, then the 2 pairs of the custom dither at each of the
+    # 2S new stage times after t = 0: 3 + 4 * 10 = 43 over 10 steps
+    counted = []
+
+    def counting(outer, inner, t, nodes):
+        counted.append(t)
+        return nu_quadrature(outer, inner, t, nodes)
+
+    monkeypatch.setattr(liebracket, "nu_quadrature", counting)
+    sys, nu_method, x0 = SYSTEMS["custom_quadrature_512"]
+    bracket = build_lie_bracket_system(sys, nu_method)
+    traj = integrate(bracket, x0, 0.1, policy=StepPolicy(max_step=0.01))
+    assert traj.total_steps == 10
+    assert len(counted) == 43
+    assert len(set(counted)) == 2 * traj.total_steps + 1
+
+
+def _repro(with_dead_channel, calls):
+    const = VectorField.constant([1.0])
+    f = VectorField(1, lambda t, x: np.array([-(x[0] - 1.0) ** 2]),
+                    jac=lambda t, x: np.array([[-2.0 * (x[0] - 1.0)]]))
+
+    def steep(t, x):
+        calls.append(t)
+        return np.exp(50.0 * x)
+
+    channels = ((const, cosine(1)), (f, sine(1)))
+    if with_dead_channel:  # nu = 0 with both: sine(2) pairs with no first harmonic
+        channels += ((VectorField(1, steep), sine(2)),)
+    return InputAffineSystem(VectorField.zero(1), channels, 100.0)
+
+
+def test_a_channel_that_pairs_with_nothing_is_never_evaluated():
+    calls = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", PrecisionWarning)
+        dead = build_lie_bracket_system(_repro(True, calls))
+    pair = build_lie_bracket_system(_repro(False, calls))
+    assert np.array_equal(dead(0.0, np.array([15.0])), pair(0.0, np.array([15.0])))
+    got = integrate(dead, [15.0], 1.0)
+    want = integrate(pair, [15.0], 1.0)
+    assert calls == []
+    assert not got.diverged and got.total_steps == want.total_steps == 100
+    assert np.array_equal(got.states, want.states)
+    assert got.final_state[0] == pytest.approx(6.15031, abs=5e-6)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_every_bundled_generic_averaged_field_has_a_stage_table(name):
+    table = SCENARIOS[name].generic_lie_field().stage_table(np.array([0.0, 0.25, 0.5]))
+    assert table.shape[0] == 3 and not table.flags.writeable

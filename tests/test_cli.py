@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import ditherseek
 from ditherseek import (AgentParams, analytic_lie_single_integrator, analytic_lie_unicycle,
@@ -633,3 +634,24 @@ def test_a_probe_imports_no_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     assert "delta=0.25 omega=100" in done.stdout
     assert done.stdout.splitlines()[-1] == "0 []"
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+@pytest.mark.parametrize("old, new, message", [
+    ("omega: [20.0, 60.0]", "omega: [20.0, 60.0",
+     "at line 8, column 14: did not find expected ',' or ']'"),
+    ("alpha: 1.0", "\talpha: 1.0",
+     "at line 6, column 1: found character that cannot start any token"),
+    ("alpha: 1.0", "alpha: *gain", "at line 6, column 8: found undefined alias"),
+    ("alpha: 1.0", "alpha: 1.0: 2.0",
+     "at line 6, column 11: mapping values are not allowed in this context"),
+    ("name: tiny", "%\nname: tiny", "at line 2, column 2: could not find expected directive name"),
+], ids=["unclosed_flow", "tab", "undefined_alias", "mapping_value", "directive"])
+def test_a_malformed_scenario_names_libyaml_s_problem(tmp_path, capsys, old, new, message):
+    doc = tmp_path / "bad.yaml"
+    doc.write_text(FAST_SCALAR.replace(old, new), encoding="utf-8")
+    out = tmp_path / "o"
+    status = main(["--scenario", str(doc), "--mode", "simulate", "--out", str(out)])
+    assert status == 2
+    assert capsys.readouterr().err == f"error: scenario syntax error {message}\n"
+    assert not out.exists()

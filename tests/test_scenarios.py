@@ -2,9 +2,13 @@
 
 import copy
 import math
+import os
+import subprocess
+import sys
 import textwrap
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from ditherseek import (FieldEvaluationError, ProbeConfig, ScenarioError, assemb
                         build_lie_bracket_system, bundled_scenario, list_bundled,
                         load_scenario, parse_scenario, parse_scenario_text)
 from ditherseek.cli import RunConfig, _resolved
+from ditherseek import scenarios
 from ditherseek.scenarios import MAX_FLOW_DEPTH
 from ditherseek.sim import MAX_BOUNDARY_SAMPLES
 
@@ -512,3 +517,56 @@ def test_generic_averaged_field_of_a_square_dither_falls_back_to_quadrature():
     value = sc.generic_lie_field()(0.0, z)
     assert value == sc.lie_field()(0.0, z)
     assert value[0] == pytest.approx(0.891268, abs=1e-6)
+
+
+def _scenario_texts():
+    data = resources.files("ditherseek").joinpath("data")
+    texts = [data.joinpath(f"{name}.yaml").read_text(encoding="utf-8") for name in list_bundled()]
+    bench = Path(__file__).resolve().parents[1] / "bench" / "scenarios" / "uni_probe.yaml"
+    return texts + [bench.read_text(encoding="utf-8")]
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+def test_scenarios_parse_with_libyaml_to_the_documents_of_safe_load():
+    assert scenarios._LOADER is yaml.CSafeLoader
+    for text in _scenario_texts():
+        assert yaml.load(text, Loader=scenarios._LOADER) == yaml.safe_load(text)
+
+
+@pytest.mark.parametrize("depth", [MAX_FLOW_DEPTH + 1, 2000, 50_000])
+def test_block_nesting_past_the_bound_is_refused_before_a_document_is_built(depth):
+    # libyaml builds documents recursively in C: 50,000 block levels overflow its
+    # stack and end the process, so its event stream is counted first; PyYAML's
+    # own parser raises RecursionError instead
+    with pytest.raises(ScenarioError, match="^scenario syntax error: "):
+        parse_scenario_text(_nested_omega(depth).decode())
+    with pytest.raises(ScenarioError, match=r"^scenario\.omega\[0\]: expected a number"):
+        parse_scenario_text(_nested_omega(MAX_FLOW_DEPTH).decode())
+
+
+def test_without_libyaml_scenarios_parse_with_the_pure_python_loader():
+    # the documented fallback: the same documents and the same refusals
+    code = textwrap.dedent(f"""
+        import yaml
+        del yaml.CSafeLoader
+        from ditherseek import scenarios
+        assert scenarios._LOADER is yaml.SafeLoader
+        for name in scenarios.list_bundled():
+            sc = scenarios.load_scenario(name)
+            assert sc.name == name, sc.name
+        deep = "omega:\\n" + "- " * 2000 + "1\\n"
+        for text, problem in ((deep, "nested too deep"),
+                              ("omega: " + "[" * 101 + "1" + "]" * 101 + "\\n",
+                               "flow collections nested more than {MAX_FLOW_DEPTH} deep"),
+                              ("omega: [1, 2\\n", "expected ',' or ']', but got '<stream end>'")):
+            try:
+                scenarios.parse_scenario_text(text)
+            except scenarios.ScenarioError as exc:
+                assert str(exc).startswith("scenario syntax error") and problem in str(exc), exc
+            else:
+                raise AssertionError("parsed " + text[:20])
+        """)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src)] + sys.path))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ditherseek import (FieldEvaluationError, FieldStack, InputAffineSystem, StepPolicy,
-                        VectorField, assemble_rhs, build_lie_bracket_system, cosine,
-                        finite_diff_jacobian, frequency_decomposition, integrate,
+from ditherseek import (FieldEvaluationError, FieldStack, InputAffineSystem, PrecisionWarning,
+                        StepPolicy, VectorField, assemble_rhs, build_lie_bracket_system,
+                        cosine, finite_diff_jacobian, frequency_decomposition, integrate,
                         load_scenario, nu_closed_form, sine)
 from ditherseek.sim import STAGE_CHUNK, step_count
 
@@ -382,8 +382,12 @@ def test_wrongly_shaped_field_raises_from_integrate():
     sys = InputAffineSystem(VectorField.zero(2), ((bad, sine(1)),), 10.0)
     with pytest.raises(ValueError, match="shape"):
         integrate(assemble_rhs(sys), np.zeros(2), 1.0)
+    # the bracket evaluates only channels with a non-zero pair: give it a partner
+    paired = dataclasses.replace(sys, channels=sys.channels + ((bad, cosine(1)),))
+    with pytest.warns(PrecisionWarning):
+        bracket = build_lie_bracket_system(paired)
     with pytest.raises(ValueError, match="shape"):
-        integrate(build_lie_bracket_system(sys), np.zeros(2), 1.0)
+        integrate(bracket, np.zeros(2), 1.0)
 
 
 def test_nonfinite_rhs_marks_divergence_at_the_same_step():
