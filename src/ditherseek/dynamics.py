@@ -23,8 +23,7 @@ Fields and systems are immutable after construction; evaluation is
 reentrant. The only mutable state is in one-entry caches, each replaced as
 a whole: a stack's L(t), the point cache its row views share (one value
 slot, one Jacobian slot), a right-hand side's last stage table, and the
-averaged field's contracted P(t) and H(t) and its t-dependent coefficient
-matrix, each for the last time.
+averaged field's contracted P(t) and H(t), each for the last time.
 """
 
 from __future__ import annotations
@@ -218,15 +217,20 @@ class FieldStack:
 
     @staticmethod
     def of(fields) -> "FieldStack":
-        """The stack whose row views ``fields`` are, in order; else the identity
+        """The stack whose row views ``fields`` are, in order, or that stack's layout
+        over just those rows when they are some of its row views; else the identity
         layout over the fields' values, rows as features, which refuse a non-finite
         state with FieldEvaluationError before calling any field (see ``integrate``)."""
         fields = tuple(fields)
         view = fields[0].fn
         if isinstance(view, _RowView):
-            own = view.stack.fields
-            if len(own) == len(fields) and all(a is b for a, b in zip(own, fields)):
-                return view.stack
+            stack = view.stack
+            rows = [k for f in fields for k, own in enumerate(stack.fields) if f is own]
+            if len(rows) == len(fields):
+                if rows == list(range(len(stack.fields))):
+                    return stack
+                return FieldStack(stack.layout[:, rows], stack.features, stack.feature_jac,
+                                  stack.basis, [f.oscillation_rate for f in fields])
         shape = (len(fields), fields[0].dim)
         size = shape[0] * shape[1]
         layout = np.eye(size, 1 + size, 1).reshape((1,) + shape + (1 + size,))
@@ -253,8 +257,9 @@ class InputAffineSystem:
     """Drift plus m dithered channels and the oscillation parameter omega.
 
     ``stack`` is derived, never passed: the builder's own stack when drift
-    and channel fields are its row views in order, otherwise a stack of the
-    individual fields, so a system rebuilt with other fields (for instance
+    and channel fields are its row views in order, its layout over those rows
+    when they are some of its row views, otherwise a stack of the individual
+    fields, so a system rebuilt with other fields (for instance
     by ``dataclasses.replace``) is never evaluated through a stale stack.
     """
 

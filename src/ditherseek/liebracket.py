@@ -172,12 +172,6 @@ def build_lie_bracket_system(sys: InputAffineSystem,
     static = fill(0.0, np.zeros((m, m)), pairs)
     if varying:  # refill only the pairs with a t-dependent dither, once per new time
         moving = [(i, j) for i, j in pairs if dithers[i].t_dependent or dithers[j].t_dependent]
-        last_nu = [0.0, static]
-
-        def coefficients(t):
-            if t != last_nu[0]:
-                last_nu[:] = t, fill(t, static.copy(), moving)
-            return last_nu[1]
 
     # only the channel fields of pairs that can contribute are differentiated;
     # the drift enters undifferentiated
@@ -205,7 +199,8 @@ def build_lie_bracket_system(sys: InputAffineSystem,
         PH = phi.dot(G)
         P = PH[:split].reshape((1 + r) * n, width)
         if varying:
-            P[n:] = (coefficients(t) @ P[n:].reshape(r, -1)).reshape(r * n, width)
+            A = static if t == 0.0 else fill(t, static.copy(), moving)
+            P[n:] = (A @ P[n:].reshape(r, -1)).reshape(r * n, width)
         return P, PH[split:].reshape(n, -1)
 
     one = np.ones(1)

@@ -37,7 +37,6 @@ Numeric values may be written as decimals or as rational strings ("3/10").
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
@@ -59,20 +58,15 @@ from .sim import ProbeConfig, StepPolicy, checked_omegas
 BUILTIN_GAMES = {"three_agent": three_agent_game}
 DYNAMICS_KINDS = ("scalar", "single_integrator", "unicycle")
 
-# collections nested deeper than this are refused before a document is built;
-# the bundled scenarios nest 2 deep inside their top-level mapping. Flow
-# collections ("[[[" or "{{{") are counted in the text, since PyYAML's own
-# scanner takes time quadratic in their depth (2,000 levels take over a second).
-# Under libyaml every collection is counted in its event stream, which is read
-# in constant stack: libyaml builds documents recursively in C and overflows
+# collections nested deeper than this inside the top-level mapping are refused
+# before a document is built; the bundled scenarios nest 2 deep. Both parsers
+# yield their event stream in constant stack, and the check stops reading it
+# past the bound, but libyaml builds documents recursively in C and overflows
 # the C stack somewhere between 20,000 and 40,000 block levels ("- - - ...")
 MAX_FLOW_DEPTH = 100
 # PyYAML's libyaml parser, about eight times faster than its pure-Python one;
 # a PyYAML built without libyaml parses the same documents with SafeLoader
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-# a quoted scalar (a quote that starts a token), a comment, or a flow bracket
-_FLOW_TOKEN = re.compile(r"""(?<![^\s\[{,:])(?:"(?:[^"\\]|\\.)*"|'(?:[^']|'')*')"""
-                         r"|(?<!\S)#.*|[\[\]{}]")
 
 
 class ScenarioError(ValueError):
@@ -400,24 +394,9 @@ def load_scenario(source, strict: bool = True) -> Scenario:
     return parse_scenario_text(text, strict=strict)
 
 
-def _check_flow_depth(text: str) -> None:
-    depth = 0
-    for token in _FLOW_TOKEN.finditer(text):
-        bracket = token.group()
-        if bracket in ("[", "{"):
-            depth += 1
-            if depth > MAX_FLOW_DEPTH:
-                raise ScenarioError("scenario syntax error: flow collections nested "
-                                    f"more than {MAX_FLOW_DEPTH} deep")
-        elif bracket in ("]", "}"):
-            depth = max(0, depth - 1)
-
-
-def _check_event_depth(text: str) -> None:
-    """Refuse collections nested more than MAX_FLOW_DEPTH deep inside the top-level one,
-    from libyaml's event stream; PyYAML's own parser raises RecursionError instead."""
-    if _LOADER is yaml.SafeLoader:
-        return
+def _check_depth(text: str) -> None:
+    """Refuse collections nested more than MAX_FLOW_DEPTH deep inside the top-level
+    one, counted in the parser's event stream."""
     depth = 0
     for event in yaml.parse(text, Loader=_LOADER):
         if isinstance(event, yaml.CollectionStartEvent):
@@ -430,9 +409,8 @@ def _check_event_depth(text: str) -> None:
 
 
 def parse_scenario_text(text: str, strict: bool = True) -> Scenario:
-    _check_flow_depth(text)
     try:
-        _check_event_depth(text)
+        _check_depth(text)
         doc = yaml.load(text, Loader=_LOADER)
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark
@@ -442,8 +420,6 @@ def parse_scenario_text(text: str, strict: bool = True) -> Scenario:
         raise
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: a bad !!int or date
         raise ScenarioError(f"scenario syntax error: {exc}") from exc
-    except RecursionError:
-        raise ScenarioError("scenario syntax error: nested too deep") from None
     return parse_scenario(doc, strict=strict)
 
 

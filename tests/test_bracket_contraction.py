@@ -243,6 +243,38 @@ def test_a_channel_that_pairs_with_nothing_is_never_evaluated():
     assert got.final_state[0] == pytest.approx(6.15031, abs=5e-6)
 
 
+@pytest.mark.parametrize("dead_channel", [False, True])
+def test_a_system_over_some_rows_of_a_stack_evaluates_it_once_per_point(dead_channel):
+    # two of the stack's three channels, or all three with one that pairs with
+    # nothing: the bracket restacks the stack's own rows, so an evaluation is one
+    # features call and 2n more for the central-difference Jacobian
+    sys = _stack_without_feature_jac()
+    calls = []
+    features = sys.stack.features
+    sys.stack.features = lambda t, x: (calls.append(t), features(t, x))[1]
+    channels = sys.channels[:2]
+    if dead_channel:  # sine(2) pairs with no first harmonic
+        channels += ((sys.channels[2][0], sine(2)),)
+    some = dataclasses.replace(sys, channels=channels)
+
+    def copy(f):  # the same field, no row view: the identity layout over its value
+        return VectorField(f.dim, f.fn, oscillation_rate=f.oscillation_rate)
+
+    by_value = InputAffineSystem(copy(some.drift), [(copy(f), s) for f, s in channels],
+                                 some.omega)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PrecisionWarning)
+        bracket, reference = build_lie_bracket_system(some), build_lie_bracket_system(by_value)
+    z = np.array([0.4, -0.3])
+    for t in (0.3, 0.3, 0.7):
+        del calls[:]
+        got = bracket.fn(t, z)
+        assert len(calls) == 1 + 2 * sys.dim
+        want = reference.fn(t, z)
+        # two central-difference Jacobians of one stack: equal to their roundoff
+        assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, float(np.abs(want).max()))
+
+
 @pytest.mark.parametrize("name", BUNDLED)
 def test_every_bundled_generic_averaged_field_has_a_stage_table(name):
     table = SCENARIOS[name].generic_lie_field().stage_table(np.array([0.0, 0.25, 0.5]))

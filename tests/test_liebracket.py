@@ -313,8 +313,9 @@ def test_only_pairs_with_a_t_dependent_dither_are_refilled(monkeypatch):
     lie = build_lie_bracket_system(sys, "quadrature")
     assert len(counted) == 3  # every pair once at build, at t = 0
     x = np.array([0.3])
-    # a new time refills the two pairs of the t-dependent third channel only
-    for t, refilled in ((0.0, 0), (1.0, 2), (1.0, 0), (2.5, 2), (0.0, 2)):
+    # a new time refills the two pairs of the t-dependent third channel only;
+    # t = 0 takes the matrix filled at build
+    for t, refilled in ((0.0, 0), (1.0, 2), (1.0, 0), (2.5, 2), (0.0, 0)):
         before = len(counted)
         value = lie(t, x)
         assert len(counted) - before == refilled

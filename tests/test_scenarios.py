@@ -1,8 +1,10 @@
 """Scenario schema: strict validation, rational values, bundled setups."""
 
 import copy
+import json
 import math
 import os
+import string
 import subprocess
 import sys
 import textwrap
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 from ditherseek import (FieldEvaluationError, ProbeConfig, ScenarioError, assemble_rhs,
                         build_lie_bracket_system, bundled_scenario, list_bundled,
                         load_scenario, parse_scenario, parse_scenario_text)
-from ditherseek.cli import RunConfig, _resolved
+from ditherseek.cli import RunConfig, _resolved, main
 from ditherseek import scenarios
 from ditherseek.scenarios import MAX_FLOW_DEPTH
 from ditherseek.sim import MAX_BOUNDARY_SAMPLES
@@ -333,9 +335,9 @@ def test_load_scenario_from_file(tmp_path):
 
 
 def _nested_omega(depth, flow=False):
-    # block style ("- - - 100.0") nests past what the parser can recurse
-    # through; flow style ("[[[100.0]]]") costs the scanner time quadratic in
-    # its depth, so past MAX_FLOW_DEPTH it is refused before the parser runs
+    # an omega list nested ``depth`` deep, in block style ("- - - 100.0") or in
+    # flow style ("[[[100.0]]]"); either way, past MAX_FLOW_DEPTH the parser's
+    # event stream is refused before a document is built
     text = yaml.safe_dump({k: v for k, v in SCALAR_DOC.items() if k != "omega"})
     if flow:
         return (text + "omega: " + "[" * depth + "100.0" + "]" * depth + "\n").encode()
@@ -361,7 +363,7 @@ def test_flow_nesting_past_the_bound_is_refused_before_the_parser():
     # at the bound the parser runs and the schema refuses the nested list
     with pytest.raises(ScenarioError, match=r"^scenario\.omega\[0\]: expected a number"):
         parse_scenario_text(_nested_omega(MAX_FLOW_DEPTH, flow=True).decode())
-    with pytest.raises(ScenarioError, match="^scenario syntax error: flow collections "
+    with pytest.raises(ScenarioError, match="^scenario syntax error: collections "
                                             f"nested more than {MAX_FLOW_DEPTH} deep$"):
         parse_scenario_text(_nested_omega(MAX_FLOW_DEPTH + 1, flow=True).decode())
 
@@ -376,6 +378,29 @@ def test_brackets_in_quoted_scalars_and_comments_are_not_nesting(entry):
     text = yaml.safe_dump({k: v for k, v in SCALAR_DOC.items() if k != "description"})
     sc = parse_scenario_text(text + entry + "\n")
     assert sc.description == yaml.safe_load(entry)["description"]
+
+
+@pytest.mark.parametrize("entry", [
+    "description: unclosed " + "[" * (MAX_FLOW_DEPTH + 1),
+    "description: |\n  " + "{" * (MAX_FLOW_DEPTH + 1),
+], ids=["plain_scalar", "block_scalar"])
+def test_brackets_in_plain_and_block_scalars_are_not_nesting(tmp_path, capsys, entry):
+    # only the parser's collection events count as nesting, not the characters
+    text = yaml.safe_dump({k: v for k, v in SCALAR_DOC.items() if k != "description"})
+    path = tmp_path / "scalar_basic.yaml"
+    path.write_text(text + entry + "\n", encoding="utf-8")
+    assert load_scenario(path).description == yaml.safe_load(entry + "\n")["description"]
+    assert main(["--scenario", str(path), "--mode", "verify", "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().out.endswith("4/4 checks passed\n")
+
+
+@given(description=st.lists(st.sampled_from(list(string.printable)
+                                            + ["[" * (MAX_FLOW_DEPTH + 1),
+                                               "{" * (MAX_FLOW_DEPTH + 1)])).map("".join))
+@settings(max_examples=200, deadline=None)
+def test_any_printable_description_loads_back(description):
+    text = yaml.safe_dump({**SCALAR_DOC, "description": description})
+    assert parse_scenario_text(text).description == description
 
 
 def test_load_scenario_unknown_bundled_name():
@@ -535,13 +560,59 @@ def test_scenarios_parse_with_libyaml_to_the_documents_of_safe_load():
 
 @pytest.mark.parametrize("depth", [MAX_FLOW_DEPTH + 1, 2000, 50_000])
 def test_block_nesting_past_the_bound_is_refused_before_a_document_is_built(depth):
-    # libyaml builds documents recursively in C: 50,000 block levels overflow its
-    # stack and end the process, so its event stream is counted first; PyYAML's
-    # own parser raises RecursionError instead
-    with pytest.raises(ScenarioError, match="^scenario syntax error: "):
+    # libyaml builds documents recursively in C, and 50,000 block levels would
+    # overflow its stack and end the process; the event stream is read first,
+    # in constant stack, and refused past the bound under either parser
+    with pytest.raises(ScenarioError, match="^scenario syntax error: collections "
+                                            f"nested more than {MAX_FLOW_DEPTH} deep$"):
         parse_scenario_text(_nested_omega(depth).decode())
     with pytest.raises(ScenarioError, match=r"^scenario\.omega\[0\]: expected a number"):
         parse_scenario_text(_nested_omega(MAX_FLOW_DEPTH).decode())
+
+
+_EVENTS_READ = textwrap.dedent("""
+    import json, sys, yaml
+    if sys.argv[1] == "pure":
+        del yaml.CSafeLoader
+    from ditherseek import scenarios
+    assert scenarios._LOADER is (yaml.SafeLoader if sys.argv[1] == "pure" else yaml.CSafeLoader)
+    parse, counts = yaml.parse, []
+
+    def counting(*args, **kwargs):
+        for event in parse(*args, **kwargs):
+            counts[-1] += 1
+            yield event
+
+    yaml.parse = counting
+    for text in json.load(sys.stdin):
+        counts.append(0)
+        try:
+            scenarios.parse_scenario_text(text)
+        except scenarios.ScenarioError as exc:
+            assert "collections nested more than" in str(exc), exc
+        else:
+            raise AssertionError("parsed " + text[-20:])
+    print(json.dumps(counts))
+    """)
+
+
+@pytest.mark.parametrize("loader", [
+    pytest.param("libyaml", marks=pytest.mark.skipif(not yaml.__with_libyaml__,
+                                                     reason="PyYAML built without libyaml")),
+    "pure"])
+def test_the_depth_check_reads_as_many_events_whatever_the_depth(loader):
+    # refusing 50,000 block levels or 200,000 flow levels on one line reads no
+    # more of the event stream than refusing one level past the bound
+    texts = [_nested_omega(depth, flow).decode()
+             for depth, flow in ((MAX_FLOW_DEPTH + 1, False), (50_000, False),
+                                 (MAX_FLOW_DEPTH + 1, True), (200_000, True))]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src)] + sys.path))
+    done = subprocess.run([sys.executable, "-c", _EVENTS_READ, loader], env=env,
+                          input=json.dumps(texts), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    counts = json.loads(done.stdout)
+    assert counts == [counts[0]] * len(texts), counts
 
 
 def test_without_libyaml_scenarios_parse_with_the_pure_python_loader():
@@ -555,9 +626,9 @@ def test_without_libyaml_scenarios_parse_with_the_pure_python_loader():
             sc = scenarios.load_scenario(name)
             assert sc.name == name, sc.name
         deep = "omega:\\n" + "- " * 2000 + "1\\n"
-        for text, problem in ((deep, "nested too deep"),
+        for text, problem in ((deep, "collections nested more than {MAX_FLOW_DEPTH} deep"),
                               ("omega: " + "[" * 101 + "1" + "]" * 101 + "\\n",
-                               "flow collections nested more than {MAX_FLOW_DEPTH} deep"),
+                               "collections nested more than {MAX_FLOW_DEPTH} deep"),
                               ("omega: [1, 2\\n", "expected ',' or ']', but got '<stream end>'")):
             try:
                 scenarios.parse_scenario_text(text)

@@ -281,7 +281,7 @@ def test_bracket_is_the_per_pair_formula_on_the_row_views(name, t, offsets):
 def test_the_basis_is_evaluated_once_per_stage_time(build):
     # RK4 meets 2S + 1 distinct stage times in S steps. The RHS tabulates
     # them a chunk at a time, all of a chunk's times even if the run stops
-    # within it; the bracket reaches L(t) through the stack's one-entry cache
+    # within it; the bracket tabulates the basis weights phi(t) the same way
     sys = _hand_factored_system()
     calls = []
     basis = sys.stack.basis
