@@ -420,6 +420,8 @@ def parse_scenario_text(text: str, strict: bool = True) -> Scenario:
         raise
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: a bad !!int or date
         raise ScenarioError(f"scenario syntax error: {exc}") from exc
+    except RecursionError:  # "<<" merge keys through a chain of aliases
+        raise ScenarioError("scenario syntax error: nested too deep") from None
     return parse_scenario(doc, strict=strict)
 
 

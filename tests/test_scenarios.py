@@ -368,30 +368,50 @@ def test_flow_nesting_past_the_bound_is_refused_before_the_parser():
         parse_scenario_text(_nested_omega(MAX_FLOW_DEPTH + 1, flow=True).decode())
 
 
+def _with_description(entry):
+    text = yaml.safe_dump({k: v for k, v in SCALAR_DOC.items() if k != "description"})
+    return text + entry + "\n"
+
+
+# scalars of unclosed brackets, which a scan of the text took for nesting
+_UNCLOSED = {"plain_scalar": "description: unclosed " + "[" * (MAX_FLOW_DEPTH + 1),
+             "block_scalar": "description: |\n  " + "{" * (MAX_FLOW_DEPTH + 1)}
+
+
 @pytest.mark.parametrize("entry", [
     "description: '" + "[{" * 500 + "'",
     "description: 'it''s " + "[" * 500 + "'",
     'description: "a \\"quoted\\" ' + "[" * 500 + '"',
     "description: plain  # " + "[" * 500,
-], ids=["single_quoted", "single_quoted_escape", "double_quoted_escape", "comment"])
+    *_UNCLOSED.values(),
+], ids=["single_quoted", "single_quoted_escape", "double_quoted_escape", "comment",
+        *_UNCLOSED])
 def test_brackets_in_quoted_scalars_and_comments_are_not_nesting(entry):
-    text = yaml.safe_dump({k: v for k, v in SCALAR_DOC.items() if k != "description"})
-    sc = parse_scenario_text(text + entry + "\n")
-    assert sc.description == yaml.safe_load(entry)["description"]
+    sc = parse_scenario_text(_with_description(entry))
+    assert sc.description == yaml.safe_load(entry + "\n")["description"]
 
 
-@pytest.mark.parametrize("entry", [
-    "description: unclosed " + "[" * (MAX_FLOW_DEPTH + 1),
-    "description: |\n  " + "{" * (MAX_FLOW_DEPTH + 1),
-], ids=["plain_scalar", "block_scalar"])
+@pytest.mark.parametrize("entry", _UNCLOSED.values(), ids=_UNCLOSED)
 def test_brackets_in_plain_and_block_scalars_are_not_nesting(tmp_path, capsys, entry):
-    # only the parser's collection events count as nesting, not the characters
-    text = yaml.safe_dump({k: v for k, v in SCALAR_DOC.items() if k != "description"})
     path = tmp_path / "scalar_basic.yaml"
-    path.write_text(text + entry + "\n", encoding="utf-8")
-    assert load_scenario(path).description == yaml.safe_load(entry + "\n")["description"]
+    path.write_text(_with_description(entry), encoding="utf-8")
     assert main(["--scenario", str(path), "--mode", "verify", "--out", str(tmp_path / "o")]) == 0
     assert capsys.readouterr().out.endswith("4/4 checks passed\n")
+
+
+def _merge_chain(n):
+    # n mappings in a list, each "<<"-merging the one before it through an
+    # alias, and the top-level mapping merging the last: every collection sits
+    # 3 levels deep, but PyYAML's constructor flattens the merges recursively
+    chain = "".join(f"  - &a{i} {{<<: *a{i - 1}}}\n" for i in range(1, n))
+    return _with_description(f"description:\n  - &a0 {{k: 0}}\n{chain}<<: *a{n - 1}")
+
+
+def test_merge_keys_through_a_chain_of_aliases_end_in_an_error(tmp_path, capsys):
+    path = tmp_path / "merge_chain.yaml"
+    path.write_text(_merge_chain(3000), encoding="utf-8")
+    assert main(["--scenario", str(path), "--mode", "verify", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: scenario syntax error: nested too deep\n"
 
 
 @given(description=st.lists(st.sampled_from(list(string.printable)
@@ -626,7 +646,11 @@ def test_without_libyaml_scenarios_parse_with_the_pure_python_loader():
             sc = scenarios.load_scenario(name)
             assert sc.name == name, sc.name
         deep = "omega:\\n" + "- " * 2000 + "1\\n"
+        merge = ("description:\\n  - &a0 {{k: 0}}\\n"
+                 + "".join("  - &a%d {{<<: *a%d}}\\n" % (i, i - 1) for i in range(1, 3000))
+                 + "<<: *a2999\\n")
         for text, problem in ((deep, "collections nested more than {MAX_FLOW_DEPTH} deep"),
+                              (merge, "nested too deep"),
                               ("omega: " + "[" * 101 + "1" + "]" * 101 + "\\n",
                                "collections nested more than {MAX_FLOW_DEPTH} deep"),
                               ("omega: [1, 2\\n", "expected ',' or ']', but got '<stream end>'")):
