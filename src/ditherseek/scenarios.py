@@ -64,6 +64,11 @@ DYNAMICS_KINDS = ("scalar", "single_integrator", "unicycle")
 # past the bound, but libyaml builds documents recursively in C and overflows
 # the C stack somewhere between 20,000 and 40,000 block levels ("- - - ...")
 MAX_FLOW_DEPTH = 100
+# nodes of a scenario document with every alias expanded; a bundled scenario
+# holds about 100. An alias to a list of two aliases doubles the count, so a
+# few hundred bytes stand for millions of nodes, which ``str`` of a name or an
+# error message would build; the check counts them without building any
+MAX_YAML_NODES = 10_000
 # PyYAML's libyaml parser, about eight times faster than its pure-Python one;
 # a PyYAML built without libyaml parses the same documents with SafeLoader
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -90,7 +95,7 @@ def _require_keys(block: dict, path: str, required: set[str], optional: set[str]
         _fail(path, "expected a mapping")
     unknown = set(block) - required - optional
     if unknown:
-        _fail(path, f"unknown key(s) {sorted(unknown)}; allowed: "
+        _fail(path, f"unknown key(s) {sorted(unknown, key=str)}; allowed: "
                     f"{sorted(required | optional)}")
     missing = required - set(block)
     if missing:
@@ -395,17 +400,53 @@ def load_scenario(source, strict: bool = True) -> Scenario:
 
 
 def _check_depth(text: str) -> None:
-    """Refuse collections nested more than MAX_FLOW_DEPTH deep inside the top-level
-    one, counted in the parser's event stream."""
-    depth = 0
+    """Refuse a document that, with every alias expanded, nests collections more
+    than MAX_FLOW_DEPTH deep inside the top-level one or holds more than
+    MAX_YAML_NODES nodes, read from the parser's event stream.
+
+    Each anchor's expanded node count and height are recorded when its node
+    ends and added at each alias to it, so nothing is expanded. An alias inside
+    its own anchor's node expands without end; an undefined one is left to the
+    loader, which reports it.
+    """
+    too_deep = f"collections nested more than {MAX_FLOW_DEPTH} deep"
+    anchors = {}  # anchor -> (nodes, height) of its node, aliases expanded
+    opened = []  # per open collection: [anchor, nodes before it, height]
+    nodes = 0
     for event in yaml.parse(text, Loader=_LOADER):
         if isinstance(event, yaml.CollectionStartEvent):
-            depth += 1
-            if depth > MAX_FLOW_DEPTH + 1:
-                raise ScenarioError("scenario syntax error: collections nested "
-                                    f"more than {MAX_FLOW_DEPTH} deep")
+            opened.append([event.anchor, nodes, 1])
+            if len(opened) > MAX_FLOW_DEPTH + 1:
+                raise ScenarioError(f"scenario syntax error: {too_deep}")
+            size = 1
         elif isinstance(event, yaml.CollectionEndEvent):
-            depth -= 1
+            anchor, before, height = opened.pop()
+            if anchor is not None:
+                anchors[anchor] = (nodes - before, height)
+            if opened:
+                opened[-1][2] = max(opened[-1][2], 1 + height)
+            continue
+        elif isinstance(event, yaml.ScalarEvent):
+            if event.anchor is not None:
+                anchors[event.anchor] = (1, 0)
+            size = 1
+        elif isinstance(event, yaml.AliasEvent):
+            if any(event.anchor == frame[0] for frame in opened):
+                size = height = math.inf
+            elif event.anchor in anchors:
+                size, height = anchors[event.anchor]
+            else:
+                continue
+            if len(opened) + height > MAX_FLOW_DEPTH + 1:
+                raise ScenarioError(f"scenario syntax error: aliases expand to {too_deep}")
+            if opened:
+                opened[-1][2] = max(opened[-1][2], 1 + height)
+        else:
+            continue
+        nodes += size
+        if nodes > MAX_YAML_NODES:
+            raise ScenarioError(f"scenario syntax error: more than {MAX_YAML_NODES:,} "
+                                "nodes with aliases expanded")
 
 
 def parse_scenario_text(text: str, strict: bool = True) -> Scenario:
@@ -420,8 +461,6 @@ def parse_scenario_text(text: str, strict: bool = True) -> Scenario:
         raise
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: a bad !!int or date
         raise ScenarioError(f"scenario syntax error: {exc}") from exc
-    except RecursionError:  # "<<" merge keys through a chain of aliases
-        raise ScenarioError("scenario syntax error: nested too deep") from None
     return parse_scenario(doc, strict=strict)
 
 

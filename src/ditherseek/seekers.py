@@ -208,13 +208,12 @@ class _AgentLoops:
         return np.array(w)
 
     def feature_jac(self, t, x):
-        """Washout Jacobian (N, 3N), each agent gradient called once and written
-        into row i of a copy of ``jac_template``."""
+        """Washout Jacobian (N, 3N), each agent gradient called once and the N
+        of them written into a copy of ``jac_template`` in one assignment."""
         n2 = 2 * self.n
         xbar = x[:n2]
         J = self.jac_template.copy()
-        for row, m in zip(J, self.maps):
-            row[:n2] = m.gradient(xbar)
+        J[:, :n2] = [m.gradient(xbar) for m in self.maps]
         return J
 
     def system(self, basis, agent_rates, omega: float) -> InputAffineSystem:
@@ -251,6 +250,13 @@ def build_single_integrator(game: PotentialGame, params, omega: float) -> InputA
     return lp.system(None, [0.0] * lp.n, omega)
 
 
+def _analytic_maps(game: PotentialGame) -> tuple[AgentMap, ...]:
+    """The game's maps; a closed-form averaged field needs each one's gradient."""
+    if any(m.grad is None for m in game.maps):
+        raise ValueError("analytic averaged field needs analytic gradients")
+    return game.maps
+
+
 def analytic_lie_single_integrator(game: PotentialGame, params) -> VectorField:
     """Closed-form averaged field of the single-integrator architecture.
 
@@ -262,23 +268,23 @@ def analytic_lie_single_integrator(game: PotentialGame, params) -> VectorField:
         dz_e/dt = -z_e*h + f(zbar)
     """
     params = _check_params(game, params)
-    for m in game.maps:
-        if m.grad is None:
-            raise ValueError("analytic averaged field needs analytic gradients")
     n = game.n_agents
     dim = 3 * n
-    maps = game.maps
+    # per agent: index, map, c*alpha, c**2, h
+    agents = [(i, m, p.c * p.alpha, p.c ** 2, p.h)
+              for i, (m, p) in enumerate(zip(_analytic_maps(game), params))]
 
     def fn(t, z):
         zbar, z_e = z[:2 * n], z[2 * n:].tolist()
         out = [0.0] * dim
-        for i, p in enumerate(params):
-            f_val = maps[i](zbar)
-            d1, d2 = maps[i].gradient(zbar)[2 * i:2 * i + 2].tolist()
-            g = f_val - z_e[i] * p.h
-            out[2 * i] = 0.5 * (p.c * p.alpha * d1 - p.c ** 2 * d2 * g)
-            out[2 * i + 1] = 0.5 * (p.c * p.alpha * d2 + p.c ** 2 * d1 * g)
-            out[2 * n + i] = -z_e[i] * p.h + f_val
+        for i, m, c_alpha, c_sq, h in agents:
+            f_val = m(zbar)
+            grad = m.gradient(zbar).tolist()
+            d1, d2 = grad[2 * i], grad[2 * i + 1]
+            g = f_val - z_e[i] * h
+            out[2 * i] = 0.5 * (c_alpha * d1 - c_sq * d2 * g)
+            out[2 * i + 1] = 0.5 * (c_alpha * d2 + c_sq * d1 * g)
+            out[2 * n + i] = -z_e[i] * h + f_val
         return np.array(out)
 
     return VectorField(dim, fn)
@@ -325,25 +331,24 @@ def analytic_lie_unicycle(game: PotentialGame, params, Omega: float) -> VectorFi
     (2*pi/|Omega|) * prod(denominator(d_i)).
     """
     params = _check_params(game, params, Omega)
-    for m in game.maps:
-        if m.grad is None:
-            raise ValueError("analytic averaged field needs analytic gradients")
     n = game.n_agents
     dim = 3 * n
-    maps = game.maps
-    rates = [float(p.d) * Omega for p in params]
+    # per agent: index, map, 0.5*c*alpha, h, heading rate
+    agents = [(i, m, 0.5 * p.c * p.alpha, p.h, float(p.d) * Omega)
+              for i, (m, p) in enumerate(zip(_analytic_maps(game), params))]
 
     def fn(t, z):
         zbar, z_e = z[:2 * n], z[2 * n:].tolist()
         out = [0.0] * dim
-        for i, p in enumerate(params):
-            f_val = maps[i](zbar)
-            d1, d2 = maps[i].gradient(zbar)[2 * i:2 * i + 2].tolist()
-            cw, sw = math.cos(rates[i] * t), math.sin(rates[i] * t)
-            proj = 0.5 * p.c * p.alpha * (d1 * cw + d2 * sw)
+        for i, m, half_c_alpha, h, rate in agents:
+            f_val = m(zbar)
+            grad = m.gradient(zbar).tolist()
+            d1, d2 = grad[2 * i], grad[2 * i + 1]
+            cw, sw = math.cos(rate * t), math.sin(rate * t)
+            proj = half_c_alpha * (d1 * cw + d2 * sw)
             out[2 * i] = proj * cw
             out[2 * i + 1] = proj * sw
-            out[2 * n + i] = -z_e[i] * p.h + f_val
+            out[2 * n + i] = -z_e[i] * h + f_val
         return np.array(out)
 
     return VectorField(dim, fn, oscillation_rate=abs(Omega) * max(float(p.d) for p in params))

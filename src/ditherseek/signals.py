@@ -214,13 +214,17 @@ class SignalValidationReport:
 def validate_assumptions(signal: DitherSignal, tol: float = 1e-9) -> SignalValidationReport:
     """Measure the periodicity, zero-average, bound and Lipschitz claims on grids.
 
-    The t grid is 9 points on [-2, 2]; the theta grid is the midpoints of 1,024
-    cells over one period, so discontinuous kinds are sampled away from their
-    jump points. Any claim ``tol`` short of its measurement fails.
+    The t grid is 9 points on [-2, 2] for a ``custom`` dither and its first
+    point for a built-in: a built-in ignores t, so its other 8 rows would
+    repeat the first, each Lipschitz quotient would be 0 and each period mean
+    the same, and the report is the same with or without them. The theta grid
+    is the midpoints of 1,024 cells over one period, so discontinuous kinds
+    are sampled away from their jump points. Any claim ``tol`` short of its
+    measurement fails.
     """
     check_tolerance(tol)
     T = signal.period
-    t_samples = np.linspace(-2.0, 2.0, 9)
+    t_samples = np.linspace(-2.0, 2.0, 9 if signal.kind == "custom" else 1)
     cell = T / 1024
     theta_samples = np.arange(1024) * cell + 0.5 * cell
 

@@ -8,15 +8,17 @@ slice the stacks pass to the maps.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ditherseek import (AgentParams, FieldEvaluationError, analytic_lie_single_integrator,
-                        analytic_lie_unicycle, assemble_rhs, build_single_integrator,
-                        build_unicycle, three_agent_game)
+from ditherseek import (AgentMap, AgentParams, FieldEvaluationError, PotentialGame,
+                        analytic_lie_single_integrator, analytic_lie_unicycle,
+                        assemble_rhs, build_single_integrator, build_unicycle,
+                        quadratic_game, three_agent_game)
 
 GAME = three_agent_game()
 
@@ -108,14 +110,25 @@ def test_features_are_the_washouts_and_their_jacobian(kind, values, h, t):
     assert np.array_equal(J, np.concatenate((grads, -np.diag(h)), axis=1))
 
 
-@given(values=states, t=st.floats(min_value=0.0, max_value=50.0))
-@settings(max_examples=60, deadline=None)
-def test_closed_form_fields_are_the_array_formulas(values, t):
-    params = [AgentParams(0.3, 1.0, 0.5 + i, i + 1, i + 1) for i in range(3)]
+gains = st.sampled_from([0.0, 0.3]) | st.floats(min_value=0.0, max_value=50.0)
+amplitudes = st.floats(min_value=0.01, max_value=50.0)
+
+
+@given(values=states, t=st.floats(min_value=-50.0, max_value=50.0),
+       c=st.lists(gains, min_size=3, max_size=3),
+       alpha=st.lists(amplitudes, min_size=3, max_size=3), h=poles,
+       base_rate=st.sampled_from([1.0, -2.5]) | st.floats(min_value=0.1, max_value=100.0))
+@settings(max_examples=100, deadline=None)
+def test_closed_form_fields_are_the_array_formulas(values, t, c, alpha, h, base_rate):
+    # the reference reads every parameter at every call, in the expression
+    # order the fields keep, c = 0 included: the constants the fields form
+    # once (c*alpha, c**2, 0.5*c*alpha, h, the heading rate) give the same bits
+    params = [AgentParams(c[i], alpha[i], h[i], i + 1, (1, 2, Fraction(3, 2))[i])
+              for i in range(3)]
     z, reference = _read_only_view(values), np.array(values)
     zbar, z_e = reference[:6], reference[6:]
     for field, Omega in ((analytic_lie_single_integrator(GAME, params), None),
-                         (analytic_lie_unicycle(GAME, params, 1.0), 1.0)):
+                         (analytic_lie_unicycle(GAME, params, base_rate), base_rate)):
         want = np.zeros(9)
         for i, (m, p) in enumerate(zip(GAME.maps, params)):
             f_val, grad = m(zbar), m.gradient(zbar)
@@ -132,7 +145,35 @@ def test_closed_form_fields_are_the_array_formulas(values, t):
             want[6 + i] = -z_e[i] * p.h + f_val
         got = field.fn(t, z)
         assert got.dtype == np.float64 and got.shape == (9,)
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, want, equal_nan=True)  # inf - inf where terms overflow
+
+
+def _gradient_free(game):
+    # the same maps without analytic gradients: central differences instead
+    return PotentialGame(tuple(AgentMap(m.fn) for m in game.maps), game.potential)
+
+
+@pytest.mark.parametrize("kind", ["single_integrator", "unicycle"])
+@pytest.mark.parametrize("game", [GAME, _gradient_free(GAME),
+                                  quadratic_game([1.0, 2.0, 3.0, 4.0], [1.0, -1.0, 0.5, 2.0])],
+                         ids=["bundled", "finite_differences", "quadratic"])
+@given(values=st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=9, max_size=9),
+       t=st.floats(min_value=0.0, max_value=50.0))
+@settings(max_examples=30, deadline=None)
+def test_the_washout_jacobian_is_the_row_by_row_template_fill(kind, game, values, t):
+    n = game.n_agents
+    h = [0.5 + i for i in range(n)]
+    params = [AgentParams(0.3, 1.0, h[i], i + 1, i + 1) for i in range(n)]
+    sys = (build_single_integrator(game, params, 100.0) if kind == "single_integrator"
+           else build_unicycle(game, params, 1.0, 80.0))
+    loops = sys.stack.feature_jac.__self__
+    x = _read_only_view(values[:3 * n])
+    want = loops.jac_template.copy()
+    for row, m in zip(want, game.maps):
+        row[:2 * n] = m.gradient(np.array(values[:2 * n]))
+    got = sys.stack.feature_jac(t, x)
+    assert got.dtype == np.float64 and got.shape == (n, 3 * n)
+    assert np.array_equal(got, want)
 
 
 def test_overflowing_map_arithmetic_reads_nan_and_the_rhs_refuses_it():

@@ -23,7 +23,7 @@ from ditherseek import (FieldEvaluationError, ProbeConfig, ScenarioError, assemb
                         load_scenario, parse_scenario, parse_scenario_text)
 from ditherseek.cli import RunConfig, _resolved, main
 from ditherseek import scenarios
-from ditherseek.scenarios import MAX_FLOW_DEPTH
+from ditherseek.scenarios import MAX_FLOW_DEPTH, MAX_YAML_NODES
 from ditherseek.sim import MAX_BOUNDARY_SAMPLES
 
 MINIMAL_AGENT = """
@@ -407,11 +407,141 @@ def _merge_chain(n):
     return _with_description(f"description:\n  - &a0 {{k: 0}}\n{chain}<<: *a{n - 1}")
 
 
+_ALIASES_TOO_DEEP = ("scenario syntax error: aliases expand to collections nested more "
+                     f"than {MAX_FLOW_DEPTH} deep")
+_TOO_MANY_NODES = f"scenario syntax error: more than {MAX_YAML_NODES:,} nodes with aliases expanded"
+
+
 def test_merge_keys_through_a_chain_of_aliases_end_in_an_error(tmp_path, capsys):
+    # each mapping holds the one before it, so the expanded chain passes
+    # MAX_YAML_NODES (and, one anchor later, MAX_FLOW_DEPTH) in the event
+    # stream, before PyYAML's constructor could recurse through the merges
     path = tmp_path / "merge_chain.yaml"
     path.write_text(_merge_chain(3000), encoding="utf-8")
     assert main(["--scenario", str(path), "--mode", "verify", "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err == "error: scenario syntax error: nested too deep\n"
+    assert capsys.readouterr().err == f"error: {_TOO_MANY_NODES}\n"
+
+
+def _scalar_doc_with(entries, *replaced):
+    text = yaml.safe_dump({k: v for k, v in SCALAR_DOC.items()
+                           if k not in ("description",) + replaced})
+    return text + entries
+
+
+def _alias_chain(n, width):
+    # anchors a0 ... a(n-1) in the description, each a list of ``width``
+    # aliases to the one before: width 1 nests one level deeper per anchor,
+    # width 2 doubles the expanded size per anchor
+    chain = "".join(f"  - &a{i} [{', '.join([f'*a{i - 1}'] * width)}]\n" for i in range(1, n))
+    return "description:\n  - &a0 [1]\n" + chain
+
+
+# the three documents the alias bounds were made for, each refused from the
+# event stream: a name 3,000 levels deep (str() recursed past Python's limit),
+# a name of 98,303 nodes (229,372 characters, too long a file name), and a map
+# selector whose error message printed all those nodes
+ALIAS_CASES = {
+    "deep_name": (_scalar_doc_with(_alias_chain(3000, 1) + "name: *a2999\n", "name"),
+                  _ALIASES_TOO_DEEP),
+    "doubled_name": (_scalar_doc_with(_alias_chain(16, 2) + "name: *a15\n", "name"),
+                     _TOO_MANY_NODES),
+    "doubled_map": (_scalar_doc_with(_alias_chain(16, 2) + "map: {builtin: *a15}\n", "map"),
+                    _TOO_MANY_NODES),
+    "undefined": (_scalar_doc_with("description: *nowhere\n"),
+                  f"scenario syntax error at line {len(_scalar_doc_with('').splitlines()) + 1}, "
+                  "column 14: found undefined alias"),
+    "self_merge": (_scalar_doc_with("description: &m {<<: *m}\n"), _ALIASES_TOO_DEEP),
+}
+
+_MAIN_ON_FILES = textwrap.dedent("""
+    import contextlib, io, json, sys, yaml
+    if sys.argv[1] == "pure":
+        del yaml.CSafeLoader
+    from ditherseek import scenarios
+    from ditherseek.cli import main
+    assert scenarios._LOADER is (yaml.SafeLoader if sys.argv[1] == "pure" else yaml.CSafeLoader)
+    results = []
+    for path in sys.argv[3:]:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            results.append([main(["--scenario", path, "--mode", "verify",
+                                  "--out", sys.argv[2]]), err.getvalue()])
+    print(json.dumps(results))
+    """)
+
+
+@pytest.mark.parametrize("loader", [
+    pytest.param("libyaml", marks=pytest.mark.skipif(not yaml.__with_libyaml__,
+                                                     reason="PyYAML built without libyaml")),
+    "pure"])
+def test_aliases_are_bounded_as_expanded_under_either_loader(tmp_path, loader):
+    paths = []
+    for name, (text, _) in ALIAS_CASES.items():
+        paths.append(tmp_path / f"{name}.yaml")
+        paths[-1].write_text(text, encoding="utf-8")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src)] + sys.path))
+    done = subprocess.run([sys.executable, "-c", _MAIN_ON_FILES, loader, str(tmp_path / "o"),
+                           *map(str, paths)], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    results = json.loads(done.stdout)
+    for (name, (_, message)), (status, err) in zip(ALIAS_CASES.items(), results):
+        # the pure-Python loader names the undefined alias after the message
+        assert status == 2 and err.startswith(f"error: {message}") and err.count("\n") == 1, (
+            name, err)
+
+
+def _expanded_nodes(node):
+    # the composed graph shares an aliased node; walking it expands every alias
+    if isinstance(node, yaml.ScalarNode):
+        return 1
+    children = node.value if isinstance(node, yaml.SequenceNode) else [
+        child for pair in node.value for child in pair]
+    return 1 + sum(_expanded_nodes(child) for child in children)
+
+
+@pytest.mark.parametrize("aliases", [0, 1, 40])
+def test_the_node_bound_counts_every_alias_expanded(aliases):
+    # a list of 40 numbers, aliased ``aliases`` times, and numbers to make up
+    # the rest: exactly MAX_YAML_NODES nodes load, one more is refused
+    def text(pad):
+        return _scalar_doc_with(
+            "description:\n  - &forty [" + ", ".join(["1"] * 40) + "]\n"
+            + "  - *forty\n" * aliases + "  - [" + ", ".join(["2"] * pad) + "]\n")
+    pad = MAX_YAML_NODES - _expanded_nodes(yaml.compose(text(0)))
+    assert 0 < pad < MAX_YAML_NODES
+    assert _expanded_nodes(yaml.compose(text(pad))) == MAX_YAML_NODES
+    assert parse_scenario_text(text(pad)).name == "scalar_basic"
+    with pytest.raises(ScenarioError, match=f"^{_TOO_MANY_NODES}$"):
+        parse_scenario_text(text(pad + 1))
+
+
+def test_an_alias_nests_as_deep_as_the_collection_it_names():
+    # a(i) is a list holding an alias to a(i - 1): i + 1 lists deep, in a list
+    # in the top-level mapping, so the last anchor that fits is a(MAX_FLOW_DEPTH - 2)
+    fits = _scalar_doc_with(_alias_chain(MAX_FLOW_DEPTH - 1, 1))
+    assert parse_scenario_text(fits).name == "scalar_basic"
+    written_out = _scalar_doc_with("description:\n  - " + "[" * (MAX_FLOW_DEPTH - 1) + "1"
+                                   + "]" * (MAX_FLOW_DEPTH - 1) + "\n")
+    assert parse_scenario_text(written_out).name == "scalar_basic"
+    with pytest.raises(ScenarioError, match=f"^{_ALIASES_TOO_DEEP}$"):
+        parse_scenario_text(_scalar_doc_with(_alias_chain(MAX_FLOW_DEPTH, 1)))
+    with pytest.raises(ScenarioError, match="^scenario syntax error: collections nested"):
+        parse_scenario_text(_scalar_doc_with("description:\n  - " + "[" * MAX_FLOW_DEPTH + "1"
+                                             + "]" * MAX_FLOW_DEPTH + "\n"))
+
+
+@pytest.mark.parametrize("text, message", [
+    (_scalar_doc_with("1: a\nfoo: b\n"), "scenario: unknown key(s) [1, 'foo']"),
+    (MINIMAL_AGENT.replace('a: "1"}', 'a: "1", 2: 3, x: 4}'),
+     "scenario.agents[0]: unknown key(s) [2, 'x']"),
+], ids=["top_level", "agent_block"])
+def test_keys_of_mixed_types_end_in_an_error(tmp_path, capsys, text, message):
+    # the unknown keys are listed sorted by their text: 1 and "foo" do not compare
+    path = tmp_path / "mixed.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert main(["--scenario", str(path), "--mode", "verify", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}; allowed: ")
 
 
 @given(description=st.lists(st.sampled_from(list(string.printable)
@@ -650,7 +780,7 @@ def test_without_libyaml_scenarios_parse_with_the_pure_python_loader():
                  + "".join("  - &a%d {{<<: *a%d}}\\n" % (i, i - 1) for i in range(1, 3000))
                  + "<<: *a2999\\n")
         for text, problem in ((deep, "collections nested more than {MAX_FLOW_DEPTH} deep"),
-                              (merge, "nested too deep"),
+                              (merge, "more than {MAX_YAML_NODES:,} nodes with aliases expanded"),
                               ("omega: " + "[" * 101 + "1" + "]" * 101 + "\\n",
                                "collections nested more than {MAX_FLOW_DEPTH} deep"),
                               ("omega: [1, 2\\n", "expected ',' or ']', but got '<stream end>'")):

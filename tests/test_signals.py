@@ -1,5 +1,6 @@
 """Dither signals: waveform conventions, zero averages, claim validation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from ditherseek import (DitherSignal, cosine, custom, from_name, sawtooth, sine,
                         square, triangle, validate_assumptions)
+from ditherseek.signals import BUILTIN_KINDS, SignalValidationReport, period_mean
 
 TWO_PI = 2.0 * math.pi
 ALL_KINDS = [sine, cosine, square, triangle, sawtooth]
@@ -131,6 +133,57 @@ def test_validate_t_dependent_custom_lipschitz():
     rep = validate_assumptions(lying, tol=1e-6)
     assert not rep.lipschitz
     assert rep.max_lipschitz_quotient > 0.05
+
+
+def _report_at_nine_slow_times(signal, tol=1e-9):
+    """validate_assumptions as it reads with every dither sampled at all 9 slow times."""
+    T = signal.period
+    t_samples = np.linspace(-2.0, 2.0, 9)
+    cell = T / 1024
+    theta_samples = np.arange(1024) * cell + 0.5 * cell
+    values = np.stack([np.broadcast_to(signal.eval(t, theta_samples), theta_samples.shape)
+                       for t in t_samples])
+    shifted = np.stack([np.broadcast_to(signal.eval(t, theta_samples + T), theta_samples.shape)
+                        for t in t_samples])
+    period_defect = float(np.max(np.abs(shifted - values)))
+    measured_sup = float(np.max(np.abs(values)))
+    mean_defect = max(abs(period_mean(signal, t)) for t in t_samples)
+    lip_quot = 0.0
+    for a in range(t_samples.size):
+        for b in range(a + 1, t_samples.size):
+            q = np.max(np.abs(values[a] - values[b])) / abs(t_samples[a] - t_samples[b])
+            lip_quot = max(lip_quot, float(q))
+    return SignalValidationReport(
+        periodic=period_defect <= tol, zero_mean=mean_defect <= tol,
+        bounded=measured_sup <= signal.sup_bound + tol,
+        lipschitz=lip_quot <= signal.lipschitz_t + tol,
+        max_periodicity_defect=period_defect, max_mean_defect=float(mean_defect),
+        measured_sup=measured_sup, max_lipschitz_quotient=lip_quot)
+
+
+@pytest.mark.parametrize("kind", BUILTIN_KINDS)
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+@pytest.mark.parametrize("period, sup_bound", [(TWO_PI, 1.0), (0.7, 0.4)])
+def test_a_builtin_sampled_at_one_slow_time_reports_what_nine_would(kind, n, period,
+                                                                    sup_bound):
+    # a built-in ignores t, so its nine rows are one row repeated
+    sig = DitherSignal(kind, n, period, sup_bound)
+    for tol in (1e-9, 1e-3):
+        got = validate_assumptions(sig, tol=tol)
+        assert dataclasses.astuple(got) == dataclasses.astuple(
+            _report_at_nine_slow_times(sig, tol))
+
+
+def test_a_custom_dither_keeps_every_slow_time():
+    # u depends on t but claims lipschitz_t = 0: only samples at more than
+    # one slow time can see the claim fail
+    sig = custom(lambda t, th: np.sin(np.asarray(th, dtype=float)) * (1.0 + 0.25 * t),
+                 sup_bound=1.5, lipschitz_t=0.0)
+    rep = validate_assumptions(sig)
+    assert rep.periodic and rep.zero_mean and rep.bounded
+    assert not rep.lipschitz and not rep.passed
+    assert rep.max_lipschitz_quotient == pytest.approx(0.25, rel=1e-5)
+    assert dataclasses.astuple(rep) == dataclasses.astuple(_report_at_nine_slow_times(sig))
 
 
 def test_validate_rejects_bad_grids_and_tol():
