@@ -26,14 +26,13 @@ def _ab(*args, cwd=ROOT):
 def test_two_copies_of_one_tree_show_no_gain(tmp_path):
     out = tmp_path / "ab.json"
     done = _ab("HEAD", "HEAD", "--workload", "si_sweep", "--pairs", "1", "--seconds", "1",
-               "--work", str(tmp_path / "trees"), "--out", str(out), "--note", "one pair")
+               "--work", str(tmp_path / "trees"), "--out", str(out))
     assert done.returncode == 0, done.stderr
     doc = json.loads(out.read_text(encoding="utf-8"))
     assert json.loads(done.stdout) == doc
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
                           text=True).stdout.strip()
     assert doc["revisions"] == {"parent": head, "change": head}
-    assert doc["notes"] == ["one pair"]
     assert {"description", "environment", "protocol"} <= set(doc)
     entry = doc["workloads"]["si_sweep"]["seed 2023"]
     assert entry["pairs"] == 1 and entry["seconds"] == 1.0

@@ -4,7 +4,7 @@
 Usage, from the root of a git checkout:
 
     python3 tools/ab.py REV_A REV_B --workload W --pairs N [--seed S] [--seconds T]
-                        [--out FILE] [--note TEXT] [--work DIR]
+                        [--out FILE] [--work DIR]
 
 REV_A is the parent and REV_B the change. Each is written with ``git archive``
 into its own directory under ``--work`` (default ``.bench_run/ab``), so both
@@ -138,8 +138,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=2023)
     parser.add_argument("--seconds", type=float, default=27.0)
     parser.add_argument("--out", type=Path, help="JSON file to merge the summary into")
-    parser.add_argument("--note", action="append", default=[],
-                        help="a line appended to the file's notes (repeatable)")
     parser.add_argument("--work", type=Path, default=ROOT / ".bench_run" / "ab")
     args = parser.parse_args(argv)
     if args.pairs < 1 or not 0.0 < args.seconds < math.inf:
@@ -193,7 +191,6 @@ def main(argv=None) -> int:
     entry = summarize(runs["parent"], runs["change"], better)
     entry["seconds"] = args.seconds
     doc.setdefault("workloads", {}).setdefault(args.workload, {})[f"seed {args.seed}"] = entry
-    doc["notes"] = doc.get("notes", []) + args.note
     text = json.dumps(doc, indent=1) + "\n"
     if args.out is not None:
         args.out.write_text(text, encoding="utf-8")
