@@ -81,10 +81,13 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
                            "--seed", str(seed), "--seconds", str(seconds)],
                           cwd=tree, env=env, capture_output=True, text=True, check=False)
     lines = done.stdout.strip().splitlines()
-    if done.returncode or not lines:
-        raise ABError(f"bench/run.py in {tree} exited {done.returncode}: "
-                      f"{done.stderr.strip()[-2000:]}")
-    return json.loads(lines[-1])
+    try:
+        if done.returncode == 0 and lines:
+            return json.loads(lines[-1])
+    except ValueError:
+        pass
+    raise ABError(f"bench/run.py in {tree} exited {done.returncode} without a JSON last line: "
+                  f"{done.stderr.strip()[-2000:]}")
 
 
 def summarize(parent: list[dict], change: list[dict], better: dict) -> dict:
