@@ -335,6 +335,10 @@ def parse_scenario(doc: dict, strict: bool = True) -> Scenario:
     if exponent not in (0.5, 1.0):
         _fail("scenario.amplitude_exponent", "must be 0.5 or 1.0")
 
+    for key in ("name", "description"):  # str() of a collection would print it whole
+        if isinstance(doc.get(key), (list, dict, set)):
+            _fail(f"scenario.{key}", f"expected a string or a number, got "
+                                     f"{type(doc[key]).__name__}")
     name = str(doc["name"])
     if name in ("", "..") or any(c in name for c in "/\\\0"):
         _fail("scenario.name", f"must be a plain file name stem, got {name!r}")

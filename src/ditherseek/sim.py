@@ -174,8 +174,12 @@ def integrate(fld: VectorField, x0, horizon: float, t0: float = 0.0,
     non-finite values or raise FieldEvaluationError.
     Stage inputs and the RK4 combination are explicit ufunc calls, the operations
     of ``x + half * k1`` and ``x + sixth * (k1 + 2 * (k2 + k3) + k4)`` in their
-    order, so every bit is the operator form's. The new state is finite if its
-    sum is, else if each component is.
+    order, so every bit is the operator form's. From the second step on, the
+    constants are arrays of the state's shape in ``np.result_type(k1, 0.5)``,
+    the dtype a Python float times the first stage value is computed in, so the
+    bits stay the same; a field whose value dtype changes between stages is
+    refused with ValueError, and a complex one raises TypeError. The new state
+    is finite if the sum of its ``tolist()`` is, else if each component is.
     """
     if not horizon > 0.0:
         raise ValueError("horizon must be positive")
@@ -195,14 +199,15 @@ def integrate(fld: VectorField, x0, horizon: float, t0: float = 0.0,
     features = None if table is None else getattr(fn, "features", None)
 
     add, mul, asarray = np.add, np.multiply, np.asarray
-    add_reduce, isfinite, isfinite_sum = np.add.reduce, np.isfinite, math.isfinite
+    isfinite, isfinite_sum, total = np.isfinite, math.isfinite, sum
     states = np.empty((steps // stride + 1, x0.size))
     states[0] = x0
     x = x0
     diverged = False
     taken = 0
     half = 0.5 * dt
-    sixth = dt / 6.0
+    c_half, c_dt, c_two, c_sixth = half, dt, 2.0, dt / 6.0
+    kind = None  # dtype of the first stage value
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, steps, STAGE_CHUNK):
             stop = min(start + STAGE_CHUNK, steps)
@@ -217,22 +222,31 @@ def integrate(fld: VectorField, x0, horizon: float, t0: float = 0.0,
                 try:
                     if features is not None:  # fn(t, x, row) without its per-stage check
                         k1 = row_a.dot(features(t_a, x))
-                        k2 = row_mid.dot(features(t_mid, add(x, mul(half, k1))))
-                        k3 = row_mid.dot(features(t_mid, add(x, mul(half, k2))))
-                        k4 = row_b.dot(features(t_b, add(x, mul(dt, k3))))
+                        k2 = row_mid.dot(features(t_mid, add(x, mul(c_half, k1))))
+                        k3 = row_mid.dot(features(t_mid, add(x, mul(c_half, k2))))
+                        k4 = row_b.dot(features(t_b, add(x, mul(c_dt, k3))))
                     else:
                         k1 = asarray(fn(t_a, x, row_a))
                         if k == 0 and k1.shape != x.shape:
                             raise ValueError(f"field value must have shape ({fld.dim},), "
                                              f"got {k1.shape}")
-                        k2 = asarray(fn(t_mid, add(x, mul(half, k1)), row_mid))
-                        k3 = asarray(fn(t_mid, add(x, mul(half, k2)), row_mid))
-                        k4 = asarray(fn(t_b, add(x, mul(dt, k3)), row_b))
-                    x_new = add(x, mul(sixth, add(add(k1, mul(2.0, add(k2, k3))), k4)))
+                        k2 = asarray(fn(t_mid, add(x, mul(c_half, k1)), row_mid))
+                        k3 = asarray(fn(t_mid, add(x, mul(c_half, k2)), row_mid))
+                        k4 = asarray(fn(t_b, add(x, mul(c_dt, k3)), row_b))
+                    x_new = add(x, mul(c_sixth, add(add(k1, mul(c_two, add(k2, k3))), k4)))
                 except FieldEvaluationError:
                     break
+                if not (k1.dtype is k2.dtype is k3.dtype is k4.dtype is kind):
+                    if kind is None:  # the first step: typed constants from here on
+                        kind, typed = k1.dtype, np.result_type(k1, 0.5)
+                        c_half, c_dt, c_two, c_sixth = (
+                            np.full(x.shape, c, typed) for c in (c_half, c_dt, c_two, c_sixth))
+                    for stage in (k1, k2, k3, k4):
+                        if stage.dtype != kind:
+                            raise ValueError(f"field value dtype changed between stages at "
+                                             f"t = {t_a!r}: {kind}, then {stage.dtype}")
                 # a finite sum has finite terms; an overflowing one is checked term by term
-                if not (isfinite_sum(add_reduce(x_new)) or isfinite(x_new).all()):
+                if not (isfinite_sum(total(x_new.tolist())) or isfinite(x_new).all()):
                     break
                 x = x_new
                 taken = k + 1

@@ -44,6 +44,7 @@ def test_two_copies_of_one_tree_show_no_gain(tmp_path):
         assert m["parent_iqr"] == [m["parent_median"]] * 2
         assert m["change_wins"] in ("0/1", "1/1")
         assert m["gain"] is False, name  # one pair never claims a gain
+        assert isinstance(m["worse"], bool), name
     # both trees are archives run without bytecode
     for side in ("parent", "change"):
         tree = tmp_path / "trees" / side
@@ -71,6 +72,11 @@ def _runs(walls):
     return [{"failed": 0, "metrics": {"wall_s": {"value": w}}} for w in walls]
 
 
+# end-to-end metrics as BENCHMARK.json declares them
+WALL_S = {"better": "lower", "bound": 0.15}
+STEPS_PER_S = {"better": "higher", "bound": 0.15}
+
+
 @pytest.mark.parametrize("change, gain", [
     ([0.9] * 10, True),                       # 10/10 wins, far past the parent's spread
     ([0.9] * 8 + [1.2] * 2, False),           # 8/10 wins
@@ -81,5 +87,21 @@ def _runs(walls):
 def test_a_gain_needs_ten_pairs_nine_in_ten_wins_and_a_shift_past_the_parent_spread(change,
                                                                                      gain):
     parent = [1.0, 0.99, 1.01, 1.0, 0.98, 1.02, 1.0, 0.99, 1.01, 1.0][:len(change)]
-    entry = _summarize()(_runs(parent), _runs(change), {"wall_s": "lower"})
+    entry = _summarize()(_runs(parent), _runs(change), {"wall_s": WALL_S})
     assert entry["metrics"]["wall_s"]["gain"] is gain
+
+
+@pytest.mark.parametrize("metric, change, worse", [
+    (WALL_S, [1.2] * 10, True),               # median 20% slower, past the 15% bound
+    (WALL_S, [1.14] * 10, False),             # 14% slower, within the bound
+    (WALL_S, [1.2] * 4 + [1.0] * 6, False),   # the median, not the worst runs, decides
+    (WALL_S, [1.2] * 3, True),                # no pair count needed to be worse
+    (WALL_S, [0.5] * 10, False),              # better
+    (STEPS_PER_S, [0.8] * 10, True),          # 20% fewer steps per second
+    (STEPS_PER_S, [0.86] * 10, False),
+    (STEPS_PER_S, [1.5] * 10, False),
+])
+def test_worse_means_the_change_median_past_the_metric_bound(metric, change, worse):
+    parent = [1.0, 0.99, 1.01, 1.0, 0.98, 1.02, 1.0, 0.99, 1.01, 1.0][:len(change)]
+    entry = _summarize()(_runs(parent), _runs(change), {"wall_s": metric})
+    assert entry["metrics"]["wall_s"]["worse"] is worse

@@ -560,6 +560,40 @@ def test_scenario_name_cannot_escape_the_output_directory(tmp_path, capsys):
     assert not list(tmp_path.rglob("escaped*"))
 
 
+# anchors a0 ... a10 in the description, each a list of two aliases to the one
+# before: *a10 stands for 3,071 nodes, inside MAX_YAML_NODES
+_DOUBLING_NAME = ("description:\n  - &a0 [1]\n"
+                  + "".join(f"  - &a{i} [*a{i - 1}, *a{i - 1}]\n" for i in range(1, 11))
+                  + "name: *a10")
+
+
+@pytest.mark.parametrize("new, key, kind", [
+    ("name: [a, b]", "name", "list"),
+    ("name: {a: b}", "name", "dict"),
+    ("name: !!set {a, b}", "name", "set"),
+    ("name: tiny\ndescription: [a, b]", "description", "list"),
+    ("name: tiny\ndescription: {a: b}", "description", "dict"),
+    (_DOUBLING_NAME, "name", "list"),
+], ids=["name_list", "name_dict", "name_set", "description_list", "description_dict",
+        "doubling_alias_name"])
+def test_a_collection_as_name_or_description_is_refused(tmp_path, capsys, new, key, kind):
+    doc = tmp_path / "collection.yaml"
+    doc.write_text(FAST_SCALAR.replace("name: tiny", new), encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["--scenario", str(doc), "--mode", "verify", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: scenario.{key}: expected a string or a "
+                                       f"number, got {kind}\n")
+    assert not out.exists()
+
+
+def test_a_number_as_name_or_description_still_loads(tmp_path):
+    doc = tmp_path / "numbers.yaml"
+    doc.write_text(FAST_SCALAR.replace("name: tiny", "name: 2023\ndescription: 1.5"),
+                   encoding="utf-8")
+    assert main(["--scenario", str(doc), "--mode", "verify", "--out", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "2023_verify.txt").is_file()
+
+
 @pytest.mark.parametrize("taken,as_directory", [("o", False), ("o/tiny_omega20.csv", True)])
 def test_output_path_taken_fails_cleanly(scalar_file, tmp_path, capsys, taken, as_directory):
     # a file where --out must create a directory, or a directory where a CSV goes

@@ -114,14 +114,23 @@ def test_the_kernel_and_the_fn_path_give_identical_trajectories(label, system, x
         assert kernel.diverged and kernel.total_steps == 0
 
 
-def _operator_form_rk4(rhs, x0, horizon, policy):
+def _operator_form_rk4(rhs, x0, horizon, policy, stage=None, const=float):
     """The stage-table kernel written with operators, one step at a time:
     ``row @ f``, ``x + half * k1``, ``x + sixth * (k1 + 2.0 * (k2 + k3) + k4)``
-    and ``isfinite(x).all()``. Returns (kept states, steps taken, diverged)."""
+    and ``isfinite(x).all()``. ``stage(row, t, x)``, if given, replaces
+    ``row @ features(t, x)``; row is None without a stage table. ``const``
+    types the step constants: Python floats by default. Returns (kept states,
+    steps taken, diverged)."""
     steps = step_count(horizon, rhs.oscillation_rate, policy)
     dt = horizon / steps
-    half, sixth = 0.5 * dt, dt / 6.0
-    features, stride = rhs.fn.features, policy.output_stride
+    half = 0.5 * dt
+    c_half, c_dt, c_two, sixth = const(half), const(dt), const(2.0), const(dt / 6.0)
+    if stage is None:
+        features = rhs.fn.features
+
+        def stage(row, t, x):
+            return row @ features(t, x)
+    stride = policy.output_stride
     x = np.array(x0, dtype=float)
     kept, taken = [x], 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -130,16 +139,17 @@ def _operator_form_rk4(rhs, x0, horizon, policy):
             if j == 0:
                 even = 0.0 + np.arange(k, min(k + STAGE_CHUNK, steps) + 1) * dt
                 times = np.append(np.stack((even[:-1], even[:-1] + half), axis=1), even[-1])
-                rows = rhs.stage_table(times)
+                rows = ([None] * times.size if rhs.stage_table is None
+                        else rhs.stage_table(times))
                 times = times.tolist()
             try:
-                k1 = rows[j] @ features(times[j], x)
-                k2 = rows[j + 1] @ features(times[j + 1], x + half * k1)
-                k3 = rows[j + 1] @ features(times[j + 1], x + half * k2)
-                k4 = rows[j + 2] @ features(times[j + 2], x + dt * k3)
+                k1 = stage(rows[j], times[j], x)
+                k2 = stage(rows[j + 1], times[j + 1], x + c_half * k1)
+                k3 = stage(rows[j + 1], times[j + 1], x + c_half * k2)
+                k4 = stage(rows[j + 2], times[j + 2], x + c_dt * k3)
             except FieldEvaluationError:
                 return np.array(kept), taken, True
-            x_new = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+            x_new = x + sixth * (k1 + c_two * (k2 + k3) + k4)
             if not np.isfinite(x_new).all():
                 return np.array(kept), taken, True
             x = x_new
@@ -185,6 +195,67 @@ def test_finite_components_whose_sum_overflows_are_not_refused():
         assert np.isfinite(run.states).all()
         with np.errstate(over="ignore"):
             assert np.add.reduce(run.final_state) == math.inf
+
+
+def _float32_field():
+    return VectorField(2, lambda t, x: np.array([-x[0] + math.sin(t) * x[1], -0.3 * x[1] - x[0]],
+                                                dtype=np.float32), oscillation_rate=20.0)
+
+
+def _integer_field():
+    return VectorField(2, lambda t, x: np.array([round(-3.0 * x[0]), 1 + int(10.0 * t)]),
+                       oscillation_rate=20.0)
+
+
+def _float32_table_field():
+    # fn(t, x, row) = row @ x in float32, over a stage table of (2, 2) matrices
+    def table(times):
+        rows = np.empty((times.size, 2, 2))
+        rows[:, 0, 0], rows[:, 0, 1] = -1.0, np.cos(5.0 * times)
+        rows[:, 1, 0], rows[:, 1, 1] = -np.sin(5.0 * times), -0.5
+        return rows
+
+    return VectorField(2, lambda t, x, row: (row @ x).astype(np.float32), oscillation_rate=20.0,
+                       stage_table=table)
+
+
+# (field, its value dtype, a constant type that would change its bits)
+VALUE_DTYPES = {"float32": (_float32_field(), np.float32, np.float64),
+                "integer": (_integer_field(), np.int64, np.float32),
+                "float32_table": (_float32_table_field(), np.float32, np.float64)}
+
+
+@pytest.mark.parametrize("label", VALUE_DTYPES)
+def test_fields_of_other_value_dtypes_keep_the_bits_of_python_float_constants(label):
+    # NumPy computes a Python float times a float32 value in float32, and times
+    # an integer value in float64: the step constants must take that dtype
+    fld, dtype, wrong = VALUE_DTYPES[label]
+
+    def stage(row, t, x):
+        return np.asarray(fld.fn(t, x) if row is None else fld.fn(t, x, row))
+
+    x0 = np.array([1.0, -0.5])
+    run = integrate(fld, x0, 1.0, policy=STRIDE_1)
+    states, taken, diverged = _operator_form_rk4(fld, x0, 1.0, STRIDE_1, stage)
+    row = None if fld.stage_table is None else fld.stage_table(np.zeros(1))[0]
+    assert stage(row, 0.0, x0).dtype == dtype
+    assert np.array_equal(run.states, states)
+    assert (run.total_steps, run.diverged) == (taken, diverged) == (128, False)
+    # constants of another type step it differently: the comparison sees the dtype
+    other, _, _ = _operator_form_rk4(fld, x0, 1.0, STRIDE_1, stage, const=wrong)
+    assert not np.array_equal(other, states)
+
+
+@pytest.mark.parametrize("switch", [0.05, 0.0], ids=["later_step", "first_step"])
+def test_a_field_whose_value_dtype_changes_between_stages_is_refused(switch):
+    def fn(t, x):  # float64 up to the switch time, float32 after it
+        return (-x).astype(np.float32 if t > switch else np.float64)
+
+    with pytest.raises(ValueError, match=r"^field value dtype changed between stages at "
+                                         r"t = [0-9.e-]+: float64, then float32$"):
+        integrate(VectorField(2, fn), [1.0, 2.0], 0.1, policy=STRIDE_1)
+    with pytest.raises(TypeError):  # complex values, which the real states cannot hold
+        integrate(VectorField(2, lambda t, x: -x + 1j), [1.0, 2.0], 0.1, policy=STRIDE_1)
 
 
 def _reachable_features():

@@ -19,7 +19,9 @@ and, per end-to-end metric, the parent and change medians, their quartiles
 (linear interpolation), the change's wins (pairs where it is better, ties for
 neither), the raw runs, and ``gain``: true only for at least 10 pairs of
 which the change wins 9 in 10, with medians apart by more than the parent's
-interquartile width. It is printed, and with ``--out`` merged into FILE, so
+interquartile width, and ``worse``: true when the change median is worse
+than the parent's by more than the metric's relative ``bound`` in
+``BENCHMARK.json``. It is printed, and with ``--out`` merged into FILE, so
 one file collects several workloads and seeds of the same two revisions.
 """
 
@@ -90,14 +92,16 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
                   f"{done.stderr.strip()[-2000:]}")
 
 
-def summarize(parent: list[dict], change: list[dict], better: dict) -> dict:
-    """Per metric: medians, quartiles, wins, raw runs and the gain verdict."""
+def summarize(parent: list[dict], change: list[dict], end_to_end: dict) -> dict:
+    """Per metric of ``end_to_end`` (name to its ``BENCHMARK.json`` entry, with
+    ``better`` and ``bound``): medians, quartiles, wins, raw runs and the gain
+    and worse verdicts."""
     pairs = len(parent)
     metrics = {}
-    for name in better:
+    for name, spec in end_to_end.items():
         a = [run["metrics"][name]["value"] for run in parent]
         b = [run["metrics"][name]["value"] for run in change]
-        sign = -1 if better[name] == "lower" else 1
+        sign = -1 if spec["better"] == "lower" else 1
         wins = sum(sign * (y - x) > 0 for x, y in zip(a, b))
         pa, pb = float(np.median(a)), float(np.median(b))
         iqr_a = np.percentile(a, [25, 75]).tolist()
@@ -107,6 +111,7 @@ def summarize(parent: list[dict], change: list[dict], better: dict) -> dict:
             "parent_median": pa, "change_median": pb,
             "change_pct": 100.0 * (pb / pa - 1.0) if pa else None,
             "change_wins": f"{wins}/{pairs}", "gain": bool(gain),
+            "worse": bool(sign * (pb - pa) < -spec["bound"] * abs(pa)),
             "parent_runs": a, "change_runs": b,
             "parent_iqr": iqr_a, "change_iqr": np.percentile(b, [25, 75]).tolist(),
         }
@@ -149,7 +154,7 @@ def main(argv=None) -> int:
         return 2
     try:
         spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-        better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+        end_to_end = {m["name"]: m for m in spec["end_to_end"]}
         workloads = {w["name"] for w in spec["workloads"]}
         if args.workload not in workloads:
             raise ABError(f"--workload must be one of {sorted(workloads)}")
@@ -190,8 +195,10 @@ def main(argv=None) -> int:
         "gain": f"at least {MIN_GAIN_PAIRS} pairs, the change better in at least "
                 f"{GAIN_WIN_SHARE:.0%} of them, and the medians apart by more than the "
                 "parent's interquartile width",
+        "worse": "the change median worse than the parent's by more than the metric's "
+                 "relative bound in BENCHMARK.json",
     }
-    entry = summarize(runs["parent"], runs["change"], better)
+    entry = summarize(runs["parent"], runs["change"], end_to_end)
     entry["seconds"] = args.seconds
     doc.setdefault("workloads", {}).setdefault(args.workload, {})[f"seed {args.seed}"] = entry
     text = json.dumps(doc, indent=1) + "\n"
