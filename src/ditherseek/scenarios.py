@@ -32,6 +32,7 @@ A scenario is a YAML document. Keys (strict mode rejects anything else):
                     8 and horizon 2*t_f if absent
 
 Numeric values may be written as decimals or as rational strings ("3/10").
+A scenario is plain data: YAML anchors, aliases and merge keys are refused.
 """
 
 from __future__ import annotations
@@ -64,11 +65,6 @@ DYNAMICS_KINDS = ("scalar", "single_integrator", "unicycle")
 # past the bound, but libyaml builds documents recursively in C and overflows
 # the C stack somewhere between 20,000 and 40,000 block levels ("- - - ...")
 MAX_FLOW_DEPTH = 100
-# nodes of a scenario document with every alias expanded; a bundled scenario
-# holds about 100. An alias to a list of two aliases doubles the count, so a
-# few hundred bytes stand for millions of nodes, which ``str`` of a name or an
-# error message would build; the check counts them without building any
-MAX_YAML_NODES = 10_000
 # PyYAML's libyaml parser, about eight times faster than its pure-Python one;
 # a PyYAML built without libyaml parses the same documents with SafeLoader
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -133,6 +129,13 @@ def _ratio(value, path: str) -> Fraction:
         return ratio
     _fail(path, f"frequency ratios must be integers or 'p/q' strings, got "
                 f"{type(value).__name__}")
+
+
+def _text(value, path: str) -> str:
+    """``str`` of a string or number; a collection is refused, not printed whole."""
+    if isinstance(value, (list, dict, set)):
+        _fail(path, f"expected a string or a number, got {type(value).__name__}")
+    return str(value)
 
 
 def _vector(value, path: str) -> np.ndarray:
@@ -327,7 +330,7 @@ def parse_scenario(doc: dict, strict: bool = True) -> Scenario:
     policy = _parse_step(doc.get("step", {}), "scenario.step")
     probe = _parse_probe(doc["probe"], "scenario.probe") if "probe" in doc else None
 
-    nu_method = doc.get("nu_method", "closed_form")
+    nu_method = _text(doc.get("nu_method", "closed_form"), "scenario.nu_method")
     checked("scenario.nu_method", _parse_nu_method, nu_method)
 
     exponent = _number(doc.get("amplitude_exponent", 0.5),
@@ -335,18 +338,14 @@ def parse_scenario(doc: dict, strict: bool = True) -> Scenario:
     if exponent not in (0.5, 1.0):
         _fail("scenario.amplitude_exponent", "must be 0.5 or 1.0")
 
-    for key in ("name", "description"):  # str() of a collection would print it whole
-        if isinstance(doc.get(key), (list, dict, set)):
-            _fail(f"scenario.{key}", f"expected a string or a number, got "
-                                     f"{type(doc[key]).__name__}")
-    name = str(doc["name"])
+    name = _text(doc["name"], "scenario.name")
     if name in ("", "..") or any(c in name for c in "/\\\0"):
         _fail("scenario.name", f"must be a plain file name stem, got {name!r}")
 
     common = dict(name=name, kind=kind, omegas=omegas, x0=x0,
                   horizon=horizon, policy=policy, nu_method=nu_method,
                   amplitude_exponent=exponent, probe=probe,
-                  description=str(doc.get("description", "")))
+                  description=_text(doc.get("description", ""), "scenario.description"))
 
     if kind == "scalar":
         for key in ("agents", "Omega"):
@@ -363,7 +362,8 @@ def parse_scenario(doc: dict, strict: bool = True) -> Scenario:
         names = doc.get("dither", ["cosine:1", "sine:1"])
         if not isinstance(names, list) or len(names) != 2:
             _fail("scenario.dither", "expected a pair of 'kind:n' strings")
-        dithers = tuple(checked("scenario.dither", from_name, str(n)) for n in names)
+        dithers = tuple(checked("scenario.dither", from_name, _text(n, "scenario.dither"))
+                        for n in names)
         if x0.size != 1:
             _fail("scenario.initial_state", "scalar dynamics have one state")
         return Scenario(**common, alpha=alpha, scalar_map=smap, dithers=dithers)
@@ -404,53 +404,24 @@ def load_scenario(source, strict: bool = True) -> Scenario:
 
 
 def _check_depth(text: str) -> None:
-    """Refuse a document that, with every alias expanded, nests collections more
-    than MAX_FLOW_DEPTH deep inside the top-level one or holds more than
-    MAX_YAML_NODES nodes, read from the parser's event stream.
-
-    Each anchor's expanded node count and height are recorded when its node
-    ends and added at each alias to it, so nothing is expanded. An alias inside
-    its own anchor's node expands without end; an undefined one is left to the
-    loader, which reports it.
-    """
-    too_deep = f"collections nested more than {MAX_FLOW_DEPTH} deep"
-    anchors = {}  # anchor -> (nodes, height) of its node, aliases expanded
-    opened = []  # per open collection: [anchor, nodes before it, height]
-    nodes = 0
+    """Refuse, from the parser's event stream, a document that nests collections
+    more than MAX_FLOW_DEPTH deep inside the top-level one or that holds an
+    anchor, an alias or a merge key, at the first event that does."""
+    depth = 0
     for event in yaml.parse(text, Loader=_LOADER):
+        # a plain (untagged, unquoted) "<<" is a merge key, as is a scalar tagged !!merge
+        merge = isinstance(event, yaml.ScalarEvent) and (
+            event.implicit[0] and event.value == "<<" or event.tag == "tag:yaml.org,2002:merge")
+        if merge or isinstance(event, yaml.NodeEvent) and event.anchor is not None:
+            raise yaml.MarkedYAMLError(problem="anchors, aliases and merge keys are not "
+                                       "supported", problem_mark=event.start_mark)
         if isinstance(event, yaml.CollectionStartEvent):
-            opened.append([event.anchor, nodes, 1])
-            if len(opened) > MAX_FLOW_DEPTH + 1:
-                raise ScenarioError(f"scenario syntax error: {too_deep}")
-            size = 1
+            depth += 1
+            if depth > MAX_FLOW_DEPTH + 1:
+                raise ScenarioError("scenario syntax error: collections nested more "
+                                    f"than {MAX_FLOW_DEPTH} deep")
         elif isinstance(event, yaml.CollectionEndEvent):
-            anchor, before, height = opened.pop()
-            if anchor is not None:
-                anchors[anchor] = (nodes - before, height)
-            if opened:
-                opened[-1][2] = max(opened[-1][2], 1 + height)
-            continue
-        elif isinstance(event, yaml.ScalarEvent):
-            if event.anchor is not None:
-                anchors[event.anchor] = (1, 0)
-            size = 1
-        elif isinstance(event, yaml.AliasEvent):
-            if any(event.anchor == frame[0] for frame in opened):
-                size = height = math.inf
-            elif event.anchor in anchors:
-                size, height = anchors[event.anchor]
-            else:
-                continue
-            if len(opened) + height > MAX_FLOW_DEPTH + 1:
-                raise ScenarioError(f"scenario syntax error: aliases expand to {too_deep}")
-            if opened:
-                opened[-1][2] = max(opened[-1][2], 1 + height)
-        else:
-            continue
-        nodes += size
-        if nodes > MAX_YAML_NODES:
-            raise ScenarioError(f"scenario syntax error: more than {MAX_YAML_NODES:,} "
-                                "nodes with aliases expanded")
+            depth -= 1
 
 
 def parse_scenario_text(text: str, strict: bool = True) -> Scenario:

@@ -171,11 +171,12 @@ def custom(fn: Callable, period: float = TWO_PI, sup_bound: float = 1.0,
 def from_name(name: str) -> DitherSignal:
     """Parse a ``kind:n`` string as used in scenario files, e.g. ``sine:2``."""
     kind, _, tail = name.partition(":")
-    kind = kind.strip()
+    kind, tail = kind.strip(), tail.strip()
     if kind not in BUILTIN_KINDS:
         raise ValueError(f"unknown signal name {name!r}")
-    n = int(tail) if tail else 1
-    return DitherSignal(kind, n)
+    if tail and not (tail.isascii() and tail.isdigit()):  # int() takes "1_0" and "+1"
+        raise ValueError("harmonic must be a positive integer")
+    return DitherSignal(kind, int(tail) if tail else 1)
 
 
 def period_mean(signal: DitherSignal, t: float) -> float:

@@ -174,12 +174,10 @@ def integrate(fld: VectorField, x0, horizon: float, t0: float = 0.0,
     non-finite values or raise FieldEvaluationError.
     Stage inputs and the RK4 combination are explicit ufunc calls, the operations
     of ``x + half * k1`` and ``x + sixth * (k1 + 2 * (k2 + k3) + k4)`` in their
-    order, so every bit is the operator form's. From the second step on, the
-    constants are arrays of the state's shape in ``np.result_type(k1, 0.5)``,
-    the dtype a Python float times the first stage value is computed in, so the
-    bits stay the same; a field whose value dtype changes between stages is
-    refused with ValueError, and a complex one raises TypeError. The new state
-    is finite if the sum of its ``tolist()`` is, else if each component is.
+    order, so every bit is the operator form's. The step constants are float64
+    arrays of the state's shape, so a stage value of any real dtype is stepped
+    in float64, and a complex one raises TypeError. The new state is finite if
+    the sum of its ``tolist()`` is, else if each component is.
     """
     if not horizon > 0.0:
         raise ValueError("horizon must be positive")
@@ -206,8 +204,7 @@ def integrate(fld: VectorField, x0, horizon: float, t0: float = 0.0,
     diverged = False
     taken = 0
     half = 0.5 * dt
-    c_half, c_dt, c_two, c_sixth = half, dt, 2.0, dt / 6.0
-    kind = None  # dtype of the first stage value
+    c_half, c_dt, c_two, c_sixth = (np.full(x0.shape, c) for c in (half, dt, 2.0, dt / 6.0))
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, steps, STAGE_CHUNK):
             stop = min(start + STAGE_CHUNK, steps)
@@ -236,15 +233,6 @@ def integrate(fld: VectorField, x0, horizon: float, t0: float = 0.0,
                     x_new = add(x, mul(c_sixth, add(add(k1, mul(c_two, add(k2, k3))), k4)))
                 except FieldEvaluationError:
                     break
-                if not (k1.dtype is k2.dtype is k3.dtype is k4.dtype is kind):
-                    if kind is None:  # the first step: typed constants from here on
-                        kind, typed = k1.dtype, np.result_type(k1, 0.5)
-                        c_half, c_dt, c_two, c_sixth = (
-                            np.full(x.shape, c, typed) for c in (c_half, c_dt, c_two, c_sixth))
-                    for stage in (k1, k2, k3, k4):
-                        if stage.dtype != kind:
-                            raise ValueError(f"field value dtype changed between stages at "
-                                             f"t = {t_a!r}: {kind}, then {stage.dtype}")
                 # a finite sum has finite terms; an overflowing one is checked term by term
                 if not (isfinite_sum(total(x_new.tolist())) or isfinite(x_new).all()):
                     break

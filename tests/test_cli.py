@@ -560,22 +560,16 @@ def test_scenario_name_cannot_escape_the_output_directory(tmp_path, capsys):
     assert not list(tmp_path.rglob("escaped*"))
 
 
-# anchors a0 ... a10 in the description, each a list of two aliases to the one
-# before: *a10 stands for 3,071 nodes, inside MAX_YAML_NODES
-_DOUBLING_NAME = ("description:\n  - &a0 [1]\n"
-                  + "".join(f"  - &a{i} [*a{i - 1}, *a{i - 1}]\n" for i in range(1, 11))
-                  + "name: *a10")
-
-
 @pytest.mark.parametrize("new, key, kind", [
     ("name: [a, b]", "name", "list"),
     ("name: {a: b}", "name", "dict"),
     ("name: !!set {a, b}", "name", "set"),
     ("name: tiny\ndescription: [a, b]", "description", "list"),
     ("name: tiny\ndescription: {a: b}", "description", "dict"),
-    (_DOUBLING_NAME, "name", "list"),
+    ("name: tiny\nnu_method: [a, b]", "nu_method", "list"),
+    ('name: tiny\ndither: [[a], "cosine:1"]', "dither", "list"),
 ], ids=["name_list", "name_dict", "name_set", "description_list", "description_dict",
-        "doubling_alias_name"])
+        "nu_method_list", "dither_entry_list"])
 def test_a_collection_as_name_or_description_is_refused(tmp_path, capsys, new, key, kind):
     doc = tmp_path / "collection.yaml"
     doc.write_text(FAST_SCALAR.replace("name: tiny", new), encoding="utf-8")
@@ -676,11 +670,10 @@ def test_a_probe_imports_no_scipy(tmp_path):
      "at line 8, column 14: did not find expected ',' or ']'"),
     ("alpha: 1.0", "\talpha: 1.0",
      "at line 6, column 1: found character that cannot start any token"),
-    ("alpha: 1.0", "alpha: *gain", "at line 6, column 8: found undefined alias"),
     ("alpha: 1.0", "alpha: 1.0: 2.0",
      "at line 6, column 11: mapping values are not allowed in this context"),
     ("name: tiny", "%\nname: tiny", "at line 2, column 2: could not find expected directive name"),
-], ids=["unclosed_flow", "tab", "undefined_alias", "mapping_value", "directive"])
+], ids=["unclosed_flow", "tab", "mapping_value", "directive"])
 def test_a_malformed_scenario_names_libyaml_s_problem(tmp_path, capsys, old, new, message):
     doc = tmp_path / "bad.yaml"
     doc.write_text(FAST_SCALAR.replace(old, new), encoding="utf-8")

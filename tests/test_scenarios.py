@@ -23,7 +23,7 @@ from ditherseek import (FieldEvaluationError, ProbeConfig, ScenarioError, assemb
                         load_scenario, parse_scenario, parse_scenario_text)
 from ditherseek.cli import RunConfig, _resolved, main
 from ditherseek import scenarios
-from ditherseek.scenarios import MAX_FLOW_DEPTH, MAX_YAML_NODES
+from ditherseek.scenarios import MAX_FLOW_DEPTH
 from ditherseek.sim import MAX_BOUNDARY_SAMPLES
 
 MINIMAL_AGENT = """
@@ -399,32 +399,6 @@ def test_brackets_in_plain_and_block_scalars_are_not_nesting(tmp_path, capsys, e
     assert capsys.readouterr().out.endswith("4/4 checks passed\n")
 
 
-def _merge_chain(n):
-    # n mappings in a list, each "<<"-merging the one before it through an
-    # alias, and the top-level mapping merging the last: every collection sits
-    # 3 levels deep, but PyYAML's constructor flattens the merges recursively
-    chain = "".join(f"  - &a{i} {{<<: *a{i - 1}}}\n" for i in range(1, n))
-    return _with_description(f"description:\n  - &a0 {{k: 0}}\n{chain}<<: *a{n - 1}")
-
-
-_ALIASES_TOO_DEEP = ("scenario syntax error: aliases expand to collections nested more "
-                     f"than {MAX_FLOW_DEPTH} deep")
-_TOO_MANY_NODES = f"scenario syntax error: more than {MAX_YAML_NODES:,} nodes with aliases expanded"
-# the bound tests carry their collections in the description, which the
-# schema refuses once the bounds let the document through
-_LIST_DESCRIPTION = "scenario.description: expected a string or a number, got list"
-
-
-def test_merge_keys_through_a_chain_of_aliases_end_in_an_error(tmp_path, capsys):
-    # each mapping holds the one before it, so the expanded chain passes
-    # MAX_YAML_NODES (and, one anchor later, MAX_FLOW_DEPTH) in the event
-    # stream, before PyYAML's constructor could recurse through the merges
-    path = tmp_path / "merge_chain.yaml"
-    path.write_text(_merge_chain(3000), encoding="utf-8")
-    assert main(["--scenario", str(path), "--mode", "verify", "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err == f"error: {_TOO_MANY_NODES}\n"
-
-
 def _scalar_doc_with(entries, *replaced):
     text = yaml.safe_dump({k: v for k, v in SCALAR_DOC.items()
                            if k not in ("description",) + replaced})
@@ -439,21 +413,33 @@ def _alias_chain(n, width):
     return "description:\n  - &a0 [1]\n" + chain
 
 
-# the three documents the alias bounds were made for, each refused from the
-# event stream: a name 3,000 levels deep (str() recursed past Python's limit),
-# a name of 98,303 nodes (229,372 characters, too long a file name), and a map
-# selector whose error message printed all those nodes
+def _merge_chain(n):
+    # n mappings in a list, each "<<"-merging the one before it through an
+    # alias, and the top-level mapping merging the last
+    chain = "".join(f"  - &a{i} {{<<: *a{i - 1}}}\n" for i in range(1, n))
+    return f"description:\n  - &a0 {{k: 0}}\n{chain}<<: *a{n - 1}\n"
+
+
+def _refused_at(entries, line, column, *replaced):
+    """The document and its one error line: ``line`` counts from the first of
+    ``entries``, where the first anchor, alias or merge key is."""
+    before = len(_scalar_doc_with("", *replaced).splitlines())
+    return (_scalar_doc_with(entries, *replaced),
+            f"error: scenario syntax error at line {before + line}, column {column}: "
+            "anchors, aliases and merge keys are not supported\n")
+
+
+# each refused at its first anchor, alias or merge key, before the loader
+# could expand a chain 3,000 deep or of 98,303 nodes, or recurse through merges
 ALIAS_CASES = {
-    "deep_name": (_scalar_doc_with(_alias_chain(3000, 1) + "name: *a2999\n", "name"),
-                  _ALIASES_TOO_DEEP),
-    "doubled_name": (_scalar_doc_with(_alias_chain(16, 2) + "name: *a15\n", "name"),
-                     _TOO_MANY_NODES),
-    "doubled_map": (_scalar_doc_with(_alias_chain(16, 2) + "map: {builtin: *a15}\n", "map"),
-                    _TOO_MANY_NODES),
-    "undefined": (_scalar_doc_with("description: *nowhere\n"),
-                  f"scenario syntax error at line {len(_scalar_doc_with('').splitlines()) + 1}, "
-                  "column 14: found undefined alias"),
-    "self_merge": (_scalar_doc_with("description: &m {<<: *m}\n"), _ALIASES_TOO_DEEP),
+    "anchor": _refused_at("description: &d plain\n", 1, 14),
+    "alias": _refused_at("name: &n tiny\ndescription: *n\n", 1, 7, "name"),
+    "undefined_alias": _refused_at("description: *nowhere\n", 1, 14),
+    "merge_key": _refused_at("step: {<<: {samples_per_period: 40}}\n", 1, 8, "step"),
+    "tagged_merge_key": _refused_at("description: !!merge <<\n", 1, 14),
+    "deep_chain": _refused_at(_alias_chain(3000, 1) + "name: *a2999\n", 2, 5, "name"),
+    "doubling_chain": _refused_at(_alias_chain(16, 2) + "map: {builtin: *a15}\n", 2, 5, "map"),
+    "merge_chain": _refused_at(_merge_chain(3000), 2, 5),
 }
 
 _MAIN_ON_FILES = textwrap.dedent("""
@@ -477,7 +463,7 @@ _MAIN_ON_FILES = textwrap.dedent("""
     pytest.param("libyaml", marks=pytest.mark.skipif(not yaml.__with_libyaml__,
                                                      reason="PyYAML built without libyaml")),
     "pure"])
-def test_aliases_are_bounded_as_expanded_under_either_loader(tmp_path, loader):
+def test_anchors_aliases_and_merge_keys_are_refused_under_either_loader(tmp_path, loader):
     paths = []
     for name, (text, _) in ALIAS_CASES.items():
         paths.append(tmp_path / f"{name}.yaml")
@@ -488,52 +474,9 @@ def test_aliases_are_bounded_as_expanded_under_either_loader(tmp_path, loader):
                            *map(str, paths)], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     results = json.loads(done.stdout)
-    for (name, (_, message)), (status, err) in zip(ALIAS_CASES.items(), results):
-        # the pure-Python loader names the undefined alias after the message
-        assert status == 2 and err.startswith(f"error: {message}") and err.count("\n") == 1, (
-            name, err)
-
-
-def _expanded_nodes(node):
-    # the composed graph shares an aliased node; walking it expands every alias
-    if isinstance(node, yaml.ScalarNode):
-        return 1
-    children = node.value if isinstance(node, yaml.SequenceNode) else [
-        child for pair in node.value for child in pair]
-    return 1 + sum(_expanded_nodes(child) for child in children)
-
-
-@pytest.mark.parametrize("aliases", [0, 1, 40])
-def test_the_node_bound_counts_every_alias_expanded(aliases):
-    # a list of 40 numbers, aliased ``aliases`` times, and numbers to make up
-    # the rest: exactly MAX_YAML_NODES nodes load, one more is refused
-    def text(pad):
-        return _scalar_doc_with(
-            "description:\n  - &forty [" + ", ".join(["1"] * 40) + "]\n"
-            + "  - *forty\n" * aliases + "  - [" + ", ".join(["2"] * pad) + "]\n")
-    pad = MAX_YAML_NODES - _expanded_nodes(yaml.compose(text(0)))
-    assert 0 < pad < MAX_YAML_NODES
-    assert _expanded_nodes(yaml.compose(text(pad))) == MAX_YAML_NODES
-    with pytest.raises(ScenarioError, match=f"^{_LIST_DESCRIPTION}$"):  # past the bound
-        parse_scenario_text(text(pad))
-    with pytest.raises(ScenarioError, match=f"^{_TOO_MANY_NODES}$"):
-        parse_scenario_text(text(pad + 1))
-
-
-def test_an_alias_nests_as_deep_as_the_collection_it_names():
-    # a(i) is a list holding an alias to a(i - 1): i + 1 lists deep, in a list
-    # in the top-level mapping, so the last anchor that fits is a(MAX_FLOW_DEPTH - 2)
-    fits = _scalar_doc_with(_alias_chain(MAX_FLOW_DEPTH - 1, 1))
-    written_out = _scalar_doc_with("description:\n  - " + "[" * (MAX_FLOW_DEPTH - 1) + "1"
-                                   + "]" * (MAX_FLOW_DEPTH - 1) + "\n")
-    for text in (fits, written_out):  # past the bounds, to the schema
-        with pytest.raises(ScenarioError, match=f"^{_LIST_DESCRIPTION}$"):
-            parse_scenario_text(text)
-    with pytest.raises(ScenarioError, match=f"^{_ALIASES_TOO_DEEP}$"):
-        parse_scenario_text(_scalar_doc_with(_alias_chain(MAX_FLOW_DEPTH, 1)))
-    with pytest.raises(ScenarioError, match="^scenario syntax error: collections nested"):
-        parse_scenario_text(_scalar_doc_with("description:\n  - " + "[" * MAX_FLOW_DEPTH + "1"
-                                             + "]" * MAX_FLOW_DEPTH + "\n"))
+    for (name, (_, line)), result in zip(ALIAS_CASES.items(), results):
+        assert result == [2, line], name
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("text, message", [
@@ -781,11 +724,7 @@ def test_without_libyaml_scenarios_parse_with_the_pure_python_loader():
             sc = scenarios.load_scenario(name)
             assert sc.name == name, sc.name
         deep = "omega:\\n" + "- " * 2000 + "1\\n"
-        merge = ("description:\\n  - &a0 {{k: 0}}\\n"
-                 + "".join("  - &a%d {{<<: *a%d}}\\n" % (i, i - 1) for i in range(1, 3000))
-                 + "<<: *a2999\\n")
         for text, problem in ((deep, "collections nested more than {MAX_FLOW_DEPTH} deep"),
-                              (merge, "more than {MAX_YAML_NODES:,} nodes with aliases expanded"),
                               ("omega: " + "[" * 101 + "1" + "]" * 101 + "\\n",
                                "collections nested more than {MAX_FLOW_DEPTH} deep"),
                               ("omega: [1, 2\\n", "expected ',' or ']', but got '<stream end>'")):

@@ -193,8 +193,9 @@ def test_validate_rejects_bad_grids_and_tol():
 
 
 @pytest.mark.parametrize("make", [lambda: sine(math.inf), lambda: sine("2"),
-                                  lambda: DitherSignal("cosine", True), lambda: sine(2.0)],
-                         ids=["inf", "str", "bool", "float"])
+                                  lambda: DitherSignal("cosine", True), lambda: sine(2.0),
+                                  lambda: from_name("sine:1.5"), lambda: from_name("sine:1_0")],
+                         ids=["inf", "str", "bool", "float", "name_decimal", "name_underscore"])
 def test_a_harmonic_that_is_not_an_integer_is_refused(make):
     with pytest.raises(ValueError, match="harmonic must be a positive integer"):
         make()
