@@ -440,6 +440,7 @@ ALIAS_CASES = {
     "deep_chain": _refused_at(_alias_chain(3000, 1) + "name: *a2999\n", 2, 5, "name"),
     "doubling_chain": _refused_at(_alias_chain(16, 2) + "map: {builtin: *a15}\n", 2, 5, "map"),
     "merge_chain": _refused_at(_merge_chain(3000), 2, 5),
+    "self_merge": _refused_at("description: &m {<<: *m}\n", 1, 14),
 }
 
 _MAIN_ON_FILES = textwrap.dedent("""
