@@ -480,6 +480,33 @@ def test_anchors_aliases_and_merge_keys_are_refused_under_either_loader(tmp_path
     assert not (tmp_path / "o").exists()
 
 
+def test_merge_keys_through_a_chain_of_aliases_end_in_an_error(tmp_path, capsys):
+    # refused at the first anchor, before PyYAML's constructor could recurse
+    # through the 3,000 merges
+    text, line = ALIAS_CASES["merge_chain"]
+    path = tmp_path / "merge_chain.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert main(["--scenario", str(path), "--mode", "verify", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == line
+
+
+# only a plain, untagged "<<" is a merge key, and "&" or "*" marks an anchor or
+# alias only where a node starts; each of these is text
+@pytest.mark.parametrize("written, description", [
+    ('"<<"', "<<"),
+    ("'<<'", "<<"),
+    ("|\n  <<\n", "<<\n"),
+    ("<<a", "<<a"),
+    ('"!!merge <<"', "!!merge <<"),
+    ('"&a *a"', "&a *a"),
+    ("a & b * c", "a & b * c"),
+], ids=["double_quoted_merge", "single_quoted_merge", "literal_merge", "merge_prefix",
+        "quoted_merge_tag", "quoted_anchor_alias", "plain_ampersand_star"])
+def test_text_that_only_looks_like_an_anchor_alias_or_merge_key_loads(written, description):
+    sc = parse_scenario_text(_scalar_doc_with(f"description: {written}\n"))
+    assert sc.description == description
+
+
 @pytest.mark.parametrize("text, message", [
     (_scalar_doc_with("1: a\nfoo: b\n"), "scenario: unknown key(s) [1, 'foo']"),
     (MINIMAL_AGENT.replace('a: "1"}', 'a: "1", 2: 3, x: 4}'),
