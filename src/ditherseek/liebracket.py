@@ -112,11 +112,9 @@ def _parse_nu_method(nu_method: str) -> int | None:
                          "expected closed_form or quadrature:<nodes>")
     nodes = 4096
     if sep:
-        try:
-            nodes = int(count)
-        except ValueError:
-            raise ValueError(f"nu method {nu_method!r}: node count must be an "
-                             "integer") from None
+        if not (count.isascii() and count.isdigit()):  # int() takes "1_0", "+1" and " 1"
+            raise ValueError(f"nu method {nu_method!r}: node count must be an integer")
+        nodes = int(count)
     if not 8 <= nodes <= MAX_NU_NODES:
         raise ValueError(f"nu method {nu_method!r}: quadrature needs from 8 to "
                          f"{MAX_NU_NODES:,} nodes")

@@ -132,8 +132,9 @@ def _ratio(value, path: str) -> Fraction:
 
 
 def _text(value, path: str) -> str:
-    """``str`` of a string or number; a collection is refused, not printed whole."""
-    if isinstance(value, (list, dict, set)):
+    """``str`` of a string or number; a collection is refused, not printed whole,
+    and a null or boolean is refused, not read as 'None' or 'True'."""
+    if value is None or isinstance(value, (bool, list, dict, set)):
         _fail(path, f"expected a string or a number, got {type(value).__name__}")
     return str(value)
 

@@ -24,13 +24,25 @@ from .dynamics import FieldStack, InputAffineSystem, VectorField, finite_diff_ja
 from .signals import check_tolerance, cosine, sine
 
 
+def _fd_gradient(fn: Callable[[np.ndarray], float], xbar: np.ndarray) -> np.ndarray:
+    """Central-difference gradient of a per-point ``fn`` at one point (2N,),
+    or row by row of a batch (S, 2N): the bits of a loop over the rows."""
+    xbar = np.asarray(xbar, dtype=float)
+    if xbar.ndim == 2:
+        return np.array([_fd_gradient(fn, x) for x in xbar])
+    return finite_diff_jacobian(lambda t, y: fn(y), 0.0, xbar)
+
+
 @dataclass(frozen=True)
 class AgentMap:
     """An individual objective f_i: R^(2N) -> R with optional analytic gradient.
 
-    A value or gradient whose float arithmetic overflows reads nan: Python
-    floats raise OverflowError where numpy gives inf, and either way the
-    fields built on the map refuse the non-finite value.
+    ``fn`` takes one point (2N,); ``grad`` one point (2N,) or a batch (S, 2N),
+    returning (2N,) or (S, 2N), and without it :meth:`gradient` takes central
+    differences, row by row for a batch. A value or gradient whose float
+    arithmetic overflows reads nan: Python floats raise OverflowError where
+    numpy gives inf, and either way the fields built on the map refuse the
+    non-finite value.
     """
 
     fn: Callable[[np.ndarray], float]
@@ -44,7 +56,7 @@ class AgentMap:
 
     def gradient(self, xbar: np.ndarray) -> np.ndarray:
         if self.grad is None:
-            return finite_diff_jacobian(lambda t, y: self(y), 0.0, xbar)
+            return _fd_gradient(self, xbar)
         try:
             return np.asarray(self.grad(xbar), dtype=float)
         except OverflowError:
@@ -85,9 +97,10 @@ class PotentialGame:
         return 2 * self.n_agents
 
     def potential_gradient(self, xbar: np.ndarray) -> np.ndarray:
+        """grad F at one point (2N,) or a batch (S, 2N), as :meth:`AgentMap.gradient`."""
         if self.potential_grad is not None:
             return np.asarray(self.potential_grad(xbar), dtype=float)
-        return finite_diff_jacobian(lambda t, y: self.potential(y), 0.0, xbar)
+        return _fd_gradient(self.potential, xbar)
 
 
 @dataclass(frozen=True)
@@ -382,7 +395,9 @@ def check_potential_compatibility(game: PotentialGame, samples: int = 1000,
                                   tol: float = 1e-6, seed: int = 0) -> CompatibilityReport:
     """Measure max over random points in [-3, 3]^(2N) of the own-block gradient defect.
 
-    The gradients are collected per sample; the own-block defects of all
+    Each map's gradient and the potential's gradient are called once, on the
+    (samples, 2N) batch of points; a gradient that does not return one row
+    per point is refused with ValueError. The own-block defects of all
     samples are then reduced at once, so a nan defect reads nan (a FAIL).
     """
     if (isinstance(samples, bool) or not isinstance(samples, numbers.Integral)
@@ -393,10 +408,15 @@ def check_potential_compatibility(game: PotentialGame, samples: int = 1000,
     rng = np.random.default_rng(seed)
     n = game.n_agents
     pts = rng.uniform(-3.0, 3.0, size=(samples, game.dim))
-    # per sample, the agents' gradients and then the potential's
+    # the agents' gradients and then the potential's, one batch call each
     grads = np.empty((samples, n + 1, game.dim))
-    for s, x in enumerate(pts):
-        grads[s] = [m.gradient(x) for m in game.maps] + [game.potential_gradient(x)]
+    for i, gradient in enumerate([m.gradient for m in game.maps] + [game.potential_gradient]):
+        g = gradient(pts)
+        if g.shape != pts.shape:
+            whose = f"agent {i}" if i < n else "the potential"
+            raise ValueError(f"gradient of {whose} returned shape {g.shape} for "
+                             f"points of shape {pts.shape}")
+        grads[:, i] = g
     blocks = grads.reshape(samples, n + 1, n, 2)
     agents = np.arange(n)
     # own[s, i] is agent i's block of grad f_i at sample s, pot[s, i] that of grad F
@@ -511,12 +531,17 @@ def three_agent_game() -> PotentialGame:
     involve only the *other* agents' coordinates, so own-block gradients
     agree with the potential's.
 
-    Each map and gradient takes one (6,) float array, unpacks it once with
-    ``tolist`` and computes on Python floats with ``math``: the same bits as
-    indexing the array element by element, at a fraction of the cost of
-    numpy scalar arithmetic: one unicycle right-hand side at omega = 80
-    costs 5.9 us with these maps, 7.9 us with maps on numpy scalars
-    (2-core Xeon, Python 3.11.7, numpy 2.4.6).
+    Each map and, for one point, each gradient takes one (6,) float array,
+    unpacks it once with ``tolist`` and computes on Python floats with
+    ``math``: the same bits as indexing the array element by element, at a
+    fraction of the cost of numpy scalar arithmetic: one unicycle
+    right-hand side at omega = 80 costs 5.9 us with these maps, 7.9 us with
+    maps on numpy scalars (2-core Xeon, Python 3.11.7, numpy 2.4.6).
+
+    A gradient also takes a batch (S, 6) to (S, 6) in a numpy body, so the
+    compatibility check makes one call per map. Its own block keeps the
+    per-point bits; numpy's ``exp``, ``cos`` and squares (x * x, not libm
+    pow) may move the last bits of the others, exp's up to |argument| ulp.
     """
 
     def f_a(x):
@@ -525,10 +550,15 @@ def three_agent_game() -> PotentialGame:
                 + x2 ** 2 + x3 ** 2 + math.exp(-x4 ** 2 - x5 ** 2) - 10.0)
 
     def grad_f_a(x):
-        x0, x1, x2, x3, x4, x5 = x.tolist()
-        e = math.exp(-x4 ** 2 - x5 ** 2)
-        return np.array([-(x0 - 1.0), -(x1 - 1.0), 2.0 * x2, 2.0 * x3,
-                         -2.0 * x4 * e, -2.0 * x5 * e])
+        if x.ndim == 1:
+            x0, x1, x2, x3, x4, x5 = x.tolist()
+            e = math.exp(-x4 ** 2 - x5 ** 2)
+            return np.array([-(x0 - 1.0), -(x1 - 1.0), 2.0 * x2, 2.0 * x3,
+                             -2.0 * x4 * e, -2.0 * x5 * e])
+        x0, x1, x2, x3, x4, x5 = x.T
+        e = np.exp(-x4 ** 2 - x5 ** 2)
+        return np.stack([-(x0 - 1.0), -(x1 - 1.0), 2.0 * x2, 2.0 * x3,
+                         -2.0 * x4 * e, -2.0 * x5 * e], axis=-1)
 
     def f_b(x):
         x0, x1, x2, x3, _, _ = x.tolist()
@@ -537,18 +567,27 @@ def three_agent_game() -> PotentialGame:
                 + (math.sin(s) if math.isfinite(s) else math.nan) - 10.0)
 
     def grad_f_b(x):
-        x0, x1, x2, x3, _, _ = x.tolist()
-        s = x0 + x1
-        cc = math.cos(s) if math.isfinite(s) else math.nan
-        return np.array([cc, cc, -(x2 + 1.0), -(x3 + 1.0), 0.0, 0.0])
+        if x.ndim == 1:
+            x0, x1, x2, x3, _, _ = x.tolist()
+            s = x0 + x1
+            cc = math.cos(s) if math.isfinite(s) else math.nan
+            return np.array([cc, cc, -(x2 + 1.0), -(x3 + 1.0), 0.0, 0.0])
+        x0, x1, x2, x3, _, _ = x.T
+        cc = np.cos(x0 + x1)
+        zero = np.zeros_like(cc)
+        return np.stack([cc, cc, -(x2 + 1.0), -(x3 + 1.0), zero, zero], axis=-1)
 
     def f_c(x):
         _, _, _, _, x4, x5 = x.tolist()
         return -0.5 * (x4 + 1.0) ** 2 - 1.5 * (x5 - 1.0) ** 2 + 10.0
 
     def grad_f_c(x):
-        _, _, _, _, x4, x5 = x.tolist()
-        return np.array([0.0, 0.0, 0.0, 0.0, -(x4 + 1.0), -3.0 * (x5 - 1.0)])
+        if x.ndim == 1:
+            _, _, _, _, x4, x5 = x.tolist()
+            return np.array([0.0, 0.0, 0.0, 0.0, -(x4 + 1.0), -3.0 * (x5 - 1.0)])
+        _, _, _, _, x4, x5 = x.T
+        zero = np.zeros_like(x4)
+        return np.stack([zero, zero, zero, zero, -(x4 + 1.0), -3.0 * (x5 - 1.0)], axis=-1)
 
     maps = (
         AgentMap(f_a, grad_f_a),

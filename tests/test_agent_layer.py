@@ -93,6 +93,34 @@ def test_bundled_maps_and_gradients_equal_the_array_formulas(values):
         assert np.array_equal(m.gradient(x), g)
 
 
+@given(st.lists(positions, min_size=1, max_size=8))
+# the per-point bodies square with libm pow(x, 2.0), numpy with x * x; the two
+# round 13.433321765081631 ** 2 differently, and exp magnifies that one ulp of
+# its argument -181.45 into 248 ulp of f_a's gradient entry 4
+@example([[0.0, 0.0, 0.0, 0.0, 13.433321765081631, 1.0]])
+@settings(max_examples=100, deadline=None)
+def test_bundled_gradients_of_a_batch_equal_the_per_point_gradients(rows):
+    batch = np.array(rows)
+    for i, m in enumerate(GAME.maps):
+        got = m.grad(batch)
+        assert got.dtype == np.float64 and got.shape == batch.shape
+        assert np.array_equal(m.gradient(batch), got)
+        want = np.array([m.grad(x) for x in batch])
+        # the own block, all the compatibility check reads, keeps every bit
+        own = slice(2 * i, 2 * i + 2)
+        assert np.array_equal(got[:, own], want[:, own])
+        ulps = np.abs(got - want) / np.spacing(np.maximum(np.abs(got), np.abs(want)))
+        ulps[:, own] = 0.0
+        if i == 0:
+            # f_a's entries 4 and 5 carry exp(-x4**2 - x5**2): its argument is
+            # above -745.2 where it is not 0, so one ulp of it is a relative
+            # 745 * 2**-52 < 2e-13 of the entry; atol covers subnormal results
+            assert np.allclose(got[:, 4:], want[:, 4:], rtol=1e-12, atol=1e-300)
+            ulps[:, 4:] = 0.0
+        # numpy's cos and exp may differ from math's in the last bits
+        assert np.all(ulps <= 4.0)
+
+
 @pytest.mark.parametrize("kind", ["single_integrator", "unicycle"])
 @given(values=states, h=poles, t=st.floats(min_value=0.0, max_value=50.0))
 @settings(max_examples=60, deadline=None)

@@ -98,6 +98,33 @@ def test_verify_mode_passes_on_each_bundled_scenario(tmp_path, name):
     assert lines[-1] == f"{len(checks)}/{len(checks)} checks passed"
 
 
+def test_verify_checks_compatibility_with_one_gradient_call_per_map(tmp_path, monkeypatch):
+    # every gradient takes all 1,000 points at once
+    calls = []
+
+    def counted(name, grad):
+        def fn(x):
+            calls.append((name, x.shape))
+            return grad(x)
+        return fn
+
+    check = ditherseek.cli.check_potential_compatibility
+
+    def counted_check(game, **kwargs):
+        maps = tuple(replace(m, grad=counted(f"agent {i}", m.grad))
+                     for i, m in enumerate(game.maps))
+        return check(replace(game, maps=maps,
+                             potential_grad=counted("potential", game.potential_grad)),
+                     **kwargs)
+
+    monkeypatch.setattr(ditherseek.cli, "check_potential_compatibility", counted_check)
+    assert run(RunConfig("verify", "three_agent_unicycle", tmp_path / "v")) == 0
+    assert calls == [("agent 0", (1000, 6)), ("agent 1", (1000, 6)),
+                     ("agent 2", (1000, 6)), ("potential", (1000, 6))]
+    assert "[PASS] potential compatibility" in (
+        tmp_path / "v" / "three_agent_unicycle_verify.txt").read_text()
+
+
 def test_identical_runs_are_byte_identical(scalar_file, tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     run(RunConfig("simulate", str(scalar_file), out1, seed=5))
@@ -568,8 +595,16 @@ def test_scenario_name_cannot_escape_the_output_directory(tmp_path, capsys):
     ("name: tiny\ndescription: {a: b}", "description", "dict"),
     ("name: tiny\nnu_method: [a, b]", "nu_method", "list"),
     ('name: tiny\ndither: [[a], "cosine:1"]', "dither", "list"),
+    # a null or boolean is not read as the text 'None', 'True' or 'False'
+    ("name:", "name", "NoneType"),
+    ("name: null", "name", "NoneType"),
+    ("name: true", "name", "bool"),
+    ("name: tiny\ndescription: false", "description", "bool"),
+    ("name: tiny\nnu_method: ~", "nu_method", "NoneType"),
+    ('name: tiny\ndither: [true, "cosine:1"]', "dither", "bool"),
 ], ids=["name_list", "name_dict", "name_set", "description_list", "description_dict",
-        "nu_method_list", "dither_entry_list"])
+        "nu_method_list", "dither_entry_list", "name_empty", "name_null", "name_true",
+        "description_false", "nu_method_null", "dither_entry_true"])
 def test_a_collection_as_name_or_description_is_refused(tmp_path, capsys, new, key, kind):
     doc = tmp_path / "collection.yaml"
     doc.write_text(FAST_SCALAR.replace("name: tiny", new), encoding="utf-8")

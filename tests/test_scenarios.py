@@ -219,7 +219,10 @@ def test_nu_method_quadrature_roundtrip():
 
 @pytest.mark.parametrize("value", ["quadrature:abc", "quadrature:4", "quadrature:",
                                    "simpson", "closed_form:8", "quadrature:1048577",
-                                   "quadrature:100000000000"])
+                                   "quadrature:100000000000",
+                                   # int() reads these as 1,000 and 64 nodes
+                                   "quadrature:1_000", "quadrature:+64", "quadrature: 64",
+                                   "quadrature:\u0666\u0664"])
 def test_nu_method_rejected_at_load_time(value):
     with pytest.raises(ScenarioError, match="nu_method"):
         parse_scenario_text(MINIMAL_AGENT + f'nu_method: "{value}"\n')

@@ -285,10 +285,10 @@ def _stripped_game():
         return (-0.5 * (x[0] - 1.0) ** 2 - 0.5 * (x[1] - 1.0) ** 2
                 + x[3] ** 2 + math.exp(-x[4] ** 2 - x[5] ** 2) - 10.0)
 
-    def grad_f_a_stripped(x):
-        e = math.exp(-x[4] ** 2 - x[5] ** 2)
-        return np.array([-(x[0] - 1.0), -(x[1] - 1.0), 0.0, 2.0 * x[3],
-                         -2.0 * x[4] * e, -2.0 * x[5] * e])
+    def grad_f_a_stripped(x):  # one point (6,) or a batch (S, 6)
+        e = np.exp(-x[..., 4] ** 2 - x[..., 5] ** 2)
+        return np.stack([-(x[..., 0] - 1.0), -(x[..., 1] - 1.0), np.zeros_like(e),
+                         2.0 * x[..., 3], -2.0 * x[..., 4] * e, -2.0 * x[..., 5] * e], axis=-1)
 
     maps = (AgentMap(f_a_stripped, grad_f_a_stripped),) + base.maps[1:]
     return PotentialGame(maps, base.potential, base.potential_grad, maximizer=base.maximizer)
@@ -298,7 +298,7 @@ def _incompatible_game():
     # agent 1 seeks a different maximizer than the potential prescribes
     good = quadratic_game(np.ones(2), np.zeros(2))
     bad_map = AgentMap(lambda x: -float((x[0] - 1.0) ** 2 + x[1] ** 2),
-                       lambda x: np.array([-2.0 * (x[0] - 1.0), -2.0 * x[1]]))
+                       lambda x: np.stack([-2.0 * (x[..., 0] - 1.0), -2.0 * x[..., 1]], axis=-1))
     return PotentialGame((bad_map,), good.potential, good.potential_grad)
 
 
@@ -349,11 +349,25 @@ def test_compatibility_reduction_equals_the_per_sample_loop(make_game):
 def test_a_nan_gradient_fails_the_compatibility_check():
     # the defects are reduced at once, so a nan one is not dropped by max()
     good = quadratic_game(np.ones(2), np.zeros(2))
-    nan_map = AgentMap(good.potential,
-                       lambda x: np.full(2, math.nan) if x[0] > 0.0 else good.potential_grad(x))
+    nan_map = AgentMap(good.potential, lambda x: np.where(x[..., :1] > 0.0, math.nan,
+                                                          good.potential_grad(x)))
     rep = check_potential_compatibility(
         PotentialGame((nan_map,), good.potential, good.potential_grad), samples=50)
     assert math.isnan(rep.max_defect) and not rep.passed
+
+
+def test_a_gradient_that_ignores_the_batch_is_refused():
+    # one point's gradient where the check passes a batch of 50 points: numpy
+    # would broadcast it over the batch and compare 50 copies of one point
+    good = quadratic_game(np.ones(2), np.zeros(2))
+    flat = AgentMap(good.potential, lambda x: good.potential_grad(np.zeros(2)))
+    with pytest.raises(ValueError, match=r"agent 0 returned shape \(2,\) for points "
+                                         r"of shape \(50, 2\)"):
+        check_potential_compatibility(
+            PotentialGame((flat,), good.potential, good.potential_grad), samples=50)
+    with pytest.raises(ValueError, match=r"the potential returned shape \(50, 1\)"):
+        check_potential_compatibility(
+            PotentialGame(good.maps, good.potential, lambda x: x[:, :1]), samples=50)
 
 
 @pytest.mark.parametrize("samples", [0, -1, 1.5, True])
