@@ -42,7 +42,8 @@ class AgentMap:
     differences, row by row for a batch. A value or gradient whose float
     arithmetic overflows reads nan: Python floats raise OverflowError where
     numpy gives inf, and either way the fields built on the map refuse the
-    non-finite value.
+    non-finite value. A batch body computes in numpy, where an overflow is
+    inf and may go on (exp(-inf) is 0) to entries the float body reads nan.
     """
 
     fn: Callable[[np.ndarray], float]
