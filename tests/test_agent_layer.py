@@ -113,8 +113,9 @@ def test_bundled_gradients_of_a_batch_equal_the_per_point_gradients(rows):
         ulps[:, own] = 0.0
         if i == 0:
             # f_a's entries 4 and 5 carry exp(-x4**2 - x5**2): its argument is
-            # above -745.2 where it is not 0, so one ulp of it is a relative
-            # 745 * 2**-52 < 2e-13 of the entry; atol covers subnormal results
+            # above -745.2 where it is not 0, so one ulp of it moves the entry
+            # by a relative 745 * 2**-52 = 1.7e-13 at most, plus exp's own
+            # ulps (2.3e-13 in all, measured); atol covers subnormal results
             assert np.allclose(got[:, 4:], want[:, 4:], rtol=1e-12, atol=1e-300)
             ulps[:, 4:] = 0.0
         # numpy's cos and exp may differ from math's in the last bits
