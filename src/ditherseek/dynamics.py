@@ -21,9 +21,9 @@ integrators form a stage as a stage-table row times the features.
 
 Fields and systems are immutable after construction; evaluation is
 reentrant. The only mutable state is in one-entry caches, each replaced as
-a whole: a stack's L(t), the point cache its row views share (one value
-slot, one Jacobian slot), a right-hand side's last stage table, and the
-averaged field's contracted P(t) and H(t), each for the last time.
+a whole: the point cache a stack's row views share (one value slot, one
+Jacobian slot), and one :func:`last_table` per job on time alone, for its
+last times: a stack's L(t), a right-hand side's M(t), the averaged P(t), H(t).
 """
 
 from __future__ import annotations
@@ -49,8 +49,9 @@ class VectorField:
     with row i holding the gradient of component i. ``oscillation_rate`` is
     the fastest angular rate the field varies with in t (0 for autonomous
     fields); integrators use it to resolve the fast scale. ``stage_table``, if
-    given, maps T times to a read-only (T, ...) array of t-only rows, and then
-    ``fn(t, x, row)`` takes the row of t (:func:`~ditherseek.sim.integrate`).
+    given, maps T times to T rows of t-only data (read-only arrays, or tuples of
+    them), and then ``fn(t, x, row)`` takes the row of t (``integrate`` reads
+    ``list(stage_table(times))``).
     """
 
     dim: int
@@ -116,6 +117,22 @@ def finite_diff_jacobian(fld, t: float, x: np.ndarray) -> np.ndarray:
     return J
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def last_table(tabulate):
+    """``tabulate``, mapping a (T,) float array of times to T read-only rows of t alone,
+    as a table that keeps the rows of its last times, keyed by their exact bytes."""
+    tabulated = lru_cache(maxsize=1)(lambda key: tabulate(np.frombuffer(key)))
+
+    def table(times):
+        return tabulated(np.asarray(times, dtype=float).tobytes())
+
+    return table
+
+
 class _RowView:
     """Row ``index`` of a stack's value (``slot`` 0) or Jacobian (``slot`` 1),
     as a field callable.
@@ -136,8 +153,7 @@ class _RowView:
         key = (t, x.tobytes())
         cached_key, value = self.slots[self.slot]
         if cached_key != key:
-            value = self.stack.jacobian(t, x) if self.slot else self.stack(t, x)
-            value.flags.writeable = False
+            value = _read_only(self.stack.jacobian(t, x) if self.slot else self.stack(t, x))
             self.slots[self.slot] = (key, value)
         return value[self.index]
 
@@ -148,30 +164,29 @@ class FieldStack:
     Calling the stack at (t, x) gives a (rows, n) array, row 0 the drift and
     row k the k-th channel field: L(t) @ features(t, x), with
     L(t) = sum_j phi_j(t) * layout[j]. ``layout`` has shape (p, rows, n, 1 + k),
-    ``basis`` maps t to phi(t) and T times to (T, p) (None: the constant basis
+    ``basis`` maps T times to the (T, p) phi(t) (None: the constant basis
     [1]), ``features`` (t, x) to [1, w] and ``feature_jac`` (t, x) to the (k, n)
-    Jacobian of w. :meth:`weighted` gives c(t) @ L(t) at T times, :meth:`jacobian`
-    the stacked Jacobian (rows, n, n); ``oscillation_rates`` each row's rate in
-    t (default 0, see :class:`VectorField`). Neither value nor Jacobian is cached; only
-    L(t) is, for the last t. The row views in :attr:`fields` share a point
-    cache (see :class:`_RowView`).
+    Jacobian of w. :meth:`phi` gives phi(t) at T times, :meth:`weighted` c(t) @ L(t),
+    :meth:`jacobian` the stacked Jacobian (rows, n, n); ``oscillation_rates`` each
+    row's rate in t (default 0, see :class:`VectorField`). Only L(t) is cached, in
+    a :func:`last_table`. The row views in :attr:`fields` share a point cache (see
+    :class:`_RowView`).
     """
 
     def __init__(self, layout, features, feature_jac=None, basis=None, oscillation_rates=None):
-        layout = np.array(layout, dtype=float)
+        layout = _read_only(np.array(layout, dtype=float))
         p, rows, n, width = layout.shape
         if basis is None and p != 1:
             raise ValueError("a layout over more than one basis function needs a basis")
         rates = (0.0,) * rows if oscillation_rates is None else tuple(oscillation_rates)
         if len(rates) != rows:
             raise ValueError(f"{len(rates)} oscillation rates for {rows} rows")
-        layout.flags.writeable = False
         self.layout, self.basis = layout, basis
         self.features, self.feature_jac = features, feature_jac
         self.dim, self.shape = n, (rows, n)
-        self._flat, self._by_row = layout.reshape(p, -1), layout.reshape(p * rows, -1)
-        # one-entry cache: t and L(t) as the (rows * n, 1 + k) matrix
-        self._last = (None, layout[0].reshape(rows * n, width))
+        flat, self._by_row = layout.reshape(p, -1), layout.reshape(p * rows, -1)
+        self._matrices = last_table(lambda times: _read_only(  # L(t) as (rows * n, 1 + k)
+            (self.phi(times) @ flat).reshape(times.size, rows * n, width)))
         slots = [(None, None), (None, None)]
         self.fields = tuple(
             VectorField(n, _RowView(self, k, 0, slots),
@@ -179,28 +194,24 @@ class FieldStack:
                         oscillation_rate=float(rate))
             for k, rate in enumerate(rates))
 
-    def _matrix(self, t):
-        last_t, L = self._last
-        if last_t != t and self.basis is not None:
-            L = (self.basis(t) @ self._flat).reshape(-1, self.layout.shape[-1])
-            L.flags.writeable = False
-            self._last = (t, L)
-        return L
-
-    def weighted(self, times, weights) -> np.ndarray:
-        """c(t) @ L(t) at T times as (T, n * (1 + k)), ``weights`` the (T, rows) c(t):
-        the outer products phi(t) ⊗ c(t) times the layout, with no L(t) formed."""
+    def phi(self, times) -> np.ndarray:
+        """The basis weights phi(t) at T times as (T, p): ones for the constant basis."""
         times = np.asarray(times, dtype=float)
         phi = np.ones((times.size, 1)) if self.basis is None else np.asarray(self.basis(times))
         if phi.shape != (times.size, self.layout.shape[0]):
             raise ValueError(f"basis returned shape {phi.shape} for {times.size} times")
-        outer = phi[:, :, None] * np.asarray(weights, dtype=float)[:, None, :]
-        return outer.reshape(times.size, -1) @ self._by_row
+        return phi
+
+    def weighted(self, times, weights) -> np.ndarray:
+        """c(t) @ L(t) at T times as (T, n * (1 + k)), ``weights`` the (T, rows) c(t):
+        the outer products phi(t) ⊗ c(t) times the layout, with no L(t) formed."""
+        outer = self.phi(times)[:, :, None] * np.asarray(weights, dtype=float)[:, None, :]
+        return outer.reshape(len(outer), -1) @ self._by_row
 
     def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
         """Stacked value (rows, n)."""
         x = np.asarray(x, dtype=float)
-        return (self._matrix(t) @ self.features(t, x)).reshape(self.shape)
+        return (self._matrices(t)[0] @ self.features(t, x)).reshape(self.shape)
 
     def feature_jacobian(self, t: float, x: np.ndarray) -> np.ndarray:
         """The (k, n) Jacobian of w: ``feature_jac`` when supplied, else central
@@ -212,7 +223,7 @@ class FieldStack:
 
     def jacobian(self, t: float, x: np.ndarray) -> np.ndarray:
         """Stacked Jacobian (rows, n, n): L(t)[..., 1:] @ :meth:`feature_jacobian`."""
-        J = self._matrix(t)[:, 1:] @ self.feature_jacobian(t, x)
+        J = self._matrices(t)[0, :, 1:] @ self.feature_jacobian(t, x)
         return J.reshape(self.shape + (self.dim,))
 
     @staticmethod
@@ -307,9 +318,9 @@ def assemble_rhs(sys: InputAffineSystem) -> VectorField:
     With c(t) = [1, gain*u_1(t, omega*t), ..., gain*u_m(t, omega*t)], it is
     c(t) @ stack(t, x) = M(t) @ features(t, x). The stage table holds the
     (n, 1 + k) matrices M(t) = c(t) @ L(t) of an array of times, built in one
-    pass and kept for the last array, so dithers must be pure in (t, theta).
-    ``fn(t, x, row)`` is one matrix-vector product, checked for finiteness;
-    ``fn(t, x)`` tabulates t itself. ``fn.features`` is the stack's features:
+    pass and kept for the last array (a :func:`last_table`), so dithers must be
+    pure in (t, theta). ``fn(t, x, row)`` is one matrix-vector product, checked
+    for finiteness; ``fn(t, x)`` reads the table of t alone. ``fn.features`` is the stack's features:
     for a table row r, ``fn(t, x, r)`` is ``np.dot(r, fn.features(t, x))``, the
     product ``integrate``'s kernel forms as ``r.dot(...)``, then the check. M(t)[:, 1:] @ feature_jac is the
     Jacobian, supplied only when drift and every channel carry one.
@@ -317,24 +328,17 @@ def assemble_rhs(sys: InputAffineSystem) -> VectorField:
     stack, omega = sys.stack, sys.omega
     gain = omega ** sys.amplitude_exponent
     dithers = tuple(sig.table_evaluator() for _, sig in sys.channels)
-    shape = (sys.dim, stack.layout.shape[-1])
     features = stack.features
 
     def matrices(times):
-        times = np.atleast_1d(np.asarray(times, dtype=float))
         c = np.array([np.ones(times.size)] + [gain * u(times, omega * times) for u in dithers])
-        table = stack.weighted(times, c.T).reshape((times.size,) + shape)
-        table.flags.writeable = False
-        return table
+        return _read_only(stack.weighted(times, c.T).reshape(times.size, sys.dim, -1))
 
-    tabulated = lru_cache(maxsize=1)(lambda key: matrices(np.frombuffer(key)))
+    stage_table = last_table(matrices)
     dot, isfinite = np.dot, np.isfinite
 
-    def stage_table(times):  # one entry, keyed by the exact times
-        return tabulated(np.asarray(times, dtype=float).tobytes())
-
     def fn(t, x, row=None):
-        out = dot(matrices(t)[0] if row is None else row, features(t, x))
+        out = dot(stage_table(t)[0] if row is None else row, features(t, x))
         if not isfinite(out).all():
             raise FieldEvaluationError("non-finite right-hand side")
         return out
@@ -345,7 +349,7 @@ def assemble_rhs(sys: InputAffineSystem) -> VectorField:
         feature_jac = stack.feature_jac
 
         def jac(t, x):
-            return matrices(t)[0, :, 1:] @ feature_jac(t, x)
+            return stage_table(t)[0, :, 1:] @ feature_jac(t, x)
 
     return VectorField(sys.dim, fn, jac=jac, oscillation_rate=sys.fast_rate,
                        stage_table=stage_table)

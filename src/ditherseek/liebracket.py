@@ -26,7 +26,7 @@ import warnings
 import numpy as np
 
 from ._quadrature import cumulative_simpson, even_intervals, simpson_uniform
-from .dynamics import FieldStack, InputAffineSystem, VectorField
+from .dynamics import FieldStack, InputAffineSystem, VectorField, _read_only, last_table
 from .signals import DitherSignal
 
 # quadrature values below this are treated as structural zeros when the
@@ -128,8 +128,8 @@ def build_lie_bracket_system(sys: InputAffineSystem,
     Only the sqrt(omega) amplitude scaling averages to this system, so any
     other ``amplitude_exponent`` is refused. The coefficients form one
     antisymmetric matrix A, A[j, i] = nu_ji = -A[i, j], filled once; the
-    pairs with a genuinely t-dependent dither are refilled whenever the
-    evaluation time changes. A coefficient that is not finite raises ValueError.
+    pairs with a genuinely t-dependent dither are refilled at each tabulated
+    time but t = 0. A coefficient that is not finite raises ValueError.
     Self-pairs never contribute: for zero-mean dithers their averaged term
     vanishes identically, and a channel with no non-zero pair is left out of
     the field, never evaluated.
@@ -140,8 +140,8 @@ def build_lie_bracket_system(sys: InputAffineSystem,
     basis function: P stacks the drift rows over the rows A @ L_live, and H,
     (n, r*k), holds the live rows' Jacobian columns side by side. One evaluation
     is y = P(t) @ w, U = y[n:] as (r, n) @ Jw.T and y[:n] + H(t) @ U. The stage
-    table holds phi(t); P(t) and H(t) are formed once per new time and kept for
-    the last one.
+    table, a :func:`~ditherseek.dynamics.last_table`, holds a read-only (P(t), H(t))
+    pair per time, from one product phi @ G per table; ``fn(t, z)`` reads t's alone.
     """
     if sys.amplitude_exponent != 0.5:
         raise ValueError(
@@ -168,8 +168,7 @@ def build_lie_bracket_system(sys: InputAffineSystem,
 
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
     static = fill(0.0, np.zeros((m, m)), pairs)
-    if varying:  # refill only the pairs with a t-dependent dither, once per new time
-        moving = [(i, j) for i, j in pairs if dithers[i].t_dependent or dithers[j].t_dependent]
+    moving = [(i, j) for i, j in pairs if dithers[i].t_dependent or dithers[j].t_dependent]
 
     # only the channel fields of pairs that can contribute are differentiated;
     # the drift enters undifferentiated
@@ -181,7 +180,7 @@ def build_lie_bracket_system(sys: InputAffineSystem,
             "one bracket", PrecisionWarning, stacklevel=2)
     rate = max([sys.drift.oscillation_rate] + [f.oscillation_rate for f in fields])
     stack = sys.stack if len(live) == m else FieldStack.of([sys.drift] + fields)
-    layout, basis, features = stack.layout, stack.basis, stack.features
+    layout, features = stack.layout, stack.features
     feature_jac = stack.feature_jac or stack.feature_jacobian
     p, _, n, width = layout.shape
     r = len(live)
@@ -193,29 +192,20 @@ def build_lie_bracket_system(sys: InputAffineSystem,
                         layout[:, 1:, :, 1:].transpose(0, 2, 1, 3).reshape(p, -1)), axis=1)
     split = (1 + r) * n * width
 
-    def contract(t, phi):  # P(t) and H(t) from the basis weights phi(t)
-        PH = phi.dot(G)
-        P = PH[:split].reshape((1 + r) * n, width)
-        if varying:
-            A = static if t == 0.0 else fill(t, static.copy(), moving)
-            P[n:] = (A @ P[n:].reshape(r, -1)).reshape(r * n, width)
-        return P, PH[split:].reshape(n, -1)
+    def tabulate(times):  # one (P(t), H(t)) pair per time
+        PH = stack.phi(times) @ G
+        P = PH[:, :split].reshape(times.size, (1 + r) * n, width)
+        H = PH[:, split:].reshape(times.size, n, -1)
+        if varying:  # refill the pairs with a t-dependent dither at each time but 0
+            for t, Pt in zip(times.tolist(), P):
+                A = static if t == 0.0 else fill(t, static.copy(), moving)
+                Pt[n:] = (A @ Pt[n:].reshape(r, -1)).reshape(r * n, width)
+        return list(zip(_read_only(P), _read_only(H)))
 
-    one = np.ones(1)
-    timed = basis is not None or varying
-    last = [None, *contract(0.0, one)] if not timed else [None, None, None]
-
-    def stage_table(times):
-        times = np.asarray(times, dtype=float)
-        phi = np.ones((times.size, 1)) if basis is None else np.asarray(basis(times))
-        phi.flags.writeable = False
-        return phi
+    stage_table = last_table(tabulate)
 
     def fn(t, z, row=None):
-        if timed and t != last[0]:
-            phi = row if row is not None else one if basis is None else np.asarray(basis(t))
-            last[:] = t, *contract(t, phi)
-        _, P, H = last
+        P, H = stage_table(t)[0] if row is None else row
         y = P.dot(features(t, z))
         if not r:
             return y

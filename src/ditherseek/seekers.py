@@ -43,7 +43,7 @@ class AgentMap:
     arithmetic overflows reads nan: Python floats raise OverflowError where
     numpy gives inf, and either way the fields built on the map refuse the
     non-finite value. A batch body computes in numpy, where an overflow is
-    inf and may go on (exp(-inf) is 0) to entries the float body reads nan.
+    inf, so it must read nan where the float body raises, row by row.
     """
 
     fn: Callable[[np.ndarray], float]
@@ -542,7 +542,8 @@ def three_agent_game() -> PotentialGame:
     A gradient also takes a batch (S, 6) to (S, 6) in a numpy body, so the
     compatibility check makes one call per map. Its own block keeps the
     per-point bits; numpy's ``exp``, ``cos`` and squares (x * x, not libm
-    pow) may move the last bits of the others, exp's up to |argument| ulp.
+    pow) may move the last bits of the others, exp's up to |argument| ulp. A
+    row whose finite x4 or x5 squares past the float range reads nan, as ** raises.
     """
 
     def f_a(x):
@@ -557,9 +558,13 @@ def three_agent_game() -> PotentialGame:
             return np.array([-(x0 - 1.0), -(x1 - 1.0), 2.0 * x2, 2.0 * x3,
                              -2.0 * x4 * e, -2.0 * x5 * e])
         x0, x1, x2, x3, x4, x5 = x.T
-        e = np.exp(-x4 ** 2 - x5 ** 2)
-        return np.stack([-(x0 - 1.0), -(x1 - 1.0), 2.0 * x2, 2.0 * x3,
-                         -2.0 * x4 * e, -2.0 * x5 * e], axis=-1)
+        with np.errstate(over="ignore"):
+            sq4, sq5 = x4 ** 2, x5 ** 2
+        e = np.exp(-sq4 - sq5)
+        g = np.stack([-(x0 - 1.0), -(x1 - 1.0), 2.0 * x2, 2.0 * x3,
+                      -2.0 * x4 * e, -2.0 * x5 * e], axis=-1)
+        g[(np.isinf(sq4) & np.isfinite(x4)) | (np.isinf(sq5) & np.isfinite(x5))] = np.nan
+        return g
 
     def f_b(x):
         x0, x1, x2, x3, _, _ = x.tolist()

@@ -122,6 +122,22 @@ def test_bundled_gradients_of_a_batch_equal_the_per_point_gradients(rows):
         assert np.all(ulps <= 4.0)
 
 
+def test_overflowing_and_infinite_batch_rows_equal_the_per_point_gradients():
+    # a finite x4 or x5 squaring past the float range makes the float body's **
+    # raise, a nan row; an infinite one squares to inf and goes on through exp
+    inf = math.inf
+    batch = np.array([[0.1, 0.2, 0.3, 0.4, 1e200, 0.5], [0.1, 0.2, 0.3, 0.4, 0.5, -2e154],
+                      [0.0, 0.0, 0.0, 0.0, inf, -2e154], [0.0, 0.0, 0.0, 0.0, 1e200, -inf],
+                      [0.0, 0.0, 0.0, 0.0, inf, 0.5], [0.0, 0.0, 0.0, 0.0, -inf, inf],
+                      [inf, -inf, inf, 0.0, 0.0, 0.0], [1.0, 1.0, -1.0, -1.0, -1.0, 1.0]])
+    with np.errstate(invalid="ignore"):
+        for m in GAME.maps:
+            want = np.array([m.gradient(x) for x in batch])
+            assert np.array_equal(m.gradient(batch), want, equal_nan=True)
+        got = GAME.maps[0].gradient(batch)
+    assert np.isnan(got[:4]).all() and not np.isnan(got[4:, :4]).any()
+
+
 @pytest.mark.parametrize("kind", ["single_integrator", "unicycle"])
 @given(values=states, h=poles, t=st.floats(min_value=0.0, max_value=50.0))
 @settings(max_examples=60, deadline=None)

@@ -18,7 +18,8 @@ from ditherseek import (FieldStack, InputAffineSystem, PrecisionWarning, StepPol
                         VectorField, build_lie_bracket_system, cosine, custom, integrate,
                         load_scenario, nu_closed_form, nu_quadrature, sine)
 from ditherseek import liebracket
-from ditherseek.sim import step_count
+from ditherseek.dynamics import last_table
+from ditherseek.sim import STAGE_CHUNK, step_count
 
 REL_TOL = 1e-13
 BUNDLED = ("scalar_basic", "three_agent_single_integrator", "three_agent_unicycle")
@@ -150,35 +151,43 @@ def test_one_features_and_one_feature_jac_call_per_evaluation(name):
         stack.features, stack.feature_jac = features, feature_jac
 
 
-class _CountingRows(np.ndarray):
-    """Stage-table rows that count the products formed from them."""
+def _counting_tables(monkeypatch, built):
+    """Make every table the bracket builds record the number of times it tabulates."""
+    def counting(tabulate):
+        return last_table(lambda times: (built.append(times.size), tabulate(times))[1])
 
-    products = 0
-
-    def dot(self, other, *args):
-        _CountingRows.products += 1
-        return np.asarray(self).dot(other, *args)
+    monkeypatch.setattr(liebracket, "last_table", counting)
 
 
-@pytest.mark.parametrize("name, timed", [("three_agent_unicycle", True),
-                                         ("custom_quadrature_512", True),
-                                         ("three_agent_single_integrator", False),
-                                         ("field_by_field", False)])
-def test_p_and_h_are_formed_once_per_distinct_stage_time(name, timed):
-    # RK4 meets 2S + 1 distinct stage times in S steps; a t-dependent basis or
-    # nu matrix forms P(t) and H(t) at each, a constant one only at build
+@pytest.mark.parametrize("name", ["three_agent_unicycle", "custom_quadrature_512",
+                                  "three_agent_single_integrator", "field_by_field"])
+def test_p_and_h_are_formed_once_per_distinct_stage_time(name, monkeypatch):
+    # RK4 meets 2S + 1 distinct stage times in S steps: the chunk's table forms
+    # P(t) and H(t) at each, and fn, given its rows, tabulates no time itself
     sys, nu_method, x0 = SYSTEMS[name]
+    built = []
+    _counting_tables(monkeypatch, built)
     bracket = build_lie_bracket_system(sys, nu_method)
-
-    def stage_table(times):
-        return bracket.stage_table(times).view(_CountingRows)
-
-    _CountingRows.products = 0
     policy = StepPolicy(max_step=0.01)
-    traj = integrate(dataclasses.replace(bracket, stage_table=stage_table), x0, 0.3,
-                     policy=policy)
-    assert traj.total_steps == step_count(0.3, bracket.oscillation_rate, policy) > 1
-    assert _CountingRows.products == (2 * traj.total_steps + 1 if timed else 0)
+    traj = integrate(bracket, x0, 0.3, policy=policy)
+    assert 1 < traj.total_steps == step_count(0.3, bracket.oscillation_rate, policy) <= STAGE_CHUNK
+    assert built == [2 * traj.total_steps + 1]
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_integrations_on_one_grid_share_the_chunk_table(name, monkeypatch):
+    # crosscheck integrates 4 initial states per field on one time grid: the
+    # chunk's table is built once and read by all four
+    sc = SCENARIOS[name]
+    built = []
+    _counting_tables(monkeypatch, built)
+    bracket = sc.generic_lie_field()
+    policy = StepPolicy(max_step=0.01)
+    runs = [integrate(bracket, sc.x0 + shift, 0.3, policy=policy)
+            for shift in (0.0, 0.1, 0.2, 0.3)]
+    steps = runs[0].total_steps
+    assert all(run.total_steps == steps for run in runs) and 1 < steps <= STAGE_CHUNK
+    assert built == [2 * steps + 1]
 
 
 def test_a_row_less_call_evaluates_the_basis_once_per_new_time():
@@ -277,5 +286,12 @@ def test_a_system_over_some_rows_of_a_stack_evaluates_it_once_per_point(dead_cha
 
 @pytest.mark.parametrize("name", BUNDLED)
 def test_every_bundled_generic_averaged_field_has_a_stage_table(name):
-    table = SCENARIOS[name].generic_lie_field().stage_table(np.array([0.0, 0.25, 0.5]))
-    assert table.shape[0] == 3 and not table.flags.writeable
+    # one read-only (P(t), H(t)) pair per time; every bundled channel pairs with another
+    sc = SCENARIOS[name]
+    sys = sc.build_system(sc.omegas[0])
+    n, r, k = sys.dim, len(sys.channels), sys.stack.layout.shape[-1] - 1
+    table = sc.generic_lie_field().stage_table(np.array([0.0, 0.25, 0.5]))
+    assert len(table) == 3
+    for P, H in table:
+        assert P.shape == ((1 + r) * n, 1 + k) and H.shape == (n, r * k)
+        assert not (P.flags.writeable or H.flags.writeable)

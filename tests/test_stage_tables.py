@@ -5,9 +5,10 @@ so the right-hand side's t-only factors, the matrices M(t) = c(t) @ L(t)
 of dithers and layout, are tabulated for a chunk of STAGE_CHUNK steps'
 stage times at once, and the last table is kept: runs on one time grid
 (the directions of a probe cell) share it while they share a chunk. The
-averaged field keeps its t-dependent nu matrix for the last time. Table
-rows must agree with the scalar formula, chunk boundaries must not show in
-a run, and cached and freshly built fields must give bit-identical values.
+averaged field tabulates its P(t) and H(t), t-dependent nu matrix applied,
+the same way. Table rows must agree with the scalar formula, chunk
+boundaries must not show in a run, and cached and freshly built fields must
+give bit-identical values.
 """
 
 import dataclasses
