@@ -142,6 +142,8 @@ def build_lie_bracket_system(sys: InputAffineSystem,
     is y = P(t) @ w, U = y[n:] as (r, n) @ Jw.T and y[:n] + H(t) @ U. The stage
     table, a :func:`~ditherseek.dynamics.last_table`, holds a read-only (P(t), H(t))
     pair per time, from one product phi @ G per table; ``fn(t, z)`` reads t's alone.
+    With the constant basis and no t-dependent dither, every time holds the one
+    pair formed at build.
     """
     if sys.amplitude_exponent != 0.5:
         raise ValueError(
@@ -193,6 +195,8 @@ def build_lie_bracket_system(sys: InputAffineSystem,
     split = (1 + r) * n * width
 
     def tabulate(times):  # one (P(t), H(t)) pair per time
+        if shared is not None:
+            return [shared] * times.size
         PH = stack.phi(times) @ G
         P = PH[:, :split].reshape(times.size, (1 + r) * n, width)
         H = PH[:, split:].reshape(times.size, n, -1)
@@ -202,6 +206,9 @@ def build_lie_bracket_system(sys: InputAffineSystem,
                 Pt[n:] = (A @ Pt[n:].reshape(r, -1)).reshape(r * n, width)
         return list(zip(_read_only(P), _read_only(H)))
 
+    shared = None  # with the constant basis and fixed nu, every time has the pair of t = 0
+    if stack.basis is None and not varying:
+        shared = tabulate(np.zeros(1))[0]
     stage_table = last_table(tabulate)
 
     def fn(t, z, row=None):

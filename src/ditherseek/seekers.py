@@ -38,16 +38,19 @@ class AgentMap:
     """An individual objective f_i: R^(2N) -> R with optional analytic gradient.
 
     ``fn`` takes one point (2N,); ``grad`` one point (2N,) or a batch (S, 2N),
-    returning (2N,) or (S, 2N), and without it :meth:`gradient` takes central
-    differences, row by row for a batch. A value or gradient whose float
-    arithmetic overflows reads nan: Python floats raise OverflowError where
-    numpy gives inf, and either way the fields built on the map refuse the
-    non-finite value. A batch body computes in numpy, where an overflow is
-    inf, so it must read nan where the float body raises, row by row.
+    returning for one point 2N floats, as a list or a (2N,) array, and for a
+    batch (S, 2N). :meth:`gradient` always returns an array, and without
+    ``grad`` takes central differences, row by row for a batch. A value or
+    gradient whose float arithmetic overflows reads nan: Python floats raise
+    OverflowError where numpy gives inf, and either way the fields built on
+    the map refuse the non-finite value. The Jacobian paths (the washout
+    Jacobian, the closed-form averaged fields) call ``fn`` and ``grad``
+    directly, with this rule inlined. A batch body computes in numpy, where
+    an overflow is inf, so it must read nan where the float body raises, row by row.
     """
 
     fn: Callable[[np.ndarray], float]
-    grad: Callable[[np.ndarray], np.ndarray] | None = None
+    grad: Callable[[np.ndarray], np.ndarray | list[float]] | None = None
 
     def __call__(self, xbar: np.ndarray) -> float:
         try:
@@ -191,8 +194,9 @@ class _AgentLoops:
 
     def __init__(self, game: PotentialGame, params: list[AgentParams], basis_size: int):
         self.n = n = game.n_agents
-        self.maps = game.maps
         self.fns = [m.fn for m in game.maps]
+        # the raw gradients; a map without one takes central differences
+        self.grads = [m.gradient if m.grad is None else m.grad for m in game.maps]
         self.q, self.harmonics = frequency_decomposition([p.a for p in params])
         s = np.sqrt(np.array(self.harmonics, dtype=float))
         self.h = [float(p.h) for p in params]
@@ -222,12 +226,19 @@ class _AgentLoops:
         return np.array(w)
 
     def feature_jac(self, t, x):
-        """Washout Jacobian (N, 3N), each agent gradient called once and the N
-        of them written into a copy of ``jac_template`` in one assignment."""
+        """Washout Jacobian (N, 3N), each agent gradient called once, ``AgentMap``'s
+        rule inlined as in :meth:`features`, and the N rows written into a copy of
+        ``jac_template`` in one assignment."""
         n2 = 2 * self.n
         xbar = x[:n2]
+        rows = []
+        for grad in self.grads:
+            try:
+                rows.append(grad(xbar))
+            except OverflowError:
+                rows.append([math.nan] * n2)
         J = self.jac_template.copy()
-        J[:, :n2] = [m.gradient(xbar) for m in self.maps]
+        J[:, :n2] = rows
         return J
 
     def system(self, basis, agent_rates, omega: float) -> InputAffineSystem:
@@ -284,17 +295,23 @@ def analytic_lie_single_integrator(game: PotentialGame, params) -> VectorField:
     params = _check_params(game, params)
     n = game.n_agents
     dim = 3 * n
-    # per agent: index, map, c*alpha, c**2, h
-    agents = [(i, m, p.c * p.alpha, p.c ** 2, p.h)
+    # per agent: index, map, gradient, c*alpha, c**2, h
+    agents = [(i, m.fn, m.grad, p.c * p.alpha, p.c ** 2, p.h)
               for i, (m, p) in enumerate(zip(_analytic_maps(game), params))]
 
     def fn(t, z):
         zbar, z_e = z[:2 * n], z[2 * n:].tolist()
         out = [0.0] * dim
-        for i, m, c_alpha, c_sq, h in agents:
-            f_val = m(zbar)
-            grad = m.gradient(zbar).tolist()
-            d1, d2 = grad[2 * i], grad[2 * i + 1]
+        for i, f, grad, c_alpha, c_sq, h in agents:
+            try:  # AgentMap's rule inlined: an OverflowError reads nan
+                f_val = float(f(zbar))
+            except OverflowError:
+                f_val = math.nan
+            try:
+                row = grad(zbar)
+                d1, d2 = float(row[2 * i]), float(row[2 * i + 1])
+            except OverflowError:
+                d1 = d2 = math.nan
             g = f_val - z_e[i] * h
             out[2 * i] = 0.5 * (c_alpha * d1 - c_sq * d2 * g)
             out[2 * i + 1] = 0.5 * (c_alpha * d2 + c_sq * d1 * g)
@@ -347,17 +364,23 @@ def analytic_lie_unicycle(game: PotentialGame, params, Omega: float) -> VectorFi
     params = _check_params(game, params, Omega)
     n = game.n_agents
     dim = 3 * n
-    # per agent: index, map, 0.5*c*alpha, h, heading rate
-    agents = [(i, m, 0.5 * p.c * p.alpha, p.h, float(p.d) * Omega)
+    # per agent: index, map, gradient, 0.5*c*alpha, h, heading rate
+    agents = [(i, m.fn, m.grad, 0.5 * p.c * p.alpha, p.h, float(p.d) * Omega)
               for i, (m, p) in enumerate(zip(_analytic_maps(game), params))]
 
     def fn(t, z):
         zbar, z_e = z[:2 * n], z[2 * n:].tolist()
         out = [0.0] * dim
-        for i, m, half_c_alpha, h, rate in agents:
-            f_val = m(zbar)
-            grad = m.gradient(zbar).tolist()
-            d1, d2 = grad[2 * i], grad[2 * i + 1]
+        for i, f, grad, half_c_alpha, h, rate in agents:
+            try:  # AgentMap's rule inlined: an OverflowError reads nan
+                f_val = float(f(zbar))
+            except OverflowError:
+                f_val = math.nan
+            try:
+                row = grad(zbar)
+                d1, d2 = float(row[2 * i]), float(row[2 * i + 1])
+            except OverflowError:
+                d1 = d2 = math.nan
             cw, sw = math.cos(rate * t), math.sin(rate * t)
             proj = half_c_alpha * (d1 * cw + d2 * sw)
             out[2 * i] = proj * cw
@@ -537,13 +560,17 @@ def three_agent_game() -> PotentialGame:
     ``math``: the same bits as indexing the array element by element, at a
     fraction of the cost of numpy scalar arithmetic: one unicycle
     right-hand side at omega = 80 costs 5.9 us with these maps, 7.9 us with
-    maps on numpy scalars (2-core Xeon, Python 3.11.7, numpy 2.4.6).
+    maps on numpy scalars (2-core Xeon, Python 3.11.7, numpy 2.4.6). A
+    gradient returns those floats as a list of 6, no array: its callers
+    write rows into a matrix or read two entries.
 
     A gradient also takes a batch (S, 6) to (S, 6) in a numpy body, so the
     compatibility check makes one call per map. Its own block keeps the
     per-point bits; numpy's ``exp``, ``cos`` and squares (x * x, not libm
     pow) may move the last bits of the others, exp's up to |argument| ulp. A
     row whose finite x4 or x5 squares past the float range reads nan, as ** raises.
+    The batch bodies are as silent as the float ones on infinite and overflowing
+    entries: numpy's invalid and overflow warnings are off inside them.
     """
 
     def f_a(x):
@@ -555,14 +582,13 @@ def three_agent_game() -> PotentialGame:
         if x.ndim == 1:
             x0, x1, x2, x3, x4, x5 = x.tolist()
             e = math.exp(-x4 ** 2 - x5 ** 2)
-            return np.array([-(x0 - 1.0), -(x1 - 1.0), 2.0 * x2, 2.0 * x3,
-                             -2.0 * x4 * e, -2.0 * x5 * e])
+            return [-(x0 - 1.0), -(x1 - 1.0), 2.0 * x2, 2.0 * x3, -2.0 * x4 * e, -2.0 * x5 * e]
         x0, x1, x2, x3, x4, x5 = x.T
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             sq4, sq5 = x4 ** 2, x5 ** 2
-        e = np.exp(-sq4 - sq5)
-        g = np.stack([-(x0 - 1.0), -(x1 - 1.0), 2.0 * x2, 2.0 * x3,
-                      -2.0 * x4 * e, -2.0 * x5 * e], axis=-1)
+            e = np.exp(-sq4 - sq5)
+            g = np.stack([-(x0 - 1.0), -(x1 - 1.0), 2.0 * x2, 2.0 * x3,
+                          -2.0 * x4 * e, -2.0 * x5 * e], axis=-1)
         g[(np.isinf(sq4) & np.isfinite(x4)) | (np.isinf(sq5) & np.isfinite(x5))] = np.nan
         return g
 
@@ -577,9 +603,10 @@ def three_agent_game() -> PotentialGame:
             x0, x1, x2, x3, _, _ = x.tolist()
             s = x0 + x1
             cc = math.cos(s) if math.isfinite(s) else math.nan
-            return np.array([cc, cc, -(x2 + 1.0), -(x3 + 1.0), 0.0, 0.0])
+            return [cc, cc, -(x2 + 1.0), -(x3 + 1.0), 0.0, 0.0]
         x0, x1, x2, x3, _, _ = x.T
-        cc = np.cos(x0 + x1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cc = np.cos(x0 + x1)
         zero = np.zeros_like(cc)
         return np.stack([cc, cc, -(x2 + 1.0), -(x3 + 1.0), zero, zero], axis=-1)
 
@@ -590,10 +617,11 @@ def three_agent_game() -> PotentialGame:
     def grad_f_c(x):
         if x.ndim == 1:
             _, _, _, _, x4, x5 = x.tolist()
-            return np.array([0.0, 0.0, 0.0, 0.0, -(x4 + 1.0), -3.0 * (x5 - 1.0)])
+            return [0.0, 0.0, 0.0, 0.0, -(x4 + 1.0), -3.0 * (x5 - 1.0)]
         _, _, _, _, x4, x5 = x.T
         zero = np.zeros_like(x4)
-        return np.stack([zero, zero, zero, zero, -(x4 + 1.0), -3.0 * (x5 - 1.0)], axis=-1)
+        with np.errstate(over="ignore"):
+            return np.stack([zero, zero, zero, zero, -(x4 + 1.0), -3.0 * (x5 - 1.0)], axis=-1)
 
     maps = (
         AgentMap(f_a, grad_f_a),

@@ -8,6 +8,8 @@ slice the stacks pass to the maps.
 """
 
 import math
+import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -17,8 +19,8 @@ from hypothesis import strategies as st
 
 from ditherseek import (AgentMap, AgentParams, FieldEvaluationError, PotentialGame,
                         analytic_lie_single_integrator, analytic_lie_unicycle,
-                        assemble_rhs, build_single_integrator, build_unicycle,
-                        quadratic_game, three_agent_game)
+                        assemble_rhs, build_lie_bracket_system, build_single_integrator,
+                        build_unicycle, quadratic_game, three_agent_game)
 
 GAME = three_agent_game()
 
@@ -87,8 +89,8 @@ def test_bundled_maps_and_gradients_equal_the_array_formulas(values):
         value = m.fn(x)
         assert type(value) is float and value == f(reference)
         assert m(x) == value
-        g = m.grad(x)
-        assert g.dtype == np.float64 and g.shape == (6,)
+        g = m.grad(x)  # for one point, a list of 2N Python floats
+        assert type(g) is list and len(g) == 6 and all(type(d) is float for d in g)
         assert np.array_equal(g, grad(reference))
         assert np.array_equal(m.gradient(x), g)
 
@@ -138,6 +140,22 @@ def test_overflowing_and_infinite_batch_rows_equal_the_per_point_gradients():
     assert np.isnan(got[:4]).all() and not np.isnan(got[4:, :4]).any()
 
 
+def test_batch_rows_with_infinities_give_no_warning():
+    # the float bodies are silent on these rows; cos(inf), inf * 0 and 2 * 1.7e308
+    # in the numpy bodies must be too
+    inf, big = math.inf, 1.7e308
+    batch = np.array([[inf, 0.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, inf, 0.0],
+                      [0.0, 0.0, 0.0, 0.0, -inf, inf], [inf, -inf, 0.0, 0.0, 0.0, 0.0],
+                      [0.0, 0.0, 0.0, 0.0, 1e200, 0.0], [big, big, big, big, big, -big],
+                      [-big, -big, -big, -big, -big, big], [1.0, 1.0, -1.0, -1.0, -1.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in GAME.maps:
+            got = m.gradient(batch)
+            want = np.array([m.gradient(x) for x in batch])
+            assert np.array_equal(got, want, equal_nan=True)
+
+
 @pytest.mark.parametrize("kind", ["single_integrator", "unicycle"])
 @given(values=states, h=poles, t=st.floats(min_value=0.0, max_value=50.0))
 @settings(max_examples=60, deadline=None)
@@ -170,27 +188,36 @@ def test_closed_form_fields_are_the_array_formulas(values, t, c, alpha, h, base_
     # once (c*alpha, c**2, 0.5*c*alpha, h, the heading rate) give the same bits
     params = [AgentParams(c[i], alpha[i], h[i], i + 1, (1, 2, Fraction(3, 2))[i])
               for i in range(3)]
-    z, reference = _read_only_view(values), np.array(values)
-    zbar, z_e = reference[:6], reference[6:]
+    z = _read_only_view(values)
     for field, Omega in ((analytic_lie_single_integrator(GAME, params), None),
                          (analytic_lie_unicycle(GAME, params, base_rate), base_rate)):
-        want = np.zeros(9)
-        for i, (m, p) in enumerate(zip(GAME.maps, params)):
-            f_val, grad = m(zbar), m.gradient(zbar)
-            d1, d2 = grad[2 * i], grad[2 * i + 1]
-            if Omega is None:
-                g = f_val - z_e[i] * p.h
-                want[2 * i] = 0.5 * (p.c * p.alpha * d1 - p.c ** 2 * d2 * g)
-                want[2 * i + 1] = 0.5 * (p.c * p.alpha * d2 + p.c ** 2 * d1 * g)
-            else:
-                rate = float(p.d) * Omega
-                cw, sw = math.cos(rate * t), math.sin(rate * t)
-                proj = 0.5 * p.c * p.alpha * (d1 * cw + d2 * sw)
-                want[2 * i], want[2 * i + 1] = proj * cw, proj * sw
-            want[6 + i] = -z_e[i] * p.h + f_val
         got = field.fn(t, z)
         assert got.dtype == np.float64 and got.shape == (9,)
-        assert np.array_equal(got, want, equal_nan=True)  # inf - inf where terms overflow
+        # inf - inf where terms overflow
+        assert np.array_equal(got, _closed_form_reference(params, Omega, t, values),
+                              equal_nan=True)
+
+
+def _closed_form_reference(params, Omega, t, values):
+    """The closed-form field of ``GAME`` from ``AgentMap.__call__`` and
+    ``AgentMap.gradient``: single integrator for ``Omega`` None, else unicycle."""
+    reference = np.array(values)
+    zbar, z_e = reference[:6], reference[6:]
+    want = np.zeros(9)
+    for i, (m, p) in enumerate(zip(GAME.maps, params)):
+        f_val, grad = m(zbar), m.gradient(zbar)
+        d1, d2 = grad[2 * i], grad[2 * i + 1]
+        if Omega is None:
+            g = f_val - z_e[i] * p.h
+            want[2 * i] = 0.5 * (p.c * p.alpha * d1 - p.c ** 2 * d2 * g)
+            want[2 * i + 1] = 0.5 * (p.c * p.alpha * d2 + p.c ** 2 * d1 * g)
+        else:
+            rate = float(p.d) * Omega
+            cw, sw = math.cos(rate * t), math.sin(rate * t)
+            proj = 0.5 * p.c * p.alpha * (d1 * cw + d2 * sw)
+            want[2 * i], want[2 * i + 1] = proj * cw, proj * sw
+        want[6 + i] = -z_e[i] * p.h + f_val
+    return want
 
 
 def _gradient_free(game):
@@ -231,3 +258,53 @@ def test_overflowing_map_arithmetic_reads_nan_and_the_rhs_refuses_it():
     for sys in _builders([1.0, 1.0, 1.0]).values():
         with pytest.raises(FieldEvaluationError):
             assemble_rhs(sys).fn(0.1, x)
+
+
+def test_overflowing_maps_read_nan_on_the_jacobian_paths():
+    # at 1e200, f_a and grad_f_a raise OverflowError (so do f_b and f_c); the
+    # washout Jacobian reads a nan row for agent a and the others' gradients
+    values = [1e200] * 9
+    x, xbar = np.array(values), np.array(values[:6])
+    with pytest.raises(OverflowError):
+        GAME.maps[0].fn(xbar)
+    with pytest.raises(OverflowError):
+        GAME.maps[0].grad(xbar)
+    for sys in _builders([1.0, 2.0, 3.0]).values():
+        J = sys.stack.feature_jac(0.1, x)
+        assert np.isnan(J[0, :6]).all()
+        for row, m in zip(J[1:], GAME.maps[1:]):
+            assert np.array_equal(row[:6], m.gradient(xbar))
+    params = [AgentParams(0.3, 1.0, 0.5 + i, i + 1, i + 1) for i in range(3)]
+    for field, Omega in ((analytic_lie_single_integrator(GAME, params), None),
+                         (analytic_lie_unicycle(GAME, params, 1.0), 1.0)):
+        got = field.fn(0.1, x)
+        assert np.array_equal(got, _closed_form_reference(params, Omega, 0.1, values),
+                              equal_nan=True)
+
+
+def test_the_jacobian_paths_call_each_raw_gradient_once(monkeypatch):
+    # the hot paths read the raw map and gradient: neither AgentMap accessor
+    def refuse(*args):
+        raise AssertionError("an AgentMap accessor was called")
+
+    monkeypatch.setattr(AgentMap, "__call__", refuse)
+    monkeypatch.setattr(AgentMap, "gradient", refuse)
+    calls = []
+
+    def counted(i, grad):
+        return lambda x: (calls.append(i), grad(x))[1]
+
+    game = replace(GAME, maps=tuple(replace(m, grad=counted(i, m.grad))
+                                    for i, m in enumerate(GAME.maps)))
+    params = [AgentParams(0.3, 1.0, 0.5 + i, i + 1, i + 1) for i in range(3)]
+    z = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
+    fields = [build_lie_bracket_system(build_single_integrator(game, params, 100.0)),
+              build_lie_bracket_system(build_unicycle(game, params, 1.0, 80.0)),
+              analytic_lie_single_integrator(game, params),
+              analytic_lie_unicycle(game, params, 1.0)]
+    assert calls == []
+    for field in fields:
+        got = field.fn(0.3, z)
+        assert got.shape == (9,) and np.isfinite(got).all()
+        assert sorted(calls) == [0, 1, 2]
+        del calls[:]

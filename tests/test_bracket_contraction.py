@@ -190,6 +190,23 @@ def test_integrations_on_one_grid_share_the_chunk_table(name, monkeypatch):
     assert built == [2 * steps + 1]
 
 
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_a_time_invariant_bracket_shares_one_pair_formed_at_build(name):
+    # the constant basis and no t-dependent dither: every time reads the pair of
+    # t = 0, one object; otherwise each time has its own pair
+    sys, nu_method, _ = SYSTEMS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PrecisionWarning)
+        bracket = build_lie_bracket_system(sys, nu_method)
+    times = np.array([0.0, 0.3, 0.7, 1.1])
+    table = bracket.stage_table(times)
+    shared = sys.stack.basis is None and not any(s.t_dependent for _, s in sys.channels)
+    assert shared == (name in ("scalar_basic", "three_agent_single_integrator",
+                               "field_by_field"))
+    assert all((row is table[0]) == shared for row in table[1:])
+    assert (bracket.stage_table(np.zeros(1))[0] is table[0]) == shared
+
+
 def test_a_row_less_call_evaluates_the_basis_once_per_new_time():
     sys, nu_method, x0 = SYSTEMS["three_agent_unicycle"]
     calls = []
