@@ -29,7 +29,7 @@ last times: a stack's L(t), a right-hand side's M(t), the averaged P(t), H(t).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -94,27 +94,45 @@ class VectorField:
         return VectorField(v.size, lambda t, x: v, jac=lambda t, x: zj)
 
 
-def finite_diff_jacobian(fld, t: float, x: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian, column k = (F(x + h e_k) - F(x - h e_k)) / 2h.
-
-    ``fld`` is any callable (t, x) -> array; the derivative axis is
-    appended last, so a :class:`FieldStack` gives one Jacobian per row.
-    The step is h = 1e-6 * max(1, |x|_inf), the usual double-precision
-    compromise between truncation and roundoff.
-    """
+def central_points(x: np.ndarray) -> tuple[float, np.ndarray]:
+    """The step h and the (2n, n) points of a central difference at x: rows
+    2k and 2k + 1 are x + h e_k and x - h e_k, each a copy of x with one entry
+    moved. h = 1e-6 * max(1, |x|_inf), the usual double-precision compromise
+    between truncation and roundoff."""
     x = np.asarray(x, dtype=float)
-    h = 1e-6 * max(1.0, float(np.max(np.abs(x))) if x.size else 1.0)
-    columns = []
-    for k in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[k] += h
-        xm[k] -= h
-        columns.append((fld(t, xp) - fld(t, xm)) / (2.0 * h))
-    J = np.stack(columns, axis=-1)
-    if not np.all(np.isfinite(J)):
+    h = 1e-6 * max(1.0, float(np.abs(x).max(initial=0.0)))
+    n = x.size
+    points = np.empty((2 * n, n))
+    points[:] = x
+    flat = points.reshape(-1)  # entry k of row 2k is flat[k * (2n + 1)]
+    flat[::2 * n + 1] += h
+    flat[n::2 * n + 1] -= h
+    return h, points
+
+
+def central_differences(values: np.ndarray, h: float) -> np.ndarray:
+    """The Jacobian from the (2n, ...) values at the :func:`central_points` of
+    step h, with the derivative axis last: column k is
+    (F(x + h e_k) - F(x - h e_k)) / 2h. Non-finite entries raise
+    FieldEvaluationError."""
+    D = (values[0::2] - values[1::2]) / (2.0 * h)
+    if not np.isfinite(D).all():
         raise FieldEvaluationError("non-finite values in finite-difference Jacobian")
-    return J
+    return D.transpose(tuple(range(1, D.ndim)) + (0,))
+
+
+def finite_diff_jacobian(fld, t: float, x: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian of any callable (t, x) -> array at one point,
+    ``fld`` called once per shifted point; a :class:`FieldStack` gives one
+    Jacobian per row (see :func:`central_differences`)."""
+    h, points = central_points(x)
+    return central_differences(np.array([fld(t, p) for p in points]), h)
+
+
+def by_rows(fn, X: np.ndarray, shape) -> np.ndarray:
+    """``fn`` of each row of the batch ``X`` as one (len(X),) + ``shape`` array,
+    also for a batch of no rows."""
+    return np.array([fn(x) for x in X], dtype=float).reshape((len(X),) + tuple(shape))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -163,10 +181,12 @@ class FieldStack:
 
     Calling the stack at (t, x) gives a (rows, n) array, row 0 the drift and
     row k the k-th channel field: L(t) @ features(t, x), with
-    L(t) = sum_j phi_j(t) * layout[j]. ``layout`` has shape (p, rows, n, 1 + k),
-    ``basis`` maps T times to the (T, p) phi(t) (None: the constant basis
-    [1]), ``features`` (t, x) to [1, w] and ``feature_jac`` (t, x) to the (k, n)
-    Jacobian of w. :meth:`phi` gives phi(t) at T times, :meth:`weighted` c(t) @ L(t),
+    L(t) = sum_j phi_j(t) * layout[j]; at a batch (B, n) of points it gives
+    (B, rows, n), from one ``features`` call on the batch. ``layout`` has shape
+    (p, rows, n, 1 + k), ``basis`` maps T times to the (T, p) phi(t) (None: the
+    constant basis [1]), ``features`` (t, x) to [1, w] and a batch (t, X) to its
+    (B, 1 + k) rows, and ``feature_jac`` (t, x) to the (k, n) Jacobian of w.
+    :meth:`phi` gives phi(t) at T times, :meth:`weighted` c(t) @ L(t),
     :meth:`jacobian` the stacked Jacobian (rows, n, n); ``oscillation_rates`` each
     row's rate in t (default 0, see :class:`VectorField`). Only L(t) is cached, in
     a :func:`last_table`. The row views in :attr:`fields` share a point cache (see
@@ -209,9 +229,13 @@ class FieldStack:
         return outer.reshape(len(outer), -1) @ self._by_row
 
     def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
-        """Stacked value (rows, n)."""
+        """Stacked value (rows, n) at one point, (B, rows, n) at a batch (B, n): one
+        matrix-vector product per point, so a batch row has the bits of its point."""
         x = np.asarray(x, dtype=float)
-        return (self._matrices(t)[0] @ self.features(t, x)).reshape(self.shape)
+        L = self._matrices(t)[0]
+        if x.ndim == 2:
+            return np.matmul(L, self.features(t, x)[:, :, None]).reshape((len(x),) + self.shape)
+        return (L @ self.features(t, x)).reshape(self.shape)
 
     def feature_jacobian(self, t: float, x: np.ndarray) -> np.ndarray:
         """The (k, n) Jacobian of w: ``feature_jac`` when supplied, else central
@@ -231,7 +255,8 @@ class FieldStack:
         """The stack whose row views ``fields`` are, in order, or that stack's layout
         over just those rows when they are some of its row views; else the identity
         layout over the fields' values, rows as features, which refuse a non-finite
-        state with FieldEvaluationError before calling any field (see ``integrate``)."""
+        state with FieldEvaluationError before calling any field (see ``integrate``)
+        and take a batch row by row."""
         fields = tuple(fields)
         view = fields[0].fn
         if isinstance(view, _RowView):
@@ -249,6 +274,8 @@ class FieldStack:
         jacs = tuple(f.jacobian for f in fields)  # analytic when given, shape-checked
 
         def features(t, x):
+            if x.ndim == 2:
+                return by_rows(partial(features, t), x, (1 + size,))
             if not np.isfinite(x).all():
                 raise FieldEvaluationError("non-finite state")
             value = np.array([f(t, x) for f in fns], dtype=float)

@@ -327,6 +327,78 @@ def test_verify_reports_nonfinite_jacobians_of_a_huge_heading_rate(tmp_path, cap
     assert captured.out.endswith("9/10 checks passed\n")
 
 
+def _per_point_jacobian_check(sc, seed):
+    """The Jacobian check as a loop over sample points, one stack evaluation per
+    shifted point and one defect per stack row: the reference that verify's
+    batched check must render the same."""
+    rng = np.random.default_rng(seed)
+    sys_ref = sc.build_system(sc.omegas[0])
+    stack = sys_ref.stack
+    worst = 0.0
+    ok = all(fld.has_jacobian for fld in sys_ref.fields)
+    points, nonfinite = 20, []
+    for _ in range(points):
+        x = sc.x0 + rng.uniform(-1.0, 1.0, size=sc.dim)
+        t = float(rng.uniform(0.0, 10.0))
+        h = 1e-6 * max(1.0, float(np.max(np.abs(x))))
+        with np.errstate(over="ignore", invalid="ignore"):
+            columns = []
+            for k in range(x.size):
+                xp, xm = x.copy(), x.copy()
+                xp[k] += h
+                xm[k] -= h
+                columns.append((stack(t, xp) - stack(t, xm)) / (2.0 * h))
+            J_fd = np.stack(columns, axis=-1)
+            J_stack = stack.jacobian(t, x)
+        if not (np.isfinite(J_fd).all() and np.isfinite(J_stack).all()):
+            nonfinite.append(t)
+            continue
+        for J, J_row_fd in zip(J_stack, J_fd):
+            defect = float(np.max(np.abs(J - J_row_fd)) / max(1.0, np.max(np.abs(J))))
+            worst = max(worst, defect)
+            ok = ok and defect < 1e-5
+    detail = f"worst relative defect {worst:.3e}"
+    if nonfinite:
+        ok = False
+        finite = points - len(nonfinite)
+        detail = (f"non-finite (nan or inf) Jacobian values at {len(nonfinite)} of "
+                  f"{points} sample points, the first at t={nonfinite[0]:.6g}"
+                  + (f"; {detail} at the other {finite}" if finite else ""))
+    return ok, detail
+
+
+@pytest.mark.parametrize("seed", [2023, 7])
+@pytest.mark.parametrize("name", list(_VERIFY_CHECKS) + ["huge_heading_rate"])
+def test_the_jacobian_check_equals_the_per_point_reference(tmp_path, name, seed):
+    if name == "huge_heading_rate":  # non-finite at some sample points, not at all
+        doc = tmp_path / "fast.yaml"
+        doc.write_text(_bundled_text("three_agent_unicycle").replace(
+            "Omega: 1.0", "Omega: 1e307", 1), encoding="utf-8")
+        name = str(doc)
+    sc = load_scenario(name)
+    checks = ditherseek.cli._verify_checks(sc, RunConfig("verify", name, tmp_path, seed=seed))
+    got = [(c.passed, c.detail) for c in checks
+           if c.name == "analytic Jacobians vs finite differences"]
+    assert got == [_per_point_jacobian_check(sc, seed)]
+
+
+@pytest.mark.parametrize("name", list(_VERIFY_CHECKS))
+def test_the_jacobian_check_evaluates_the_stack_once_per_sample_point(tmp_path, monkeypatch,
+                                                                       name):
+    # one call on the 2n shifted points of each of the 20 sample points
+    shapes = []
+    call = ditherseek.dynamics.FieldStack.__call__
+
+    def counted(stack, t, x):
+        shapes.append(np.shape(x))
+        return call(stack, t, x)
+
+    monkeypatch.setattr(ditherseek.dynamics.FieldStack, "__call__", counted)
+    assert run(RunConfig("verify", name, tmp_path / "v")) == 0
+    n = load_scenario(name).dim
+    assert shapes == [(2 * n, n)] * 20
+
+
 def _run_with_line(tmp_path, doc, key, line, mode):
     """Run ``mode`` on bundled ``doc`` with its ``key`` line replaced by ``line``;
     the exit status and the scenario as loaded."""
