@@ -182,10 +182,10 @@ class FieldStack:
     Calling the stack at (t, x) gives a (rows, n) array, row 0 the drift and
     row k the k-th channel field: L(t) @ features(t, x), with
     L(t) = sum_j phi_j(t) * layout[j]; at a batch (B, n) of points it gives
-    (B, rows, n), from one ``features`` call on the batch. ``layout`` has shape
+    (B, rows, n), the features taken row by row. ``layout`` has shape
     (p, rows, n, 1 + k), ``basis`` maps T times to the (T, p) phi(t) (None: the
-    constant basis [1]), ``features`` (t, x) to [1, w] and a batch (t, X) to its
-    (B, 1 + k) rows, and ``feature_jac`` (t, x) to the (k, n) Jacobian of w.
+    constant basis [1]), ``features`` (t, x) to [1, w] at one point and
+    ``feature_jac`` (t, x) to the (k, n) Jacobian of w.
     :meth:`phi` gives phi(t) at T times, :meth:`weighted` c(t) @ L(t),
     :meth:`jacobian` the stacked Jacobian (rows, n, n); ``oscillation_rates`` each
     row's rate in t (default 0, see :class:`VectorField`). Only L(t) is cached, in
@@ -229,12 +229,14 @@ class FieldStack:
         return outer.reshape(len(outer), -1) @ self._by_row
 
     def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
-        """Stacked value (rows, n) at one point, (B, rows, n) at a batch (B, n): one
-        matrix-vector product per point, so a batch row has the bits of its point."""
+        """Stacked value (rows, n) at one point, (B, rows, n) at a batch (B, n): the
+        features of each row, then one matrix-vector product per row, so a batch
+        row has the bits of its point."""
         x = np.asarray(x, dtype=float)
         L = self._matrices(t)[0]
         if x.ndim == 2:
-            return np.matmul(L, self.features(t, x)[:, :, None]).reshape((len(x),) + self.shape)
+            w = by_rows(partial(self.features, t), x, (L.shape[1],))
+            return np.matmul(L, w[:, :, None]).reshape((len(x),) + self.shape)
         return (L @ self.features(t, x)).reshape(self.shape)
 
     def feature_jacobian(self, t: float, x: np.ndarray) -> np.ndarray:
@@ -255,8 +257,7 @@ class FieldStack:
         """The stack whose row views ``fields`` are, in order, or that stack's layout
         over just those rows when they are some of its row views; else the identity
         layout over the fields' values, rows as features, which refuse a non-finite
-        state with FieldEvaluationError before calling any field (see ``integrate``)
-        and take a batch row by row."""
+        state with FieldEvaluationError before calling any field (see ``integrate``)."""
         fields = tuple(fields)
         view = fields[0].fn
         if isinstance(view, _RowView):
@@ -274,8 +275,6 @@ class FieldStack:
         jacs = tuple(f.jacobian for f in fields)  # analytic when given, shape-checked
 
         def features(t, x):
-            if x.ndim == 2:
-                return by_rows(partial(features, t), x, (1 + size,))
             if not np.isfinite(x).all():
                 raise FieldEvaluationError("non-finite state")
             value = np.array([f(t, x) for f in fns], dtype=float)

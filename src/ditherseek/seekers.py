@@ -38,16 +38,14 @@ def _fd_gradient(fn: Callable[[np.ndarray], float], xbar: np.ndarray) -> np.ndar
 class AgentMap:
     """An individual objective f_i: R^(2N) -> R with optional analytic gradient.
 
-    ``fn`` and ``grad`` take one point (2N,) or a batch (S, 2N). ``fn`` returns
-    a float for one point and (S,) for a batch; ``grad`` returns for one point
-    2N floats, as a list or a (2N,) array, and for a batch (S, 2N). Calling the
-    map returns a float or passes a batch through as an (S,) array;
-    :meth:`gradient` always returns an array, and without ``grad`` takes
-    central differences, row by row for a batch. A value or gradient whose
-    float arithmetic overflows reads nan: Python floats raise OverflowError
-    where numpy gives inf, and either way the fields built on the map refuse
-    the non-finite value. The per-point paths of the fields (the washouts,
-    their Jacobian, the closed-form averaged fields) call ``fn`` and ``grad``
+    ``fn`` takes one point (2N,); ``grad`` one point (2N,) or a batch (S, 2N),
+    returning for one point 2N floats, as a list or a (2N,) array, and for a
+    batch (S, 2N). :meth:`gradient` always returns an array, and without
+    ``grad`` takes central differences, row by row for a batch. A value or
+    gradient whose float arithmetic overflows reads nan: Python floats raise
+    OverflowError where numpy gives inf, and either way the fields built on
+    the map refuse the non-finite value. The Jacobian paths (the washout
+    Jacobian, the closed-form averaged fields) call ``fn`` and ``grad``
     directly, with this rule inlined. A batch body computes in numpy, where
     an overflow is inf, so it must read nan where the float body raises, row by row.
     """
@@ -55,16 +53,7 @@ class AgentMap:
     fn: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray | list[float]] | None = None
 
-    def __call__(self, xbar: np.ndarray) -> float | np.ndarray:
-        if np.ndim(xbar) == 2:
-            try:
-                values = np.asarray(self.fn(xbar), dtype=float)
-            except OverflowError:
-                return np.full(len(xbar), math.nan)
-            if values.shape != (len(xbar),):
-                raise ValueError(f"map returned shape {values.shape} for points of "
-                                 f"shape {np.shape(xbar)}")
-            return values
+    def __call__(self, xbar: np.ndarray) -> float:
         try:
             return float(self.fn(xbar))
         except OverflowError:
@@ -85,13 +74,11 @@ class PotentialGame:
 
     The compatibility requirement is that the agent-i position block of
     grad f_i equals the same block of grad F at every point; it is measured,
-    not assumed, by :func:`check_potential_compatibility`. ``potential`` and
-    ``potential_grad`` take one point (2N,) or a batch (S, 2N), as a map's
-    ``fn`` and ``grad`` do.
+    not assumed, by :func:`check_potential_compatibility`.
     """
 
     maps: tuple[AgentMap, ...]
-    potential: Callable[[np.ndarray], float | np.ndarray]
+    potential: Callable[[np.ndarray], float]
     potential_grad: Callable[[np.ndarray], np.ndarray] | None = None
     maximizer: np.ndarray | None = None
 
@@ -208,14 +195,12 @@ class _AgentLoops:
 
     def __init__(self, game: PotentialGame, params: list[AgentParams], basis_size: int):
         self.n = n = game.n_agents
-        self.maps = game.maps
         self.fns = [m.fn for m in game.maps]
         # the raw gradients; a map without one takes central differences
         self.grads = [m.gradient if m.grad is None else m.grad for m in game.maps]
         self.q, self.harmonics = frequency_decomposition([p.a for p in params])
         s = np.sqrt(np.array(self.harmonics, dtype=float))
         self.h = [float(p.h) for p in params]
-        self.h_array = np.array(self.h)
         self.sc = s * np.array([p.c for p in params])
         self.sa = s * np.array([p.alpha for p in params])
         agents = np.arange(n)
@@ -229,19 +214,8 @@ class _AgentLoops:
 
     def features(self, t, x):
         """[1, w_1, ..., w_N], the washouts formed in floats; calls each agent map
-        once, with ``AgentMap``'s rule inlined: an OverflowError reads nan. A batch
-        (B, 3N) gives (B, 1 + N), calling each map once on the batch, and is as
-        silent as the floats where entries are infinite or overflow."""
+        once, with ``AgentMap``'s rule inlined: an OverflowError reads nan."""
         n2 = 2 * self.n
-        if x.ndim == 2:
-            xbar = x[:, :n2]
-            w = np.empty((len(x), 1 + self.n))
-            w[:, 0] = 1.0
-            for i, m in enumerate(self.maps, 1):
-                w[:, i] = m(xbar)
-            with np.errstate(over="ignore", invalid="ignore"):
-                w[:, 1:] -= self.h_array * x[:, n2:]
-            return w
         xbar = x[:n2]
         w = [1.0]
         for f, h, e in zip(self.fns, self.h, x.tolist()[n2:]):
@@ -540,11 +514,8 @@ def build_scalar_seeker(f: Callable[[float], float], grad_f: Callable[[float], f
     layout[0, 1, 0, 0] = alpha
     layout[0, 2, 0, 1] = 1.0
 
-    # a map or gradient whose float arithmetic overflows reads nan, as an AgentMap's does;
-    # partial, not a closure over t, keeps t out of a cell on the per-point path
+    # a map or gradient whose float arithmetic overflows reads nan, as an AgentMap's does
     def features(t, x):
-        if x.ndim == 2:  # a batch (B, 1), row by row
-            return by_rows(partial(features, t), x, (2,))
         try:
             return np.array([1.0, f(float(x[0]))])
         except OverflowError:
@@ -576,15 +547,6 @@ def analytic_lie_scalar(grad_f: Callable[[float], float], alpha: float) -> Vecto
 # ---------------------------------------------------------------------------
 # bundled games
 
-def _nan_where_overflowed(f, bases, squares):
-    """``f`` with nan in the rows where a finite base squared past the float
-    range, where Python's ``**`` raises OverflowError."""
-    inf = np.isinf(squares)
-    if inf.any():
-        f[(inf & np.isfinite(bases)).any(axis=1)] = np.nan
-    return f
-
-
 def three_agent_game() -> PotentialGame:
     """The bundled three-agent benchmark game.
 
@@ -603,34 +565,19 @@ def three_agent_game() -> PotentialGame:
     gradient returns those floats as a list of 6, no array: its callers
     write rows into a matrix or read two entries.
 
-    Maps and gradients also take a batch (S, 6) in a numpy body beside the
-    float one. A map's batch body, (S, 6) to (S,), keeps every bit of its
-    float body, since verify's Jacobian check takes central differences of the
-    values over steps near 1e-6, where one ulp of a value near 10 is 1e-9 of a
-    derivative: it squares with libm pow (``np.float_power``; numpy's ``**``
-    multiplies, which rounds about one square in 1,200 differently) and takes
-    ``exp`` from ``math`` entry by entry (numpy's own misses libm's by one ulp
-    for about one argument in 20; its ``sin`` is libm's). A gradient's batch
-    body, (S, 6) to (S, 6), serves the compatibility check, which reads only
-    the own blocks; those keep the per-point bits, while numpy's ``exp``,
-    ``cos`` and squares may move the last bits of the others, exp's up to
-    |argument| ulp. In either body a row where a finite entry squares past
-    the float range reads nan, as ``**`` raises, and the bodies are as silent
-    as the float ones on infinite and overflowing entries: numpy's invalid
-    and overflow warnings are off inside them.
+    A gradient also takes a batch (S, 6) to (S, 6) in a numpy body, so the
+    compatibility check makes one call per map. Its own block keeps the
+    per-point bits; numpy's ``exp``, ``cos`` and squares (x * x, not libm
+    pow) may move the last bits of the others, exp's up to |argument| ulp. A
+    row whose finite x4 or x5 squares past the float range reads nan, as ** raises.
+    The batch bodies are as silent as the float ones on infinite and overflowing
+    entries: numpy's invalid and overflow warnings are off inside them.
     """
 
     def f_a(x):
-        if x.ndim == 1:
-            x0, x1, x2, x3, x4, x5 = x.tolist()
-            return (-0.5 * (x0 - 1.0) ** 2 - 0.5 * (x1 - 1.0) ** 2
-                    + x2 ** 2 + x3 ** 2 + math.exp(-x4 ** 2 - x5 ** 2) - 10.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            bases = x - (1.0, 1.0, 0.0, 0.0, 0.0, 0.0)  # x0 - 1.0, x1 - 1.0, x2, ..., x5
-            sq = np.float_power(bases, 2.0)
-            e = np.fromiter(map(math.exp, (-sq[:, 4] - sq[:, 5]).tolist()), float, len(x))
-            f = -0.5 * sq[:, 0] - 0.5 * sq[:, 1] + sq[:, 2] + sq[:, 3] + e - 10.0
-        return _nan_where_overflowed(f, bases, sq)
+        x0, x1, x2, x3, x4, x5 = x.tolist()
+        return (-0.5 * (x0 - 1.0) ** 2 - 0.5 * (x1 - 1.0) ** 2
+                + x2 ** 2 + x3 ** 2 + math.exp(-x4 ** 2 - x5 ** 2) - 10.0)
 
     def grad_f_a(x):
         if x.ndim == 1:
@@ -639,23 +586,18 @@ def three_agent_game() -> PotentialGame:
             return [-(x0 - 1.0), -(x1 - 1.0), 2.0 * x2, 2.0 * x3, -2.0 * x4 * e, -2.0 * x5 * e]
         x0, x1, x2, x3, x4, x5 = x.T
         with np.errstate(over="ignore", invalid="ignore"):
-            sq = x[:, 4:] ** 2
-            e = np.exp(-sq[:, 0] - sq[:, 1])
+            sq4, sq5 = x4 ** 2, x5 ** 2
+            e = np.exp(-sq4 - sq5)
             g = np.stack([-(x0 - 1.0), -(x1 - 1.0), 2.0 * x2, 2.0 * x3,
                           -2.0 * x4 * e, -2.0 * x5 * e], axis=-1)
-        return _nan_where_overflowed(g, x[:, 4:], sq)
+        g[(np.isinf(sq4) & np.isfinite(x4)) | (np.isinf(sq5) & np.isfinite(x5))] = np.nan
+        return g
 
     def f_b(x):
-        if x.ndim == 1:
-            x0, x1, x2, x3, _, _ = x.tolist()
-            s = x0 + x1  # math.sin raises ValueError on inf, where numpy gives nan
-            return (-0.5 * (x2 + 1.0) ** 2 - 0.5 * (x3 + 1.0) ** 2
-                    + (math.sin(s) if math.isfinite(s) else math.nan) - 10.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            bases = x[:, 2:4] + 1.0
-            sq = np.float_power(bases, 2.0)
-            f = -0.5 * sq[:, 0] - 0.5 * sq[:, 1] + np.sin(x[:, 0] + x[:, 1]) - 10.0
-        return _nan_where_overflowed(f, bases, sq)
+        x0, x1, x2, x3, _, _ = x.tolist()
+        s = x0 + x1  # math.sin raises ValueError on inf, where numpy gives nan
+        return (-0.5 * (x2 + 1.0) ** 2 - 0.5 * (x3 + 1.0) ** 2
+                + (math.sin(s) if math.isfinite(s) else math.nan) - 10.0)
 
     def grad_f_b(x):
         if x.ndim == 1:
@@ -670,14 +612,8 @@ def three_agent_game() -> PotentialGame:
         return np.stack([cc, cc, -(x2 + 1.0), -(x3 + 1.0), zero, zero], axis=-1)
 
     def f_c(x):
-        if x.ndim == 1:
-            _, _, _, _, x4, x5 = x.tolist()
-            return -0.5 * (x4 + 1.0) ** 2 - 1.5 * (x5 - 1.0) ** 2 + 10.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            bases = x[:, 4:] + (1.0, -1.0)  # x4 + 1.0, x5 - 1.0
-            sq = np.float_power(bases, 2.0)
-            f = -0.5 * sq[:, 0] - 1.5 * sq[:, 1] + 10.0
-        return _nan_where_overflowed(f, bases, sq)
+        _, _, _, _, x4, x5 = x.tolist()
+        return -0.5 * (x4 + 1.0) ** 2 - 1.5 * (x5 - 1.0) ** 2 + 10.0
 
     def grad_f_c(x):
         if x.ndim == 1:
@@ -706,10 +642,9 @@ def quadratic_game(q_diag, xstar) -> PotentialGame:
     if np.any(q_diag <= 0.0):
         raise ValueError("quadratic weights must be positive")
 
-    def potential(x):  # np.vecdot calls np.dot's kernel once per point
+    def potential(x):
         dx = np.asarray(x, dtype=float) - xstar
-        value = -0.5 * np.vecdot(dx, q_diag * dx)
-        return float(value) if dx.ndim == 1 else value
+        return float(-0.5 * np.dot(dx, q_diag * dx))
 
     def potential_grad(x):
         return -q_diag * (np.asarray(x, dtype=float) - xstar)

@@ -157,13 +157,13 @@ def test_batch_rows_with_infinities_give_no_warning():
 
 
 QUADRATIC = quadratic_game([1.0, 2.0, 3.0, 4.0, 0.5, 1.5], [1.0, -1.0, 0.5, 2.0, 0.0, -3.0])
-INF, NAN = math.inf, math.nan
-# entries past the float range when squared make the bundled float bodies' **
-# raise (a nan value); numpy's dot warns there, so the quadratic maps get only
-# the infinities and nan, on which neither warns
-ENTRIES = {"bundled": coordinates | st.sampled_from([1e200, -2e154, 1.7e308, INF, -INF, NAN]),
-           "quadratic": coordinates | st.sampled_from([INF, -INF, NAN])}
 GAMES = {"bundled": GAME, "quadratic": QUADRATIC}
+# entries past the float range when squared make the bundled float bodies' **
+# raise (a nan washout); the quadratic maps' dot warns there, so they get only
+# the infinities and nan
+ENTRIES = {"bundled": coordinates | st.sampled_from(
+               [1e200, -2e154, 1.7e308, math.inf, -math.inf, math.nan]),
+           "quadratic": coordinates | st.sampled_from([math.inf, -math.inf, math.nan])}
 
 
 def _same_bits(got, want):
@@ -180,47 +180,22 @@ def _batches(game, width):
     return st.lists(rows, max_size=8).map(lambda r: np.array(r, dtype=float).reshape(-1, width))
 
 
-# the value batch bodies square with libm pow (np.float_power) and take exp and
-# sin from math entry by entry, so no entry moves: numpy's own exp differs from
-# libm's by one ulp for about one argument in 20, and a central difference over
-# h = 1e-6 would magnify that in verify's Jacobian check. On these rows f_a
-# moves through numpy's exp (x4) and f_c through numpy's x * x (x4 + 1)
-EDGE_ROWS = np.array([[0.0, 0.0, 0.0, 0.0, 0.3048070437413093, 0.0],
-                      [0.0, 0.0, 0.0, 0.0, 333368.43988742144, 0.0]])
-
-
-@pytest.mark.parametrize("game", list(GAMES))
-@given(data=st.data())
-@settings(max_examples=100, deadline=None)
-def test_map_values_of_a_batch_equal_the_per_point_values(game, data):
-    batch = np.concatenate((EDGE_ROWS, data.draw(_batches(game, 6))))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for m in GAMES[game].maps:
-            want = np.array([m(x) for x in batch]).reshape(len(batch))
-            assert _same_bits(m.fn(batch), want) and _same_bits(m(batch), want)
-    # the bundled game's potential is quadratic: its dot warns on overflow at a point too
-    potential = GAMES[game].potential
-    with np.errstate(over="ignore"):
-        want = np.array([potential(x) for x in batch]).reshape(len(batch))
-        assert _same_bits(potential(batch), want)
-
-
 @pytest.mark.parametrize("kind", ["single_integrator", "unicycle"])
 @pytest.mark.parametrize("game", list(GAMES))
 @given(data=st.data(), h=poles, t=st.floats(min_value=0.0, max_value=50.0))
 @settings(max_examples=40, deadline=None)
-def test_washouts_and_stack_values_of_a_batch_equal_the_per_point_rows(kind, game, data, h, t):
+def test_stack_values_of_a_batch_equal_the_per_point_values(kind, game, data, h, t):
     params = [AgentParams(0.3, 1.0, h_i, i + 1, i + 1) for i, h_i in enumerate(h)]
     build = {"single_integrator": lambda: build_single_integrator(GAMES[game], params, 100.0),
              "unicycle": lambda: build_unicycle(GAMES[game], params, 1.0, 80.0)}
     stack = build[kind]().stack
     batch = data.draw(_batches(game, 9))
+    # the washouts are silent where entries are infinite or overflow (a nan washout) ...
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        want = np.array([stack.features(t, x) for x in batch]).reshape(len(batch), 4)
-        assert _same_bits(stack.features(t, batch), want)
-    # the layout's zeros times an infinite washout are nan and warn on both paths
+        for x in batch:
+            stack.features(t, x)
+    # ... but the layout's zeros times an infinite washout are nan and warn
     with np.errstate(invalid="ignore"):
         want = np.array([stack(t, x) for x in batch]).reshape(len(batch), 7, 9)
         assert _same_bits(stack(t, batch), want)
@@ -249,19 +224,13 @@ def test_batches_of_no_rows_keep_their_row_shape():
     assert AgentMap(GAME.maps[0].fn).gradient(none).shape == (0, 6)
     assert _gradient_free(GAME).potential_gradient(none).shape == (0, 6)
     for m in GAME.maps + QUADRATIC.maps:
-        assert m(none).shape == (0,) and m.gradient(none).shape == (0, 6)
+        assert m.gradient(none).shape == (0, 6)
     for sys in _builders([1.0, 1.0, 1.0]).values():
-        assert sys.stack.features(0.5, np.zeros((0, 9))).shape == (0, 4)
         assert sys.stack(0.5, np.zeros((0, 9))).shape == (0, 7, 9)
     assert load_scenario("scalar_basic").build_system(50.0).stack(
         0.5, np.zeros((0, 1))).shape == (0, 3, 1)
     identity = FieldStack.of([VectorField(2, lambda t, x: x)])
     assert identity(0.5, np.zeros((0, 2))).shape == (0, 1, 2)
-
-
-def test_a_map_value_that_is_not_one_per_row_is_refused():
-    with pytest.raises(ValueError, match=r"map returned shape \(\) for points of shape \(3, 6\)"):
-        AgentMap(lambda x: 1.0)(np.zeros((3, 6)))
 
 
 @pytest.mark.parametrize("kind", ["single_integrator", "unicycle"])
