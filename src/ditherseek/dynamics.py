@@ -20,10 +20,10 @@ A right-hand side carries its stack's features as ``fn.features``, so that
 integrators form a stage as a stage-table row times the features.
 
 Fields and systems are immutable after construction; evaluation is
-reentrant. The only mutable state is in one-entry caches, each replaced as
-a whole: the point cache a stack's row views share (one value slot, one
-Jacobian slot), and one :func:`last_table` per job on time alone, for its
-last times: a stack's L(t), a right-hand side's M(t), the averaged P(t), H(t).
+reentrant. The only mutable state is in one kind of one-entry cache, the
+:func:`last_table`: one per job on time alone (a stack's L(t), a right-hand
+side's M(t), the averaged P(t), H(t)), and the two that a stack's row views
+share, for the value and the Jacobian at their last point [t, x].
 """
 
 from __future__ import annotations
@@ -83,16 +83,6 @@ class VectorField:
     def has_jacobian(self) -> bool:
         return self.jac is not None
 
-    @staticmethod
-    def zero(dim: int) -> "VectorField":
-        return VectorField.constant(np.zeros(dim))
-
-    @staticmethod
-    def constant(vec) -> "VectorField":
-        v = np.asarray(vec, dtype=float)
-        zj = np.zeros((v.size, v.size))
-        return VectorField(v.size, lambda t, x: v, jac=lambda t, x: zj)
-
 
 def central_points(x: np.ndarray) -> tuple[float, np.ndarray]:
     """The step h and the (2n, n) points of a central difference at x: rows
@@ -141,8 +131,9 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def last_table(tabulate):
-    """``tabulate``, mapping a (T,) float array of times to T read-only rows of t alone,
-    as a table that keeps the rows of its last times, keyed by their exact bytes."""
+    """``tabulate``, mapping a float array (T times, or one point [t, x]) to read-only
+    data of it alone, as a table that keeps the data of its last array, keyed by
+    its exact bytes."""
     tabulated = lru_cache(maxsize=1)(lambda key: tabulate(np.frombuffer(key)))
 
     def table(times):
@@ -152,28 +143,18 @@ def last_table(tabulate):
 
 
 class _RowView:
-    """Row ``index`` of a stack's value (``slot`` 0) or Jacobian (``slot`` 1),
-    as a field callable.
+    """Row ``index`` of a stack's value or Jacobian, as a field callable, read
+    from ``table``: a :func:`last_table` over the point [t, x] that all views of
+    the stack share, so callers that evaluate the fields one at a time still pay
+    for one stack evaluation per point."""
 
-    The views of one stack share ``slots``: one value slot and one Jacobian
-    slot, each a (point, read-only array) pair replaced as one tuple, so
-    callers that evaluate the fields one at a time still pay for one stack
-    evaluation per point.
-    """
+    __slots__ = ("stack", "index", "table")
 
-    __slots__ = ("stack", "index", "slot", "slots")
-
-    def __init__(self, stack: "FieldStack", index: int, slot: int, slots: list):
-        self.stack, self.index, self.slot, self.slots = stack, index, slot, slots
+    def __init__(self, stack: "FieldStack", index: int, table):
+        self.stack, self.index, self.table = stack, index, table
 
     def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        key = (t, x.tobytes())
-        cached_key, value = self.slots[self.slot]
-        if cached_key != key:
-            value = _read_only(self.stack.jacobian(t, x) if self.slot else self.stack(t, x))
-            self.slots[self.slot] = (key, value)
-        return value[self.index]
+        return self.table(np.concatenate(([t], np.asarray(x, dtype=float))))[self.index]
 
 
 class FieldStack:
@@ -188,9 +169,9 @@ class FieldStack:
     ``feature_jac`` (t, x) to the (k, n) Jacobian of w.
     :meth:`phi` gives phi(t) at T times, :meth:`weighted` c(t) @ L(t),
     :meth:`jacobian` the stacked Jacobian (rows, n, n); ``oscillation_rates`` each
-    row's rate in t (default 0, see :class:`VectorField`). Only L(t) is cached, in
-    a :func:`last_table`. The row views in :attr:`fields` share a point cache (see
-    :class:`_RowView`).
+    row's rate in t (default 0, see :class:`VectorField`). L(t) is kept in a
+    :func:`last_table`, and so are the value and the Jacobian at the last point
+    the row views in :attr:`fields` read (see :class:`_RowView`).
     """
 
     def __init__(self, layout, features, feature_jac=None, basis=None, oscillation_rates=None):
@@ -207,10 +188,11 @@ class FieldStack:
         flat, self._by_row = layout.reshape(p, -1), layout.reshape(p * rows, -1)
         self._matrices = last_table(lambda times: _read_only(  # L(t) as (rows * n, 1 + k)
             (self.phi(times) @ flat).reshape(times.size, rows * n, width)))
-        slots = [(None, None), (None, None)]
+        value, jac = (last_table(lambda tx, f=f: _read_only(f(float(tx[0]), tx[1:])))
+                      for f in (self, self.jacobian))  # at the point tx = [t, x]
         self.fields = tuple(
-            VectorField(n, _RowView(self, k, 0, slots),
-                        jac=None if feature_jac is None else _RowView(self, k, 1, slots),
+            VectorField(n, _RowView(self, k, value),
+                        jac=None if feature_jac is None else _RowView(self, k, jac),
                         oscillation_rate=float(rate))
             for k, rate in enumerate(rates))
 
@@ -230,14 +212,12 @@ class FieldStack:
 
     def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
         """Stacked value (rows, n) at one point, (B, rows, n) at a batch (B, n): the
-        features of each row, then one matrix-vector product per row, so a batch
-        row has the bits of its point."""
+        features of each row, then one matrix-vector product per row, a point
+        taken as a batch of one row."""
         x = np.asarray(x, dtype=float)
         L = self._matrices(t)[0]
-        if x.ndim == 2:
-            w = by_rows(partial(self.features, t), x, (L.shape[1],))
-            return np.matmul(L, w[:, :, None]).reshape((len(x),) + self.shape)
-        return (L @ self.features(t, x)).reshape(self.shape)
+        w = by_rows(partial(self.features, t), x.reshape(-1, self.dim), (L.shape[1],))
+        return np.matmul(L, w[:, :, None]).reshape(x.shape[:-1] + self.shape)
 
     def feature_jacobian(self, t: float, x: np.ndarray) -> np.ndarray:
         """The (k, n) Jacobian of w: ``feature_jac`` when supplied, else central

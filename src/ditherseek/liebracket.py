@@ -94,10 +94,8 @@ def nu_quadrature(outer: DitherSignal, inner: DitherSignal, t: float = 0.0,
     n_int = even_intervals(nodes, minimum=8)
     grid = np.linspace(0.0, T, n_int + 1)
     h = T / n_int
-    inner_running = cumulative_simpson(
-        np.broadcast_to(inner.eval_for_quadrature(t, grid), grid.shape).astype(float), h)
-    outer_vals = np.broadcast_to(outer.eval_for_quadrature(t, grid), grid.shape)
-    return simpson_uniform(outer_vals * inner_running, h) / T
+    inner_running = cumulative_simpson(inner.eval_for_quadrature(t, grid), h)
+    return simpson_uniform(outer.eval_for_quadrature(t, grid) * inner_running, h) / T
 
 
 def _parse_nu_method(nu_method: str) -> int | None:

@@ -283,6 +283,14 @@ def _analytic_maps(game: PotentialGame) -> tuple[AgentMap, ...]:
     return game.maps
 
 
+def _square(c: float) -> float:
+    """c ** 2, inf where the Python float power raises OverflowError."""
+    try:
+        return c ** 2
+    except OverflowError:
+        return math.inf
+
+
 def analytic_lie_single_integrator(game: PotentialGame, params) -> VectorField:
     """Closed-form averaged field of the single-integrator architecture.
 
@@ -297,7 +305,7 @@ def analytic_lie_single_integrator(game: PotentialGame, params) -> VectorField:
     n = game.n_agents
     dim = 3 * n
     # per agent: index, map, gradient, c*alpha, c**2, h
-    agents = [(i, m.fn, m.grad, p.c * p.alpha, p.c ** 2, p.h)
+    agents = [(i, m.fn, m.grad, p.c * p.alpha, _square(p.c), p.h)
               for i, (m, p) in enumerate(zip(_analytic_maps(game), params))]
 
     def fn(t, z):

@@ -271,11 +271,14 @@ def sup_distance(a: Trajectory, b: Trajectory) -> float:
     if hi < lo:
         raise ValueError("trajectories do not overlap")
     mask = (a.times >= lo - 1e-12) & (a.times <= hi + 1e-12)
-    ts = a.times[mask]
-    diffs = a.states[mask] - b.sample(ts)
-    # near-divergent states can overflow the squared norm; report inf quietly
+    return float(np.max(_distances(a.states[mask], b.sample(a.times[mask]), axis=1)))
+
+
+def _distances(states, other, axis=None):
+    """Euclidean distances of ``states`` to ``other`` along ``axis`` (None: one);
+    an overflow near divergence reads inf quietly."""
     with np.errstate(over="ignore"):
-        return float(np.max(np.linalg.norm(diffs, axis=1)))
+        return np.linalg.norm(states - other, axis=axis)
 
 
 def final_distance(traj: Trajectory, target) -> float:
@@ -285,7 +288,7 @@ def final_distance(traj: Trajectory, target) -> float:
         return math.nan
     if traj.diverged:
         return math.inf
-    return float(np.linalg.norm(traj.final_state - np.asarray(target, dtype=float)))
+    return float(_distances(traj.final_state, np.asarray(target, dtype=float)))
 
 
 def _rhs_of(system) -> VectorField:
@@ -504,7 +507,7 @@ def stability_probe(build_system, target, probe: ProbeConfig, omegas,
             any_div = False
             for traj, _ in run_cells(((rhs, target + delta * d, probe.horizon) for d in dirs),
                                      policy):
-                dist = np.linalg.norm(traj.states - target, axis=1)
+                dist = _distances(traj.states, target, axis=1)
                 if traj.diverged:
                     any_div = True
                     containment = math.inf
@@ -558,10 +561,13 @@ def averaging_decay_check(u: DitherSignal, t0: float, t_end: float, omegas,
     boundaries (exactly so when omega * t0 is a multiple of the dither
     period, e.g. t0 = 0); the grid may overshoot t_end by less than one
     step. The endpoint defect is read at the node closest to t_end, the sup
-    defect over the whole window.
+    defect over the whole window. ``u`` and ``partner`` are evaluated at the
+    one slow time t0, so a t-dependent one is refused.
     """
-    if u.t_dependent:
-        raise ValueError("decay check expects dithers without slow-time dependence")
+    partner = partner or u
+    for name, sig in (("u", u), ("partner", partner)):
+        if sig.t_dependent:
+            raise ValueError(f"decay check expects dithers without slow-time dependence: {name}")
     for name, value in (("t0", t0), ("t_end", t_end)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
@@ -573,7 +579,6 @@ def averaging_decay_check(u: DitherSignal, t0: float, t_end: float, omegas,
     n = samples_per_period
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
         raise ValueError(f"samples_per_period must be an integer >= 1, got {n!r}")
-    partner = partner or u
     K = 8 * math.ceil(n / 8)
     steps = [u.period / (w * u.harmonic) / K for w in omegas]
     if not (t_end - t0) / steps[-1] <= MAX_DECAY_INTERVALS:  # the last omega's grid is finest
@@ -589,13 +594,13 @@ def averaging_decay_check(u: DitherSignal, t0: float, t_end: float, omegas,
         n_int = even_intervals(math.ceil((t_end - t0) / step))
         grid = t0 + step * np.arange(n_int + 1)
 
-        y = np.asarray(u.eval_for_quadrature(grid, w * grid), dtype=float)
+        y = u.eval_for_quadrature(t0, w * grid)
         running = cumulative_simpson(y - mean0, step)
         defects = np.abs(running)
         endpoint_idx = int(round((t_end - t0) / step))
         endpoint_idx = min(endpoint_idx, defects.size - 1)
 
-        y_in = np.asarray(partner.eval_for_quadrature(grid, w * grid), dtype=float)
+        y_in = partner.eval_for_quadrature(t0, w * grid)
         inner_running = cumulative_simpson(y_in, step)
         paired_vals = w * y * inner_running - nu
         paired_running = cumulative_simpson(paired_vals, step)

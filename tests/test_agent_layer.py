@@ -218,6 +218,22 @@ def test_scalar_and_identity_stacks_take_a_batch_row_by_row(rows, t):
             identity(t, np.repeat(batch, 2, axis=1))
 
 
+@pytest.mark.parametrize("name", ["scalar_basic", "three_agent_single_integrator",
+                                  "three_agent_unicycle"])
+@given(data=st.data(), t=st.floats(min_value=0.0, max_value=50.0))
+@settings(max_examples=40, deadline=None)
+def test_a_point_s_stack_value_is_the_layout_times_its_features(name, data, t):
+    # a point goes through the batch body as a batch of one row; its bits are
+    # the product L(t) @ features(t, x) of the layout contracted with phi(t)
+    stack = load_scenario(name).build_system(80.0).stack
+    x = data.draw(_batches("bundled", stack.dim).filter(len))[0]
+    p, rows, n, width = stack.layout.shape
+    L = (stack.phi([t]) @ stack.layout.reshape(p, -1)).reshape(rows * n, width)
+    with np.errstate(invalid="ignore"):
+        want = (L @ stack.features(t, x)).reshape(rows, n)
+        assert _same_bits(stack(t, x), want)
+
+
 def test_batches_of_no_rows_keep_their_row_shape():
     # np.array over no rows has shape (0,), whatever the rows' shape
     none = np.zeros((0, 6))

@@ -20,6 +20,7 @@ from ditherseek import (FieldStack, InputAffineSystem, PrecisionWarning, StepPol
 from ditherseek import liebracket
 from ditherseek.dynamics import last_table
 from ditherseek.sim import STAGE_CHUNK, step_count
+from helpers import constant_field, zero_field
 
 REL_TOL = 1e-13
 BUNDLED = ("scalar_basic", "three_agent_single_integrator", "three_agent_unicycle")
@@ -240,7 +241,7 @@ def test_a_t_dependent_dither_costs_the_same_quadratures_over_an_integration(mon
 
 
 def _repro(with_dead_channel, calls):
-    const = VectorField.constant([1.0])
+    const = constant_field([1.0])
     f = VectorField(1, lambda t, x: np.array([-(x[0] - 1.0) ** 2]),
                     jac=lambda t, x: np.array([[-2.0 * (x[0] - 1.0)]]))
 
@@ -251,7 +252,7 @@ def _repro(with_dead_channel, calls):
     channels = ((const, cosine(1)), (f, sine(1)))
     if with_dead_channel:  # nu = 0 with both: sine(2) pairs with no first harmonic
         channels += ((VectorField(1, steep), sine(2)),)
-    return InputAffineSystem(VectorField.zero(1), channels, 100.0)
+    return InputAffineSystem(zero_field(1), channels, 100.0)
 
 
 def test_a_channel_that_pairs_with_nothing_is_never_evaluated():

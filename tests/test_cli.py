@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -444,6 +445,49 @@ def test_a_huge_scalar_amplitude_is_reported_not_a_traceback(tmp_path, capsys, m
     lines = [line for line in captured.out.splitlines() if report in line]
     cells = len(sc.probe.deltas) if mode == "probe" else 1
     assert len(lines) == cells * len(sc.omegas)
+
+
+@pytest.mark.parametrize("mode", ["compare", "sweep"])
+def test_a_gain_whose_square_overflows_is_reported_not_a_traceback(tmp_path, capsys, mode):
+    # c ** 2 raises OverflowError on Python floats past about 1.3e154; the
+    # closed-form averaged field reads it as inf, and its run diverges
+    text = _bundled_text("three_agent_single_integrator")
+    doc = tmp_path / "huge_gain.yaml"
+    doc.write_text(text.replace('c: "3/10"', "c: 1e308"), encoding="utf-8")
+    status = main(["--scenario", str(doc), "--mode", mode, "--horizon", "1",
+                   "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert status == 0 and captured.err == ""
+    assert captured.out.count("DIVERGED") == 2
+    assert "averaged flow final distance" in captured.out
+
+
+def test_the_closed_form_squares_each_gain_as_a_python_float():
+    c = 4.025030223315786  # c * c and c ** 2 round to different floats
+    assert c * c != c ** 2
+    game = seekers.three_agent_game()
+    params = [AgentParams(c, 1.0, 1.0, a) for a in (1, 2, 3)]
+    z = load_scenario("three_agent_single_integrator").x0 + 0.25
+    want = []
+    for i, m in enumerate(game.maps):  # the docstring's formula, with c ** 2
+        f_val, row = m.fn(z[:6]), m.grad(z[:6])
+        d1, d2, g = row[2 * i], row[2 * i + 1], f_val - z[6 + i]
+        want += [0.5 * (c * d1 - c ** 2 * d2 * g), 0.5 * (c * d2 + c ** 2 * d1 * g)]
+    want += [-z[6 + i] + m.fn(z[:6]) for i, m in enumerate(game.maps)]
+    assert analytic_lie_single_integrator(game, params)(0.0, z).tolist() == want
+
+
+def test_a_probe_of_a_huge_shell_warns_nothing(tmp_path, capsys):
+    # the distances of states near 1e308 to the target overflow their squares
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status, sc = _run_with_line(
+            tmp_path, "scalar_basic", "probe:",
+            "probe: {delta: [1e308], epsilon: 0.75, t_f: 8.0, boundary_samples: 4, "
+            "horizon: 16.0}", "probe")
+    captured = capsys.readouterr()
+    assert status == 0 and captured.err == ""
+    assert captured.out.count("DIVERGED") == len(sc.omegas)
 
 
 def _many_agents_text(dynamics, n):

@@ -7,6 +7,7 @@ import pytest
 
 from ditherseek import (FieldEvaluationError, InputAffineSystem, VectorField,
                         assemble_rhs, cosine, finite_diff_jacobian, sine)
+from helpers import constant_field, zero_field
 
 
 def _linear_field(A):
@@ -31,7 +32,7 @@ def test_finite_diff_linear_field_recovers_matrix():
 
 
 def test_finite_diff_constant_field_is_zero():
-    fld = VectorField.constant([3.0, -1.0, 2.0])
+    fld = constant_field([3.0, -1.0, 2.0])
     J = finite_diff_jacobian(fld, 0.0, np.array([1.0, 1.0, 1.0]))
     assert np.max(np.abs(J)) < 1e-9
 
@@ -80,15 +81,15 @@ def test_jacobian_prefers_analytic():
 # input-affine assembly
 
 def test_empty_channel_list_returns_drift():
-    drift = VectorField.constant([1.0, -2.0])
+    drift = constant_field([1.0, -2.0])
     rhs = assemble_rhs(InputAffineSystem(drift, (), omega=3.0))
     assert np.allclose(rhs(0.7, np.zeros(2)), [1.0, -2.0])
 
 
 def _scalar_instance(f, alpha, omega):
-    const = VectorField.constant([alpha])
+    const = constant_field([alpha])
     f_field = VectorField(1, lambda t, x: np.array([f(x[0])]))
-    return InputAffineSystem(VectorField.zero(1),
+    return InputAffineSystem(zero_field(1),
                              ((const, cosine(1)), (f_field, sine(1))), omega)
 
 
@@ -106,8 +107,8 @@ def test_scalar_instance_at_quarter_dither_period():
 
 
 def test_amplitude_exponent_one_scales_by_omega():
-    const = VectorField.constant([1.0])
-    sys = InputAffineSystem(VectorField.zero(1), ((const, cosine(1)),), 9.0,
+    const = constant_field([1.0])
+    sys = InputAffineSystem(zero_field(1), ((const, cosine(1)),), 9.0,
                             amplitude_exponent=1.0)
     assert assemble_rhs(sys)(0.0, np.zeros(1))[0] == pytest.approx(9.0)
 
@@ -155,21 +156,21 @@ def test_assembled_jacobian_combines_channel_jacobians():
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
-        InputAffineSystem(VectorField.zero(2),
-                          ((VectorField.zero(3), sine(1)),), 1.0)
+        InputAffineSystem(zero_field(2),
+                          ((zero_field(3), sine(1)),), 1.0)
 
 
 def test_invalid_omega_and_exponent_rejected():
     with pytest.raises(ValueError):
-        InputAffineSystem(VectorField.zero(1), (), omega=0.0)
+        InputAffineSystem(zero_field(1), (), omega=0.0)
     with pytest.raises(ValueError):
-        InputAffineSystem(VectorField.zero(1), (), omega=1.0, amplitude_exponent=0.7)
+        InputAffineSystem(zero_field(1), (), omega=1.0, amplitude_exponent=0.7)
 
 
 def test_fast_rate_tracks_harmonics_and_fields():
     fld = VectorField(1, lambda t, x: np.zeros(1), oscillation_rate=11.0)
-    sys = InputAffineSystem(VectorField.zero(1), ((fld, sine(3)),), omega=2.0)
+    sys = InputAffineSystem(zero_field(1), ((fld, sine(3)),), omega=2.0)
     # dither rate: omega * n = 6; field carries its own 11
     assert sys.fast_rate == pytest.approx(11.0)
-    sys2 = InputAffineSystem(VectorField.zero(1), ((fld, sine(3)),), omega=10.0)
+    sys2 = InputAffineSystem(zero_field(1), ((fld, sine(3)),), omega=10.0)
     assert sys2.fast_rate == pytest.approx(30.0)

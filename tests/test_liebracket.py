@@ -11,6 +11,7 @@ from ditherseek import (InputAffineSystem, PrecisionWarning, UnsupportedSignalEr
                         lie_bracket, nu_closed_form, nu_quadrature, sine, square)
 from ditherseek import liebracket
 from ditherseek.liebracket import MAX_NU_NODES
+from helpers import constant_field, zero_field
 
 RNG = np.random.default_rng(42)
 
@@ -48,14 +49,14 @@ def test_bracket_of_field_with_itself_vanishes():
 
 def test_bracket_dimension_mismatch():
     with pytest.raises(ValueError):
-        lie_bracket(VectorField.zero(2), VectorField.zero(3))
+        lie_bracket(zero_field(2), zero_field(3))
 
 
 def test_bracket_constant_against_gradient_structure():
     # b1 = alpha (constant), b2 = f(x) along the same axis:
     # [b1, b2] = alpha * f'(x) on a line
     alpha = 1.7
-    b1 = VectorField.constant([alpha])
+    b1 = constant_field([alpha])
     b2 = VectorField(1, lambda t, x: np.array([-(x[0] - 1.0) ** 2]),
                      jac=lambda t, x: np.array([[-2.0 * (x[0] - 1.0)]]))
     br = lie_bracket(b1, b2)
@@ -180,10 +181,10 @@ def test_nu_antisymmetric_for_any_zero_mean_pair():
 # the averaged system
 
 def _scalar_scheme(alpha=1.0, omega=50.0):
-    const = VectorField.constant([alpha])
+    const = constant_field([alpha])
     f_field = VectorField(1, lambda t, x: np.array([-(x[0] - 1.0) ** 2]),
                           jac=lambda t, x: np.array([[-2.0 * (x[0] - 1.0)]]))
-    return InputAffineSystem(VectorField.zero(1),
+    return InputAffineSystem(zero_field(1),
                              ((const, cosine(1)), (f_field, sine(1))), omega)
 
 
@@ -202,7 +203,7 @@ def test_averaged_system_refuses_wrong_amplitude_exponent():
 
 
 def test_single_channel_reduces_to_drift():
-    drift = VectorField.constant([2.0, 0.5])
+    drift = constant_field([2.0, 0.5])
     fld = VectorField(2, lambda t, x: np.array([x[1], -x[0]]),
                       jac=lambda t, x: np.array([[0.0, 1.0], [-1.0, 0.0]]))
     lie = build_lie_bracket_system(InputAffineSystem(drift, ((fld, sine(1)),), 10.0))
@@ -213,7 +214,7 @@ def test_single_channel_reduces_to_drift():
 
 def test_distinct_harmonics_contribute_nothing():
     # pair (sine(1), cosine(2)) has nu = 0: averaged field equals the drift
-    drift = VectorField.constant([0.0])
+    drift = constant_field([0.0])
     f1 = VectorField(1, lambda t, x: np.array([x[0]]),
                      jac=lambda t, x: np.array([[1.0]]))
     f2 = VectorField(1, lambda t, x: np.array([x[0] ** 2]),
@@ -234,7 +235,7 @@ def test_harmonic_scaling_identity():
         b2 = VectorField(2, lambda t, x: s * np.array([1.0, x[0] * x[1]]),
                          jac=lambda t, x: s * np.array([[0.0, 0.0],
                                                         [x[1], x[0]]]))
-        return InputAffineSystem(VectorField.zero(2),
+        return InputAffineSystem(zero_field(2),
                                  ((b1, sine(n)), (b2, cosine(n))), 10.0)
 
     base = build_lie_bracket_system(pair_system(1))
@@ -254,10 +255,10 @@ def test_averaged_system_with_quadrature_method():
 
 
 def test_averaged_system_square_dithers_need_quadrature():
-    const = VectorField.constant([1.0])
+    const = constant_field([1.0])
     f_field = VectorField(1, lambda t, x: np.array([x[0]]),
                           jac=lambda t, x: np.array([[1.0]]))
-    sys = InputAffineSystem(VectorField.zero(1),
+    sys = InputAffineSystem(zero_field(1),
                             ((const, square(1)), (f_field, cosine(1))), 10.0)
     with pytest.raises(UnsupportedSignalError):
         build_lie_bracket_system(sys, "closed_form")
@@ -276,10 +277,10 @@ def test_t_dependent_custom_nu_recomputed_per_time():
     # with the slow-time factor
     mod = custom(lambda t, th: (1.0 + 0.5 * math.sin(t)) * np.sin(th),
                  sup_bound=1.5, lipschitz_t=0.5)
-    const = VectorField.constant([1.0])
+    const = constant_field([1.0])
     f_field = VectorField(1, lambda t, x: np.array([x[0]]),
                           jac=lambda t, x: np.array([[1.0]]))
-    sys = InputAffineSystem(VectorField.zero(1),
+    sys = InputAffineSystem(zero_field(1),
                             ((const, cosine(1)), (f_field, mod)), 10.0)
     with pytest.raises(UnsupportedSignalError):
         build_lie_bracket_system(sys, "closed_form")
@@ -289,7 +290,7 @@ def test_t_dependent_custom_nu_recomputed_per_time():
         expected = 0.5 * (1.0 + 0.5 * math.sin(t))
         assert lie(t, np.array([0.3]))[0] == pytest.approx(expected, abs=1e-9)
     # one t-dependent channel forms no pair: closed_form averages it to the drift
-    single = InputAffineSystem(VectorField.constant([2.0]), ((f_field, mod),), 10.0)
+    single = InputAffineSystem(constant_field([2.0]), ((f_field, mod),), 10.0)
     lie = build_lie_bracket_system(single, "closed_form")
     for t in (0.0, 1.0):
         assert lie(t, np.array([0.3])).tolist() == [2.0]
@@ -305,10 +306,10 @@ def test_only_pairs_with_a_t_dependent_dither_are_refilled(monkeypatch):
     monkeypatch.setattr(liebracket, "nu_quadrature", counting)
     mod = custom(lambda t, th: (1.0 + 0.5 * math.sin(t)) * np.sin(th),
                  sup_bound=1.5, lipschitz_t=0.5)
-    const = VectorField.constant([1.0])
+    const = constant_field([1.0])
     f_field = VectorField(1, lambda t, x: np.array([x[0]]),
                           jac=lambda t, x: np.array([[1.0]]))
-    sys = InputAffineSystem(VectorField.zero(1), ((const, cosine(1)), (f_field, sine(1)),
+    sys = InputAffineSystem(zero_field(1), ((const, cosine(1)), (f_field, sine(1)),
                                                   (f_field, mod)), 10.0)
     lie = build_lie_bracket_system(sys, "quadrature")
     assert len(counted) == 3  # every pair once at build, at t = 0
@@ -327,15 +328,15 @@ def test_non_finite_nu_is_refused_by_name():
     # one nan sample makes nu nan, which the zero test alone reads as a
     # structural zero, leaving the drift
     holed = custom(lambda t, th: np.where(th == 0.0, np.nan, np.sin(th)), t_dependent=False)
-    const = VectorField.constant([1.0])
+    const = constant_field([1.0])
     f_field = VectorField(1, lambda t, x: np.array([x[0]]),
                           jac=lambda t, x: np.array([[1.0]]))
-    sys = InputAffineSystem(VectorField.zero(1), ((const, cosine(1)), (f_field, holed)), 10.0)
+    sys = InputAffineSystem(zero_field(1), ((const, cosine(1)), (f_field, holed)), 10.0)
     with pytest.raises(ValueError, match=r"nu\(custom, cosine:1\) at t=0 is nan"):
         build_lie_bracket_system(sys, "quadrature")
     # a t-dependent pair is refused at the time its nu is not finite
     late = custom(lambda t, th: (math.nan if t >= 1.0 else 1.0) * np.sin(th))
-    sys = InputAffineSystem(VectorField.zero(1), ((const, cosine(1)), (f_field, late)), 10.0)
+    sys = InputAffineSystem(zero_field(1), ((const, cosine(1)), (f_field, late)), 10.0)
     lie = build_lie_bracket_system(sys, "quadrature")
     assert lie(0.5, np.array([0.3]))[0] == pytest.approx(0.5, abs=1e-9)
     with pytest.raises(ValueError, match=r"nu\(custom, cosine:1\) at t=1 is nan"):
@@ -361,9 +362,9 @@ def test_only_channels_of_non_zero_pairs_are_differentiated(third, differentiate
 
 
 def test_fallback_warning_from_averaged_construction():
-    const = VectorField.constant([1.0])
+    const = constant_field([1.0])
     f_field = VectorField(1, lambda t, x: np.array([x[0]]))  # no Jacobian
-    sys = InputAffineSystem(VectorField.zero(1),
+    sys = InputAffineSystem(zero_field(1),
                             ((const, cosine(1)), (f_field, sine(1))), 10.0)
     with pytest.warns(PrecisionWarning):
         build_lie_bracket_system(sys)

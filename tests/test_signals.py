@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ditherseek import (DitherSignal, cosine, custom, from_name, sawtooth, sine,
-                        square, triangle, validate_assumptions)
+from ditherseek import (DitherSignal, cosine, custom, from_name, nu_quadrature, sawtooth,
+                        sine, square, triangle, validate_assumptions)
 from ditherseek.signals import BUILTIN_KINDS, SignalValidationReport, period_mean
 
 TWO_PI = 2.0 * math.pi
@@ -18,6 +18,51 @@ ALL_KINDS = [sine, cosine, square, triangle, sawtooth]
 
 # ---------------------------------------------------------------------------
 # evaluation
+
+@pytest.mark.parametrize("value", [0.25, np.float64(0.25), np.array(0.25)],
+                         ids=["float", "float64", "0-d"])
+def test_a_scalar_custom_value_stands_for_every_theta(value):
+    sig = custom(lambda t, th: value, t_dependent=False)
+    theta = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+    for evaluate in (sig.eval, sig.eval_for_quadrature):
+        got = evaluate(0.5, theta)
+        assert type(got) is np.ndarray and got.dtype == np.float64
+        assert got.shape == theta.shape and (got == 0.25).all()
+
+
+def test_values_take_the_broadcast_shape_of_t_and_theta():
+    theta = np.linspace(0.1, 6.0, 5)
+    rows = np.zeros((3, 1))  # three slow times, each against every theta
+    for sig in (sine(2), sawtooth(1)):
+        for evaluate in (sig.eval, sig.eval_for_quadrature):
+            got = evaluate(rows, theta)
+            assert got.shape == (3, 5)
+            assert np.array_equal(got, np.broadcast_to(evaluate(0.0, theta), (3, 5)))
+    # where t varies, a custom evaluator is called once per element with floats
+    calls = []
+
+    def fn(t, th):
+        calls.append((type(t), type(th)))
+        return math.sin(t) * math.cos(th)
+
+    t = np.array([0.1, 0.2, 0.3])
+    got = custom(fn).eval(t, theta[:2, None])
+    assert got.shape == (2, 3) and len(calls) == 6 and set(calls) == {(float, float)}
+    assert got.tolist() == [[math.sin(a) * math.cos(b) for a in t.tolist()]
+                            for b in theta[:2].tolist()]
+
+
+def test_quadrature_values_never_pass_through_eval(monkeypatch):
+    # the benchmark tracer counts DitherSignal.eval calls; a quadrature makes none
+    def refuse(self, t, theta):
+        raise AssertionError("eval called")
+
+    monkeypatch.setattr(DitherSignal, "eval", refuse)
+    for sig in (sawtooth(3), custom(lambda t, th: np.sin(th), t_dependent=False)):
+        assert sig.eval_for_quadrature(0.0, np.zeros(3)).shape == (3,)
+        assert abs(period_mean(sig, 0.5)) < 1e-12
+    assert nu_quadrature(sine(1), cosine(1)) == pytest.approx(0.5, abs=1e-9)
+
 
 def test_eval_sine_at_quarter_period():
     assert float(sine(1)(0.0, math.pi / 2)) == pytest.approx(1.0)

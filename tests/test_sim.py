@@ -10,12 +10,13 @@ from ditherseek import (AgentParams, DitherSignal, InputAffineSystem, OmegaRecor
                         ProbeConfig, StepPolicy, SweepReport, Trajectory, VectorField,
                         analytic_lie_scalar, analytic_lie_single_integrator,
                         assemble_rhs, averaging_decay_check, build_scalar_seeker,
-                        build_single_integrator, cosine, equilibrium_state,
+                        build_single_integrator, cosine, custom, equilibrium_state,
                         integrate, omega_sweep, sine, square, stability_probe,
                         sup_distance, three_agent_game, write_long_csv,
                         write_sweep_csv, write_trajectory_csv)
 from ditherseek import sim
 from ditherseek.scenarios import bundled_scenario
+from helpers import constant_field, zero_field
 
 RNG = np.random.default_rng(99)
 X0 = np.array([2.0, -2.0, -2.0, 2.0, -1.0, 2.5, 0.0, 0.0, 0.0])
@@ -29,7 +30,7 @@ def _decay_field(rate=1.0):
 # integration
 
 def test_integrate_constant_field():
-    fld = VectorField.zero(3)
+    fld = zero_field(3)
     traj = integrate(fld, [1.0, -2.0, 0.5], horizon=2.0,
                      policy=StepPolicy(max_step=0.1))
     assert not traj.diverged
@@ -113,9 +114,9 @@ def test_integrate_flags_divergence():
 
 def test_integrate_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        integrate(VectorField.zero(1), [0.0], horizon=0.0)
+        integrate(zero_field(1), [0.0], horizon=0.0)
     with pytest.raises(ValueError):
-        integrate(VectorField.zero(2), [0.0], horizon=1.0)
+        integrate(zero_field(2), [0.0], horizon=1.0)
 
 
 def test_step_count_is_bounded_by_max_steps():
@@ -271,7 +272,7 @@ def test_sweep_validates_omega_list():
 
 def test_sweep_records_divergence_not_fatal():
     blow = VectorField(1, lambda t, x: x * x)
-    lie = VectorField.zero(1)
+    lie = zero_field(1)
     rep = omega_sweep(lambda w: blow, lie, [1.0, 2.0], [1.0], horizon=2.0,
                       policy=StepPolicy(max_step=0.01))
     assert all(r.diverged for r in rep.records)
@@ -360,7 +361,7 @@ def _probe(omegas=(10.0,), **kwargs):
 
 
 @pytest.mark.parametrize("make,match", [
-    (lambda: InputAffineSystem(VectorField.zero(1), ((VectorField.zero(1), sine(1)),), NAN),
+    (lambda: InputAffineSystem(zero_field(1), ((zero_field(1), sine(1)),), NAN),
      "omega"),
     (lambda: StepPolicy(max_step=NAN), "max_step"),
     (lambda: Trajectory(0.0, NAN, np.zeros((1, 1))), "dt"),
@@ -575,6 +576,25 @@ def test_decay_validates_arguments():
     for value in (math.nan, math.inf, 0, -5, 8.5, True, "64"):
         with pytest.raises(ValueError, match="samples_per_period must be an integer >= 1"):
             averaging_decay_check(sine(1), 0.0, 1.0, [10.0, 100.0], samples_per_period=value)
+
+
+def test_decay_check_refuses_a_t_dependent_dither_by_name():
+    # the paired integrand is centred on nu at t0 alone, so a t-dependent
+    # partner is refused as a t-dependent u is
+    slow = custom(lambda t, th: (1.0 + 0.5 * math.sin(t)) * np.sin(th))
+    for u, partner, name in ((slow, None, "u"), (sine(1), slow, "partner")):
+        with pytest.raises(ValueError, match=f"slow-time dependence: {name}$"):
+            averaging_decay_check(u, 0.0, 1.0, [100.0, 1000.0], partner=partner)
+
+
+def test_decay_check_calls_a_custom_evaluator_with_the_float_t0():
+    # math on t takes a float only; the check evaluates its dithers at t0
+    flat = custom(lambda t, th: math.cos(0.0 * t) * np.sin(th), t_dependent=False)
+    quarter = custom(lambda t, th: math.cos(0.0 * t) * np.cos(th), t_dependent=False)
+    omegas = [100.0, 1000.0]
+    got = averaging_decay_check(flat, 0.5, 1.5, omegas, partner=quarter)
+    want = averaging_decay_check(sine(1), 0.5, 1.5, omegas, partner=cosine(1))
+    assert dataclasses.astuple(got) == dataclasses.astuple(want)
 
 
 def test_decay_check_refuses_a_grid_past_its_bound_before_any_quadrature(monkeypatch):

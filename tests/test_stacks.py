@@ -18,6 +18,7 @@ from ditherseek import (FieldEvaluationError, FieldStack, InputAffineSystem, Pre
                         cosine, finite_diff_jacobian, frequency_decomposition, integrate,
                         load_scenario, nu_closed_form, sine)
 from ditherseek.sim import STAGE_CHUNK, step_count
+from helpers import constant_field, zero_field
 
 ARCHITECTURES = ("scalar_basic", "three_agent_single_integrator", "three_agent_unicycle")
 SCENARIOS = {name: load_scenario(name) for name in ARCHITECTURES}
@@ -360,6 +361,42 @@ def test_builders_share_one_stack_and_call_each_map_once():
         assert calls == {"map": 6, "gradient": 6}
 
 
+def test_row_views_evaluate_their_stack_once_per_new_point():
+    base = SCENARIOS["three_agent_unicycle"].build_system(80.0).stack
+    calls = {"features": [], "feature_jac": []}
+
+    def counted(name, f):
+        def fn(t, x):
+            calls[name].append(t)
+            return f(t, x)
+        return fn
+
+    stack = FieldStack(base.layout, counted("features", base.features),
+                       counted("feature_jac", base.feature_jac), base.basis)
+    x = SCENARIOS["three_agent_unicycle"].x0
+
+    def each_row(t, x, jacobian=False):
+        for fld in stack.fields:
+            (fld.jacobian if jacobian else fld)(t, x)
+
+    each_row(np.float64(0.3), x)
+    each_row(0.3, x.tolist())  # a repeat, however the point is written
+    assert calls == {"features": [0.3], "feature_jac": []}
+    assert type(calls["features"][0]) is float  # t reaches the stack as a float
+    each_row(0.3, x, jacobian=True)
+    each_row(0.3, x, jacobian=True)
+    each_row(0.3, x)  # the Jacobian kept the value's point
+    assert calls == {"features": [0.3], "feature_jac": [0.3]}
+    each_row(0.3, x + 1.0)
+    each_row(0.5, x + 1.0)
+    each_row(0.5, x + 1.0, jacobian=True)
+    assert calls == {"features": [0.3, 0.3, 0.5], "feature_jac": [0.3, 0.5]}
+    # each view reads its own row of the one evaluation
+    assert np.array_equal([fld(0.5, x) for fld in stack.fields], stack(0.5, x))
+    assert np.array_equal([fld.jacobian(0.5, x) for fld in stack.fields],
+                          stack.jacobian(0.5, x))
+
+
 def test_replaced_channels_are_never_evaluated_through_the_old_stack():
     sc = SCENARIOS["three_agent_single_integrator"]
     sys = sc.build_system(100.0)
@@ -379,7 +416,7 @@ def test_replaced_channels_are_never_evaluated_through_the_old_stack():
 
 def test_wrongly_shaped_field_raises_from_integrate():
     bad = VectorField(2, lambda t, x: np.zeros(3))
-    sys = InputAffineSystem(VectorField.zero(2), ((bad, sine(1)),), 10.0)
+    sys = InputAffineSystem(zero_field(2), ((bad, sine(1)),), 10.0)
     with pytest.raises(ValueError, match="shape"):
         integrate(assemble_rhs(sys), np.zeros(2), 1.0)
     # the bracket evaluates only channels with a non-zero pair: give it a partner
@@ -397,7 +434,7 @@ def test_nonfinite_rhs_marks_divergence_at_the_same_step():
         return np.array([math.inf if x[0] > 2.0 else 1.0 + x[0] ** 2])
 
     fld = VectorField(1, fn)
-    sys = InputAffineSystem(VectorField.constant([1.0]), ((fld, sine(1)),), 4.0)
+    sys = InputAffineSystem(constant_field([1.0]), ((fld, sine(1)),), 4.0)
 
     def reference(t, x):
         out = sys.drift(t, x) + 2.0 * math.sin(4.0 * t) * fld(t, x)

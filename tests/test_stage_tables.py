@@ -24,6 +24,7 @@ from ditherseek import (FieldEvaluationError, InputAffineSystem, ProbeConfig, St
                         custom, integrate, load_scenario, sine, stability_probe)
 from ditherseek import sim
 from ditherseek.sim import STAGE_CHUNK, step_count
+from helpers import constant_field
 
 ARCHITECTURES = ("scalar_basic", "three_agent_single_integrator", "three_agent_unicycle")
 SCENARIOS = {name: load_scenario(name) for name in ARCHITECTURES}
@@ -198,7 +199,7 @@ def _blows_up_past(threshold):
     """dx/dt = 1 + 2 sin(4t) (1 + x), refused once x passes ``threshold``."""
     def channel(t, x):
         return np.array([math.inf if x[0] > threshold else 1.0 + x[0]])
-    return InputAffineSystem(VectorField.constant([1.0]), ((VectorField(1, channel), sine(1)),),
+    return InputAffineSystem(constant_field([1.0]), ((VectorField(1, channel), sine(1)),),
                              4.0)
 
 
