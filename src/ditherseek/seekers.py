@@ -38,34 +38,39 @@ def _fd_gradient(fn: Callable[[np.ndarray], float], xbar: np.ndarray) -> np.ndar
 class AgentMap:
     """An individual objective f_i: R^(2N) -> R with optional analytic gradient.
 
-    ``fn`` takes one point (2N,); ``grad`` one point (2N,) or a batch (S, 2N),
-    returning for one point 2N floats, as a list or a (2N,) array, and for a
-    batch (S, 2N). :meth:`gradient` always returns an array, and without
-    ``grad`` takes central differences, row by row for a batch. A value or
-    gradient whose float arithmetic overflows reads nan: Python floats raise
-    OverflowError where numpy gives inf, and either way the fields built on
-    the map refuse the non-finite value. The Jacobian paths (the washout
-    Jacobian, the closed-form averaged fields) call ``fn`` and ``grad``
-    directly, with this rule inlined. A batch body computes in numpy, where
-    an overflow is inf, so it must read nan where the float body raises, row by row.
+    ``fn`` takes one point as a list of 2N Python floats; ``grad`` one point
+    as such a list or a batch as an (S, 2N) array, returning for one point 2N
+    floats, as a list or a (2N,) array, and for a batch (S, 2N). Every caller
+    of a state converts it to floats once and hands the list to all N maps
+    and gradients. :meth:`__call__` and :meth:`gradient` take one point as an
+    array, with one ``tolist``; :meth:`gradient` always returns an array, and
+    without ``grad`` takes central differences, row by row for a batch. A
+    value or gradient whose float arithmetic overflows reads nan: Python
+    floats raise OverflowError where numpy gives inf, and either way the
+    fields built on the map refuse the non-finite value. The Jacobian paths
+    (the washout Jacobian, the closed-form averaged fields) call ``fn`` and
+    ``grad`` directly, with this rule inlined. A batch body computes in
+    numpy, where an overflow is inf, so it must read nan where the float body
+    raises, row by row.
     """
 
-    fn: Callable[[np.ndarray], float]
-    grad: Callable[[np.ndarray], np.ndarray | list[float]] | None = None
+    fn: Callable[[list[float]], float]
+    grad: Callable[[list[float] | np.ndarray], np.ndarray | list[float]] | None = None
 
     def __call__(self, xbar: np.ndarray) -> float:
         try:
-            return float(self.fn(xbar))
+            return float(self.fn(np.asarray(xbar, dtype=float).tolist()))
         except OverflowError:
             return math.nan
 
     def gradient(self, xbar: np.ndarray) -> np.ndarray:
         if self.grad is None:
             return _fd_gradient(self, xbar)
+        xbar = np.asarray(xbar, dtype=float)
         try:
-            return np.asarray(self.grad(xbar), dtype=float)
+            return np.asarray(self.grad(xbar.tolist() if xbar.ndim == 1 else xbar), dtype=float)
         except OverflowError:
-            return np.full(np.shape(xbar), math.nan)
+            return np.full(xbar.shape, math.nan)
 
 
 @dataclass(frozen=True)
@@ -162,15 +167,21 @@ def frequency_decomposition(ratios) -> tuple[int, list[int]]:
 MAX_AGENTS = 24
 
 
+def _one_per_agent(game: PotentialGame, params) -> list:
+    """``params`` as a list, refused unless it holds one entry per agent of ``game``."""
+    params = list(params)
+    if len(params) != game.n_agents:
+        raise ValueError(f"need one parameter set per agent: the game has "
+                         f"{game.n_agents} agents, got {len(params)}")
+    return params
+
+
 def _check_params(game: PotentialGame, params,
                   Omega: float | None = None) -> list[AgentParams]:
     """Agent parameters for ``game``; a base angular rate ``Omega`` marks a unicycle."""
     if game.n_agents > MAX_AGENTS:
         raise ValueError(f"{game.n_agents} agents: at most {MAX_AGENTS} are supported")
-    params = list(params)
-    if len(params) != game.n_agents:
-        raise ValueError(f"need one parameter set per agent: the game has "
-                         f"{game.n_agents} agents, got {len(params)}")
+    params = _one_per_agent(game, params)
     ratios = [p.a for p in params]
     if len(set(ratios)) != len(ratios):
         raise ValueError("dither frequency ratios must be distinct across agents")
@@ -213,12 +224,14 @@ class _AgentLoops:
         self.layout[0, 0, 2 * n + agents, self.washout] = 1.0
 
     def features(self, t, x):
-        """[1, w_1, ..., w_N], the washouts formed in floats; calls each agent map
-        once, with ``AgentMap``'s rule inlined: an OverflowError reads nan."""
+        """[1, w_1, ..., w_N], the washouts formed in floats from one ``tolist``
+        of x; calls each agent map once on the positions, with ``AgentMap``'s
+        rule inlined: an OverflowError reads nan."""
         n2 = 2 * self.n
-        xbar = x[:n2]
+        xs = x.tolist()
+        xbar = xs[:n2]
         w = [1.0]
-        for f, h, e in zip(self.fns, self.h, x.tolist()[n2:]):
+        for f, h, e in zip(self.fns, self.h, xs[n2:]):
             try:
                 value = float(f(xbar))
             except OverflowError:
@@ -227,11 +240,11 @@ class _AgentLoops:
         return np.array(w)
 
     def feature_jac(self, t, x):
-        """Washout Jacobian (N, 3N), each agent gradient called once, ``AgentMap``'s
-        rule inlined as in :meth:`features`, and the N rows written into a copy of
-        ``jac_template`` in one assignment."""
+        """Washout Jacobian (N, 3N), each agent gradient called once on the
+        positions as floats, ``AgentMap``'s rule inlined as in :meth:`features`,
+        and the N rows written into a copy of ``jac_template`` in one assignment."""
         n2 = 2 * self.n
-        xbar = x[:n2]
+        xbar = x[:n2].tolist()
         rows = []
         for grad in self.grads:
             try:
@@ -309,7 +322,8 @@ def analytic_lie_single_integrator(game: PotentialGame, params) -> VectorField:
               for i, (m, p) in enumerate(zip(_analytic_maps(game), params))]
 
     def fn(t, z):
-        zbar, z_e = z[:2 * n], z[2 * n:].tolist()
+        zs = z.tolist()  # one conversion for all 2N map and gradient calls
+        zbar, z_e = zs[:2 * n], zs[2 * n:]
         out = [0.0] * dim
         for i, f, grad, c_alpha, c_sq, h in agents:
             try:  # AgentMap's rule inlined: an OverflowError reads nan
@@ -378,7 +392,8 @@ def analytic_lie_unicycle(game: PotentialGame, params, Omega: float) -> VectorFi
               for i, (m, p) in enumerate(zip(_analytic_maps(game), params))]
 
     def fn(t, z):
-        zbar, z_e = z[:2 * n], z[2 * n:].tolist()
+        zs = z.tolist()  # one conversion for all 2N map and gradient calls
+        zbar, z_e = zs[:2 * n], zs[2 * n:]
         out = [0.0] * dim
         for i, f, grad, half_c_alpha, h, rate in agents:
             try:  # AgentMap's rule inlined: an OverflowError reads nan
@@ -488,8 +503,9 @@ def check_maximizer_stationarity(game: PotentialGame,
 
 
 def filter_equilibrium(game: PotentialGame, params, xbar: np.ndarray) -> np.ndarray:
-    """Washout-state equilibrium [f_1(xbar)/h_1, ..., f_N(xbar)/h_N]."""
-    params = list(params)
+    """Washout-state equilibrium [f_1(xbar)/h_1, ..., f_N(xbar)/h_N]; ``params``
+    must hold one entry per agent."""
+    params = _one_per_agent(game, params)
     xbar = np.asarray(xbar, dtype=float)
     return np.array([m(xbar) / p.h for m, p in zip(game.maps, params)])
 
@@ -564,17 +580,22 @@ def three_agent_game() -> PotentialGame:
     involve only the *other* agents' coordinates, so own-block gradients
     agree with the potential's.
 
-    Each map and, for one point, each gradient takes one (6,) float array,
-    unpacks it once with ``tolist`` and computes on Python floats with
-    ``math``: the same bits as indexing the array element by element, at a
-    fraction of the cost of numpy scalar arithmetic: one unicycle
-    right-hand side at omega = 80 costs 5.9 us with these maps, 7.9 us with
-    maps on numpy scalars (2-core Xeon, Python 3.11.7, numpy 2.4.6). A
-    gradient returns those floats as a list of 6, no array: its callers
-    write rows into a matrix or read two entries.
+    Each map and, for one point, each gradient takes the 6 coordinates as a
+    list of Python floats, made by its caller with one ``tolist`` of the
+    state for all the maps, unpacks it and computes with ``math``: the same
+    bits as indexing a float array element by element, at a fraction of the
+    cost of numpy scalar arithmetic: one unicycle right-hand side at
+    omega = 80 costs 9.6 us with these maps, 15.9 us with the same
+    expressions on the numpy scalars of a (6,) array view (medians of 15
+    rounds, each the best of 7 x 4,000 calls, on a shared 2-core Xeon in a
+    slow phase; Python 3.11.7, numpy 2.4.6). A gradient returns those floats
+    as a list of 6, no array: its callers write rows into a matrix or read
+    two entries.
 
-    A gradient also takes a batch (S, 6) to (S, 6) in a numpy body, so the
-    compatibility check makes one call per map. Its own block keeps the
+    A gradient also takes a batch, an (S, 6) array, to (S, 6) in a numpy
+    body, so the compatibility check makes one call per map; it tells a
+    point from a batch by ``isinstance(x, list)``, and the maps, on the
+    value path, test nothing. Its own block keeps the
     per-point bits; numpy's ``exp``, ``cos`` and squares (x * x, not libm
     pow) may move the last bits of the others, exp's up to |argument| ulp. A
     row whose finite x4 or x5 squares past the float range reads nan, as ** raises.
@@ -583,13 +604,13 @@ def three_agent_game() -> PotentialGame:
     """
 
     def f_a(x):
-        x0, x1, x2, x3, x4, x5 = x.tolist()
+        x0, x1, x2, x3, x4, x5 = x
         return (-0.5 * (x0 - 1.0) ** 2 - 0.5 * (x1 - 1.0) ** 2
                 + x2 ** 2 + x3 ** 2 + math.exp(-x4 ** 2 - x5 ** 2) - 10.0)
 
     def grad_f_a(x):
-        if x.ndim == 1:
-            x0, x1, x2, x3, x4, x5 = x.tolist()
+        if isinstance(x, list):
+            x0, x1, x2, x3, x4, x5 = x
             e = math.exp(-x4 ** 2 - x5 ** 2)
             return [-(x0 - 1.0), -(x1 - 1.0), 2.0 * x2, 2.0 * x3, -2.0 * x4 * e, -2.0 * x5 * e]
         x0, x1, x2, x3, x4, x5 = x.T
@@ -602,14 +623,14 @@ def three_agent_game() -> PotentialGame:
         return g
 
     def f_b(x):
-        x0, x1, x2, x3, _, _ = x.tolist()
+        x0, x1, x2, x3, _, _ = x
         s = x0 + x1  # math.sin raises ValueError on inf, where numpy gives nan
         return (-0.5 * (x2 + 1.0) ** 2 - 0.5 * (x3 + 1.0) ** 2
                 + (math.sin(s) if math.isfinite(s) else math.nan) - 10.0)
 
     def grad_f_b(x):
-        if x.ndim == 1:
-            x0, x1, x2, x3, _, _ = x.tolist()
+        if isinstance(x, list):
+            x0, x1, x2, x3, _, _ = x
             s = x0 + x1
             cc = math.cos(s) if math.isfinite(s) else math.nan
             return [cc, cc, -(x2 + 1.0), -(x3 + 1.0), 0.0, 0.0]
@@ -620,12 +641,12 @@ def three_agent_game() -> PotentialGame:
         return np.stack([cc, cc, -(x2 + 1.0), -(x3 + 1.0), zero, zero], axis=-1)
 
     def f_c(x):
-        _, _, _, _, x4, x5 = x.tolist()
+        _, _, _, _, x4, x5 = x
         return -0.5 * (x4 + 1.0) ** 2 - 1.5 * (x5 - 1.0) ** 2 + 10.0
 
     def grad_f_c(x):
-        if x.ndim == 1:
-            _, _, _, _, x4, x5 = x.tolist()
+        if isinstance(x, list):
+            _, _, _, _, x4, x5 = x
             return [0.0, 0.0, 0.0, 0.0, -(x4 + 1.0), -3.0 * (x5 - 1.0)]
         _, _, _, _, x4, x5 = x.T
         zero = np.zeros_like(x4)

@@ -118,7 +118,8 @@ class DitherSignal:
         return self.eval(t, theta)
 
     def eval(self, t, theta):
-        """u(t, theta) as a float array of the broadcast shape of t and theta.
+        """u(t, theta) as a float64 array of the broadcast shape of t and theta,
+        0-d for a scalar pair.
         Built-ins ignore t; see :func:`custom` for how an evaluator is called."""
         return self._values(t, theta, at_jump_midpoint=False)
 
@@ -140,8 +141,8 @@ class DitherSignal:
         # the body of eval and eval_for_quadrature: no quadrature passes through
         # eval, whose calls the benchmark tracer counts
         ts, thetas = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(theta, dtype=float))
-        if self.kind != "custom":
-            return _waveform(self.kind, self.harmonic, thetas, at_jump_midpoint)
+        if self.kind != "custom":  # np.sin of a 0-d array is a numpy scalar: made an array
+            return np.asarray(_waveform(self.kind, self.harmonic, thetas, at_jump_midpoint))
         if np.ndim(t):  # t varies: one call per element, as in a stage table
             return self.table_evaluator()(ts.ravel(), thetas.ravel()).reshape(ts.shape)
         return np.broadcast_to(np.asarray(self.fn(float(t), theta), dtype=float), ts.shape).copy()

@@ -86,10 +86,10 @@ poles = st.lists(st.floats(min_value=0.01, max_value=100.0), min_size=3, max_siz
 def test_bundled_maps_and_gradients_equal_the_array_formulas(values):
     x, reference = _read_only_view(values), np.array(values)
     for m, (f, grad) in zip(GAME.maps, REFERENCES):
-        value = m.fn(x)
+        value = m.fn(x.tolist())
         assert type(value) is float and value == f(reference)
         assert m(x) == value
-        g = m.grad(x)  # for one point, a list of 2N Python floats
+        g = m.grad(x.tolist())  # for one point, a list of 2N Python floats
         assert type(g) is list and len(g) == 6 and all(type(d) is float for d in g)
         assert np.array_equal(g, grad(reference))
         assert np.array_equal(m.gradient(x), g)
@@ -107,7 +107,7 @@ def test_bundled_gradients_of_a_batch_equal_the_per_point_gradients(rows):
         got = m.grad(batch)
         assert got.dtype == np.float64 and got.shape == batch.shape
         assert np.array_equal(m.gradient(batch), got)
-        want = np.array([m.grad(x) for x in batch])
+        want = np.array([m.grad(x.tolist()) for x in batch])
         # the own block, all the compatibility check reads, keeps every bit
         own = slice(2 * i, 2 * i + 2)
         assert np.array_equal(got[:, own], want[:, own])
@@ -291,13 +291,13 @@ def test_closed_form_fields_are_the_array_formulas(values, t, c, alpha, h, base_
                               equal_nan=True)
 
 
-def _closed_form_reference(params, Omega, t, values):
-    """The closed-form field of ``GAME`` from ``AgentMap.__call__`` and
+def _closed_form_reference(params, Omega, t, values, game=GAME):
+    """The closed-form field of ``game`` from ``AgentMap.__call__`` and
     ``AgentMap.gradient``: single integrator for ``Omega`` None, else unicycle."""
     reference = np.array(values)
     zbar, z_e = reference[:6], reference[6:]
     want = np.zeros(9)
-    for i, (m, p) in enumerate(zip(GAME.maps, params)):
+    for i, (m, p) in enumerate(zip(game.maps, params)):
         f_val, grad = m(zbar), m.gradient(zbar)
         d1, d2 = grad[2 * i], grad[2 * i + 1]
         if Omega is None:
@@ -311,6 +311,74 @@ def _closed_form_reference(params, Omega, t, values):
             want[2 * i], want[2 * i + 1] = proj * cw, proj * sw
         want[6 + i] = -z_e[i] * p.h + f_val
     return want
+
+
+def _list_path(game, kind, h):
+    """The agent loops of ``kind``'s stack and the closed form of that kind for ``game``."""
+    params = [AgentParams(0.3, 1.5, h_i, i + 1, (1, 2, Fraction(3, 2))[i])
+              for i, h_i in enumerate(h)]
+    if kind == "single_integrator":
+        return (build_single_integrator(game, params, 100.0).stack.feature_jac.__self__,
+                analytic_lie_single_integrator(game, params), params, None)
+    return (build_unicycle(game, params, 1.0, 80.0).stack.feature_jac.__self__,
+            analytic_lie_unicycle(game, params, 1.0), params, 1.0)
+
+
+def _check_list_path(game, kind, values, h, t):
+    # the hot paths convert a state once and hand floats to every map; the
+    # accessors convert an array point: both must give the same bits
+    loops, closed_form, params, Omega = _list_path(GAMES[game], kind, h)
+    x, xbar = _read_only_view(values), np.array(values[:6])
+    maps = GAMES[game].maps
+    washouts = [m(xbar) - p.h * e for m, p, e in zip(maps, params, values[6:])]
+    assert _same_bits(loops.features(t, x), np.array([1.0] + washouts))
+    want = loops.jac_template.copy()
+    want[:, :6] = [m.gradient(xbar) for m in maps]
+    assert _same_bits(loops.feature_jac(t, x), want)
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert _same_bits(closed_form.fn(t, x),
+                          _closed_form_reference(params, Omega, t, values, GAMES[game]))
+
+
+@pytest.mark.parametrize("kind", ["single_integrator", "unicycle"])
+@pytest.mark.parametrize("game", list(GAMES))
+@given(values=states, h=poles, t=st.floats(min_value=0.0, max_value=50.0))
+# the libm pow square of 13.433321765081631 that a numpy body would round differently
+@example(values=[0.0, 0.0, 0.0, 0.0, 13.433321765081631, 1.0, 0.5, -0.5, 2.0],
+         h=[1.0, 2.0, 3.0], t=0.3)
+@settings(max_examples=60, deadline=None)
+def test_the_list_path_keeps_the_bits_of_the_array_accessors(kind, game, values, h, t):
+    _check_list_path(game, kind, values, h, t)
+    for m in GAMES[game].maps:  # squares of these coordinates stay in range
+        value = m.fn(values[:6])
+        assert type(value) is float and _same_bits(value, m(np.array(values[:6])))
+
+
+@pytest.mark.parametrize("kind", ["single_integrator", "unicycle"])
+@pytest.mark.parametrize("k", range(6))
+def test_an_overflowing_coordinate_reads_nan_on_the_list_path(kind, k):
+    # 1e200 squares past the float range: the float bodies' ** raises and the
+    # washout, Jacobian row or closed-form entries of the maps it reaches read nan
+    values = [0.5, -0.5, 1.0, 2.0, -1.0, 0.25, 0.5, -0.5, 2.0]
+    values[k] = 1e200
+    loops, closed_form, _, _ = _list_path(GAME, kind, [1.0, 2.0, 3.0])
+    x = _read_only_view(values)
+    assert np.isnan(loops.features(0.3, x)).any()
+    if k >= 4:  # grad_f_a squares x4 and x5
+        assert np.isnan(loops.feature_jac(0.3, x)[0, :6]).all()
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert np.isnan(closed_form.fn(0.3, x)[6:]).any()
+    _check_list_path("bundled", kind, values, [1.0, 2.0, 3.0], 0.3)
+
+
+@given(positions)
+@settings(max_examples=100, deadline=None)
+def test_a_quadratic_map_given_a_list_gives_the_bits_of_the_array(values):
+    x = np.array(values)
+    for m in QUADRATIC.maps:
+        value = m.fn(list(values))
+        assert type(value) is float and _same_bits(value, m.fn(x))
+        assert _same_bits(m.grad(list(values)), m.grad(x))
 
 
 def _gradient_free(game):
@@ -359,9 +427,9 @@ def test_overflowing_maps_read_nan_on_the_jacobian_paths():
     values = [1e200] * 9
     x, xbar = np.array(values), np.array(values[:6])
     with pytest.raises(OverflowError):
-        GAME.maps[0].fn(xbar)
+        GAME.maps[0].fn(xbar.tolist())
     with pytest.raises(OverflowError):
-        GAME.maps[0].grad(xbar)
+        GAME.maps[0].grad(xbar.tolist())
     for sys in _builders([1.0, 2.0, 3.0]).values():
         J = sys.stack.feature_jac(0.1, x)
         assert np.isnan(J[0, :6]).all()

@@ -285,7 +285,8 @@ def _stripped_game():
         return (-0.5 * (x[0] - 1.0) ** 2 - 0.5 * (x[1] - 1.0) ** 2
                 + x[3] ** 2 + math.exp(-x[4] ** 2 - x[5] ** 2) - 10.0)
 
-    def grad_f_a_stripped(x):  # one point (6,) or a batch (S, 6)
+    def grad_f_a_stripped(x):  # one point as a list of 6 floats or a batch (S, 6)
+        x = np.asarray(x)
         e = np.exp(-x[..., 4] ** 2 - x[..., 5] ** 2)
         return np.stack([-(x[..., 0] - 1.0), -(x[..., 1] - 1.0), np.zeros_like(e),
                          2.0 * x[..., 3], -2.0 * x[..., 4] * e, -2.0 * x[..., 5] * e], axis=-1)
@@ -297,8 +298,11 @@ def _stripped_game():
 def _incompatible_game():
     # agent 1 seeks a different maximizer than the potential prescribes
     good = quadratic_game(np.ones(2), np.zeros(2))
-    bad_map = AgentMap(lambda x: -float((x[0] - 1.0) ** 2 + x[1] ** 2),
-                       lambda x: np.stack([-2.0 * (x[..., 0] - 1.0), -2.0 * x[..., 1]], axis=-1))
+    def bad_grad(x):  # one point as a list of 2 floats or a batch (S, 2)
+        x = np.asarray(x)
+        return np.stack([-2.0 * (x[..., 0] - 1.0), -2.0 * x[..., 1]], axis=-1)
+
+    bad_map = AgentMap(lambda x: -float((x[0] - 1.0) ** 2 + x[1] ** 2), bad_grad)
     return PotentialGame((bad_map,), good.potential, good.potential_grad)
 
 
@@ -411,6 +415,19 @@ def test_filter_equilibrium_unit_poles():
     fe = filter_equilibrium(game, params, xstar)
     expected = np.array([-8.0 + math.exp(-2.0), math.sin(2.0) - 10.0, 10.0])
     assert np.allclose(fe, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("count", [0, 2, 4])
+def test_equilibrium_helpers_refuse_a_parameter_count_other_than_the_agents(count):
+    # zip would cut the maps short: two parameter sets gave an (8,) state for 9 states
+    game = three_agent_game()
+    params = (_params() * 2)[:count]
+    message = f"the game has 3 agents, got {count}"
+    with pytest.raises(ValueError, match=message):
+        filter_equilibrium(game, params, game.maximizer)
+    with pytest.raises(ValueError, match=message):
+        equilibrium_state(game, params)
+    assert equilibrium_state(game, _params()).shape == (9,)
 
 
 def test_filter_equilibrium_scales_inversely_with_pole():

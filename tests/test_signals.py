@@ -30,6 +30,17 @@ def test_a_scalar_custom_value_stands_for_every_theta(value):
         assert got.shape == theta.shape and (got == 0.25).all()
 
 
+@pytest.mark.parametrize("make", ALL_KINDS + [lambda: custom(lambda t, th: math.sin(th) + t)],
+                         ids=[f.__name__ for f in ALL_KINDS] + ["custom"])
+def test_a_scalar_pair_gives_a_0d_float64_array_for_every_kind(make):
+    # np.sin of a 0-d array is a numpy scalar, np.where's result a 0-d array
+    sig = make()
+    for evaluate in (sig.eval, sig.eval_for_quadrature):
+        got = evaluate(0.25, 0.5)
+        assert type(got) is np.ndarray and got.dtype == np.float64 and got.shape == ()
+        assert got == evaluate(np.array([0.25]), np.array([0.5]))[0]
+
+
 def test_values_take_the_broadcast_shape_of_t_and_theta():
     theta = np.linspace(0.1, 6.0, 5)
     rows = np.zeros((3, 1))  # three slow times, each against every theta
