@@ -165,8 +165,9 @@ class FieldStack:
     L(t) = sum_j phi_j(t) * layout[j]; at a batch (B, n) of points it gives
     (B, rows, n), the features taken row by row. ``layout`` has shape
     (p, rows, n, 1 + k), ``basis`` maps T times to the (T, p) phi(t) (None: the
-    constant basis [1]), ``features`` (t, x) to [1, w] at one point and
-    ``feature_jac`` (t, x) to the (k, n) Jacobian of w.
+    constant basis [1]), ``features`` (t, x) to [1, w] at one point x, which
+    every caller passes as a list of n Python floats, and ``feature_jac``
+    (t, x) to the (k, n) Jacobian of w at a float array x.
     :meth:`phi` gives phi(t) at T times, :meth:`weighted` c(t) @ L(t),
     :meth:`jacobian` the stacked Jacobian (rows, n, n); ``oscillation_rates`` each
     row's rate in t (default 0, see :class:`VectorField`). L(t) is kept in a
@@ -212,19 +213,19 @@ class FieldStack:
 
     def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
         """Stacked value (rows, n) at one point, (B, rows, n) at a batch (B, n): the
-        features of each row, then one matrix-vector product per row, a point
-        taken as a batch of one row."""
+        features of each row of one ``tolist()``, then one matrix-vector product
+        per row, a point taken as a batch of one row."""
         x = np.asarray(x, dtype=float)
         L = self._matrices(t)[0]
-        w = by_rows(partial(self.features, t), x.reshape(-1, self.dim), (L.shape[1],))
+        w = by_rows(partial(self.features, t), x.reshape(-1, self.dim).tolist(), (L.shape[1],))
         return np.matmul(L, w[:, :, None]).reshape(x.shape[:-1] + self.shape)
 
     def feature_jacobian(self, t: float, x: np.ndarray) -> np.ndarray:
         """The (k, n) Jacobian of w: ``feature_jac`` when supplied, else central
-        differences of the features."""
+        differences of the features, each shifted point a list of floats."""
         x = np.asarray(x, dtype=float)
         if self.feature_jac is None:
-            return finite_diff_jacobian(self.features, t, x)[1:]
+            return finite_diff_jacobian(lambda t, p: self.features(t, p.tolist()), t, x)[1:]
         return self.feature_jac(t, x)
 
     def jacobian(self, t: float, x: np.ndarray) -> np.ndarray:
@@ -236,8 +237,9 @@ class FieldStack:
     def of(fields) -> "FieldStack":
         """The stack whose row views ``fields`` are, in order, or that stack's layout
         over just those rows when they are some of its row views; else the identity
-        layout over the fields' values, rows as features, which refuse a non-finite
-        state with FieldEvaluationError before calling any field (see ``integrate``)."""
+        layout over the fields' values, rows as features, which make one float array
+        of the point for all the fields and refuse a non-finite state with
+        FieldEvaluationError before calling any field (see ``integrate``)."""
         fields = tuple(fields)
         view = fields[0].fn
         if isinstance(view, _RowView):
@@ -255,6 +257,7 @@ class FieldStack:
         jacs = tuple(f.jacobian for f in fields)  # analytic when given, shape-checked
 
         def features(t, x):
+            x = np.array(x, dtype=float)  # the one array every field is called with
             if not np.isfinite(x).all():
                 raise FieldEvaluationError("non-finite state")
             value = np.array([f(t, x) for f in fns], dtype=float)
@@ -326,10 +329,11 @@ def assemble_rhs(sys: InputAffineSystem) -> VectorField:
     (n, 1 + k) matrices M(t) = c(t) @ L(t) of an array of times, built in one
     pass and kept for the last array (a :func:`last_table`), so dithers must be
     pure in (t, theta). ``fn(t, x, row)`` is one matrix-vector product, checked
-    for finiteness; ``fn(t, x)`` reads the table of t alone. ``fn.features`` is the stack's features:
-    for a table row r, ``fn(t, x, r)`` is ``np.dot(r, fn.features(t, x))``, the
-    product ``integrate``'s kernel forms as ``r.dot(...)``, then the check. M(t)[:, 1:] @ feature_jac is the
-    Jacobian, supplied only when drift and every channel carry one.
+    for finiteness; ``fn(t, x)`` reads the table of t alone. ``fn.features`` is
+    the stack's features: for a table row r and a float array x, ``fn(t, x, r)``
+    is ``np.dot(r, fn.features(t, x.tolist()))``, the product ``integrate``'s
+    kernel forms as ``r.dot(...)``, then the check. M(t)[:, 1:] @ feature_jac
+    is the Jacobian, supplied only when drift and every channel carry one.
     """
     stack, omega = sys.stack, sys.omega
     gain = omega ** sys.amplitude_exponent
@@ -344,7 +348,7 @@ def assemble_rhs(sys: InputAffineSystem) -> VectorField:
     dot, isfinite = np.dot, np.isfinite
 
     def fn(t, x, row=None):
-        out = dot(stage_table(t)[0] if row is None else row, features(t, x))
+        out = dot(stage_table(t)[0] if row is None else row, features(t, x.tolist()))
         if not isfinite(out).all():
             raise FieldEvaluationError("non-finite right-hand side")
         return out

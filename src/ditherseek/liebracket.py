@@ -211,7 +211,7 @@ def build_lie_bracket_system(sys: InputAffineSystem,
 
     def fn(t, z, row=None):
         P, H = stage_table(t)[0] if row is None else row
-        y = P.dot(features(t, z))
+        y = P.dot(features(t, z.tolist()))
         if not r:
             return y
         U = y[n:].reshape(r, n).dot(feature_jac(t, z).T)

@@ -224,14 +224,13 @@ class _AgentLoops:
         self.layout[0, 0, 2 * n + agents, self.washout] = 1.0
 
     def features(self, t, x):
-        """[1, w_1, ..., w_N], the washouts formed in floats from one ``tolist``
-        of x; calls each agent map once on the positions, with ``AgentMap``'s
-        rule inlined: an OverflowError reads nan."""
+        """[1, w_1, ..., w_N], the washouts formed in floats from x, the list
+        of floats every caller passes; calls each agent map once on the
+        positions, with ``AgentMap``'s rule inlined: an OverflowError reads nan."""
         n2 = 2 * self.n
-        xs = x.tolist()
-        xbar = xs[:n2]
+        xbar = x[:n2]
         w = [1.0]
-        for f, h, e in zip(self.fns, self.h, xs[n2:]):
+        for f, h, e in zip(self.fns, self.h, x[n2:]):
             try:
                 value = float(f(xbar))
             except OverflowError:
@@ -571,6 +570,16 @@ def analytic_lie_scalar(grad_f: Callable[[float], float], alpha: float) -> Vecto
 # ---------------------------------------------------------------------------
 # bundled games
 
+def _columns(batch: np.ndarray) -> np.ndarray:
+    """The six columns of an (S, 6) batch of points; ValueError naming the shape of
+    any other array, such as one point as a (6,) array: the float body takes a
+    point, as a list, and keeps its bits."""
+    if np.ndim(batch) != 2 or np.shape(batch)[1] != 6:
+        raise ValueError("a batch gradient takes an (S, 6) array of points, got shape "
+                         f"{np.shape(batch)}")
+    return batch.T
+
+
 def three_agent_game() -> PotentialGame:
     """The bundled three-agent benchmark game.
 
@@ -595,8 +604,9 @@ def three_agent_game() -> PotentialGame:
     A gradient also takes a batch, an (S, 6) array, to (S, 6) in a numpy
     body, so the compatibility check makes one call per map; it tells a
     point from a batch by ``isinstance(x, list)``, and the maps, on the
-    value path, test nothing. Its own block keeps the
-    per-point bits; numpy's ``exp``, ``cos`` and squares (x * x, not libm
+    value path, test nothing. The batch body refuses any array but an (S, 6)
+    one with ValueError, so a point as a (6,) array never gets numpy bits.
+    Its own block keeps the per-point bits; numpy's ``exp``, ``cos`` and squares (x * x, not libm
     pow) may move the last bits of the others, exp's up to |argument| ulp. A
     row whose finite x4 or x5 squares past the float range reads nan, as ** raises.
     The batch bodies are as silent as the float ones on infinite and overflowing
@@ -613,7 +623,7 @@ def three_agent_game() -> PotentialGame:
             x0, x1, x2, x3, x4, x5 = x
             e = math.exp(-x4 ** 2 - x5 ** 2)
             return [-(x0 - 1.0), -(x1 - 1.0), 2.0 * x2, 2.0 * x3, -2.0 * x4 * e, -2.0 * x5 * e]
-        x0, x1, x2, x3, x4, x5 = x.T
+        x0, x1, x2, x3, x4, x5 = _columns(x)
         with np.errstate(over="ignore", invalid="ignore"):
             sq4, sq5 = x4 ** 2, x5 ** 2
             e = np.exp(-sq4 - sq5)
@@ -634,7 +644,7 @@ def three_agent_game() -> PotentialGame:
             s = x0 + x1
             cc = math.cos(s) if math.isfinite(s) else math.nan
             return [cc, cc, -(x2 + 1.0), -(x3 + 1.0), 0.0, 0.0]
-        x0, x1, x2, x3, _, _ = x.T
+        x0, x1, x2, x3, _, _ = _columns(x)
         with np.errstate(over="ignore", invalid="ignore"):
             cc = np.cos(x0 + x1)
         zero = np.zeros_like(cc)
@@ -648,7 +658,7 @@ def three_agent_game() -> PotentialGame:
         if isinstance(x, list):
             _, _, _, _, x4, x5 = x
             return [0.0, 0.0, 0.0, 0.0, -(x4 + 1.0), -3.0 * (x5 - 1.0)]
-        _, _, _, _, x4, x5 = x.T
+        _, _, _, _, x4, x5 = _columns(x)
         zero = np.zeros_like(x4)
         with np.errstate(over="ignore"):
             return np.stack([zero, zero, zero, zero, -(x4 + 1.0), -3.0 * (x5 - 1.0)], axis=-1)

@@ -163,21 +163,29 @@ def integrate(fld: VectorField, x0, horizon: float, t0: float = 0.0,
     """Classical fixed-step RK4 over [t0, t0 + horizon].
 
     A non-finite state truncates the trajectory and sets the divergence flag
-    instead of raising; more than :data:`MAX_STEPS` steps raise ValueError.
-    Stage times are the floats t0 + k*dt and t0 + k*dt + dt/2, so steps k and
-    k+1 share the time of their common stage. A field with a stage table is
-    called as ``fn(t, x, row)``, tabulated :data:`STAGE_CHUNK` steps at a time;
-    if ``fn`` carries ``features`` (see ``assemble_rhs``), each stage is
-    ``row.dot(features(t, x))``, ``np.dot`` without its dispatch, unchecked:
-    RK4's stage weights are finite and non-zero, so a non-finite stage is
-    refused in the new state. ``features`` must map a non-finite state to
-    non-finite values or raise FieldEvaluationError.
-    Stage inputs and the RK4 combination are explicit ufunc calls, the operations
-    of ``x + half * k1`` and ``x + sixth * (k1 + 2 * (k2 + k3) + k4)`` in their
-    order, so every bit is the operator form's. The step constants are float64
-    arrays of the state's shape, so a stage value of any real dtype is stepped
-    in float64, and a complex one raises TypeError. The new state is finite if
-    the sum of its ``tolist()`` is, else if each component is.
+    instead of raising, and so does a stage that raises FieldEvaluationError
+    or an ArithmeticError (on Python floats ``1.0 / 0.0`` and an overflowing
+    ``x ** 2`` raise where numpy scalars give inf); more than
+    :data:`MAX_STEPS` steps raise ValueError. Stage times are the floats
+    t0 + k*dt and t0 + k*dt + dt/2, so steps k and k+1 share the time of
+    their common stage. A field with a stage table is called as
+    ``fn(t, x, row)``, tabulated :data:`STAGE_CHUNK` steps at a time.
+    If ``fn`` carries ``features`` (see ``assemble_rhs``), the state is one
+    list of n Python floats and each stage is ``row.dot(features(t, x))``,
+    ``np.dot`` without its dispatch, as a list, unchecked: RK4's stage
+    weights are finite and non-zero, so a non-finite stage is refused in the
+    new state. ``features`` takes the point as that list and must map a
+    non-finite state to non-finite values or raise. The stage inputs and the
+    RK4 combination are list comprehensions, ``a + half * b`` and
+    ``a + sixth * ((p + 2.0 * (q + r)) + s)`` per component: the operations
+    of ``x + half * k1`` and ``x + sixth * (k1 + 2 * (k2 + k3) + k4)`` in
+    their order, each one IEEE double operation, so every bit is the
+    operator form's. The product stays ``row.dot``, since a Python sum of
+    products rounds otherwise. Any other field is called on float64 arrays,
+    with stage inputs and combination in ufunc calls on float64 constants of
+    the state's shape, so a stage value of any real dtype is stepped in
+    float64. A complex stage raises TypeError. The new state is finite if the
+    sum of its components is, else if each component is.
     """
     if not horizon > 0.0:
         raise ValueError("horizon must be positive")
@@ -197,14 +205,14 @@ def integrate(fld: VectorField, x0, horizon: float, t0: float = 0.0,
     features = None if table is None else getattr(fn, "features", None)
 
     add, mul, asarray = np.add, np.multiply, np.asarray
-    isfinite, isfinite_sum, total = np.isfinite, math.isfinite, sum
+    isfinite, total = math.isfinite, sum
     states = np.empty((steps // stride + 1, x0.size))
     states[0] = x0
-    x = x0
+    x = x0 if features is None else x0.tolist()
     diverged = False
     taken = 0
-    half = 0.5 * dt
-    c_half, c_dt, c_two, c_sixth = (np.full(x0.shape, c) for c in (half, dt, 2.0, dt / 6.0))
+    half, sixth = 0.5 * dt, dt / 6.0
+    c_half, c_dt, c_two, c_sixth = (np.full(x0.shape, c) for c in (half, dt, 2.0, sixth))
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, steps, STAGE_CHUNK):
             stop = min(start + STAGE_CHUNK, steps)
@@ -218,10 +226,15 @@ def integrate(fld: VectorField, x0, horizon: float, t0: float = 0.0,
                     times[2::2], rows[2::2]):
                 try:
                     if features is not None:  # fn(t, x, row) without its per-stage check
-                        k1 = row_a.dot(features(t_a, x))
-                        k2 = row_mid.dot(features(t_mid, add(x, mul(c_half, k1))))
-                        k3 = row_mid.dot(features(t_mid, add(x, mul(c_half, k2))))
-                        k4 = row_b.dot(features(t_b, add(x, mul(c_dt, k3))))
+                        k1 = row_a.dot(features(t_a, x)).tolist()
+                        x_in = [a + half * b for a, b in zip(x, k1)]
+                        k2 = row_mid.dot(features(t_mid, x_in)).tolist()
+                        x_in = [a + half * b for a, b in zip(x, k2)]
+                        k3 = row_mid.dot(features(t_mid, x_in)).tolist()
+                        x_in = [a + dt * b for a, b in zip(x, k3)]
+                        k4 = row_b.dot(features(t_b, x_in)).tolist()
+                        x_new = values = [a + sixth * ((p + 2.0 * (q + r)) + s)
+                                          for a, p, q, r, s in zip(x, k1, k2, k3, k4)]
                     else:
                         k1 = asarray(fn(t_a, x, row_a))
                         if k == 0 and k1.shape != x.shape:
@@ -230,11 +243,12 @@ def integrate(fld: VectorField, x0, horizon: float, t0: float = 0.0,
                         k2 = asarray(fn(t_mid, add(x, mul(c_half, k1)), row_mid))
                         k3 = asarray(fn(t_mid, add(x, mul(c_half, k2)), row_mid))
                         k4 = asarray(fn(t_b, add(x, mul(c_dt, k3)), row_b))
-                    x_new = add(x, mul(c_sixth, add(add(k1, mul(c_two, add(k2, k3))), k4)))
-                except FieldEvaluationError:
+                        x_new = add(x, mul(c_sixth, add(add(k1, mul(c_two, add(k2, k3))), k4)))
+                        values = x_new.tolist()
+                except (FieldEvaluationError, ArithmeticError):
                     break
                 # a finite sum has finite terms; an overflowing one is checked term by term
-                if not (isfinite_sum(total(x_new.tolist())) or isfinite(x_new).all()):
+                if not (isfinite(total(values)) or all(map(isfinite, values))):
                     break
                 x = x_new
                 taken = k + 1
@@ -341,8 +355,11 @@ class SweepReport:
 
     @property
     def verdict(self) -> str | None:
-        """:attr:`monotone_decreasing` as "yes" or "NO"; None (no verdict) for one record."""
-        return None if len(self.records) < 2 else "yes" if self.monotone_decreasing else "NO"
+        """:attr:`monotone_decreasing` as "yes" or "NO"; None (no verdict) for one record
+        and for errors that are all 0, which show no trend."""
+        if len(self.records) < 2 or not any(self.sup_errors):
+            return None
+        return "yes" if self.monotone_decreasing else "NO"
 
     def decay_slope(self) -> float:
         return fit_loglog_slope(np.array(self.omegas), np.array(self.sup_errors))

@@ -2,12 +2,14 @@
 
 The bundled maps unpack a point once and compute with ``math``; the washout
 features and their Jacobian are formed from the map values. The references
-below evaluate the same formulas on numpy arrays, element by element. Every
-point is also handed over as a read-only, non-contiguous view, the kind of
-slice the stacks pass to the maps.
+below evaluate the same formulas on numpy arrays, element by element. The
+washout features take a point as the list of floats their callers make; every
+other point is also handed over as a read-only, non-contiguous view, the kind
+of slice the Jacobian paths get.
 """
 
 import math
+import re
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -124,6 +126,19 @@ def test_bundled_gradients_of_a_batch_equal_the_per_point_gradients(rows):
         assert np.all(ulps <= 4.0)
 
 
+@pytest.mark.parametrize("shape", [(6,), (1, 1, 6), (2, 5), ()])
+def test_bundled_batch_gradients_refuse_anything_but_a_batch_of_points(shape):
+    # a point as a (6,) array would reach the numpy body, whose bits differ from
+    # the float body's at this point (entry 4 of grad f_a)
+    point = np.array([0.0, 0.0, 0.0, 0.0, 13.433321765081631, 1.0])
+    x = np.resize(point, shape)
+    for m in GAME.maps:
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            m.grad(x)
+    for m in GAME.maps:  # the accessor converts a point to the list the float body takes
+        assert np.array_equal(m.gradient(point), m.grad(point.tolist()))
+
+
 def test_overflowing_and_infinite_batch_rows_equal_the_per_point_gradients():
     # a finite x4 or x5 squaring past the float range makes the float body's **
     # raise, a nan row; an infinite one squares to inf and goes on through exp
@@ -193,7 +208,7 @@ def test_stack_values_of_a_batch_equal_the_per_point_values(kind, game, data, h,
     # the washouts are silent where entries are infinite or overflow (a nan washout) ...
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for x in batch:
+        for x in batch.tolist():
             stack.features(t, x)
     # ... but the layout's zeros times an infinite washout are nan and warn
     with np.errstate(invalid="ignore"):
@@ -230,7 +245,7 @@ def test_a_point_s_stack_value_is_the_layout_times_its_features(name, data, t):
     p, rows, n, width = stack.layout.shape
     L = (stack.phi([t]) @ stack.layout.reshape(p, -1)).reshape(rows * n, width)
     with np.errstate(invalid="ignore"):
-        want = (L @ stack.features(t, x)).reshape(rows, n)
+        want = (L @ stack.features(t, x.tolist())).reshape(rows, n)
         assert _same_bits(stack(t, x), want)
 
 
@@ -257,7 +272,7 @@ def test_features_are_the_washouts_and_their_jacobian(kind, values, h, t):
     x, reference = _read_only_view(values), np.array(values)
     xbar = reference[:6]
     maps = np.array([m(xbar) for m in GAME.maps])
-    w = stack.features(t, x)
+    w = stack.features(t, x.tolist())
     assert w.dtype == np.float64 and w.shape == (4,)
     assert np.array_equal(w, np.concatenate(([1.0], maps - np.array(h) * reference[6:])))
     J = stack.feature_jac(t, x)
@@ -331,7 +346,7 @@ def _check_list_path(game, kind, values, h, t):
     x, xbar = _read_only_view(values), np.array(values[:6])
     maps = GAMES[game].maps
     washouts = [m(xbar) - p.h * e for m, p, e in zip(maps, params, values[6:])]
-    assert _same_bits(loops.features(t, x), np.array([1.0] + washouts))
+    assert _same_bits(loops.features(t, x.tolist()), np.array([1.0] + washouts))
     want = loops.jac_template.copy()
     want[:, :6] = [m.gradient(xbar) for m in maps]
     assert _same_bits(loops.feature_jac(t, x), want)
@@ -363,7 +378,7 @@ def test_an_overflowing_coordinate_reads_nan_on_the_list_path(kind, k):
     values[k] = 1e200
     loops, closed_form, _, _ = _list_path(GAME, kind, [1.0, 2.0, 3.0])
     x = _read_only_view(values)
-    assert np.isnan(loops.features(0.3, x)).any()
+    assert np.isnan(loops.features(0.3, values)).any()
     if k >= 4:  # grad_f_a squares x4 and x5
         assert np.isnan(loops.feature_jac(0.3, x)[0, :6]).all()
     with np.errstate(invalid="ignore", over="ignore"):

@@ -470,10 +470,10 @@ def test_the_closed_form_squares_each_gain_as_a_python_float():
     z = load_scenario("three_agent_single_integrator").x0 + 0.25
     want = []
     for i, m in enumerate(game.maps):  # the docstring's formula, with c ** 2
-        f_val, row = m.fn(z[:6]), m.grad(z[:6])
+        f_val, row = m.fn(z[:6].tolist()), m.grad(z[:6].tolist())
         d1, d2, g = row[2 * i], row[2 * i + 1], f_val - z[6 + i]
         want += [0.5 * (c * d1 - c ** 2 * d2 * g), 0.5 * (c * d2 + c ** 2 * d1 * g)]
-    want += [-z[6 + i] + m.fn(z[:6]) for i, m in enumerate(game.maps)]
+    want += [-z[6 + i] + m.fn(z[:6].tolist()) for i, m in enumerate(game.maps)]
     assert analytic_lie_single_integrator(game, params)(0.0, z).tolist() == want
 
 
@@ -619,6 +619,34 @@ def test_diverged_cells_report_inf_and_a_no_verdict(tmp_path, capsys, mode, verd
     if mode == "sweep":
         rows = (out / "three_agent_single_integrator_sweep.csv").read_text().splitlines()
         assert [row.split(",")[1:3] for row in rows[1:]] == [["inf", "inf"]] * 2
+
+
+@pytest.mark.parametrize("scenario, mode", [("three_agent_single_integrator", "sweep"),
+                                            ("scalar_basic", "compare")])
+def test_errors_that_are_all_zero_give_no_verdict(tmp_path, capsys, scenario, mode):
+    # one step of 1e-300 moves no state by a bit: every sup_error is 0, no evidence of a trend
+    status = main(["--scenario", scenario, "--mode", mode, "--horizon", "1e-300",
+                   "--out", str(tmp_path / "o")])
+    assert status == 0
+    report = capsys.readouterr().out
+    assert report.count("sup_error=0 ") == len(load_scenario(scenario).omegas)
+    assert "non-increasing in omega" not in report and "decreases with omega" not in report
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = str(Path(ditherseek.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run_module(*args):
+        return subprocess.run([sys.executable, "-m", "ditherseek", "--scenario", "scalar_basic",
+                               "--mode", "verify", "--out", str(tmp_path / "o"), *args],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    done = run_module()
+    assert done.returncode == 0, done.stderr
+    assert "PASS" in done.stdout
+    done = run_module("--omega", "nan")
+    assert done.returncode == 2 and done.stderr.startswith("error:")
 
 
 def test_sweep_with_one_omega_fails_cleanly(scalar_file, tmp_path, capsys):

@@ -3,15 +3,16 @@ for non-finite states, and the row-formatted CSV writers."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from ditherseek import (AgentParams, FieldEvaluationError, FieldStack, InputAffineSystem,
-                        StepPolicy, Trajectory, VectorField, assemble_rhs, build_scalar_seeker,
-                        build_single_integrator, build_unicycle, cosine, integrate, load_scenario,
-                        parse_scenario_text, quadratic_game, sine, write_long_csv,
-                        write_trajectory_csv)
+                        PrecisionWarning, StepPolicy, Trajectory, VectorField, assemble_rhs,
+                        build_lie_bracket_system, build_scalar_seeker, build_single_integrator,
+                        build_unicycle, cosine, integrate, load_scenario, parse_scenario_text,
+                        quadratic_game, sine, write_long_csv, write_trajectory_csv)
 from ditherseek.sim import STAGE_CHUNK, step_count
 
 STRIDE_1 = StepPolicy(output_stride=1)
@@ -197,6 +198,51 @@ def test_finite_components_whose_sum_overflows_are_not_refused():
             assert np.add.reduce(run.final_state) == math.inf
 
 
+def _arithmetic_error_system(label):
+    """(system, x0) whose features raise on Python floats where numpy scalars give inf."""
+    if label == "zero_division":
+        # x1' = -1 steps x1 from 11/256 down by 1/128 exactly, so the second
+        # stage of step 5 feeds x1 = 0.0 to 1 / x1, which drives x2
+        layout = np.zeros((1, 1, 2, 2))
+        layout[0, 0, 0, 0], layout[0, 0, 1, 1] = -1.0, 1e-3
+        features, x0 = (lambda t, x: np.array([1.0, 1.0 / x[0]])), [11.0 / 256.0, 0.0]
+    else:
+        # x' = x ** 2 blows up at t = 1; the steps past it square an overflow
+        layout = np.zeros((1, 1, 1, 2))
+        layout[0, 0, 0, 1] = 1.0
+        features, x0 = (lambda t, x: np.array([1.0, x[0] ** 2])), [1.0]
+    return InputAffineSystem(FieldStack(layout, features).fields[0], (), 1.0), x0
+
+
+@pytest.mark.parametrize("label, error", [("zero_division", ZeroDivisionError),
+                                          ("overflow", OverflowError)])
+def test_features_that_raise_an_arithmetic_error_refuse_the_step(label, error):
+    system, x0 = _arithmetic_error_system(label)
+    rhs = assemble_rhs(system)
+    raised = []
+
+    def features(t, x):
+        try:
+            return rhs.fn.features(t, x)
+        except ArithmeticError as exc:
+            raised.append(type(exc))
+            raise
+
+    kernel_fn = dataclasses.replace(rhs, fn=lambda *a: rhs.fn(*a))
+    kernel_fn.fn.features = features
+    policy = StepPolicy(max_step=2.0 ** -7)
+    # the reference hands features an array, whose numpy scalars give inf
+    with np.errstate(divide="ignore"):
+        states, taken, diverged = _operator_form_rk4(rhs, x0, 2.0, policy)
+    through_fn = dataclasses.replace(rhs, fn=lambda *a: rhs.fn(*a))
+    for fld in (kernel_fn, through_fn, rhs):
+        run = integrate(fld, x0, 2.0, policy=policy)
+        assert np.array_equal(run.states, states)
+        assert (run.total_steps, run.diverged) == (taken, diverged)
+    assert raised == [error] and diverged
+    assert taken == (5 if label == "zero_division" else 130)  # t = 130/128, past the blow-up
+
+
 def _float32_field():
     return VectorField(2, lambda t, x: np.array([-x[0] + math.sin(t) * x[1], -0.3 * x[1] - x[0]],
                                                 dtype=np.float32), oscillation_rate=20.0)
@@ -295,12 +341,65 @@ FEATURES = _reachable_features()
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_features_map_a_nonfinite_state_to_nonfinite_values(label, features, base, bad):
     # integrate's kernel hands features the states built from a non-finite stage
-    assert np.isfinite(features(0.3, base)).all()
-    states = [np.where(np.arange(base.size) == k, bad, base) for k in range(base.size)]
-    states.append(np.full(base.size, bad))
+    assert np.isfinite(features(0.3, base.tolist())).all()
+    states = [np.where(np.arange(base.size) == k, bad, base).tolist() for k in range(base.size)]
+    states.append([bad] * base.size)
     with np.errstate(over="ignore", invalid="ignore"):
         for x in states:
             assert not np.isfinite(features(0.3, x)).all(), x
+
+
+def _contract_systems():
+    """(label, build, x0): each builder's systems and one of FieldStack.of."""
+    out = []
+    for name in BUNDLED:
+        sc = load_scenario(name)
+        out.append((name, lambda sc=sc: sc.build_system(sc.omegas[0]), sc.x0))
+    drift = VectorField(2, lambda t, x: -x, jac=lambda t, x: -np.eye(2))
+    b1 = VectorField(2, lambda t, x: np.array([x[1], 1.0]))
+    b2 = VectorField(2, lambda t, x: np.array([1.0, x[0] ** 2]))
+    out.append(("field_stack_of",
+                lambda: InputAffineSystem(drift, ((b1, sine(1)), (b2, cosine(1))), 20.0),
+                np.array([0.5, -0.5])))
+    return out
+
+
+CONTRACT = _contract_systems()
+
+
+@pytest.mark.parametrize("label, build, x0", CONTRACT, ids=[c[0] for c in CONTRACT])
+def test_features_take_a_list_of_dim_python_floats_from_every_caller(label, build, x0):
+    system = build()
+    stack = system.stack
+    seen = []
+    features = stack.features
+
+    def recording(t, x):
+        seen.append(x)
+        return features(t, x)
+
+    stack.features = recording  # before the right-hand side and the bracket take it
+    rhs = assemble_rhs(system)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PrecisionWarning)
+        bracket = build_lie_bracket_system(system)
+
+    def jacobian_without_feature_jac():
+        stack.feature_jac = None
+        stack.jacobian(0.3, x0)
+
+    callers = {"integrate": lambda: integrate(rhs, x0, 0.05),
+               "assemble_rhs_fn": lambda: rhs.fn(0.3, x0),
+               "stack_batch": lambda: stack(0.3, np.stack([x0, x0 + 0.25])),
+               "stack_jacobian": jacobian_without_feature_jac,
+               "lie_bracket": lambda: integrate(bracket, x0, 0.05)}
+    for caller, call in callers.items():
+        seen.clear()
+        call()
+        assert seen, caller
+        for x in seen:
+            assert type(x) is list and len(x) == stack.dim, caller
+            assert all(type(v) is float for v in x), caller
 
 
 EDGE_VALUES = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-300, 1e16,

@@ -255,7 +255,7 @@ def test_stack_value_is_the_layout_contraction(name, t, offsets):
     rows = stack.shape[0]
     # the weights of the rows one at a time give each row of L(t)
     assert _close(stack.weighted([t] * rows, np.eye(rows)), [L.reshape(rows, -1)])
-    assert _close(stack(t, x), [L @ stack.features(t, x)])
+    assert _close(stack(t, x), [L @ stack.features(t, x.tolist())])
     assert _close(stack.jacobian(t, x), [L[..., 1:] @ stack.feature_jac(t, x)])
     # any array-like point, as a field takes it
     assert np.array_equal(stack(t, x.tolist()), stack(t, x))
