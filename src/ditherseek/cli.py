@@ -19,8 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import (FieldEvaluationError, assemble_rhs, central_differences,
-                       central_points)
+from .dynamics import assemble_rhs, central_differences, central_points
 from .liebracket import nu_closed_form, nu_quadrature
 from .scenarios import Scenario, ScenarioError, checked, list_bundled, load_scenario
 from .seekers import check_maximizer_stationarity, check_potential_compatibility
@@ -177,8 +176,8 @@ def _verify_checks(sc: Scenario, config: RunConfig) -> list[CheckResult]:
     # analytic Jacobians of drift and channels against central differences,
     # row by row of the field stack: per sample point one stack evaluation at
     # its 2n shifted points and one reduction over the rows' defects; a sample
-    # point where either Jacobian is not finite (a heading rate so large that
-    # Omega*t overflows) fails the check
+    # point where either Jacobian is not finite (Omega*t overflowing) or that
+    # raises an ArithmeticError (a map's float overflow, 1.0 / 0.0) fails the check
     stack = sys_ref.stack
     worst = 0.0
     ok = all(fld.has_jacobian for fld in sys_ref.fields)
@@ -191,7 +190,7 @@ def _verify_checks(sc: Scenario, config: RunConfig) -> list[CheckResult]:
                 h, shifted = central_points(x)
                 J_fd = central_differences(stack(t, shifted), h)
                 J_stack = stack.jacobian(t, x)
-            except FieldEvaluationError:
+            except ArithmeticError:  # FieldEvaluationError included
                 J_stack = None
         if J_stack is None or not np.isfinite(J_stack).all():
             nonfinite.append(t)

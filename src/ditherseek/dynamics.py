@@ -37,8 +37,9 @@ import numpy as np
 from .signals import DitherSignal
 
 
-class FieldEvaluationError(RuntimeError):
-    """A vector field produced non-finite values."""
+class FieldEvaluationError(ArithmeticError):
+    """A vector field produced non-finite values; an ArithmeticError, like an overflow
+    in a map's float arithmetic, so one ``except ArithmeticError`` refuses both."""
 
 
 @dataclass(frozen=True)

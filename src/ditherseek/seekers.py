@@ -44,33 +44,26 @@ class AgentMap:
     of a state converts it to floats once and hands the list to all N maps
     and gradients. :meth:`__call__` and :meth:`gradient` take one point as an
     array, with one ``tolist``; :meth:`gradient` always returns an array, and
-    without ``grad`` takes central differences, row by row for a batch. A
-    value or gradient whose float arithmetic overflows reads nan: Python
-    floats raise OverflowError where numpy gives inf, and either way the
-    fields built on the map refuse the non-finite value. The Jacobian paths
-    (the washout Jacobian, the closed-form averaged fields) call ``fn`` and
-    ``grad`` directly, with this rule inlined. A batch body computes in
-    numpy, where an overflow is inf, so it must read nan where the float body
-    raises, row by row.
+    without ``grad`` takes central differences, row by row for a batch. Float
+    arithmetic that overflows raises OverflowError where numpy gives inf, and
+    the consumers of the fields built on the map refuse it as they refuse a
+    non-finite value (see ``sim.integrate``). The hot paths (the washouts,
+    their Jacobian, the closed-form averaged fields) call ``fn`` and ``grad``
+    directly. A batch body computes in numpy, where an overflow is inf, so it
+    must give a nan row where the float body raises.
     """
 
     fn: Callable[[list[float]], float]
     grad: Callable[[list[float] | np.ndarray], np.ndarray | list[float]] | None = None
 
     def __call__(self, xbar: np.ndarray) -> float:
-        try:
-            return float(self.fn(np.asarray(xbar, dtype=float).tolist()))
-        except OverflowError:
-            return math.nan
+        return float(self.fn(np.asarray(xbar, dtype=float).tolist()))
 
     def gradient(self, xbar: np.ndarray) -> np.ndarray:
         if self.grad is None:
             return _fd_gradient(self, xbar)
         xbar = np.asarray(xbar, dtype=float)
-        try:
-            return np.asarray(self.grad(xbar.tolist() if xbar.ndim == 1 else xbar), dtype=float)
-        except OverflowError:
-            return np.full(xbar.shape, math.nan)
+        return np.asarray(self.grad(xbar.tolist() if xbar.ndim == 1 else xbar), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -226,30 +219,23 @@ class _AgentLoops:
     def features(self, t, x):
         """[1, w_1, ..., w_N], the washouts formed in floats from x, the list
         of floats every caller passes; calls each agent map once on the
-        positions, with ``AgentMap``'s rule inlined: an OverflowError reads nan."""
+        positions."""
         n2 = 2 * self.n
         xbar = x[:n2]
         w = [1.0]
         for f, h, e in zip(self.fns, self.h, x[n2:]):
-            try:
-                value = float(f(xbar))
-            except OverflowError:
-                value = math.nan
-            w.append(value - h * e)
+            w.append(float(f(xbar)) - h * e)
         return np.array(w)
 
     def feature_jac(self, t, x):
         """Washout Jacobian (N, 3N), each agent gradient called once on the
-        positions as floats, ``AgentMap``'s rule inlined as in :meth:`features`,
-        and the N rows written into a copy of ``jac_template`` in one assignment."""
+        positions as floats and the N rows written into a copy of
+        ``jac_template`` in one assignment."""
         n2 = 2 * self.n
         xbar = x[:n2].tolist()
         rows = []
         for grad in self.grads:
-            try:
-                rows.append(grad(xbar))
-            except OverflowError:
-                rows.append([math.nan] * n2)
+            rows.append(grad(xbar))
         J = self.jac_template.copy()
         J[:, :n2] = rows
         return J
@@ -325,15 +311,9 @@ def analytic_lie_single_integrator(game: PotentialGame, params) -> VectorField:
         zbar, z_e = zs[:2 * n], zs[2 * n:]
         out = [0.0] * dim
         for i, f, grad, c_alpha, c_sq, h in agents:
-            try:  # AgentMap's rule inlined: an OverflowError reads nan
-                f_val = float(f(zbar))
-            except OverflowError:
-                f_val = math.nan
-            try:
-                row = grad(zbar)
-                d1, d2 = float(row[2 * i]), float(row[2 * i + 1])
-            except OverflowError:
-                d1 = d2 = math.nan
+            f_val = float(f(zbar))
+            row = grad(zbar)
+            d1, d2 = float(row[2 * i]), float(row[2 * i + 1])
             g = f_val - z_e[i] * h
             out[2 * i] = 0.5 * (c_alpha * d1 - c_sq * d2 * g)
             out[2 * i + 1] = 0.5 * (c_alpha * d2 + c_sq * d1 * g)
@@ -395,15 +375,9 @@ def analytic_lie_unicycle(game: PotentialGame, params, Omega: float) -> VectorFi
         zbar, z_e = zs[:2 * n], zs[2 * n:]
         out = [0.0] * dim
         for i, f, grad, half_c_alpha, h, rate in agents:
-            try:  # AgentMap's rule inlined: an OverflowError reads nan
-                f_val = float(f(zbar))
-            except OverflowError:
-                f_val = math.nan
-            try:
-                row = grad(zbar)
-                d1, d2 = float(row[2 * i]), float(row[2 * i + 1])
-            except OverflowError:
-                d1 = d2 = math.nan
+            f_val = float(f(zbar))
+            row = grad(zbar)
+            d1, d2 = float(row[2 * i]), float(row[2 * i + 1])
             cw, sw = math.cos(rate * t), math.sin(rate * t)
             proj = half_c_alpha * (d1 * cw + d2 * sw)
             out[2 * i] = proj * cw
@@ -537,32 +511,21 @@ def build_scalar_seeker(f: Callable[[float], float], grad_f: Callable[[float], f
     layout[0, 1, 0, 0] = alpha
     layout[0, 2, 0, 1] = 1.0
 
-    # a map or gradient whose float arithmetic overflows reads nan, as an AgentMap's does
     def features(t, x):
-        try:
-            return np.array([1.0, f(float(x[0]))])
-        except OverflowError:
-            return np.array([1.0, math.nan])
+        return np.array([1.0, f(float(x[0]))])
 
     def feature_jac(t, x):
-        try:
-            return np.array([[grad_f(float(x[0]))]])
-        except OverflowError:
-            return np.array([[math.nan]])
+        return np.array([[grad_f(float(x[0]))]])
 
     drift, alpha_field, f_field = FieldStack(layout, features, feature_jac).fields
     return InputAffineSystem(drift, ((alpha_field, u_a), (f_field, u_b)), omega)
 
 
 def analytic_lie_scalar(grad_f: Callable[[float], float], alpha: float) -> VectorField:
-    """Averaged field (alpha/2) * grad f of the basic scalar loop; a gradient
-    whose float arithmetic overflows reads nan."""
+    """Averaged field (alpha/2) * grad f of the basic scalar loop."""
 
     def fn(t, z):
-        try:
-            return np.array([0.5 * alpha * grad_f(float(z[0]))])
-        except OverflowError:
-            return np.array([math.nan])
+        return np.array([0.5 * alpha * grad_f(float(z[0]))])
 
     return VectorField(1, fn)
 
@@ -608,9 +571,10 @@ def three_agent_game() -> PotentialGame:
     one with ValueError, so a point as a (6,) array never gets numpy bits.
     Its own block keeps the per-point bits; numpy's ``exp``, ``cos`` and squares (x * x, not libm
     pow) may move the last bits of the others, exp's up to |argument| ulp. A
-    row whose finite x4 or x5 squares past the float range reads nan, as ** raises.
-    The batch bodies are as silent as the float ones on infinite and overflowing
-    entries: numpy's invalid and overflow warnings are off inside them.
+    row whose finite x4 or x5 squares past the float range is nan, where the
+    float body's ** raises OverflowError.
+    The batch bodies give no warning on infinite and overflowing entries:
+    numpy's invalid and overflow warnings are off inside them.
     """
 
     def f_a(x):

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import _qmc
 from ._quadrature import cumulative_simpson, even_intervals, fit_loglog_slope
-from .dynamics import FieldEvaluationError, InputAffineSystem, VectorField, assemble_rhs
+from .dynamics import InputAffineSystem, VectorField, assemble_rhs
 from .liebracket import nu_quadrature
 from .signals import TWO_PI, DitherSignal, period_mean
 
@@ -163,9 +163,9 @@ def integrate(fld: VectorField, x0, horizon: float, t0: float = 0.0,
     """Classical fixed-step RK4 over [t0, t0 + horizon].
 
     A non-finite state truncates the trajectory and sets the divergence flag
-    instead of raising, and so does a stage that raises FieldEvaluationError
-    or an ArithmeticError (on Python floats ``1.0 / 0.0`` and an overflowing
-    ``x ** 2`` raise where numpy scalars give inf); more than
+    instead of raising, and so does a stage that raises an ArithmeticError:
+    FieldEvaluationError, or Python float arithmetic in a map (``1.0 / 0.0``
+    and an overflowing ``x ** 2`` raise where numpy scalars give inf); more than
     :data:`MAX_STEPS` steps raise ValueError. Stage times are the floats
     t0 + k*dt and t0 + k*dt + dt/2, so steps k and k+1 share the time of
     their common stage. A field with a stage table is called as
@@ -183,8 +183,9 @@ def integrate(fld: VectorField, x0, horizon: float, t0: float = 0.0,
     operator form's. The product stays ``row.dot``, since a Python sum of
     products rounds otherwise. Any other field is called on float64 arrays,
     with stage inputs and combination in ufunc calls on float64 constants of
-    the state's shape, so a stage value of any real dtype is stepped in
-    float64. A complex stage raises TypeError. The new state is finite if the
+    the state's shape: a constant times a stage value of any real dtype is
+    float64, but ``k2 + k3`` keeps the stages' dtype (float32 for two float32
+    stages). A complex stage raises TypeError. The new state is finite if the
     sum of its components is, else if each component is.
     """
     if not horizon > 0.0:
@@ -245,7 +246,7 @@ def integrate(fld: VectorField, x0, horizon: float, t0: float = 0.0,
                         k4 = asarray(fn(t_b, add(x, mul(c_dt, k3)), row_b))
                         x_new = add(x, mul(c_sixth, add(add(k1, mul(c_two, add(k2, k3))), k4)))
                         values = x_new.tolist()
-                except (FieldEvaluationError, ArithmeticError):
+                except ArithmeticError:  # FieldEvaluationError included
                     break
                 # a finite sum has finite terms; an overflowing one is checked term by term
                 if not (isfinite(total(values)) or all(map(isfinite, values))):
@@ -347,17 +348,20 @@ class SweepReport:
         return tuple(r.sup_error for r in self.records)
 
     @property
-    def monotone_decreasing(self) -> bool:
-        # one record is no evidence of a trend: False, not yes
+    def _shows_trend(self) -> bool:  # one record or errors all 0 are no evidence
+        return len(self.records) > 1 and any(self.sup_errors)
+
+    @property
+    def monotone_decreasing(self) -> bool:  # False, not yes, without evidence
         errors = self.sup_errors
-        return (len(errors) > 1 and all(math.isfinite(e) for e in errors)
+        return (self._shows_trend and all(math.isfinite(e) for e in errors)
                 and all(b <= a for a, b in zip(errors, errors[1:])))
 
     @property
     def verdict(self) -> str | None:
-        """:attr:`monotone_decreasing` as "yes" or "NO"; None (no verdict) for one record
-        and for errors that are all 0, which show no trend."""
-        if len(self.records) < 2 or not any(self.sup_errors):
+        """:attr:`monotone_decreasing` as "yes" or "NO"; None (no verdict) where the
+        errors show no trend."""
+        if not self._shows_trend:
             return None
         return "yes" if self.monotone_decreasing else "NO"
 

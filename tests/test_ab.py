@@ -37,6 +37,8 @@ def test_two_copies_of_one_tree_show_no_gain(tmp_path):
     entry = doc["workloads"]["si_sweep"]["seed 2023"]
     assert entry["pairs"] == 1 and entry["seconds"] == 1.0
     assert entry["gate_failed"] == {"parent": [0], "change": [0]}
+    assert entry["failed_share"] == {"parent": 0.0, "change": 0.0}
+    assert entry["more_failures"] is False
     assert set(entry["metrics"]) == set(END_TO_END)
     for name, m in entry["metrics"].items():
         assert len(m["parent_runs"]) == len(m["change_runs"]) == 1, name
@@ -68,8 +70,11 @@ def _summarize():
     return module.summarize
 
 
-def _runs(walls):
-    return [{"failed": 0, "metrics": {"wall_s": {"value": w}}} for w in walls]
+def _runs(walls, failed=None, attempted=None):
+    failed = failed or [0] * len(walls)
+    attempted = attempted or [4] * len(walls)
+    return [{"failed": f, "attempted": a, "metrics": {"wall_s": {"value": w}}}
+            for w, f, a in zip(walls, failed, attempted)]
 
 
 # end-to-end metrics as BENCHMARK.json declares them
@@ -105,3 +110,20 @@ def test_worse_means_the_change_median_past_the_metric_bound(metric, change, wor
     parent = [1.0, 0.99, 1.01, 1.0, 0.98, 1.02, 1.0, 0.99, 1.01, 1.0][:len(change)]
     entry = _summarize()(_runs(parent), _runs(change), {"wall_s": metric})
     assert entry["metrics"]["wall_s"]["worse"] is worse
+
+
+@pytest.mark.parametrize("parent, change, shares, more", [
+    (([0, 0], [4, 4]), ([0, 0], [4, 4]), (0.0, 0.0), False),
+    (([0, 0], [4, 4]), ([0, 1], [4, 4]), (0.0, 0.125), True),    # one failed check
+    (([1, 1], [4, 4]), ([0, 2], [4, 4]), (0.25, 0.25), False),   # the same share
+    (([1, 0], [10, 10]), ([1, 0], [5, 5]), (0.05, 0.1), True),   # fewer attempted
+    (([2, 2], [4, 4]), ([1, 0], [4, 4]), (0.5, 0.125), False),   # fewer failed
+    (([0, 0], [4, 4]), ([0, 0], [0, 0]), (0.0, 1.0), True),      # none attempted
+], ids=["none_failed", "one_more_failed", "same_share", "fewer_attempted", "fewer_failed",
+        "none_attempted"])
+def test_more_failures_compares_the_failed_shares_of_the_two_sides(parent, change, shares,
+                                                                   more):
+    entry = _summarize()(_runs([1.0, 1.0], *parent), _runs([1.0, 1.0], *change),
+                         {"wall_s": WALL_S})
+    assert entry["failed_share"] == dict(zip(("parent", "change"), shares))
+    assert entry["more_failures"] is more

@@ -22,7 +22,8 @@ from hypothesis import strategies as st
 from ditherseek import (AgentMap, AgentParams, FieldEvaluationError, FieldStack, PotentialGame,
                         VectorField, analytic_lie_single_integrator, analytic_lie_unicycle,
                         assemble_rhs, build_lie_bracket_system, build_single_integrator,
-                        build_unicycle, load_scenario, quadratic_game, three_agent_game)
+                        build_unicycle, integrate, load_scenario, quadratic_game,
+                        three_agent_game)
 
 GAME = three_agent_game()
 
@@ -139,19 +140,33 @@ def test_bundled_batch_gradients_refuse_anything_but_a_batch_of_points(shape):
         assert np.array_equal(m.gradient(point), m.grad(point.tolist()))
 
 
+def _check_batch_rows(m, batch, overflowing=()):
+    """``m``'s batch gradient row by row: the per-point gradient's bits, and nan
+    in the rows ``overflowing``, whose per-point float arithmetic raises
+    OverflowError."""
+    got = m.gradient(batch)
+    for k, (x, row) in enumerate(zip(batch, got)):
+        if k in overflowing:
+            with pytest.raises(OverflowError):
+                m.gradient(x)
+            assert np.isnan(row).all()
+        else:
+            assert np.array_equal(row, m.gradient(x), equal_nan=True)
+    return got
+
+
 def test_overflowing_and_infinite_batch_rows_equal_the_per_point_gradients():
     # a finite x4 or x5 squaring past the float range makes the float body's **
-    # raise, a nan row; an infinite one squares to inf and goes on through exp
+    # raise, a nan batch row; an infinite one squares to inf and goes on through exp
     inf = math.inf
     batch = np.array([[0.1, 0.2, 0.3, 0.4, 1e200, 0.5], [0.1, 0.2, 0.3, 0.4, 0.5, -2e154],
                       [0.0, 0.0, 0.0, 0.0, inf, -2e154], [0.0, 0.0, 0.0, 0.0, 1e200, -inf],
                       [0.0, 0.0, 0.0, 0.0, inf, 0.5], [0.0, 0.0, 0.0, 0.0, -inf, inf],
                       [inf, -inf, inf, 0.0, 0.0, 0.0], [1.0, 1.0, -1.0, -1.0, -1.0, 1.0]])
     with np.errstate(invalid="ignore"):
-        for m in GAME.maps:
-            want = np.array([m.gradient(x) for x in batch])
-            assert np.array_equal(m.gradient(batch), want, equal_nan=True)
-        got = GAME.maps[0].gradient(batch)
+        got = _check_batch_rows(GAME.maps[0], batch, overflowing=range(4))
+        for m in GAME.maps[1:]:  # neither squares a coordinate
+            _check_batch_rows(m, batch)
     assert np.isnan(got[:4]).all() and not np.isnan(got[4:, :4]).any()
 
 
@@ -165,16 +180,16 @@ def test_batch_rows_with_infinities_give_no_warning():
                       [-big, -big, -big, -big, -big, big], [1.0, 1.0, -1.0, -1.0, -1.0, 1.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for m in GAME.maps:
-            got = m.gradient(batch)
-            want = np.array([m.gradient(x) for x in batch])
-            assert np.array_equal(got, want, equal_nan=True)
+        # grad f_a squares x4 = 1e200 and +-1.7e308 past the float range
+        _check_batch_rows(GAME.maps[0], batch, overflowing=(4, 5, 6))
+        for m in GAME.maps[1:]:
+            _check_batch_rows(m, batch)
 
 
 QUADRATIC = quadratic_game([1.0, 2.0, 3.0, 4.0, 0.5, 1.5], [1.0, -1.0, 0.5, 2.0, 0.0, -3.0])
 GAMES = {"bundled": GAME, "quadratic": QUADRATIC}
 # entries past the float range when squared make the bundled float bodies' **
-# raise (a nan washout); the quadratic maps' dot warns there, so they get only
+# raise OverflowError; the quadratic maps' dot warns there, so they get only
 # the infinities and nan
 ENTRIES = {"bundled": coordinates | st.sampled_from(
                [1e200, -2e154, 1.7e308, math.inf, -math.inf, math.nan]),
@@ -195,6 +210,29 @@ def _batches(game, width):
     return st.lists(rows, max_size=8).map(lambda r: np.array(r, dtype=float).reshape(-1, width))
 
 
+def _check_batch_values(stack, t, batch):
+    """A stack value of ``batch`` against those of its rows: the same bits for the
+    rows whose features raise no OverflowError, and OverflowError from the whole
+    batch, taken row by row, if any row raises. The features warn on no row; the
+    layout's zeros times an infinite feature are nan and warn."""
+    kept = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in batch:
+            try:
+                stack.features(t, x.tolist())
+            except OverflowError:  # a map squares an entry past the float range
+                continue
+            kept.append(x)
+    kept = np.array(kept).reshape(-1, batch.shape[1])
+    with np.errstate(invalid="ignore"):
+        want = np.array([stack(t, x) for x in kept]).reshape((len(kept),) + stack.shape)
+        assert _same_bits(stack(t, kept), want)
+        if len(kept) < len(batch):
+            with pytest.raises(OverflowError):
+                stack(t, batch)
+
+
 @pytest.mark.parametrize("kind", ["single_integrator", "unicycle"])
 @pytest.mark.parametrize("game", list(GAMES))
 @given(data=st.data(), h=poles, t=st.floats(min_value=0.0, max_value=50.0))
@@ -204,16 +242,7 @@ def test_stack_values_of_a_batch_equal_the_per_point_values(kind, game, data, h,
     build = {"single_integrator": lambda: build_single_integrator(GAMES[game], params, 100.0),
              "unicycle": lambda: build_unicycle(GAMES[game], params, 1.0, 80.0)}
     stack = build[kind]().stack
-    batch = data.draw(_batches(game, 9))
-    # the washouts are silent where entries are infinite or overflow (a nan washout) ...
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for x in batch.tolist():
-            stack.features(t, x)
-    # ... but the layout's zeros times an infinite washout are nan and warn
-    with np.errstate(invalid="ignore"):
-        want = np.array([stack(t, x) for x in batch]).reshape(len(batch), 7, 9)
-        assert _same_bits(stack(t, batch), want)
+    _check_batch_values(stack, t, data.draw(_batches(game, 9)))
 
 
 @given(rows=st.lists(ENTRIES["bundled"], max_size=8), t=st.floats(min_value=0.0, max_value=50.0))
@@ -221,9 +250,7 @@ def test_stack_values_of_a_batch_equal_the_per_point_values(kind, game, data, h,
 def test_scalar_and_identity_stacks_take_a_batch_row_by_row(rows, t):
     stack = load_scenario("scalar_basic").build_system(50.0).stack
     batch = np.array(rows).reshape(-1, 1)
-    with np.errstate(invalid="ignore"):
-        want = np.array([stack(t, x) for x in batch]).reshape(len(batch), 3, 1)
-        assert _same_bits(stack(t, batch), want)
+    _check_batch_values(stack, t, batch)  # the scalar map squares 1e200, -2e154, 1.7e308
     identity = FieldStack.of([VectorField(2, lambda t, x: x + t), VectorField(2, lambda t, x: -x)])
     finite = np.where(np.isfinite(batch), batch, 0.5).repeat(2, axis=1)
     want = np.array([identity(t, x) for x in finite]).reshape(len(finite), 2, 2)
@@ -245,8 +272,13 @@ def test_a_point_s_stack_value_is_the_layout_times_its_features(name, data, t):
     p, rows, n, width = stack.layout.shape
     L = (stack.phi([t]) @ stack.layout.reshape(p, -1)).reshape(rows * n, width)
     with np.errstate(invalid="ignore"):
-        want = (L @ stack.features(t, x.tolist())).reshape(rows, n)
-        assert _same_bits(stack(t, x), want)
+        try:
+            want = (L @ stack.features(t, x.tolist())).reshape(rows, n)
+        except OverflowError:  # a map squares an entry past the float range
+            with pytest.raises(OverflowError):
+                stack(t, x)
+        else:
+            assert _same_bits(stack(t, x), want)
 
 
 def test_batches_of_no_rows_keep_their_row_shape():
@@ -371,19 +403,27 @@ def test_the_list_path_keeps_the_bits_of_the_array_accessors(kind, game, values,
 
 @pytest.mark.parametrize("kind", ["single_integrator", "unicycle"])
 @pytest.mark.parametrize("k", range(6))
-def test_an_overflowing_coordinate_reads_nan_on_the_list_path(kind, k):
-    # 1e200 squares past the float range: the float bodies' ** raises and the
-    # washout, Jacobian row or closed-form entries of the maps it reaches read nan
+def test_an_overflowing_coordinate_raises_on_the_list_path(kind, k):
+    # 1e200 squares past the float range: f_a squares every coordinate, so its
+    # float body's ** raises OverflowError through the washouts, the closed form
+    # and the accessor; its gradient squares x4 and x5 only
     values = [0.5, -0.5, 1.0, 2.0, -1.0, 0.25, 0.5, -0.5, 2.0]
     values[k] = 1e200
     loops, closed_form, _, _ = _list_path(GAME, kind, [1.0, 2.0, 3.0])
-    x = _read_only_view(values)
-    assert np.isnan(loops.features(0.3, values)).any()
-    if k >= 4:  # grad_f_a squares x4 and x5
-        assert np.isnan(loops.feature_jac(0.3, x)[0, :6]).all()
-    with np.errstate(invalid="ignore", over="ignore"):
-        assert np.isnan(closed_form.fn(0.3, x)[6:]).any()
-    _check_list_path("bundled", kind, values, [1.0, 2.0, 3.0], 0.3)
+    x, xbar = _read_only_view(values), np.array(values[:6])
+    with pytest.raises(OverflowError):
+        GAME.maps[0](xbar)
+    with pytest.raises(OverflowError):
+        loops.features(0.3, values)
+    if k >= 4:
+        with pytest.raises(OverflowError):
+            loops.feature_jac(0.3, x)
+    else:  # the rows of the accessors, which raise nothing here
+        want = loops.jac_template.copy()
+        want[:, :6] = [m.gradient(xbar) for m in GAME.maps]
+        assert _same_bits(loops.feature_jac(0.3, x), want)
+    with pytest.raises(OverflowError):
+        closed_form.fn(0.3, x)
 
 
 @given(positions)
@@ -424,21 +464,26 @@ def test_the_washout_jacobian_is_the_row_by_row_template_fill(kind, game, values
     assert np.array_equal(got, want)
 
 
-def test_overflowing_map_arithmetic_reads_nan_and_the_rhs_refuses_it():
+def test_overflowing_map_arithmetic_raises_and_the_rhs_refuses_it():
     # Python floats raise OverflowError where numpy scalars gave inf; a
-    # diverging run must still stop with FieldEvaluationError
+    # diverging run must still stop, refused by integrate at its first step
     x = np.full(9, 1e200)
     for m in GAME.maps:
-        assert math.isnan(m(x[:6]))
-    assert np.isnan(GAME.maps[0].gradient(x[:6])).all()
+        with pytest.raises(OverflowError):
+            m(x[:6])
+    with pytest.raises(OverflowError):
+        GAME.maps[0].gradient(x[:6])
     for sys in _builders([1.0, 1.0, 1.0]).values():
-        with pytest.raises(FieldEvaluationError):
-            assemble_rhs(sys).fn(0.1, x)
+        rhs = assemble_rhs(sys)
+        with pytest.raises(OverflowError):
+            rhs.fn(0.1, x)
+        run = integrate(rhs, x, 0.1)
+        assert run.diverged and run.total_steps == 0
 
 
-def test_overflowing_maps_read_nan_on_the_jacobian_paths():
-    # at 1e200, f_a and grad_f_a raise OverflowError (so do f_b and f_c); the
-    # washout Jacobian reads a nan row for agent a and the others' gradients
+def test_overflowing_maps_raise_on_the_jacobian_paths():
+    # at 1e200, f_a and grad_f_a raise OverflowError (so do f_b and f_c); so do
+    # the washout Jacobian, the generic bracket and the closed forms
     values = [1e200] * 9
     x, xbar = np.array(values), np.array(values[:6])
     with pytest.raises(OverflowError):
@@ -446,16 +491,17 @@ def test_overflowing_maps_read_nan_on_the_jacobian_paths():
     with pytest.raises(OverflowError):
         GAME.maps[0].grad(xbar.tolist())
     for sys in _builders([1.0, 2.0, 3.0]).values():
-        J = sys.stack.feature_jac(0.1, x)
-        assert np.isnan(J[0, :6]).all()
-        for row, m in zip(J[1:], GAME.maps[1:]):
-            assert np.array_equal(row[:6], m.gradient(xbar))
+        with pytest.raises(OverflowError):
+            sys.stack.feature_jac(0.1, x)
+        with pytest.raises(OverflowError):
+            build_lie_bracket_system(sys).fn(0.1, x)
     params = [AgentParams(0.3, 1.0, 0.5 + i, i + 1, i + 1) for i in range(3)]
-    for field, Omega in ((analytic_lie_single_integrator(GAME, params), None),
-                         (analytic_lie_unicycle(GAME, params, 1.0), 1.0)):
-        got = field.fn(0.1, x)
-        assert np.array_equal(got, _closed_form_reference(params, Omega, 0.1, values),
-                              equal_nan=True)
+    for field in (analytic_lie_single_integrator(GAME, params),
+                  analytic_lie_unicycle(GAME, params, 1.0)):
+        with pytest.raises(OverflowError):
+            field.fn(0.1, x)
+        run = integrate(field, x, 0.1)
+        assert run.diverged and run.total_steps == 0
 
 
 def test_the_jacobian_paths_call_each_raw_gradient_once(monkeypatch):

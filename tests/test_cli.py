@@ -1,6 +1,7 @@
 """Command-line front end: modes, exit codes, determinism, strictness."""
 
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -328,6 +329,20 @@ def test_verify_reports_nonfinite_jacobians_of_a_huge_heading_rate(tmp_path, cap
     assert captured.out.endswith("9/10 checks passed\n")
 
 
+def test_verify_counts_a_map_that_raises_as_a_non_finite_sample_point(tmp_path):
+    # 1.0 / 0.0 raises ZeroDivisionError on Python floats: at every sample point
+    # the stack value raises, and the check counts the point as it counts a nan
+    sc = load_scenario("three_agent_single_integrator")
+    maps = list(sc.game.maps)
+    maps[1] = replace(maps[1], fn=lambda x: 1.0 / (x[0] - x[0]))
+    sc = replace(sc, game=replace(sc.game, maps=tuple(maps)))
+    checks = ditherseek.cli._verify_checks(sc, RunConfig("verify", sc.name, tmp_path))
+    failed = [c for c in checks if not c.passed]
+    assert [c.name for c in failed] == ["analytic Jacobians vs finite differences"]
+    assert failed[0].detail.startswith("non-finite (nan or inf) Jacobian values at 20 of 20 "
+                                       "sample points, the first at t=")
+
+
 def _per_point_jacobian_check(sc, seed):
     """The Jacobian check as a loop over sample points, one stack evaluation per
     shifted point and one defect per stack row: the reference that verify's
@@ -433,6 +448,55 @@ def test_a_huge_initial_state_is_reported_not_a_traceback(tmp_path, capsys, doc,
     else:
         assert status == 0
         assert len(lines) == len(sc.omegas)
+
+
+def test_a_state_whose_map_arithmetic_overflows_diverges_at_step_0_in_every_mode(tmp_path,
+                                                                                capsys):
+    # at x1 = 1e200 the bundled maps' float squares raise OverflowError: every
+    # run is refused at step 0, and verify counts all 20 sample points
+    name = "three_agent_single_integrator"
+    doc = tmp_path / "x1_1e200.yaml"
+    doc.write_text(_bundled_text(name).replace("initial_state: [2.0,", "initial_state: [1.0e200,"),
+                   encoding="utf-8")
+    written, printed = {}, {}
+    for mode in ("simulate", "compare", "sweep", "verify"):
+        status = main(["--scenario", str(doc), "--mode", mode, "--out", str(tmp_path / mode)])
+        captured = capsys.readouterr()
+        assert captured.err == "" and status == (1 if mode == "verify" else 0)
+        printed[mode] = captured.out.replace(str(tmp_path / mode), "OUT")
+        written[mode] = {p.name: p.read_text(encoding="utf-8")
+                         for p in (tmp_path / mode).iterdir()}
+    x0 = ["1e+200", "-2", "-2", "2", "-1", "2.5", "0", "0", "0"]
+    trajectory = "t,x1,x2,x3,x4,x5,x6,x7,x8,x9\n0," + ",".join(x0) + "\n"
+    runs = {f"{name}_omega10.csv": trajectory, f"{name}_omega100.csv": trajectory}
+    assert written["simulate"] == runs
+    assert printed["simulate"] == "".join(f"wrote OUT/{f} (diverged)\n" for f in runs)
+    summary = ("compared against the averaged flow over horizon 30\n"
+               "averaged flow final distance to target: inf\n"
+               "omega=10: sup_error=inf final_distance=inf DIVERGED\n"
+               "omega=100: sup_error=inf final_distance=inf DIVERGED\n"
+               "sup_error decreases with omega: NO\n")
+    long = "t,series,component,value\n" + "".join(
+        f"0,{series},x{k + 1},{v}\n" for series in ("averaged", "omega=10", "omega=100")
+        for k, v in enumerate(x0))
+    assert written["compare"] == {**runs, f"{name}_averaged.csv": trajectory,
+                                  f"{name}_compare_long.csv": long,
+                                  f"{name}_compare_summary.txt": summary}
+    assert printed["compare"] == summary
+    assert written["sweep"][f"{name}_sweep.csv"] == (
+        "omega,sup_error,final_distance_to_target,steps,diverged\n10,inf,inf,0,1\n"
+        "100,inf,inf,0,1\n")
+    sweep = re.sub(r"wall=\S+", "wall=X", written["sweep"][f"{name}_sweep.txt"])
+    assert re.sub(r"wall=\S+", "wall=X", printed["sweep"]) == sweep == ("omega sweep over horizon 30:\n"
+                     "  omega=10: sup_error=inf final_distance=inf steps=0 wall=X DIVERGED\n"
+                     "  omega=100: sup_error=inf final_distance=inf steps=0 wall=X DIVERGED\n"
+                     "  averaged flow final distance: inf\n"
+                     "  sup_error non-increasing in omega: NO\n")
+    report = written["verify"][f"{name}_verify.txt"]
+    assert printed["verify"] == report and report.endswith("9/10 checks passed\n")
+    failed = [line for line in report.splitlines() if "[FAIL]" in line]
+    assert failed == ["  [FAIL] analytic Jacobians vs finite differences       non-finite (nan or "
+                      "inf) Jacobian values at 20 of 20 sample points, the first at t=1.50807"]
 
 
 @pytest.mark.parametrize("mode,report", [("simulate", "(diverged)"), ("compare", "DIVERGED"),

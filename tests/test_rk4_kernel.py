@@ -8,8 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from ditherseek import (AgentParams, FieldEvaluationError, FieldStack, InputAffineSystem,
-                        PrecisionWarning, StepPolicy, Trajectory, VectorField, assemble_rhs,
+from ditherseek import (AgentParams, FieldStack, InputAffineSystem, PrecisionWarning,
+                        StepPolicy, Trajectory, VectorField, assemble_rhs,
                         build_lie_bracket_system, build_scalar_seeker, build_single_integrator,
                         build_unicycle, cosine, integrate, load_scenario, parse_scenario_text,
                         quadratic_game, sine, write_long_csv, write_trajectory_csv)
@@ -58,7 +58,7 @@ def _cases():
         cases.append((name, sc.build_system(sc.omegas[0]), sc.x0, 0.3))
     cases.append(("own_stack", _own_stack_system(), np.array([1.0, -0.5]), 0.5))
     # x' ~ 2 x^3 on average: finite-time blow-up after 540 steps; x**4 then
-    # overflows in Python floats and the scalar features read nan
+    # overflows in Python floats and the scalar features raise OverflowError
     quartic = build_scalar_seeker(lambda x: x ** 4, lambda x: 4.0 * x ** 3, 1.0, 100.0)
     cases.append(("quartic_blowup", quartic, np.array([0.5]), 20.0))
     cases.append(("overflow_1e308", _overflow_system(), np.array([1e308, 0.0, 0.0]), 1.0))
@@ -105,8 +105,10 @@ def test_the_kernel_and_the_fn_path_give_identical_trajectories(label, system, x
     assert calls["fn"] == 0
     assert calls["features"] - 4 * kernel.total_steps in (range(1, 5) if kernel.diverged
                                                           else (0,))
-    if label in ("quartic_blowup", "overflow_1e308"):  # features return inf or nan
+    if label == "overflow_1e308":  # features return inf
         assert calls["features"] == 4 * (kernel.total_steps + 1)
+    if label == "quartic_blowup":  # the first stage of the refused step raises
+        assert calls["features"] == 4 * kernel.total_steps + 1
     if label == "foreign_fields":
         assert kernel.diverged and kernel.total_steps == 4
     if label == "quartic_blowup":
@@ -118,7 +120,8 @@ def test_the_kernel_and_the_fn_path_give_identical_trajectories(label, system, x
 def _operator_form_rk4(rhs, x0, horizon, policy, stage=None, const=float):
     """The stage-table kernel written with operators, one step at a time:
     ``row @ f``, ``x + half * k1``, ``x + sixth * (k1 + 2.0 * (k2 + k3) + k4)``
-    and ``isfinite(x).all()``. ``stage(row, t, x)``, if given, replaces
+    and ``isfinite(x).all()``; a stage that raises an ArithmeticError refuses
+    the step. ``stage(row, t, x)``, if given, replaces
     ``row @ features(t, x)``; row is None without a stage table. ``const``
     types the step constants: Python floats by default. Returns (kept states,
     steps taken, diverged)."""
@@ -148,7 +151,7 @@ def _operator_form_rk4(rhs, x0, horizon, policy, stage=None, const=float):
                 k2 = stage(rows[j + 1], times[j + 1], x + c_half * k1)
                 k3 = stage(rows[j + 1], times[j + 1], x + c_half * k2)
                 k4 = stage(rows[j + 2], times[j + 2], x + c_dt * k3)
-            except FieldEvaluationError:
+            except ArithmeticError:
                 return np.array(kept), taken, True
             x_new = x + sixth * (k1 + c_two * (k2 + k3) + k4)
             if not np.isfinite(x_new).all():

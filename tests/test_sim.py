@@ -216,7 +216,8 @@ def test_sweep_of_averaged_flow_against_itself_is_zero():
     rep = omega_sweep(lambda w: lie, lie, [10.0, 100.0], [0.0], horizon=3.0,
                       policy=StepPolicy(max_step=0.01), target=[1.0])
     assert all(r.sup_error == 0.0 for r in rep.records)
-    assert rep.monotone_decreasing
+    # errors that are all 0 show no trend: no verdict, and not monotone either
+    assert not rep.monotone_decreasing and rep.verdict is None
 
 
 def test_scalar_scheme_settles_near_maximizer_at_high_omega():
@@ -250,6 +251,14 @@ def test_sweep_verdict_is_strict():
     tie = SweepReport([OmegaRecord(10.0, 1.0, 1.0, 1, 0.0),
                        OmegaRecord(20.0, 1.0, 1.0, 1, 0.0)], 1.0)
     assert tie.monotone_decreasing
+
+
+def test_errors_that_are_all_zero_are_not_monotone_decreasing():
+    # the verdict's zero-evidence rule: no verdict and no trend, as for one record
+    rep = SweepReport([OmegaRecord(10.0, 0.0, 1.0, 1, 0.0),
+                       OmegaRecord(20.0, 0.0, 1.0, 1, 0.0)], 1.0)
+    assert not rep.monotone_decreasing and rep.verdict is None
+    assert "non-increasing" not in rep.summary()
 
 
 def test_sweep_validates_omega_list():

@@ -14,8 +14,10 @@ sides import from source. Pair i runs REV_A first when i is odd and REV_B first
 when i is even, because the order within a pair biases host-scaled times.
 
 The summary has the layout of the committed ``BENCH_*.json`` files: under
-``workloads``, ``W``, ``seed S``, the gate's failed-check count of every run
-and, per end-to-end metric, the parent and change medians, their quartiles
+``workloads``, ``W``, ``seed S``, the gate's failed-check count of every run,
+each side's failed share (failed over attempted checks, summed over its runs)
+and ``more_failures``: true when the change's share is the larger; and, per
+end-to-end metric, the parent and change medians, their quartiles
 (linear interpolation), the change's wins (pairs where it is better, ties for
 neither), the raw runs, and ``gain``: true only for at least 10 pairs of
 which the change wins 9 in 10, with medians apart by more than the parent's
@@ -92,10 +94,17 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
                   f"{done.stderr.strip()[-2000:]}")
 
 
+def failed_share(runs: list[dict]) -> float:
+    """Failed gate checks over attempted ones, summed over ``runs``; 1.0 for none
+    attempted, as ``bench/run.py`` reads its error rate."""
+    attempted = sum(run["attempted"] for run in runs)
+    return sum(run["failed"] for run in runs) / attempted if attempted else 1.0
+
+
 def summarize(parent: list[dict], change: list[dict], end_to_end: dict) -> dict:
-    """Per metric of ``end_to_end`` (name to its ``BENCHMARK.json`` entry, with
-    ``better`` and ``bound``): medians, quartiles, wins, raw runs and the gain
-    and worse verdicts."""
+    """Each side's failed share and the more-failures verdict, and per metric of
+    ``end_to_end`` (name to its ``BENCHMARK.json`` entry, with ``better`` and
+    ``bound``): medians, quartiles, wins, raw runs and the gain and worse verdicts."""
     pairs = len(parent)
     metrics = {}
     for name, spec in end_to_end.items():
@@ -115,9 +124,11 @@ def summarize(parent: list[dict], change: list[dict], end_to_end: dict) -> dict:
             "parent_runs": a, "change_runs": b,
             "parent_iqr": iqr_a, "change_iqr": np.percentile(b, [25, 75]).tolist(),
         }
+    shares = {"parent": failed_share(parent), "change": failed_share(change)}
     return {"pairs": pairs,
             "gate_failed": {"parent": [run["failed"] for run in parent],
                             "change": [run["failed"] for run in change]},
+            "failed_share": shares, "more_failures": shares["change"] > shares["parent"],
             "metrics": metrics}
 
 
@@ -197,6 +208,8 @@ def main(argv=None) -> int:
                 "parent's interquartile width",
         "worse": "the change median worse than the parent's by more than the metric's "
                  "relative bound in BENCHMARK.json",
+        "more_failures": "the change's failed share (gate checks failed over attempted, "
+                         "summed over its runs) larger than the parent's",
     }
     entry = summarize(runs["parent"], runs["change"], end_to_end)
     entry["seconds"] = args.seconds
